@@ -19,7 +19,14 @@ from .circles import (
     circle_series_to_json_dict,
     enumerate_circle_diagrams,
 )
-from .closure import ClosureResult, LinkSkeleton, closure_skeleton, kontsevich_link, tau_project
+from .closure import (
+    ClosureResult,
+    LinkSkeleton,
+    close_braid,
+    closure_skeleton,
+    kontsevich_link,
+    tau_project,
+)
 from .relations import (
     NormalFormSeries,
     RelationSet,

@@ -125,21 +125,26 @@ class _Arc:
     sign: int
 
     def positions(self, s):
-        z = np.array(self.start, dtype=complex)
+        """Point per strand at local time s; an array s adds leading axes."""
+        s = np.asarray(s, dtype=float)
+        z = np.empty(s.shape + (len(self.start),), dtype=complex)
+        z[...] = self.start
         if self.moving is not None:
             a, b = self.moving
             phase = 0.5 * np.exp(1j * self.sign * math.pi * s)
-            z[a - 1] = self.center - phase
-            z[b - 1] = self.center + phase
+            z[..., a - 1] = self.center - phase
+            z[..., b - 1] = self.center + phase
         return z
 
     def velocities(self, s):
-        v = np.zeros(len(self.start), dtype=complex)
+        """d/ds of positions(s), same shape."""
+        s = np.asarray(s, dtype=float)
+        v = np.zeros(s.shape + (len(self.start),), dtype=complex)
         if self.moving is not None:
             a, b = self.moving
             dphase = 0.5j * self.sign * math.pi * np.exp(1j * self.sign * math.pi * s)
-            v[a - 1] = -dphase
-            v[b - 1] = dphase
+            v[..., a - 1] = -dphase
+            v[..., b - 1] = dphase
         return v
 
 

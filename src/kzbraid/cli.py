@@ -16,7 +16,7 @@ import sys
 
 from .braids import BraidParseError, parse_braid_word, permutation_of, realize
 from .circles import circle_series_to_json_dict
-from .closure import kontsevich_link
+from .closure import close_braid
 from .relations import quotient_dimension, reduce
 from .transport import (
     TransportError,
@@ -49,7 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_steps():
-    return int(os.environ.get("KZBRAID_STEPS", "512"))
+    text = os.environ.get("KZBRAID_STEPS", "512")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"KZBRAID_STEPS must be an integer, got {text!r}") from None
 
 
 def _build_parser():
@@ -103,7 +107,7 @@ def _cmd_compute(args):
     )
     _print_table(series, sys.stdout)
     if args.close:
-        result = kontsevich_link(word, args.max_degree, args.steps)
+        result = close_braid(series, word)
         document = {
             "braid": series_to_json_dict(series),
             "link": {
@@ -150,7 +154,9 @@ def _check_oracle(max_degree, steps):
 def _check_multiplicativity(max_degree, steps):
     # flow property: the transport of a concatenated loop is the stacking
     # product of its segment transports; the upper segment equals the upper
-    # braid's own transport with strands read through the lower permutation
+    # braid's own transport with strands read through the lower permutation.
+    # kontsevich_of_braid is itself such a product, so the concatenation is
+    # integrated directly as one loop.
     words = [parse_braid_word(text, 3) for text in ("1", "2", "-1")]
     worst = 0.0
     for upper in words:
@@ -161,7 +167,7 @@ def _check_multiplicativity(max_degree, steps):
                 permutation_of(lower).inverse(),
             )
             z_lower = kontsevich_of_braid(lower, max_degree, steps)
-            zc = kontsevich_of_braid(combined, max_degree, steps)
+            zc = transport(realize(combined), max_degree, steps).series
             worst = max(worst, series_product(z_upper, z_lower).sup_diff(zc))
     return worst, 1e-8
 
@@ -216,9 +222,8 @@ def _cmd_dims(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "verify":

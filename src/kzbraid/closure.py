@@ -75,6 +75,15 @@ def tau_project(series: HorizontalSeries, word: BraidWord) -> CircleSeries:
     return CircleSeries(skeleton.n_components, series.max_degree, out, series.zero_threshold)
 
 
+def close_braid(braid_series: HorizontalSeries, word: BraidWord) -> ClosureResult:
+    """Project a braid's series onto its closure's circles, raw and reduced.
+
+    The circle series keeps braid_series' zero threshold.
+    """
+    circle_series = tau_project(braid_series, word)
+    return ClosureResult(closure_skeleton(word), circle_series, reduce(circle_series))
+
+
 def kontsevich_link(word: BraidWord, max_degree: int, steps: int = 512) -> ClosureResult:
     """Braid-holonomy part of the link integral, raw and reduced.
 
@@ -82,6 +91,4 @@ def kontsevich_link(word: BraidWord, max_degree: int, steps: int = 512) -> Closu
     result for quantities insensitive to them (linking numbers, framing-killed
     terms, comparisons of closures of equal braids).
     """
-    braid_series = kontsevich_of_braid(word, max_degree, steps)
-    circle_series = tau_project(braid_series, word)
-    return ClosureResult(closure_skeleton(word), circle_series, reduce(circle_series))
+    return close_braid(kontsevich_of_braid(word, max_degree, steps), word)

@@ -8,6 +8,11 @@ coefficients of the result are the iterated integrals over the ordered
 simplex 0 <= t1 < ... < tm <= 1; chords are stored bottom-up in time order
 and every coefficient already carries its 1/(2 pi i)^m normalization.
 
+transport() integrates any loop and carries the step-doubling error
+estimate.  A braid's integral is built from its letters instead: each
+letter's holonomy is transported once per process and cached, and a word
+is their stacking product, each letter relabeled to the strands it moves.
+
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
 fiber for cross checks.
@@ -55,6 +60,7 @@ class TransportResult:
     series: HorizontalSeries
     steps_used: int
     richardson_error_estimate: float
+    coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
 
 
 @lru_cache(maxsize=None)
@@ -66,10 +72,13 @@ def _pair_indices(n_strands):
 
 
 def _segment_omega(segment, s, ii, jj):
-    """Per-pair connection values against the segment-local velocity."""
+    """Per-pair connection values against the segment-local velocity.
+
+    s is a local time or an array of them; pairs run along the last axis.
+    """
     z = segment.positions(s)
     v = segment.velocities(s)
-    return (v[ii] - v[jj]) / ((z[ii] - z[jj]) * _TWO_PI_I)
+    return (v[..., ii] - v[..., jj]) / ((z[..., ii] - z[..., jj]) * _TWO_PI_I)
 
 
 def omega_at(loop: ConfigLoop, t: float) -> ConnectionSample:
@@ -80,65 +89,88 @@ def omega_at(loop: ConfigLoop, t: float) -> ConnectionSample:
     return ConnectionSample(dict(zip(pairs, (complex(v) for v in values))))
 
 
+# Dense series: one complex entry per word of degree <= M in graded-lex order,
+# chords bottom first, so with P pairs the degree-m words fill one block of
+# P**m entries.  Putting pair p on top of the word at index g gives the word
+# at index 1 + P*g + p, and stacking a degree-p word a on a degree-q word b
+# gives the entry b*P**p + a of the degree-(p+q) block.
+
+
+def _basis_size(n_pairs, max_degree):
+    """Number of words of degree <= max_degree (0 when max_degree < 0)."""
+    return sum(n_pairs**m for m in range(max_degree + 1))
+
+
+def _unit(n_pairs, max_degree):
+    vec = np.zeros(_basis_size(n_pairs, max_degree), dtype=complex)
+    vec[0] = 1.0
+    return vec
+
+
 @lru_cache(maxsize=None)
-def _word_tables(n_strands, max_degree):
-    """Graded-lex word basis plus the append-one-chord index maps.
+def _basis_words(n_strands, max_degree):
+    return tuple(w for m in range(max_degree + 1) for w in enumerate_words(n_strands, m))
 
-    Appending pair p on top of word w is injective with disjoint targets
-    across p, so left multiplication by a degree-1 element is one gather.
+
+def _as_series(n_strands, max_degree, vec):
+    terms = {w: complex(c) for w, c in zip(_basis_words(n_strands, max_degree), vec)}
+    return HorizontalSeries(n_strands, max_degree, terms)
+
+
+def _omega_grid(segment, steps, ii, jj):
+    """Connection at the nodes and midpoints of `steps` equal steps over [0, 1]."""
+    return _segment_omega(segment, np.arange(2 * steps + 1) / (2 * steps), ii, jj)
+
+
+def _rk4(state, omega, n_low):
+    """Fourth-order steps of T' = T * omega through the sampled rows.
+
+    omega holds node, midpoint, node, ... rows; n_low counts the words of
+    degree below the truncation, the only ones a chord can be put on.
     """
-    words = []
-    for m in range(max_degree + 1):
-        words.extend(enumerate_words(n_strands, m))
-    index = {w: k for k, w in enumerate(words)}
-    pairs = all_pairs(n_strands)
-    src, pidx, tgt = [], [], []
-    for w in words:
-        if w.degree >= max_degree:
-            continue
-        for pk, pair in enumerate(pairs):
-            src.append(index[w])
-            pidx.append(pk)
-            tgt.append(index[HorizontalWord(n_strands, w.chords + (pair,))])
-    return (
-        tuple(words),
-        index,
-        np.array(src, dtype=np.intp),
-        np.array(pidx, dtype=np.intp),
-        np.array(tgt, dtype=np.intp),
-    )
+    n_pairs = omega.shape[1]
+    h = 2.0 / (len(omega) - 1)
 
-
-def _integrate(loop, max_degree, steps, words, src, pidx, tgt):
-    _, ii, jj = _pair_indices(loop.n_strands)
-    state = np.zeros(len(words), dtype=complex)
-    state[0] = 1.0
-
-    def mul(omega, vec):
-        out = np.zeros_like(vec)
-        if len(tgt):
-            out[tgt] = omega[pidx] * vec[src]
+    def mul(a, vec):
+        out = np.empty_like(vec)
+        out[0] = 0.0
+        np.multiply(vec[:n_low, None], a, out=out[1:].reshape(n_low, n_pairs))
         return out
 
-    h = 1.0 / steps
+    for k in range(0, len(omega) - 1, 2):
+        a0, am, a1 = omega[k], omega[k + 1], omega[k + 2]
+        k1 = mul(a0, state)
+        k2 = mul(am, state + (0.5 * h) * k1)
+        k3 = mul(am, state + (0.5 * h) * k2)
+        k4 = mul(a1, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state
+
+
+def _integrate(loop, max_degree, steps):
+    """(fine, coarse) end states; coarse takes steps // 2 steps, None below 2.
+
+    The connection is sampled once per segment; with even steps the coarse
+    run's nodes and midpoints are every other fine sample.
+    """
+    _, ii, jj = _pair_indices(loop.n_strands)
+    n_pairs = len(ii)
+    n_low = _basis_size(n_pairs, max_degree - 1)
+    fine = _unit(n_pairs, max_degree)
+    coarse = _unit(n_pairs, max_degree) if steps >= 2 else None
     for seg_index, segment in enumerate(loop.segments):
-        for k in range(steps):
-            s0 = k * h
-            a0 = _segment_omega(segment, s0, ii, jj)
-            am = _segment_omega(segment, s0 + 0.5 * h, ii, jj)
-            a1 = _segment_omega(segment, s0 + h, ii, jj)
-            k1 = mul(a0, state)
-            k2 = mul(am, state + (0.5 * h) * k1)
-            k3 = mul(am, state + (0.5 * h) * k2)
-            k4 = mul(a1, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(state).all():
+        omega = _omega_grid(segment, steps, ii, jj)
+        fine = _rk4(fine, omega, n_low)
+        if coarse is not None:
+            half = omega[::2] if steps % 2 == 0 else _omega_grid(segment, steps // 2, ii, jj)
+            coarse = _rk4(coarse, half, n_low)
+        if not (np.isfinite(fine).all() and (coarse is None or np.isfinite(coarse).all())):
             left = loop.breaks[seg_index - 1] if seg_index else 0.0
             raise TransportError(
                 f"non-finite transport coefficients inside segment ending at t={loop.breaks[seg_index]}"
                 f" (segment start t={left})"
             )
-    return state
+    return fine, coarse
 
 
 def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportResult:
@@ -151,21 +183,81 @@ def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportR
     """
     if max_degree < 0 or steps < 1:
         raise ValueError("need max_degree >= 0 and steps >= 1")
-    words, _index, src, pidx, tgt = _word_tables(loop.n_strands, max_degree)
-    fine = _integrate(loop, max_degree, steps, words, src, pidx, tgt)
-    if steps >= 2:
-        coarse = _integrate(loop, max_degree, steps // 2, words, src, pidx, tgt)
-        estimate = float(np.abs(fine - coarse).max())
-    else:
-        estimate = math.inf
-    terms = {w: complex(c) for w, c in zip(words, fine)}
-    series = HorizontalSeries(loop.n_strands, max_degree, terms)
-    return TransportResult(series, steps * len(loop.segments), estimate)
+    fine, coarse = _integrate(loop, max_degree, steps)
+    estimate = math.inf if coarse is None else float(np.abs(fine - coarse).max())
+    fine.flags.writeable = False
+    series = _as_series(loop.n_strands, max_degree, fine)
+    return TransportResult(series, steps * len(loop.segments), estimate, fine)
+
+
+@lru_cache(maxsize=64)
+def _letter_holonomy(n_strands, k, sign, max_degree, steps):
+    """Dense holonomy of one letter in slot labels, integrated once, read-only."""
+    return transport(realize(BraidWord(n_strands, ((k, sign),))), max_degree, steps).coefficients
+
+
+@lru_cache(maxsize=64)
+def _relabel_index(n_strands, max_degree, strand_at):
+    """Gather index taking a slot-labelled dense series to strand labels.
+
+    strand_at[s - 1] is the strand standing at slot s; entry g of the
+    result is read from entry index[g] of the slot-labelled series.
+    """
+    pairs = all_pairs(n_strands)
+    pair_index = {pair: q for q, pair in enumerate(pairs)}
+    slot_of = {strand: slot for slot, strand in enumerate(strand_at, start=1)}
+    first = np.array([pair_index[ChordPair(slot_of[p.i], slot_of[p.j])] for p in pairs])
+    index = np.zeros(_basis_size(len(pairs), max_degree), dtype=np.intp)
+    lo, hi = 0, 1
+    for _ in range(max_degree):
+        block = (1 + len(pairs) * index[lo:hi, None] + first).ravel()
+        index[hi : hi + len(block)] = block
+        lo, hi = hi, hi + len(block)
+    index.flags.writeable = False
+    return index
+
+
+def _stack(upper, lower, n_pairs, max_degree):
+    """Dense stacking product: upper's chords above lower's, truncated."""
+    bounds = [_basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
+    block = [slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1)]
+    out = np.zeros_like(lower)
+    for r in range(max_degree + 1):
+        target = out[block[r]]
+        for p in range(r + 1):
+            target += np.outer(lower[block[r - p]], upper[block[p]]).ravel()
+    return out
+
+
+def _braid_holonomy(word, max_degree, steps):
+    """Dense holonomy of the word's loop, composed from its letters.
+
+    Holonomy is multiplicative under concatenation of loops, so it is the
+    stacking product of the letters' holonomies, each read through the
+    strands standing at its slots when the letter starts.  A letter's own
+    holonomy depends only on (N, k, sign, max_degree, steps).
+    """
+    n = word.n_strands
+    n_pairs = n * (n - 1) // 2
+    total = _unit(n_pairs, max_degree)
+    strand_at = list(range(1, n + 1))
+    for k, sign in word.letters:
+        letter = _letter_holonomy(n, k, sign, max_degree, steps)
+        letter = letter[_relabel_index(n, max_degree, tuple(strand_at))]
+        total = _stack(letter, total, n_pairs, max_degree)
+        strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
+    return total
 
 
 def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> HorizontalSeries:
-    """Kontsevich integral of the braid as a truncated word series."""
-    return transport(realize(word), max_degree, steps).series
+    """Kontsevich integral of the braid as a truncated word series.
+
+    Built from letter holonomies that transport() integrates once per
+    process; equal to transport(realize(word), ...).series up to rounding.
+    """
+    if max_degree < 0 or steps < 1:
+        raise ValueError("need max_degree >= 0 and steps >= 1")
+    return _as_series(word.n_strands, max_degree, _braid_holonomy(word, max_degree, steps))
 
 
 def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> HorizontalSeries:

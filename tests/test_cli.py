@@ -1,8 +1,10 @@
 import json
 
 from kzbraid.cli import main
+from kzbraid.circles import circle_series_to_json_dict
+from kzbraid.closure import kontsevich_link
 from kzbraid.words import series_from_json_dict
-from kzbraid.transport import kontsevich_of_braid
+from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 
 
@@ -67,6 +69,44 @@ def test_compute_close_hopf(capsys, tmp_path):
     assert abs(inter[0]["re"] - 1.0) < 1e-6
 
 
+def _link_terms(capsys, tmp_path, *extra):
+    out_file = tmp_path / "link.json"
+    code, _, _ = run(
+        capsys,
+        "compute", "-n", "3", "-w", "1 1 2 2", "-m", "3", "--steps", "64",
+        "--close", "-o", str(out_file), *extra,
+    )
+    assert code == 0
+    return json.loads(out_file.read_text())["link"]["series"]
+
+
+def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
+    link = _link_terms(capsys, tmp_path)
+    direct = kontsevich_link(parse_braid_word("1 1 2 2", 3), 3, 64)
+    expected = circle_series_to_json_dict(direct.reduced.to_series())
+    assert json.dumps(link) == json.dumps(expected)
+
+
+def _moduli(series):
+    return [abs(complex(t["re"], t["im"])) for t in series["terms"]]
+
+
+def test_compute_close_honours_zero_threshold(capsys, tmp_path):
+    assert min(_moduli(_link_terms(capsys, tmp_path))) < 0.3
+    kept = _moduli(_link_terms(capsys, tmp_path, "--zero-threshold", "0.3"))
+    assert kept and min(kept) >= 0.3
+
+
+def test_compute_bytes_same_with_cold_or_warm_cache(capsys):
+    argv = ("compute", "-n", "3", "-w", "1 -2 1 2 -1", "-m", "3", "--steps", "64")
+    _letter_holonomy.cache_clear()
+    cold = run(capsys, *argv)
+    warm = run(capsys, *argv)
+    assert _letter_holonomy.cache_info().hits > 0
+    assert cold[0] == 0
+    assert cold == warm
+
+
 def test_compute_table_on_stdout(capsys):
     code, out, _ = run(capsys, "compute", "-n", "2", "-w", "1", "-m", "1", "--steps", "64")
     assert code == 0
@@ -123,3 +163,12 @@ def test_steps_env_override(capsys, monkeypatch, tmp_path):
     parser = cli._build_parser()
     args = parser.parse_args(["compute", "-n", "2", "-w", "1"])
     assert args.steps == 32
+
+
+def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("KZBRAID_STEPS", "abc")
+    code, out, err = run(capsys, "dims", "--strands", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "KZBRAID_STEPS" in err

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from kzbraid.braids import (
 from kzbraid.relations import reduce
 from kzbraid.transport import (
     TransportError,
+    _braid_holonomy,
+    _letter_holonomy,
     abelian_holonomy,
     kontsevich_of_braid,
     omega_at,
@@ -110,7 +113,9 @@ def test_oracle_rejects_large_degree_and_small_grid():
 
 def test_flow_property_with_relabel():
     # transport of a concatenation = stacked product of segment transports;
-    # the upper factor's strand labels pass through the lower permutation
+    # the upper factor's strand labels pass through the lower permutation;
+    # the concatenation is integrated directly, since kontsevich_of_braid
+    # already composes letter holonomies
     for upper_text, lower_text in (("1", "2"), ("2", "1"), ("-1", "2"), ("1", "1")):
         upper = parse_braid_word(upper_text, 3)
         lower = parse_braid_word(lower_text, 3)
@@ -119,13 +124,44 @@ def test_flow_property_with_relabel():
             kontsevich_of_braid(upper, 3, STEPS), permutation_of(lower).inverse()
         )
         z_lower = kontsevich_of_braid(lower, 3, STEPS)
-        zc = kontsevich_of_braid(combined, 3, STEPS)
+        zc = transport(realize(combined), 3, STEPS).series
         assert series_product(z_upper, z_lower).sup_diff(zc) < 1e-10
+
+
+def _reduced_word(rng, n, length):
+    letters = []
+    while len(letters) < length:
+        k, sign = rng.randint(1, n - 1), rng.choice((1, -1))
+        if letters and letters[-1] == (k, -sign):
+            continue
+        letters.append((k, sign))
+    return BraidWord(n, tuple(letters))
+
+
+def test_composed_holonomy_matches_direct_transport():
+    rng = random.Random(20121)
+    for _ in range(24):
+        n, max_degree = rng.randint(2, 4), rng.randint(0, 4)
+        w = _reduced_word(rng, n, rng.randint(0, 12))
+        direct = transport(realize(w), max_degree, 32).coefficients
+        composed = _braid_holonomy(w, max_degree, 32)
+        assert np.abs(composed - direct).max() <= 1e-12, (w, max_degree)
+
+
+def test_cached_letters_are_read_only():
+    w = parse_braid_word("1 -2 2 1", 3)
+    before = kontsevich_of_braid(w, 3, 32)
+    letter = _letter_holonomy(3, 2, 1, 3, 32)
+    with pytest.raises(ValueError):
+        letter[1] = 5.0
+    with pytest.raises(ValueError):
+        letter *= 2.0
+    assert kontsevich_of_braid(w, 3, 32).sup_diff(before) == 0.0
 
 
 def test_two_strand_multiplicativity_literal():
     z = kontsevich_of_braid(parse_braid_word("1", 2), 3, STEPS)
-    zz = kontsevich_of_braid(parse_braid_word("1 1", 2), 3, STEPS)
+    zz = transport(realize(parse_braid_word("1 1", 2)), 3, STEPS).series
     assert series_product(z, z).sup_diff(zz) < 1e-9
 
 
