@@ -40,6 +40,7 @@ from .transport import (
     TransportError,
     TransportResult,
     abelian_holonomy,
+    braid_holonomy,
     kontsevich_of_braid,
     omega_at,
     simplex_oracle,
@@ -47,17 +48,23 @@ from .transport import (
     transport,
 )
 from .words import (
+    MAX_BASIS_WORDS,
     ZERO_THRESHOLD,
     ChordPair,
     HorizontalSeries,
     HorizontalWord,
     all_pairs,
+    basis_words,
+    check_word_budget,
     enumerate_words,
     ess_product,
     relabel_strands,
     series_distance,
+    series_from_dense,
     series_from_json_dict,
+    series_json_text,
     series_product,
+    series_to_dense,
     series_to_json_dict,
 )
 

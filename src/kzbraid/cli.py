@@ -13,6 +13,9 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
+
+import numpy as np
 
 from .braids import BraidParseError, parse_braid_word, permutation_of, realize
 from .circles import circle_series_to_json_dict
@@ -21,17 +24,19 @@ from .relations import quotient_dimension, reduce
 from .transport import (
     TransportError,
     abelian_holonomy,
+    braid_holonomy,
     kontsevich_of_braid,
     simplex_oracle,
     symmetrized,
     transport,
 )
 from .words import (
-    HorizontalSeries,
+    basis_words,
+    check_word_budget,
     enumerate_words,
     relabel_strands,
+    series_json_text,
     series_product,
-    series_to_json_dict,
 )
 
 EXIT_OK = 0
@@ -82,17 +87,16 @@ def _build_parser():
     return parser
 
 
-def _format_word(word):
-    return "".join(f"({c.i},{c.j})" for c in word.chords) or "1"
+_TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
 
 
-def _print_table(series, stream):
-    print(f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg", file=stream)
-    for word, coeff in series.sorted_terms():
-        print(
-            f"{word.degree:>3}  {_format_word(word):<24}  {abs(coeff):<22.16g}  {math.atan2(coeff.imag, coeff.real):.16g}",
-            file=stream,
-        )
+@lru_cache(maxsize=16)
+def _table_prefixes(n_strands, max_degree):
+    """Per basis word, its table row up to the modulus column."""
+    return tuple(
+        f"{w.degree:>3}  {''.join(f'({c.i},{c.j})' for c in w.chords) or '1':<24}  "
+        for w in basis_words(n_strands, max_degree)
+    )
 
 
 def _cmd_compute(args):
@@ -100,25 +104,38 @@ def _cmd_compute(args):
         raise ValidationError("need at least 2 strands")
     if args.max_degree < 0 or args.steps < 1:
         raise ValidationError("need max-degree >= 0 and steps >= 1")
+    check_word_budget(args.strands, args.max_degree)
     word = parse_braid_word(args.word, args.strands)
-    series = kontsevich_of_braid(word, args.max_degree, args.steps)
-    series = HorizontalSeries(
-        series.n_strands, series.max_degree, series.terms, args.zero_threshold
-    )
-    _print_table(series, sys.stdout)
+    holonomy = braid_holonomy(word, args.max_degree, args.steps)
+    # Python's abs, whose digits the table prints (np.abs can differ in the
+    # last bit); kept terms stay in basis order
+    kept = [
+        (g, c, modulus)
+        for g, c in enumerate(holonomy.tolist())
+        if (modulus := abs(c)) >= args.zero_threshold
+    ]
+    prefixes = _table_prefixes(args.strands, args.max_degree)
+    sys.stdout.write(_TABLE_HEADER + "".join([
+        f"{prefixes[g]}{modulus:<22.16g}  {math.atan2(c.imag, c.real):.16g}\n"
+        for g, c, modulus in kept
+    ]))
+    terms = [(g, c) for g, c, _ in kept]
     if args.close:
-        result = close_braid(series, word)
-        document = {
-            "braid": series_to_json_dict(series),
-            "link": {
-                "components": result.skeleton.n_components,
-                "cycles": [list(cycle) for cycle in result.skeleton.components],
-                "series": circle_series_to_json_dict(result.reduced.to_series()),
-            },
+        positions = [g for g, _ in terms]
+        projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
+        projected[positions] = holonomy[positions]
+        result = close_braid(projected, word, args.zero_threshold)
+        link = {
+            "components": result.skeleton.n_components,
+            "cycles": [list(cycle) for cycle in result.skeleton.components],
+            "series": circle_series_to_json_dict(result.reduced.to_series()),
         }
+        # the layout json.dumps(indent=2) gives {"braid": ..., "link": link}
+        braid = series_json_text(args.strands, args.max_degree, terms, level=1)
+        link_text = json.dumps(link, indent=2).replace("\n", "\n  ")
+        text = f'{{\n  "braid": {braid},\n  "link": {link_text}\n}}\n'
     else:
-        document = series_to_json_dict(series)
-    text = json.dumps(document, indent=2) + "\n"
+        text = series_json_text(args.strands, args.max_degree, terms) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -210,6 +227,8 @@ def _cmd_verify(args):
 def _cmd_dims(args):
     if args.max_degree < 0:
         raise ValidationError("need max-degree >= 0")
+    if args.strands is not None:
+        check_word_budget(args.strands, args.max_degree)
     entries = []
     for degree in range(args.max_degree + 1):
         if args.circles is not None:

@@ -11,12 +11,15 @@ nothing and are never produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .braids import BraidWord, permutation_of
-from .circles import CircleDiagram, CircleSeries
+from .circles import CircleDiagram, CircleSeries, enumerate_circle_diagrams
 from .relations import NormalFormSeries, reduce
 from .transport import kontsevich_of_braid
-from .words import HorizontalSeries
+from .words import ZERO_THRESHOLD, HorizontalSeries, all_pairs, series_to_dense
 
 
 @dataclass(frozen=True)
@@ -49,38 +52,124 @@ class ClosureResult:
     reduced: NormalFormSeries
 
 
-def tau_project(series: HorizontalSeries, word: BraidWord) -> CircleSeries:
+@lru_cache(maxsize=None)
+def _circle_basis(n_circles, max_degree):
+    """The graded circle basis: enumerate_circle_diagrams(q, m), m <= max_degree, concatenated."""
+    return tuple(d for m in range(max_degree + 1) for d in enumerate_circle_diagrams(n_circles, m))
+
+
+@lru_cache(maxsize=None)
+def _circle_positions(n_circles, degree):
+    """Degree-m diagram -> its position in the graded circle basis."""
+    offset = sum(len(enumerate_circle_diagrams(n_circles, m)) for m in range(degree))
+    return {d: offset + k for k, d in enumerate(enumerate_circle_diagrams(n_circles, degree))}
+
+
+@lru_cache(maxsize=1 << 16)
+def _layout_position(layout):
+    """Graded circle-basis position of the diagram drawn by a layout.
+
+    layout lists each circle's chord labels followed by -1, labels numbered
+    by first appearance, so braid words whose feet fall alike share an entry.
+    """
+    circles = [[]]
+    for label in layout[:-1]:
+        if label < 0:
+            circles.append([])
+        else:
+            circles[-1].append(label)
+    diagram = CircleDiagram.from_layout(circles)
+    return _circle_positions(len(circles), diagram.degree)[diagram]
+
+
+@lru_cache(maxsize=64)
+def _tau_index(n_strands, max_degree, cycles):
+    """Graded circle-basis position of tau of each word of basis_words, read-only.
+
+    Words are grown one top chord at a time in basis order; feet[s] lists
+    the heights of the chords with a foot on strand s + 1, bottom first.
+    """
+    pairs = [(p.i - 1, p.j - 1) for p in all_pairs(n_strands)]
+    level = [((),) * n_strands]
+    index = []
+    for height in range(max_degree + 1):
+        if height:
+            grown = []
+            for feet in level:
+                for i, j in pairs:
+                    feet_up = list(feet)
+                    feet_up[i] += (height - 1,)
+                    feet_up[j] += (height - 1,)
+                    grown.append(feet_up)
+            level = grown
+        for feet in level:
+            first, layout = {}, []
+            for cycle in cycles:
+                layout.extend(first.setdefault(h, len(first)) for s in cycle for h in feet[s - 1])
+                layout.append(-1)
+            index.append(_layout_position(tuple(layout)))
+    out = np.array(index, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _degree_of(n_strands, size):
+    """max_degree of a dense vector of this size over basis_words(n_strands, .)."""
+    n_pairs = n_strands * (n_strands - 1) // 2
+    total, block, degree = 1, 1, 0
+    while total < size:
+        block *= n_pairs
+        total += block
+        degree += 1
+    if total != size:
+        raise ValueError(f"{size} coefficients do not fill a word basis on {n_strands} strands")
+    return degree
+
+
+def tau_project(series, word: BraidWord, zero_threshold=None) -> CircleSeries:
     """Send braid words to diagrams on the closure's component circles.
 
     The k-th chord of a word (in height order) puts one foot on the circle of
     each strand it touches; feet along one circle follow the component
     traversal and, within a strand, increasing height.  Linear in the
     coefficients; canonical rotations applied by construction.
+
+    series is a HorizontalSeries or its dense vector over basis_words (as
+    braid_holonomy returns it); a vector is projected as given, so zero the
+    terms a threshold drops first.  Every basis word goes to one diagram
+    through an index cached per (N, M, cycles), and coefficients are summed
+    per diagram in basis order.  The circle series takes zero_threshold,
+    by default the HorizontalSeries' own or ZERO_THRESHOLD; diagrams no
+    term reaches, or whose terms cancel exactly, are not stored.
     """
-    if series.n_strands != word.n_strands:
-        raise ValueError("series skeleton does not match the braid word")
+    if isinstance(series, HorizontalSeries):
+        if series.n_strands != word.n_strands:
+            raise ValueError("series skeleton does not match the braid word")
+        coefficients, max_degree = series_to_dense(series), series.max_degree
+        if zero_threshold is None:
+            zero_threshold = series.zero_threshold
+    else:
+        coefficients = series
+        max_degree = _degree_of(word.n_strands, len(coefficients))
+    if zero_threshold is None:
+        zero_threshold = ZERO_THRESHOLD
     skeleton = closure_skeleton(word)
-    out = {}
-    for hword, coeff in series.terms.items():
-        feet_per_strand = {strand: [] for strand in range(1, word.n_strands + 1)}
-        for height, chord in enumerate(hword.chords):
-            feet_per_strand[chord.i].append(height)
-            feet_per_strand[chord.j].append(height)
-        layout = [
-            [height for strand in cycle for height in feet_per_strand[strand]]
-            for cycle in skeleton.components
-        ]
-        diagram = CircleDiagram.from_layout(layout)
-        out[diagram] = out.get(diagram, 0j) + coeff
-    return CircleSeries(skeleton.n_components, series.max_degree, out, series.zero_threshold)
+    index = _tau_index(word.n_strands, max_degree, skeleton.components)
+    basis = _circle_basis(skeleton.n_components, max_degree)
+    real = np.bincount(index, coefficients.real, len(basis))
+    imag = np.bincount(index, coefficients.imag, len(basis))
+    live = np.flatnonzero((real != 0.0) | (imag != 0.0)).tolist()
+    values = zip(real[live].tolist(), imag[live].tolist())
+    terms = {basis[k]: complex(r, i) for k, (r, i) in zip(live, values)}
+    return CircleSeries(skeleton.n_components, max_degree, terms, zero_threshold)
 
 
-def close_braid(braid_series: HorizontalSeries, word: BraidWord) -> ClosureResult:
+def close_braid(braid_series, word: BraidWord, zero_threshold=None) -> ClosureResult:
     """Project a braid's series onto its closure's circles, raw and reduced.
 
-    The circle series keeps braid_series' zero threshold.
+    braid_series and zero_threshold are as for tau_project.
     """
-    circle_series = tau_project(braid_series, word)
+    circle_series = tau_project(braid_series, word, zero_threshold)
     return ClosureResult(closure_skeleton(word), circle_series, reduce(circle_series))
 
 

@@ -33,7 +33,8 @@ from .words import (
     HorizontalSeries,
     HorizontalWord,
     all_pairs,
-    enumerate_words,
+    basis_size,
+    series_from_dense,
 )
 
 _TWO_PI_I = 2j * math.pi
@@ -89,32 +90,10 @@ def omega_at(loop: ConfigLoop, t: float) -> ConnectionSample:
     return ConnectionSample(dict(zip(pairs, (complex(v) for v in values))))
 
 
-# Dense series: one complex entry per word of degree <= M in graded-lex order,
-# chords bottom first, so with P pairs the degree-m words fill one block of
-# P**m entries.  Putting pair p on top of the word at index g gives the word
-# at index 1 + P*g + p, and stacking a degree-p word a on a degree-q word b
-# gives the entry b*P**p + a of the degree-(p+q) block.
-
-
-def _basis_size(n_pairs, max_degree):
-    """Number of words of degree <= max_degree (0 when max_degree < 0)."""
-    return sum(n_pairs**m for m in range(max_degree + 1))
-
-
 def _unit(n_pairs, max_degree):
-    vec = np.zeros(_basis_size(n_pairs, max_degree), dtype=complex)
+    vec = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
     vec[0] = 1.0
     return vec
-
-
-@lru_cache(maxsize=None)
-def _basis_words(n_strands, max_degree):
-    return tuple(w for m in range(max_degree + 1) for w in enumerate_words(n_strands, m))
-
-
-def _as_series(n_strands, max_degree, vec):
-    terms = {w: complex(c) for w, c in zip(_basis_words(n_strands, max_degree), vec)}
-    return HorizontalSeries(n_strands, max_degree, terms)
 
 
 def _omega_grid(segment, steps, ii, jj):
@@ -155,7 +134,7 @@ def _integrate(loop, max_degree, steps):
     """
     _, ii, jj = _pair_indices(loop.n_strands)
     n_pairs = len(ii)
-    n_low = _basis_size(n_pairs, max_degree - 1)
+    n_low = basis_size(n_pairs, max_degree - 1)
     fine = _unit(n_pairs, max_degree)
     coarse = _unit(n_pairs, max_degree) if steps >= 2 else None
     for seg_index, segment in enumerate(loop.segments):
@@ -186,7 +165,7 @@ def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportR
     fine, coarse = _integrate(loop, max_degree, steps)
     estimate = math.inf if coarse is None else float(np.abs(fine - coarse).max())
     fine.flags.writeable = False
-    series = _as_series(loop.n_strands, max_degree, fine)
+    series = series_from_dense(loop.n_strands, max_degree, fine)
     return TransportResult(series, steps * len(loop.segments), estimate, fine)
 
 
@@ -207,7 +186,7 @@ def _relabel_index(n_strands, max_degree, strand_at):
     pair_index = {pair: q for q, pair in enumerate(pairs)}
     slot_of = {strand: slot for slot, strand in enumerate(strand_at, start=1)}
     first = np.array([pair_index[ChordPair(slot_of[p.i], slot_of[p.j])] for p in pairs])
-    index = np.zeros(_basis_size(len(pairs), max_degree), dtype=np.intp)
+    index = np.zeros(basis_size(len(pairs), max_degree), dtype=np.intp)
     lo, hi = 0, 1
     for _ in range(max_degree):
         block = (1 + len(pairs) * index[lo:hi, None] + first).ravel()
@@ -219,7 +198,7 @@ def _relabel_index(n_strands, max_degree, strand_at):
 
 def _stack(upper, lower, n_pairs, max_degree):
     """Dense stacking product: upper's chords above lower's, truncated."""
-    bounds = [_basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
+    bounds = [basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
     block = [slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1)]
     out = np.zeros_like(lower)
     for r in range(max_degree + 1):
@@ -229,14 +208,17 @@ def _stack(upper, lower, n_pairs, max_degree):
     return out
 
 
-def _braid_holonomy(word, max_degree, steps):
-    """Dense holonomy of the word's loop, composed from its letters.
+def braid_holonomy(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
+    """Dense holonomy of the word's loop over basis_words, composed from its letters.
 
     Holonomy is multiplicative under concatenation of loops, so it is the
     stacking product of the letters' holonomies, each read through the
     strands standing at its slots when the letter starts.  A letter's own
-    holonomy depends only on (N, k, sign, max_degree, steps).
+    holonomy depends only on (N, k, sign, max_degree, steps).  Nothing is
+    thresholded.
     """
+    if max_degree < 0 or steps < 1:
+        raise ValueError("need max_degree >= 0 and steps >= 1")
     n = word.n_strands
     n_pairs = n * (n - 1) // 2
     total = _unit(n_pairs, max_degree)
@@ -255,9 +237,7 @@ def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> H
     Built from letter holonomies that transport() integrates once per
     process; equal to transport(realize(word), ...).series up to rounding.
     """
-    if max_degree < 0 or steps < 1:
-        raise ValueError("need max_degree >= 0 and steps >= 1")
-    return _as_series(word.n_strands, max_degree, _braid_holonomy(word, max_degree, steps))
+    return series_from_dense(word.n_strands, max_degree, braid_holonomy(word, max_degree, steps))
 
 
 def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> HorizontalSeries:

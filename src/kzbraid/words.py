@@ -3,15 +3,25 @@
 A word is a height-ordered tuple of strand pairs (lowest chord first); the
 stacking product concatenates words, left factor on top.  Series are finite
 complex combinations truncated above a fixed degree, with an ultrametric
-measuring the first degree at which two series differ.
+measuring the first degree at which two series differ.  A series also has a
+dense form, one coefficient per basis word in graded-lex order, in which it
+is computed and printed; word dicts are built only where a caller asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 ZERO_THRESHOLD = 1e-12
+# Largest word basis sum_{m<=M} P**m a request may build.  A compute request
+# peaked at about 2.2 kB per basis word (N=4, M=6: 56k words, 118 MB over
+# the import), so one at the cap needs about 2.3 GB; uncapped, the degree
+# alone decides how much memory a request asks for.
+MAX_BASIS_WORDS = 2**20
 
 
 @dataclass(frozen=True, order=True)
@@ -90,6 +100,42 @@ def all_pairs(n_strands: int):
     return tuple(
         ChordPair(i, j) for i in range(1, n_strands) for j in range(i + 1, n_strands + 1)
     )
+
+
+# Dense series: one complex entry per word of degree <= M in graded-lex order
+# (basis_words), chords bottom first, so with P pairs the degree-m words fill
+# one block of P**m entries.  Putting pair p on top of the word at index g
+# gives the word at index 1 + P*g + p, and stacking a degree-p word a on a
+# degree-q word b gives the entry b*P**p + a of the degree-(p+q) block.
+
+
+def basis_size(n_pairs: int, max_degree: int) -> int:
+    """Number of words of degree <= max_degree over n_pairs pairs (0 when max_degree < 0)."""
+    return sum(n_pairs**m for m in range(max_degree + 1))
+
+
+def check_word_budget(n_strands: int, max_degree: int):
+    """Raise ValueError when the words of degree <= max_degree exceed MAX_BASIS_WORDS.
+
+    Counts without building anything.  Strand counts below 2 pass: they
+    have no basis to cap, and building one reports the error.
+    """
+    if n_strands < 2:
+        return
+    n_pairs = n_strands * (n_strands - 1) // 2
+    # 2**21 > MAX_BASIS_WORDS, so with P >= 2 no degree past 21 needs counting
+    size = max_degree + 1 if n_pairs == 1 else basis_size(n_pairs, min(max_degree, 21))
+    if size > MAX_BASIS_WORDS:
+        raise ValueError(
+            f"{n_strands} strands to degree {max_degree} need more than"
+            f" {MAX_BASIS_WORDS} basis words (sum of {n_pairs}**m for m <= {max_degree})"
+        )
+
+
+@lru_cache(maxsize=None)
+def basis_words(n_strands: int, max_degree: int):
+    """Words of degree <= max_degree in graded-lex order: the dense series basis."""
+    return tuple(w for m in range(max_degree + 1) for w in enumerate_words(n_strands, m))
 
 
 class HorizontalSeries:
@@ -223,12 +269,64 @@ def relabel_strands(series: HorizontalSeries, mapping) -> HorizontalSeries:
     return HorizontalSeries(series.n_strands, series.max_degree, out, series.zero_threshold)
 
 
+def series_from_dense(n_strands, max_degree, coefficients, zero_threshold=ZERO_THRESHOLD):
+    """HorizontalSeries of a dense coefficient vector over basis_words."""
+    terms = {w: complex(c) for w, c in zip(basis_words(n_strands, max_degree), coefficients)}
+    return HorizontalSeries(n_strands, max_degree, terms, zero_threshold)
+
+
+def series_to_dense(series: HorizontalSeries) -> np.ndarray:
+    """Dense coefficient vector over basis_words; unstored words read 0."""
+    n_pairs = series.n_strands * (series.n_strands - 1) // 2
+    pair_index = {pair: q for q, pair in enumerate(all_pairs(series.n_strands))}
+    out = np.zeros(basis_size(n_pairs, series.max_degree), dtype=complex)
+    for word, coeff in series._terms.items():
+        g = 0
+        for chord in word.chords:
+            g = 1 + n_pairs * g + pair_index[chord]
+        out[g] = coeff
+    return out
+
+
 def series_to_json_dict(series: HorizontalSeries) -> dict:
     terms = [
         {"word": [list(c.as_tuple()) for c in w.chords], "re": c.real, "im": c.imag}
         for w, c in series.sorted_terms()
     ]
     return {"n_strands": series.n_strands, "max_degree": series.max_degree, "terms": terms}
+
+
+@lru_cache(maxsize=16)
+def _json_heads(n_strands, max_degree, level):
+    """Per basis word, the text of its JSON term up to the real part."""
+    i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
+    chord_text = {
+        pair: f"{i4}[\n{i5}{pair.i},\n{i5}{pair.j}\n{i4}]" for pair in all_pairs(n_strands)
+    }
+    heads = []
+    for word in basis_words(n_strands, max_degree):
+        chords = ",\n".join(chord_text[c] for c in word.chords)
+        word_text = f"[\n{chords}\n{i3}]" if chords else "[]"
+        heads.append(f'{i2}{{\n{i3}"word": {word_text},\n{i3}"re": ')
+    return tuple(heads)
+
+
+def series_json_text(n_strands, max_degree, terms, level=0) -> str:
+    """json.dumps(series_to_json_dict(series), indent=2), from a dense series.
+
+    terms are (basis position, complex coefficient) pairs in increasing
+    position order, so in sorted_terms order; level is the depth at which
+    the document sits inside an enclosing indent=2 document.  Floats print
+    as repr(float), as json does for finite values.
+    """
+    heads = _json_heads(n_strands, max_degree, level)
+    i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
+    body = ",\n".join([f'{heads[g]}{c.real!r},\n{i3}"im": {c.imag!r}\n{i2}}}' for g, c in terms])
+    listed = f"[\n{body}\n{i1}]" if body else "[]"
+    return (
+        f'{{\n{i1}"n_strands": {n_strands},\n{i1}"max_degree": {max_degree},'
+        f'\n{i1}"terms": {listed}\n{i0}}}'
+    )
 
 
 def series_from_json_dict(data: dict, zero_threshold=ZERO_THRESHOLD) -> HorizontalSeries:

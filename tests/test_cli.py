@@ -1,9 +1,17 @@
 import json
+import math
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import kzbraid
 from kzbraid.cli import main
 from kzbraid.circles import circle_series_to_json_dict
-from kzbraid.closure import kontsevich_link
-from kzbraid.words import series_from_json_dict
+from kzbraid.closure import close_braid, kontsevich_link
+from kzbraid.words import HorizontalSeries, series_from_json_dict, series_to_json_dict
 from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 
@@ -172,3 +180,87 @@ def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "KZBRAID_STEPS" in err
+
+
+def _reference_stdout(strands, letters, max_degree, steps, close, threshold):
+    """Stdout of compute as the word-dict series path printed it."""
+    word = parse_braid_word(letters, strands)
+    series = kontsevich_of_braid(word, max_degree, steps)
+    series = HorizontalSeries(strands, max_degree, series.terms, threshold)
+    lines = [f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg"]
+    for w, c in series.sorted_terms():
+        chords = "".join(f"({p.i},{p.j})" for p in w.chords) or "1"
+        lines.append(
+            f"{w.degree:>3}  {chords:<24}  {abs(c):<22.16g}  {math.atan2(c.imag, c.real):.16g}"
+        )
+    document = series_to_json_dict(series)
+    if close:
+        result = close_braid(series, word)
+        document = {
+            "braid": document,
+            "link": {
+                "components": result.skeleton.n_components,
+                "cycles": [list(cycle) for cycle in result.skeleton.components],
+                "series": circle_series_to_json_dict(result.reduced.to_series()),
+            },
+        }
+    return "\n".join(lines) + "\n" + json.dumps(document, indent=2) + "\n"
+
+
+def test_compute_output_bytes_match_series_path(capsys):
+    rng = random.Random(1202)
+    for k in range(40):
+        strands, max_degree, close = rng.randint(2, 4), rng.randint(0, 4), k % 2 == 1
+        if close:
+            max_degree = min(max_degree, 3)  # degree-4 circle relations take seconds
+        letters = " ".join(
+            str(rng.choice((1, -1)) * rng.randint(1, strands - 1)) for _ in range(rng.randint(0, 6))
+        )
+        steps = rng.choice((8, 16))
+        threshold = ("1e-12", "1e-3", "1e6")[k % 3]
+        argv = ["compute", "-n", str(strands), "-m", str(max_degree), "--steps", str(steps),
+                "-w", letters, "--zero-threshold", threshold] + (["--close"] if close else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected = _reference_stdout(strands, letters, max_degree, steps, close, float(threshold))
+        assert out == expected, argv
+
+
+def test_compute_zero_threshold_below_default_keeps_small_terms(capsys):
+    argv = ("compute", "-n", "4", "-w", "1 3", "-m", "2", "--steps", "64")
+    for extra, count in (((), 36), (("--zero-threshold", "0"), 1 + 6 + 36)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        table, document = out.split("\n{", 1)
+        assert len(table.splitlines()) - 1 == count
+        assert len(json.loads("{" + document)["terms"]) == count
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run_capped(*argv):
+    """kzbraid in a child process limited to 2 GB of address space.
+
+    An over-large request that gets past the budget check then ends in a
+    MemoryError traceback instead of exhausting the machine's memory.
+    """
+    src = str(Path(kzbraid.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "kzbraid.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
+    )
+
+
+def test_over_word_budget_refused_before_allocating():
+    # 45**6 ~ 8.3e9 words for compute; dims at degree 7 would build 45**7
+    for argv in (("compute", "-n", "10", "-m", "6"), ("dims", "--strands", "10", "-m", "7")):
+        done = _run_capped(*argv)
+        assert done.returncode == 1, done.stderr[-500:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "basis words" in done.stderr

@@ -1,11 +1,14 @@
 import random
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
 from kzbraid.circles import CircleDiagram
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
-from kzbraid.words import HorizontalSeries, HorizontalWord
+from kzbraid.transport import braid_holonomy
+from kzbraid.words import HorizontalSeries, HorizontalWord, basis_words, series_from_dense
 
 STEPS = 192
 
@@ -76,6 +79,60 @@ def test_tau_rejects_mismatched_skeleton():
     s = HorizontalSeries(3, 1, {word(3, (1, 2)): 1.0})
     with pytest.raises(ValueError):
         tau_project(s, w)
+
+
+def _tau_reference(series, w):
+    """tau word by word: feet per strand, one CircleDiagram.from_layout each."""
+    skeleton = closure_skeleton(w)
+    out = {}
+    for hword, coeff in series.terms.items():
+        feet = {strand: [] for strand in range(1, w.n_strands + 1)}
+        for height, chord in enumerate(hword.chords):
+            feet[chord.i].append(height)
+            feet[chord.j].append(height)
+        layout = [[h for strand in cycle for h in feet[strand]] for cycle in skeleton.components]
+        diagram = CircleDiagram.from_layout(layout)
+        out[diagram] = out.get(diagram, 0j) + coeff
+    return out
+
+
+def _braid_sorting(perm):
+    """Positive braid word whose letters bubble-sort perm."""
+    order, letters = list(perm), []
+    for done in range(len(order)):
+        for k in range(len(order) - 1 - done):
+            if order[k] > order[k + 1]:
+                order[k], order[k + 1] = order[k + 1], order[k]
+                letters.append((k + 1, 1))
+    return BraidWord(len(perm), tuple(letters))
+
+
+def test_tau_index_matches_per_word_reference_on_every_permutation():
+    rng = random.Random(5)
+    terms = {w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in basis_words(4, 3)}
+    series = HorizontalSeries(4, 3, terms)
+    skeletons = set()
+    for perm in permutations(range(1, 5)):
+        w = _braid_sorting(perm)
+        skeletons.add(closure_skeleton(w).components)
+        # both sum each diagram's terms in basis order, so the floats agree exactly
+        assert tau_project(series, w).terms == _tau_reference(series, w), perm
+    assert len(skeletons) == 24
+
+
+def test_tau_sparse_series_and_dense_vector_agree():
+    w = parse_braid_word("1 -2 3 2 -1", 4)
+    dense = braid_holonomy(w, 3, 16)
+    threshold = 1e-3
+    sparse = series_from_dense(4, 3, dense, threshold)
+    assert 0 < len(sparse.terms) < len(dense)
+    kept = np.array([c if abs(c) >= threshold else 0j for c in dense.tolist()])
+    from_sparse = tau_project(sparse, w)
+    from_dense = tau_project(kept, w, threshold)
+    assert from_sparse.terms == from_dense.terms
+    assert (from_dense.max_degree, from_dense.zero_threshold) == (3, threshold)
+    with pytest.raises(ValueError):
+        tau_project(dense[:-1], w)
 
 
 def test_trivial_braid_closure_two_unknots():

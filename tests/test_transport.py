@@ -15,9 +15,9 @@ from kzbraid.braids import (
 from kzbraid.relations import reduce
 from kzbraid.transport import (
     TransportError,
-    _braid_holonomy,
     _letter_holonomy,
     abelian_holonomy,
+    braid_holonomy,
     kontsevich_of_braid,
     omega_at,
     simplex_oracle,
@@ -144,7 +144,7 @@ def test_composed_holonomy_matches_direct_transport():
         n, max_degree = rng.randint(2, 4), rng.randint(0, 4)
         w = _reduced_word(rng, n, rng.randint(0, 12))
         direct = transport(realize(w), max_degree, 32).coefficients
-        composed = _braid_holonomy(w, max_degree, 32)
+        composed = braid_holonomy(w, max_degree, 32)
         assert np.abs(composed - direct).max() <= 1e-12, (w, max_degree)
 
 
