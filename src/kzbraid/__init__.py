@@ -12,9 +12,11 @@ from .braids import (
     sample,
 )
 from .circles import (
+    MAX_CIRCLE_MATCHINGS,
     CircleDiagram,
     CircleSeries,
     CircleSkeleton,
+    check_circle_budget,
     circle_series_from_json_dict,
     circle_series_to_json_dict,
     enumerate_circle_diagrams,

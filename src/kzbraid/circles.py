@@ -3,7 +3,9 @@
 Endpoint slots on each circle are taken up to cyclic rotation (orientation
 preserving only, no reflections); diagrams are stored in a canonical form so
 structural equality is diagram equality.  Circles are numbered, so they are
-never permuted.
+never permuted.  Enumeration, the 4T rows and the closure's projection find
+diagrams by orbit_key, an integer tuple computed from a layout, through one
+key -> basis position map per (circles, degree).
 """
 
 from __future__ import annotations
@@ -11,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from .words import ZERO_THRESHOLD
+
+# Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
+# a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
+MAX_CIRCLE_MATCHINGS = 2**18
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,60 @@ def _canonical(slots, chords):
     return slots, tuple(tuple(ch) for ch in (best or ()))
 
 
+def orbit_key(circles):
+    """One integer tuple per diagram: the least code over circle rotations.
+
+    circles lists each circle's chord labels (any hashable, each label twice
+    overall).  A circle's code gives each foot a token: the forward distance
+    to its partner when both feet are on that circle, -2 - p when the
+    partner is the p-th foot of the rotated earlier circles read in order,
+    and 0 when the partner is on a later circle.  The key is the least
+    concatenation of codes, each followed by -1, over independent rotations
+    of the circles.  It is taken circle by circle, branching only where
+    rotations tie, so two layouts share a key iff they draw one diagram.
+    Rotating a code is slicing a list, and lists compare in C.
+    """
+    key = []
+    placed = [{}]  # per tied choice: label -> global position of its one foot so far
+    offset = 0
+    for circle in circles:
+        n = len(circle)
+        first = {}
+        tokens = [0] * n
+        for p, label in enumerate(circle):
+            q = first.setdefault(label, p)
+            if q != p:
+                tokens[q] = p - q
+                tokens[p] = n + q - p
+        best, tied = None, []
+        for seen in placed:
+            if seen:
+                marked = [-2 - seen[x] if x in seen else t for x, t in zip(circle, tokens)]
+            else:
+                marked = tokens
+            doubled = marked + marked
+            for r in range(max(n, 1)):
+                code = doubled[r:r + n]
+                if best is None or code < best:
+                    best, tied = code, [(seen, r)]
+                elif code == best:
+                    tied.append((seen, r))
+        key += best
+        key.append(-1)
+        if 0 in best:  # feet whose partners later circles will meet
+            placed = []
+            for seen, r in tied:
+                seen = dict(seen)
+                for p, label in enumerate(circle):
+                    if not tokens[p] and label not in seen:
+                        seen[label] = offset + (p - r) % n
+                placed.append(seen)
+        else:  # tied rotations of this circle place nothing new
+            placed = list({id(seen): seen for seen, _ in tied}.values())
+        offset += n
+    return tuple(key)
+
+
 def _compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -141,29 +202,86 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def _matchings(items):
-    if not items:
-        yield ()
+def _labelings(size):
+    """Every perfect matching of positions 0..size-1 as a label per position.
+
+    Chords are numbered by their first position, so each matching is drawn
+    once.  The list yielded is reused: copy it to keep it.
+    """
+    labels = [-1] * size
+
+    def fill(label, first):
+        while first < size and labels[first] >= 0:
+            first += 1
+        if first == size:
+            yield labels
+            return
+        labels[first] = label
+        for k in range(first + 1, size):
+            if labels[k] < 0:
+                labels[k] = label
+                yield from fill(label + 1, first + 1)
+                labels[k] = -1
+        labels[first] = -1
+
+    return fill(0, 0)
+
+
+def count_circle_matchings(n_circles: int, max_degree: int) -> int:
+    """Raw matchings enumerate_circle_diagrams walks over the degrees m <= max_degree.
+
+    The sum of C(2m+q-1, q-1) slot splits times (2m-1)!! matchings each.
+    """
+    total, pairings = 0, 1
+    for m in range(max_degree + 1):
+        if m:
+            pairings *= 2 * m - 1
+        total += comb(2 * m + n_circles - 1, n_circles - 1) * pairings
+    return total
+
+
+def check_circle_budget(n_circles: int, max_degree: int):
+    """Raise ValueError when the circle bases to max_degree exceed MAX_CIRCLE_MATCHINGS.
+
+    Counts without building anything.  Circle counts below 1 pass: building
+    their basis reports the error.
+    """
+    if n_circles < 1:
         return
-    first, rest = items[0], items[1:]
-    for k, second in enumerate(rest):
-        for sub in _matchings(rest[:k] + rest[k + 1:]):
-            yield ((first, second),) + sub
+    # 15!! > MAX_CIRCLE_MATCHINGS, so no degree past 8 needs counting
+    if count_circle_matchings(n_circles, min(max_degree, 8)) > MAX_CIRCLE_MATCHINGS:
+        raise ValueError(
+            f"{n_circles} circles to degree {max_degree} need more than"
+            f" {MAX_CIRCLE_MATCHINGS} chord matchings"
+            f" (sum of C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
+        )
 
 
 @lru_cache(maxsize=None)
 def enumerate_circle_diagrams(n_circles: int, degree: int):
-    """All degree-m diagrams on q numbered circles, canonical and sorted."""
+    """All degree-m diagrams on q numbered circles, canonical and sorted.
+
+    Each raw matching is reduced to its orbit_key; one CircleDiagram is
+    built per orbit.
+    """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
-    found = set()
+    found = {}
     for slots in _compositions(2 * degree, n_circles):
-        feet = []
-        for c, n in enumerate(slots):
-            feet.extend((c, s) for s in range(n))
-        for matching in _matchings(tuple(feet)):
-            found.add(CircleDiagram(slots, matching))
-    return tuple(sorted(found, key=CircleDiagram.sort_key))
+        bounds = [sum(slots[:c]) for c in range(n_circles + 1)]
+        for labels in _labelings(2 * degree):
+            circles = [labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            key = orbit_key(circles)
+            if key not in found:
+                found[key] = CircleDiagram.from_layout(circles)
+    return tuple(sorted(found.values(), key=CircleDiagram.sort_key))
+
+
+@lru_cache(maxsize=None)
+def orbit_positions(n_circles: int, degree: int):
+    """orbit_key of each degree-m diagram -> its enumerate_circle_diagrams position."""
+    basis = enumerate_circle_diagrams(n_circles, degree)
+    return {orbit_key(d.to_layout()): k for k, d in enumerate(basis)}
 
 
 class CircleSeries:

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .braids import BraidParseError, parse_braid_word, permutation_of, realize
-from .circles import circle_series_to_json_dict
-from .closure import close_braid
+from .circles import check_circle_budget, circle_series_to_json_dict
+from .closure import close_braid, closure_skeleton
 from .relations import quotient_dimension, reduce
 from .transport import (
     TransportError,
@@ -106,6 +106,8 @@ def _cmd_compute(args):
         raise ValidationError("need max-degree >= 0 and steps >= 1")
     check_word_budget(args.strands, args.max_degree)
     word = parse_braid_word(args.word, args.strands)
+    if args.close:
+        check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
     holonomy = braid_holonomy(word, args.max_degree, args.steps)
     # Python's abs, whose digits the table prints (np.abs can differ in the
     # last bit); kept terms stay in basis order
@@ -218,6 +220,8 @@ _CHECKS = {
 def _cmd_verify(args):
     if args.check not in _CHECKS:
         raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
+    # far-commutation compares braids on 4 strands, every other check at most 3
+    check_word_budget(4 if args.check == "far-commutation" else 3, args.max_degree)
     residual, tolerance = _CHECKS[args.check](args.max_degree, args.steps)
     ok = residual < tolerance
     print(f"{args.check}: residual={residual:.3e} tolerance={tolerance:.1e} {'PASS' if ok else 'FAIL'}")
@@ -229,6 +233,8 @@ def _cmd_dims(args):
         raise ValidationError("need max-degree >= 0")
     if args.strands is not None:
         check_word_budget(args.strands, args.max_degree)
+    else:
+        check_circle_budget(args.circles, args.max_degree)
     entries = []
     for degree in range(args.max_degree + 1):
         if args.circles is not None:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .braids import BraidWord, permutation_of
-from .circles import CircleDiagram, CircleSeries, enumerate_circle_diagrams
+from .circles import CircleSeries, enumerate_circle_diagrams, orbit_key, orbit_positions
 from .relations import NormalFormSeries, reduce
 from .transport import kontsevich_of_braid
 from .words import ZERO_THRESHOLD, HorizontalSeries, all_pairs, series_to_dense
@@ -58,16 +58,9 @@ def _circle_basis(n_circles, max_degree):
     return tuple(d for m in range(max_degree + 1) for d in enumerate_circle_diagrams(n_circles, m))
 
 
-@lru_cache(maxsize=None)
-def _circle_positions(n_circles, degree):
-    """Degree-m diagram -> its position in the graded circle basis."""
-    offset = sum(len(enumerate_circle_diagrams(n_circles, m)) for m in range(degree))
-    return {d: offset + k for k, d in enumerate(enumerate_circle_diagrams(n_circles, degree))}
-
-
 @lru_cache(maxsize=1 << 16)
 def _layout_position(layout):
-    """Graded circle-basis position of the diagram drawn by a layout.
+    """Position of the diagram drawn by a layout in its degree's basis.
 
     layout lists each circle's chord labels followed by -1, labels numbered
     by first appearance, so braid words whose feet fall alike share an entry.
@@ -78,8 +71,7 @@ def _layout_position(layout):
             circles.append([])
         else:
             circles[-1].append(label)
-    diagram = CircleDiagram.from_layout(circles)
-    return _circle_positions(len(circles), diagram.degree)[diagram]
+    return orbit_positions(len(circles), (len(layout) - len(circles)) // 2)[orbit_key(circles)]
 
 
 @lru_cache(maxsize=64)
@@ -92,6 +84,7 @@ def _tau_index(n_strands, max_degree, cycles):
     pairs = [(p.i - 1, p.j - 1) for p in all_pairs(n_strands)]
     level = [((),) * n_strands]
     index = []
+    offset = 0
     for height in range(max_degree + 1):
         if height:
             grown = []
@@ -107,7 +100,8 @@ def _tau_index(n_strands, max_degree, cycles):
             for cycle in cycles:
                 layout.extend(first.setdefault(h, len(first)) for s in cycle for h in feet[s - 1])
                 layout.append(-1)
-            index.append(_layout_position(tuple(layout)))
+            index.append(offset + _layout_position(tuple(layout)))
+        offset += len(enumerate_circle_diagrams(len(cycles), height))
     out = np.array(index, dtype=np.intp)
     out.flags.writeable = False
     return out

@@ -1,17 +1,22 @@
 """Exact rational relation sets and quotient reduction.
 
-Relations are integral, so rows are kept as sparse Fraction vectors and the
-row echelon form is exact; complex series coefficients are pushed through the
-reduced rows afterwards.  Echelon forms are cached per (skeleton, degree) and
-are safe for concurrent reads once built.
+Relations are integral, so rows are kept as sparse integer vectors and
+eliminated without fractions: a row keeps a positive pivot and has its
+content divided out after each combination, and the echelon rows become
+exact Fractions once, at the end.  Complex series coefficients are pushed
+through the echelon rows afterwards.  Circle 4T rows find the basis index of
+each term by orbit_key, with no canonical diagram built per term.  Echelon
+forms are cached per (skeleton, degree) and are safe for concurrent reads
+once built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .circles import CircleDiagram, CircleSeries, enumerate_circle_diagrams
+from .circles import CircleSeries, enumerate_circle_diagrams, orbit_key, orbit_positions
 from .words import (
     ZERO_THRESHOLD,
     HorizontalSeries,
@@ -22,7 +27,10 @@ from .words import (
 
 
 class RelationSet:
-    """Sparse rational relations over a fixed basis of one degree."""
+    """Sparse relations over a fixed basis of one degree.
+
+    rows are dicts column -> entry, entries ints or Fractions.
+    """
 
     def __init__(self, degree, basis, rows):
         self.degree = degree
@@ -31,44 +39,36 @@ class RelationSet:
         self._echelon = None
 
     def echelon(self):
-        """Full reduced row echelon form: pivot column -> sparse unit row.
+        """Row echelon form: pivot column -> sparse row with 1 on its pivot.
 
-        Each pivot row has coefficient 1 on its pivot and support only on
-        free columns otherwise.  Built once, cached on the instance.
+        A pivot row is zero before its pivot and on every pivot found after
+        it, but may keep a pivot found before it (at a later column), so
+        reduce clears pivots in increasing order.  Rows are eliminated in
+        turn as integer multiples of these rational rows, with a positive
+        pivot and the content divided out after each step; the entries
+        become Fractions once, at the end.  Built once, cached on the
+        instance.
         """
         if self._echelon is None:
             pivots = {}
             for raw in self.rows:
-                row = {c: Fraction(v) for c, v in raw}
+                scale = lcm(*(v.denominator for _, v in raw))
+                row = {c: int(v * scale) for c, v in raw}
                 while row:
                     lead = min(row)
                     if lead in pivots:
-                        factor = row.pop(lead)
-                        for c, v in pivots[lead].items():
-                            if c == lead:
-                                continue
-                            nv = row.get(c, Fraction(0)) - factor * v
-                            if nv:
-                                row[c] = nv
-                            else:
-                                row.pop(c, None)
+                        row = _eliminate(row, pivots[lead], lead)
                         continue
-                    inv = Fraction(1) / row[lead]
-                    row = {c: v * inv for c, v in row.items()}
-                    for prow in pivots.values():
+                    if row[lead] < 0:
+                        row = {c: -v for c, v in row.items()}
+                    for p, prow in pivots.items():
                         if lead in prow:
-                            f = prow.pop(lead)
-                            for c, v in row.items():
-                                if c == lead:
-                                    continue
-                                nv = prow.get(c, Fraction(0)) - f * v
-                                if nv:
-                                    prow[c] = nv
-                                else:
-                                    prow.pop(c, None)
+                            pivots[p] = _eliminate(prow, row, lead)
                     pivots[lead] = row
                     break
-            self._echelon = pivots
+            self._echelon = {
+                p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in pivots.items()
+            }
         return self._echelon
 
     @property
@@ -81,6 +81,30 @@ class RelationSet:
 
     def __repr__(self):
         return f"RelationSet(degree={self.degree}, basis={len(self.basis)}, rows={len(self.rows)})"
+
+
+def _eliminate(row, pivot_row, col):
+    """row times pivot_row[col] minus pivot_row times row[col], divided by its content.
+
+    Integer rows; pivot_row[col] > 0, so the result is a positive multiple of
+    the rational row operation and lacks col.
+    """
+    factor = row[col]
+    scale = pivot_row[col]
+    common = gcd(scale, factor)
+    scale, factor = scale // common, factor // common
+    out = {c: scale * v for c, v in row.items() if c != col}
+    for c, v in pivot_row.items():
+        if c != col:
+            nv = out.get(c, 0) - factor * v
+            if nv:
+                out[c] = nv
+            else:
+                out.pop(c, None)
+    content = gcd(*out.values())
+    if content > 1:
+        out = {c: v // content for c, v in out.items()}
+    return out
 
 
 def _dedupe(rows):
@@ -142,18 +166,19 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
                         )
                         col = index[word]
                         row[col] = row.get(col, 0) + coeff
-                    row = {c: Fraction(v) for c, v in row.items() if v}
+                    row = {c: v for c, v in row.items() if v}
                     if row:
                         rows.append(row)
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-def _circle_four_term_rows(diagram):
+def _circle_four_term_rows(diagram, positions):
     """4T rows seeded at every adjacent pair of feet of distinct chords.
 
     With chord a = (x, y) fixed and the sliding foot u of another chord, the
     relation reads D(u after x) - D(u before x) + D(u after y) - D(u before y),
-    'after' meaning forward along the circle orientation.
+    'after' meaning forward along the circle orientation.  positions maps
+    each term's orbit_key to its basis index.
     """
     layout = diagram.to_layout()
     rows = []
@@ -166,8 +191,8 @@ def _circle_four_term_rows(diagram):
             a = circle[(s + 1) % n]
             if a == b:
                 continue
-            removed = [list(cir) for cir in layout]
-            removed[c].pop(s)
+            removed = list(layout)
+            removed[c] = circle[:s] + circle[s + 1:]
             # a's foot that was adjacent, repositioned after dropping slot s
             x = (c, s) if s + 1 < n else (c, 0)
             feet_a = [
@@ -178,18 +203,18 @@ def _circle_four_term_rows(diagram):
             ]
             y = next(f for f in feet_a if f != x)
             row = {}
-            for target, offset, sign in (
+            for (tc, ts), offset, sign in (
                 (x, 1, 1),
                 (x, 0, -1),
                 (y, 1, 1),
                 (y, 0, -1),
             ):
-                lay = [list(cir) for cir in removed]
-                tc, ts = target
-                lay[tc].insert(ts + offset, b)
-                term = CircleDiagram.from_layout(lay)
-                row[term] = row.get(term, 0) + sign
-            row = {d: v for d, v in row.items() if v}
+                lay = list(removed)
+                at = ts + offset
+                lay[tc] = removed[tc][:at] + [b] + removed[tc][at:]
+                k = positions[orbit_key(lay)]
+                row[k] = row.get(k, 0) + sign
+            row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)
     return rows
@@ -203,15 +228,11 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     other foot between them) is set to zero.
     """
     basis = enumerate_circle_diagrams(n_circles, degree)
-    index = {d: k for k, d in enumerate(basis)}
-    rows = []
-    for diagram in basis:
-        if diagram.has_isolated_chord():
-            rows.append({index[diagram]: Fraction(1)})
+    rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
     if degree >= 2:
+        positions = orbit_positions(n_circles, degree)
         for diagram in basis:
-            for row in _circle_four_term_rows(diagram):
-                rows.append({index[d]: Fraction(v) for d, v in row.items()})
+            rows.extend(_circle_four_term_rows(diagram, positions))
     return RelationSet(degree, basis, _dedupe(rows))
 
 

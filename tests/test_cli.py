@@ -5,11 +5,12 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import kzbraid
 from kzbraid.cli import main
-from kzbraid.circles import circle_series_to_json_dict
+from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
 from kzbraid.closure import close_braid, kontsevich_link
 from kzbraid.words import HorizontalSeries, series_from_json_dict, series_to_json_dict
 from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
@@ -158,6 +159,26 @@ def test_dims_strands(capsys):
     assert out.strip() == "0:1 1:1 2:1 3:1"
 
 
+def _kohno_dims(n_strands, top):
+    """Coefficients of prod_{k=1}^{N-1} 1/(1-kt) through t^top (Kohno 1985)."""
+    coefficients = [1] + [0] * top
+    for k in range(1, n_strands):
+        for m in range(1, top + 1):
+            coefficients[m] += k * coefficients[m - 1]
+    return coefficients
+
+
+def test_dims_match_kohno_bar_natan_and_pinned_values(capsys):
+    expected = {("--strands", n): _kohno_dims(n, top) for n, top in ((3, 5), (4, 4), (5, 3))}
+    expected[("--circles", 1)] = [1, 0, 1, 1, 3, 4, 9]  # Bar-Natan, Topology 34 (1995)
+    expected[("--circles", 2)] = [1, 1, 3, 6, 14]
+    expected[("--circles", 3)] = [1, 3, 9, 25, 67]
+    for (flag, size), dims in expected.items():
+        code, out, _ = run(capsys, "dims", flag, str(size), "-m", str(len(dims) - 1))
+        assert code == 0
+        assert out == " ".join(f"{m}:{d}" for m, d in enumerate(dims)) + "\n"
+
+
 def test_dims_circles_degree_zero(capsys):
     code, out, _ = run(capsys, "dims", "--circles", "1", "-m", "0")
     assert code == 0
@@ -257,10 +278,33 @@ def _run_capped(*argv):
 
 
 def test_over_word_budget_refused_before_allocating():
-    # 45**6 ~ 8.3e9 words for compute; dims at degree 7 would build 45**7
-    for argv in (("compute", "-n", "10", "-m", "6"), ("dims", "--strands", "10", "-m", "7")):
+    # 45**6 ~ 8.3e9 words for compute; dims at degree 7 would build 45**7;
+    # verify at degree 14 needs 3**14 words on 3 strands, far-commutation at
+    # degree 8 counts its 4 strands (6**8 words)
+    for argv in (
+        ("compute", "-n", "10", "-m", "6"),
+        ("dims", "--strands", "10", "-m", "7"),
+        ("verify", "braid-relation", "-m", "14"),
+        ("verify", "far-commutation", "-m", "8"),
+    ):
         done = _run_capped(*argv)
         assert done.returncode == 1, done.stderr[-500:]
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "basis words" in done.stderr
+
+
+def test_over_circle_budget_refused_quickly():
+    # two circles to degree 8 walk 17 * 15!! ~ 3.4e7 matchings in the top degree
+    assert count_circle_matchings(4, 4) <= MAX_CIRCLE_MATCHINGS  # four-component closures at M=4
+    for argv in (
+        ("dims", "--circles", "2", "-m", "8"),
+        ("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"),
+    ):
+        start = time.monotonic()
+        done = _run_capped(*argv)
+        assert time.monotonic() - start < 5
+        assert done.returncode == 1, done.stderr[-500:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "chord matchings" in done.stderr

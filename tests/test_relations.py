@@ -1,8 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from kzbraid.circles import CircleDiagram, CircleSeries, enumerate_circle_diagrams
+from kzbraid.circles import (
+    CircleDiagram,
+    CircleSeries,
+    count_circle_matchings,
+    enumerate_circle_diagrams,
+    orbit_key,
+    orbit_positions,
+)
 from kzbraid.relations import (
     circle_relations,
     horizontal_relations,
@@ -56,8 +64,9 @@ def test_relation_entries_are_unit_rationals():
     rs = horizontal_relations(3, 3)
     for row in rs.rows:
         for _col, coeff in row:
-            assert isinstance(coeff, Fraction)
-            assert coeff in (Fraction(1), Fraction(-1))
+            # exact integer entries; echelon() turns them into Fractions
+            assert type(coeff) is int
+            assert coeff in (1, -1)
 
 
 def test_all_rows_reduce_to_zero():
@@ -148,3 +157,89 @@ def test_quotient_dimension_argument_check():
         quotient_dimension(2)
     with pytest.raises(ValueError):
         quotient_dimension(2, strands=3, circles=1)
+
+
+def _fraction_echelon(relation_set):
+    """The Fraction elimination the integer echelon replaced, kept as its reference."""
+    pivots = {}
+    for raw in relation_set.rows:
+        row = {c: Fraction(v) for c, v in raw}
+        while row:
+            lead = min(row)
+            if lead in pivots:
+                factor = row.pop(lead)
+                for c, v in pivots[lead].items():
+                    if c == lead:
+                        continue
+                    nv = row.get(c, Fraction(0)) - factor * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+                continue
+            inv = Fraction(1) / row[lead]
+            row = {c: v * inv for c, v in row.items()}
+            for prow in pivots.values():
+                if lead in prow:
+                    f = prow.pop(lead)
+                    for c, v in row.items():
+                        if c == lead:
+                            continue
+                        nv = prow.get(c, Fraction(0)) - f * v
+                        if nv:
+                            prow[c] = nv
+                        else:
+                            prow.pop(c, None)
+            pivots[lead] = row
+            break
+    return pivots
+
+
+def test_integer_echelon_equals_fraction_reference():
+    sets = [(horizontal_relations, n, m) for n, top in ((3, 4), (4, 3), (5, 2)) for m in range(top + 1)]
+    # circle_relations(1, 6) is the first set whose echelon has a denominator 4
+    sets += [(circle_relations, q, m) for q, top in ((1, 6), (2, 4), (3, 4)) for m in range(top + 1)]
+    denominators = set()
+    for build, size, m in sets:
+        echelon = build(size, m).echelon()
+        assert echelon == _fraction_echelon(build(size, m)), (build.__name__, size, m)
+        entries = [v for row in echelon.values() for v in row.values()]
+        assert all(type(v) is Fraction for v in entries)
+        if build is circle_relations:
+            denominators.update(v.denominator for v in entries)
+    assert {2, 4} <= denominators
+
+
+def _raw_matchings(feet):
+    if not feet:
+        yield ()
+        return
+    first, rest = feet[0], feet[1:]
+    for k, second in enumerate(rest):
+        for sub in _raw_matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, second),) + sub
+
+
+def test_orbit_keyed_basis_matches_brute_force():
+    # one CircleDiagram per raw matching, every rotation of every diagram included
+    for q, top in ((1, 5), (2, 4), (3, 3), (4, 3)):
+        walked = 0
+        for m in range(top + 1):
+            basis = enumerate_circle_diagrams(q, m)
+            positions = orbit_positions(q, m)
+            found = set()
+            for slots in product(range(2 * m + 1), repeat=q):
+                if sum(slots) != 2 * m:
+                    continue
+                feet = tuple((c, s) for c, n in enumerate(slots) for s in range(n))
+                for matching in _raw_matchings(feet):
+                    walked += 1
+                    diagram = CircleDiagram(slots, matching)
+                    layout = [[None] * n for n in slots]
+                    for label, chord in enumerate(matching):
+                        for c, s in chord:
+                            layout[c][s] = label
+                    assert basis[positions[orbit_key(layout)]] == diagram
+                    found.add(diagram)
+            assert basis == tuple(sorted(found, key=CircleDiagram.sort_key))
+        assert walked == count_circle_matchings(q, top)
