@@ -38,13 +38,11 @@ from .relations import (
     reduce,
 )
 from .transport import (
-    ConnectionSample,
     TransportError,
     TransportResult,
     abelian_holonomy,
     braid_holonomy,
     kontsevich_of_braid,
-    omega_at,
     simplex_oracle,
     symmetrized,
     transport,

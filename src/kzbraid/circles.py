@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .words import ZERO_THRESHOLD
+from .words import ZERO_THRESHOLD, malformed_json
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
 # a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
@@ -363,11 +363,13 @@ def circle_series_to_json_dict(series: CircleSeries) -> dict:
 
 
 def circle_series_from_json_dict(data: dict, zero_threshold=ZERO_THRESHOLD) -> CircleSeries:
-    terms = {}
-    for entry in data["terms"]:
-        diagram = CircleDiagram(
-            tuple(entry["slots"]),
-            tuple((tuple(f1), tuple(f2)) for f1, f2 in entry["word"]),
-        )
-        terms[diagram] = complex(entry["re"], entry["im"])
-    return CircleSeries(data["circles"], data["max_degree"], terms, zero_threshold)
+    """Inverse of circle_series_to_json_dict; malformed input raises ValueError."""
+    with malformed_json("circle series"):
+        terms = {}
+        for entry in data["terms"]:
+            diagram = CircleDiagram(
+                tuple(entry["slots"]),
+                tuple((tuple(f1), tuple(f2)) for f1, f2 in entry["word"]),
+            )
+            terms[diagram] = complex(entry["re"], entry["im"])
+        return CircleSeries(data["circles"], data["max_degree"], terms, zero_threshold)

@@ -8,6 +8,15 @@ coefficients of the result are the iterated integrals over the ordered
 simplex 0 <= t1 < ... < tm <= 1; chords are stored bottom-up in time order
 and every coefficient already carries its 1/(2 pi i)^m normalization.
 
+Every stage of a step puts one chord on top, so the degree-r part of a step
+depends only on degree r - 1 (as Chen's iterated integrals do).  The steps
+of a segment are therefore taken together, one degree at a time: the stages
+of a chunk of steps are outer products with the sampled connection, the
+state along the chunk is the prefix sum of their increments, and the top
+degree, which feeds no other, is only summed, by matrix products.  Below the
+top degree this is the arithmetic of stepping one step at a time, in the
+same order; the top degree differs from it by summation order only.
+
 transport() integrates any loop and carries the step-doubling error
 estimate.  A braid's integral is built from its letters instead: each
 letter's holonomy is transported once per process and cached, and a word
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -38,6 +47,9 @@ from .words import (
 )
 
 _TWO_PI_I = 2j * math.pi
+# Most complex entries one temporary of the integrator holds: steps are
+# taken in chunks short enough that a chunk's degree M-1 block fits.
+_CHUNK_ENTRIES = 2**14
 
 
 class TransportError(RuntimeError):
@@ -45,23 +57,17 @@ class TransportError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConnectionSample:
-    """Value of the connection on a loop velocity: ChordPair -> complex."""
-
-    coefficients: dict
-
-    def __getitem__(self, pair):
-        if not isinstance(pair, ChordPair):
-            pair = ChordPair(*pair)
-        return self.coefficients[pair]
-
-
-@dataclass(frozen=True)
 class TransportResult:
-    series: HorizontalSeries
+    n_strands: int
+    max_degree: int
     steps_used: int
     richardson_error_estimate: float
     coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
+
+    @cached_property
+    def series(self) -> HorizontalSeries:
+        """The coefficients as a word series, built on first access."""
+        return series_from_dense(self.n_strands, self.max_degree, self.coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -82,18 +88,31 @@ def _segment_omega(segment, s, ii, jj):
     return (v[..., ii] - v[..., jj]) / ((z[..., ii] - z[..., jj]) * _TWO_PI_I)
 
 
-def omega_at(loop: ConfigLoop, t: float) -> ConnectionSample:
-    """Connection evaluated on the loop velocity at global time t."""
-    pairs, ii, jj = _pair_indices(loop.n_strands)
-    segment, s, duration = loop.segment_at(t)
-    values = _segment_omega(segment, s, ii, jj) / duration
-    return ConnectionSample(dict(zip(pairs, (complex(v) for v in values))))
-
-
 def _unit(n_pairs, max_degree):
     vec = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
     vec[0] = 1.0
     return vec
+
+
+@lru_cache(maxsize=None)
+def _block_slices(n_pairs, max_degree):
+    bounds = [basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
+    return tuple(slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1))
+
+
+def _blocks(vec, n_pairs, max_degree):
+    """Views of a dense series' degree blocks, degree 0 first."""
+    return [vec[block] for block in _block_slices(n_pairs, max_degree)]
+
+
+def _outer(a, b):
+    """Graded outer product along the last axis: entry i * len(b) + p is a_i b_p.
+
+    This puts b's chords on top of a's words.  Leading axes are batch axes,
+    one row per step.
+    """
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
 
 
 def _omega_grid(segment, steps, ii, jj):
@@ -101,29 +120,39 @@ def _omega_grid(segment, steps, ii, jj):
     return _segment_omega(segment, np.arange(2 * steps + 1) / (2 * steps), ii, jj)
 
 
-def _rk4(state, omega, n_low):
-    """Fourth-order steps of T' = T * omega through the sampled rows.
+def _advance(blocks, omega):
+    """Fourth-order steps of T' = omega * T through the sampled rows, in place.
 
-    omega holds node, midpoint, node, ... rows; n_low counts the words of
-    degree below the truncation, the only ones a chord can be put on.
+    omega holds node, midpoint, node, ... rows; blocks are the state's
+    degree blocks.  Steps go in chunks; within one, degree r of every stage
+    is an outer product of degree r - 1 of the stage before with a row.
     """
-    n_pairs = omega.shape[1]
+    top = len(blocks) - 1
+    if top == 0:
+        return
+    n_steps = (len(omega) - 1) // 2
     h = 2.0 / (len(omega) - 1)
-
-    def mul(a, vec):
-        out = np.empty_like(vec)
-        out[0] = 0.0
-        np.multiply(vec[:n_low, None], a, out=out[1:].reshape(n_low, n_pairs))
-        return out
-
-    for k in range(0, len(omega) - 1, 2):
-        a0, am, a1 = omega[k], omega[k + 1], omega[k + 2]
-        k1 = mul(a0, state)
-        k2 = mul(am, state + (0.5 * h) * k1)
-        k3 = mul(am, state + (0.5 * h) * k2)
-        k4 = mul(a1, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return state
+    chunk = max(1, _CHUNK_ENTRIES // omega.shape[1] ** (top - 1))
+    for lo in range(0, n_steps, chunk):
+        hi = min(lo + chunk, n_steps)
+        a0 = omega[2 * lo : 2 * hi : 2]
+        am = omega[2 * lo + 1 : 2 * hi : 2]
+        a1 = omega[2 * lo + 2 : 2 * hi + 1 : 2]
+        # per step, state t and stage points u1 = t + h/2 k1, u2 = t + h/2 k2,
+        # u3 = t + h k3; in degree 0 every k vanishes
+        t = u1 = u2 = u3 = np.broadcast_to(blocks[0], (hi - lo, 1))
+        for r in range(1, top):
+            k1, k2, k3, k4 = _outer(t, a0), _outer(u1, am), _outer(u2, am), _outer(u3, a1)
+            path = np.empty((hi - lo + 1, k1.shape[1]), dtype=complex)
+            path[0] = blocks[r]
+            path[1:] = k1 + 2.0 * k2 + 2.0 * k3 + k4
+            path[1:] *= h / 6.0
+            np.cumsum(path, axis=0, out=path)
+            blocks[r][:] = path[-1]
+            t = path[:-1]
+            u1, u2, u3 = t + (0.5 * h) * k1, t + (0.5 * h) * k2, t + h * k3
+        total = t.T @ a0 + (u1 + u2).T @ (2.0 * am) + u3.T @ a1
+        blocks[top] += (h / 6.0) * total.ravel()
 
 
 def _integrate(loop, max_degree, steps):
@@ -134,15 +163,16 @@ def _integrate(loop, max_degree, steps):
     """
     _, ii, jj = _pair_indices(loop.n_strands)
     n_pairs = len(ii)
-    n_low = basis_size(n_pairs, max_degree - 1)
     fine = _unit(n_pairs, max_degree)
     coarse = _unit(n_pairs, max_degree) if steps >= 2 else None
+    fine_blocks = _blocks(fine, n_pairs, max_degree)
+    coarse_blocks = None if coarse is None else _blocks(coarse, n_pairs, max_degree)
     for seg_index, segment in enumerate(loop.segments):
         omega = _omega_grid(segment, steps, ii, jj)
-        fine = _rk4(fine, omega, n_low)
+        _advance(fine_blocks, omega)
         if coarse is not None:
             half = omega[::2] if steps % 2 == 0 else _omega_grid(segment, steps // 2, ii, jj)
-            coarse = _rk4(coarse, half, n_low)
+            _advance(coarse_blocks, half)
         if not (np.isfinite(fine).all() and (coarse is None or np.isfinite(coarse).all())):
             left = loop.breaks[seg_index - 1] if seg_index else 0.0
             raise TransportError(
@@ -165,8 +195,7 @@ def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportR
     fine, coarse = _integrate(loop, max_degree, steps)
     estimate = math.inf if coarse is None else float(np.abs(fine - coarse).max())
     fine.flags.writeable = False
-    series = series_from_dense(loop.n_strands, max_degree, fine)
-    return TransportResult(series, steps * len(loop.segments), estimate, fine)
+    return TransportResult(loop.n_strands, max_degree, steps * len(loop.segments), estimate, fine)
 
 
 @lru_cache(maxsize=64)
@@ -198,13 +227,11 @@ def _relabel_index(n_strands, max_degree, strand_at):
 
 def _stack(upper, lower, n_pairs, max_degree):
     """Dense stacking product: upper's chords above lower's, truncated."""
-    bounds = [basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
-    block = [slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1)]
     out = np.zeros_like(lower)
-    for r in range(max_degree + 1):
-        target = out[block[r]]
+    upper, lower = _blocks(upper, n_pairs, max_degree), _blocks(lower, n_pairs, max_degree)
+    for r, target in enumerate(_blocks(out, n_pairs, max_degree)):
         for p in range(r + 1):
-            target += np.outer(lower[block[r - p]], upper[block[p]]).ravel()
+            target += _outer(lower[r - p], upper[p])
     return out
 
 
@@ -253,8 +280,7 @@ def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> HorizontalSeries:
     weights = 0.5 * weights
     v = np.zeros(len(pairs), dtype=complex)
     for segment in loop.segments:
-        for s, w in zip(nodes, weights):
-            v += w * _segment_omega(segment, float(s), ii, jj)
+        v += weights @ _segment_omega(segment, nodes, ii, jj)
     live = [(pair, val) for pair, val in zip(pairs, v) if abs(val) > 0.0]
     terms = {HorizontalWord(loop.n_strands, ()): 1.0 + 0.0j}
 
@@ -322,23 +348,27 @@ def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex
     if m == 0:
         return 1.0 + 0.0j
     pairs, ii, jj = _pair_indices(loop.n_strands)
-    column = {pair: k for k, pair in enumerate(pairs)}
+    columns = [pairs.index(chord) for chord in word.chords]
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
-    values = np.empty((m, grid), dtype=complex)
-    for l, t in enumerate(mids):
-        segment, s, duration = loop.segment_at(float(t))
-        omega = _segment_omega(segment, s, ii, jj) / duration
-        for k, chord in enumerate(word.chords):
-            values[k, l] = omega[column[chord]]
-    boundary = np.zeros(m + 1, dtype=complex)
-    boundary[0] = 1.0
-    powers = np.arange(1, m + 2)
-    for l in range(grid):
-        polys = [np.array([1.0 + 0.0j])]
+    # ConfigLoop.segment_at for all midpoints at once
+    owner = np.minimum(np.searchsorted(loop.breaks, mids, side="right"), len(loop.segments) - 1)
+    values = np.empty((grid, m), dtype=complex)
+    for index, segment in enumerate(loop.segments):
+        inside = owner == index
+        left = loop.breaks[index - 1] if index else 0.0
+        duration = loop.breaks[index] - left
+        omega = _segment_omega(segment, (mids[inside] - left) / duration, ii, jj) / duration
+        values[inside] = omega[:, columns]
+    # boundary[k]: the degree-k partial integral up to the current cell's
+    # left edge; inside a cell it grows as the polynomial poly in the offset
+    boundary = [1.0 + 0.0j] + [0j] * m
+    for row in values.tolist():
+        poly = [1.0 + 0.0j]
         for k in range(1, m + 1):
-            integrated = polys[k - 1] / powers[: len(polys[k - 1])]
-            polys.append(np.concatenate(([boundary[k]], values[k - 1, l] * integrated)))
-        for k in range(1, m + 1):
-            boundary[k] = np.polyval(polys[k][::-1], h)
-    return complex(boundary[m])
+            poly = [boundary[k]] + [row[k - 1] * (c / power) for power, c in enumerate(poly, 1)]
+            total = 0j
+            for c in reversed(poly):
+                total = total * h + c
+            boundary[k] = total
+    return boundary[m]

@@ -10,6 +10,7 @@ is computed and printed; word dicts are built only where a caller asks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -329,9 +330,22 @@ def series_json_text(n_strands, max_degree, terms, level=0) -> str:
     )
 
 
+@contextmanager
+def malformed_json(kind):
+    """Turn what reading a malformed `kind` JSON document raises into one ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} JSON: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {exc}") from None
+
+
 def series_from_json_dict(data: dict, zero_threshold=ZERO_THRESHOLD) -> HorizontalSeries:
-    terms = {}
-    for entry in data["terms"]:
-        word = HorizontalWord(data["n_strands"], tuple(tuple(p) for p in entry["word"]))
-        terms[word] = complex(entry["re"], entry["im"])
-    return HorizontalSeries(data["n_strands"], data["max_degree"], terms, zero_threshold)
+    """Inverse of series_to_json_dict; malformed input raises ValueError."""
+    with malformed_json("series"):
+        terms = {}
+        for entry in data["terms"]:
+            word = HorizontalWord(data["n_strands"], tuple(tuple(p) for p in entry["word"]))
+            terms[word] = complex(entry["re"], entry["im"])
+        return HorizontalSeries(data["n_strands"], data["max_degree"], terms, zero_threshold)

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kzbraid.braids import (
     BraidWord,
@@ -12,14 +14,21 @@ from kzbraid.braids import (
     permutation_of,
     realize,
 )
+from kzbraid.closure import kontsevich_link
 from kzbraid.relations import reduce
 from kzbraid.transport import (
+    _CHUNK_ENTRIES,
     TransportError,
+    _integrate,
     _letter_holonomy,
+    _omega_grid,
+    _pair_indices,
+    _relabel_index,
+    _segment_omega,
+    _stack,
     abelian_holonomy,
     braid_holonomy,
     kontsevich_of_braid,
-    omega_at,
     simplex_oracle,
     symmetrized,
     transport,
@@ -27,6 +36,7 @@ from kzbraid.transport import (
 from kzbraid.words import (
     HorizontalSeries,
     HorizontalWord,
+    basis_size,
     enumerate_words,
     relabel_strands,
     series_product,
@@ -39,10 +49,18 @@ def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
 
 
+def omega_at(loop, t):
+    """Connection on the loop velocity at global time t, per chord pair."""
+    pairs, ii, jj = _pair_indices(loop.n_strands)
+    segment, s, duration = loop.segment_at(t)
+    values = _segment_omega(segment, s, ii, jj) / duration
+    return {pair.as_tuple(): complex(v) for pair, v in zip(pairs, values)}
+
+
 def test_omega_identity_loop_vanishes():
     loop = realize(parse_braid_word("", 3))
     sample = omega_at(loop, 0.4)
-    assert all(abs(v) == 0.0 for v in sample.coefficients.values())
+    assert all(abs(v) == 0.0 for v in sample.values())
 
 
 def test_omega_sigma1_half():
@@ -221,6 +239,149 @@ def test_abelian_single_generator_exact_match():
 def test_transport_error_on_collision():
     arc = _Arc((0j, 0j), None, 0.0, 1)
     broken = ConfigLoop(2, (arc,), (1.0,), (), (1, 2))
+    # in the two-segment loop the first segment passes the finiteness check
+    # and the message names the second
+    good = realize(parse_braid_word("1", 3)).segments[0]
+    collided = _Arc((0j, 0j, 2 + 0j), None, 0.0, 1)
+    second = ConfigLoop(3, (good, collided), (0.25, 1.0), (), (1, 2, 3))
+    cases = (
+        (broken, 1, 4, "segment ending at t=1.0 (segment start t=0.0)"),
+        (second, 1, 1, "segment ending at t=1.0 (segment start t=0.25)"),
+        (second, 4, 7, "segment ending at t=1.0 (segment start t=0.25)"),
+    )
     with np.errstate(all="ignore"):
-        with pytest.raises(TransportError):
-            transport(broken, 1, 4)
+        for loop, max_degree, steps, where in cases:
+            with pytest.raises(TransportError) as caught:
+                transport(loop, max_degree, steps)
+            assert str(caught.value) == f"non-finite transport coefficients inside {where}"
+
+
+def _reference_integrate(loop, max_degree, steps):
+    """(fine, coarse) end states taken one classical RK4 step at a time."""
+    _, ii, jj = _pair_indices(loop.n_strands)
+    n_pairs = len(ii)
+    n_low = basis_size(n_pairs, max_degree - 1)
+
+    def mul(a, vec):
+        out = np.empty_like(vec)
+        out[0] = 0.0
+        np.multiply(vec[:n_low, None], a, out=out[1:].reshape(n_low, n_pairs))
+        return out
+
+    def rk4(state, omega):
+        h = 2.0 / (len(omega) - 1)
+        for k in range(0, len(omega) - 1, 2):
+            a0, am, a1 = omega[k], omega[k + 1], omega[k + 2]
+            k1 = mul(a0, state)
+            k2 = mul(am, state + (0.5 * h) * k1)
+            k3 = mul(am, state + (0.5 * h) * k2)
+            k4 = mul(a1, state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return state
+
+    fine = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
+    fine[0] = 1.0
+    coarse = fine.copy() if steps >= 2 else None
+    for segment in loop.segments:
+        omega = _omega_grid(segment, steps, ii, jj)
+        fine = rk4(fine, omega)
+        if coarse is not None:
+            half = omega[::2] if steps % 2 == 0 else _omega_grid(segment, steps // 2, ii, jj)
+            coarse = rk4(coarse, half)
+    return fine, coarse
+
+
+# (strands, max_degree, steps, letters); the chunk holds
+# _CHUNK_ENTRIES // P**(M-1) steps, so (3, 6, 128), (4, 5, 128) and (5, 4, 40)
+# end runs on a partial chunk
+REFERENCE_CASES = (
+    (2, 0, 512, "1 1"),
+    (2, 6, 512, "1 -1 1"),
+    (3, 3, 128, "1 2 -1 2"),
+    (3, 5, 7, "2 1"),
+    (3, 6, 128, "1 -2"),
+    (4, 1, 512, "3 -1"),
+    (4, 2, 1, "1 3 -2"),
+    (4, 4, 3, "3 2 1"),
+    (4, 5, 128, "-2"),
+    (5, 3, 2, "4 -1"),
+    (5, 4, 40, "2 -3 4"),
+    (5, 5, 3, "1"),
+)
+
+
+def test_integrator_matches_step_loop_reference():
+    partial_chunks = 0
+    for n, max_degree, steps, text in REFERENCE_CASES:
+        w = parse_braid_word(text, n)
+        durations = [1.0 + 0.5 * k for k in range(len(w))]
+        loop = realize(w, durations=durations)
+        fine, coarse = _integrate(loop, max_degree, steps)
+        ref_fine, ref_coarse = _reference_integrate(loop, max_degree, steps)
+        assert np.abs(fine - ref_fine).max() <= 1e-13, (n, max_degree, steps)
+        if steps >= 2:
+            assert np.abs(coarse - ref_coarse).max() <= 1e-13, (n, max_degree, steps)
+            estimate = transport(loop, max_degree, steps).richardson_error_estimate
+            assert abs(estimate - np.abs(ref_fine - ref_coarse).max()) <= 1e-13
+        else:
+            assert coarse is None and ref_coarse is None
+        n_pairs = n * (n - 1) // 2
+        chunk = max(1, _CHUNK_ENTRIES // n_pairs ** max(max_degree - 1, 0))
+        partial_chunks += steps > chunk and steps % chunk != 0
+    assert partial_chunks >= 3
+
+
+@st.composite
+def reduced_words(draw, max_strands=4, max_length=8):
+    """A freely reduced braid word: no letter next to its inverse."""
+    n = draw(st.integers(2, max_strands))
+    letter = st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1)))
+    letters = []
+    for k, sign in draw(st.lists(letter, max_size=max_length)):
+        if letters and letters[-1] == (k, -sign):
+            letters.pop()
+        else:
+            letters.append((k, sign))
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(reduced_words(), st.integers(0, 4), st.integers(0, 8))
+def test_flow_property_on_random_words(w, max_degree, cut):
+    # the transport of a loop is the stacking product of the transports of
+    # its two parts, the upper part read through the strands the lower moved
+    cut = min(cut, len(w))
+    lower, upper = BraidWord(w.n_strands, w.letters[:cut]), BraidWord(w.n_strands, w.letters[cut:])
+    n_pairs = w.n_strands * (w.n_strands - 1) // 2
+    strand_at = [0] * w.n_strands
+    for strand, slot in enumerate(permutation_of(lower).images, start=1):
+        strand_at[slot - 1] = strand
+    index = _relabel_index(w.n_strands, max_degree, tuple(strand_at))
+    z_upper = transport(realize(upper), max_degree, 16).coefficients[index]
+    z_lower = transport(realize(lower), max_degree, 16).coefficients
+    direct = transport(realize(w), max_degree, 16).coefficients
+    assert np.abs(_stack(z_upper, z_lower, n_pairs, max_degree) - direct).max() <= 1e-12
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 5), st.data(), st.sampled_from((1, -1)), st.integers(0, 4))
+def test_letter_times_inverse_is_identity(n, data, sign, max_degree):
+    k = data.draw(st.integers(1, n - 1))
+    steps = data.draw(st.sampled_from((128, 256, 512)))
+    z = braid_holonomy(BraidWord(n, ((k, sign), (k, -sign))), max_degree, steps)
+    identity = np.zeros_like(z)
+    identity[0] = 1.0
+    assert np.abs(z - identity).max() <= 1e-10
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(reduced_words(max_strands=3, max_length=5), st.data())
+def test_closure_conjugation_invariance(w, data):
+    # one-component closures keep their circle labels under conjugation
+    assume(len(permutation_of(w).cycles()) == 1)
+    k = data.draw(st.integers(1, w.n_strands - 1))
+    sign = data.draw(st.sampled_from((1, -1)))
+    conjugated = BraidWord(w.n_strands, ((k, sign),) + w.letters + ((k, -sign),))
+    z = kontsevich_link(w, 3, 128).series
+    zc = kontsevich_link(conjugated, 3, 128).series
+    assert z.sup_diff(zc) <= 1e-9

@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from kzbraid.circles import (
+    CircleDiagram,
+    CircleSeries,
+    circle_series_from_json_dict,
+    circle_series_to_json_dict,
+)
 from kzbraid.words import (
     ChordPair,
     HorizontalSeries,
@@ -164,3 +170,64 @@ def test_json_round_trip():
     assert back.sup_diff(s) < 1e-15
     words_listed = [tuple(map(tuple, t["word"])) for t in data["terms"]]
     assert words_listed == sorted(words_listed, key=lambda w: (len(w), w))
+
+
+GOOD_SERIES = {"n_strands": 3, "max_degree": 2, "terms": [{"word": [[1, 2]], "re": 0.5, "im": 0.0}]}
+GOOD_CIRCLES = {
+    "circles": 1,
+    "max_degree": 2,
+    "terms": [{"slots": [2], "word": [[[0, 0], [0, 1]]], "re": 1.0, "im": -0.5}],
+}
+
+
+def _with(document, path, value):
+    """Copy of document with the entry at path replaced, or deleted when value is ...."""
+    if not path:
+        return value
+    document = json.loads(json.dumps(document))
+    *parents, last = path
+    holder = document
+    for key in parents:
+        holder = holder[key]
+    if value is ...:
+        del holder[last]
+    else:
+        holder[last] = value
+    return document
+
+
+@pytest.mark.parametrize(
+    "reader, good, path, value",
+    [
+        (series_from_json_dict, GOOD_SERIES, (), None),
+        (series_from_json_dict, GOOD_SERIES, (), "text"),
+        (series_from_json_dict, GOOD_SERIES, (), {"terms": {}}),
+        (series_from_json_dict, GOOD_SERIES, ("terms",), ...),
+        (series_from_json_dict, GOOD_SERIES, ("max_degree",), "2"),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "im"), ...),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "re"), None),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [[1, 2, 3]]),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [7]),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [[1, 5]]),
+        (series_from_json_dict, GOOD_SERIES, ("terms", 0), "term"),
+        (circle_series_from_json_dict, GOOD_CIRCLES, (), []),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("circles",), ...),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "slots"), 2),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "word"), [[0, 0]]),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "word"), [[[0, 0], [0, 2]]]),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "im"), [1]),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("max_degree",), None),
+    ],
+)
+def test_json_readers_reject_malformed_input(reader, good, path, value):
+    reader(good)
+    with pytest.raises(ValueError, match="^malformed .*JSON: ") as caught:
+        reader(_with(good, path, value))
+    assert "\n" not in str(caught.value)
+
+
+def test_circle_json_round_trip():
+    diagram = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
+    s = CircleSeries(2, 2, {diagram: 0.25 - 1j})
+    back = circle_series_from_json_dict(json.loads(json.dumps(circle_series_to_json_dict(s))))
+    assert back.sup_diff(s) == 0.0
