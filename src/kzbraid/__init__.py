@@ -5,18 +5,15 @@ from .braids import (
     BraidWord,
     ConfigLoop,
     Permutation,
-    min_separation,
     parse_braid_word,
     permutation_of,
     realize,
-    sample,
 )
 from .circles import (
     MAX_CIRCLE_MATCHINGS,
     CircleDiagram,
-    CircleSeries,
-    CircleSkeleton,
     check_circle_budget,
+    circle_basis,
     circle_series_from_json_dict,
     circle_series_to_json_dict,
     enumerate_circle_diagrams,
@@ -30,18 +27,18 @@ from .closure import (
     tau_project,
 )
 from .relations import (
-    NormalFormSeries,
     RelationSet,
     circle_relations,
+    free_positions,
     horizontal_relations,
     quotient_dimension,
     reduce,
 )
 from .transport import (
+    MAX_STEPS,
     TransportError,
     TransportResult,
     abelian_holonomy,
-    braid_holonomy,
     kontsevich_of_braid,
     simplex_oracle,
     symmetrized,
@@ -51,20 +48,15 @@ from .words import (
     MAX_BASIS_WORDS,
     ZERO_THRESHOLD,
     ChordPair,
-    HorizontalSeries,
     HorizontalWord,
     all_pairs,
     basis_words,
     check_word_budget,
     enumerate_words,
-    ess_product,
     relabel_strands,
-    series_distance,
-    series_from_dense,
     series_from_json_dict,
     series_json_text,
     series_product,
-    series_to_dense,
     series_to_json_dict,
 )
 

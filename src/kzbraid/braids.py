@@ -11,7 +11,6 @@ diagonal.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,21 +157,6 @@ class ConfigLoop:
     letters: tuple
     end_positions: tuple  # exact integer slot of each strand at t = 1
 
-    def segment_at(self, t):
-        """(segment, local s, duration) covering global time t."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"time {t} outside [0, 1]")
-        idx = min(bisect_right(self.breaks, t), len(self.segments) - 1)
-        left = self.breaks[idx - 1] if idx else 0.0
-        duration = self.breaks[idx] - left
-        return self.segments[idx], (t - left) / duration, duration
-
-    def to_json_dict(self):
-        return {
-            "n_strands": self.n_strands,
-            "segments": [{"letter": k, "sign": sign} for k, sign in self.letters],
-        }
-
 
 def realize(word: BraidWord, durations=None) -> ConfigLoop:
     """Geometric realization of a braid word, base points at 0..N-1.
@@ -212,22 +196,3 @@ def realize(word: BraidWord, durations=None) -> ConfigLoop:
     breaks[-1] = 1.0
     end_positions = tuple(slot_of[strand] + 1 for strand in range(1, n + 1))
     return ConfigLoop(n, tuple(segments), tuple(breaks), word.letters, end_positions)
-
-
-def sample(loop: ConfigLoop, t: float):
-    """Positions and global-time velocities at t, exact per segment."""
-    segment, s, duration = loop.segment_at(t)
-    return segment.positions(s), segment.velocities(s) / duration
-
-
-def min_separation(loop: ConfigLoop, n_samples: int) -> float:
-    """Smallest pairwise point distance over an n_samples time grid."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    best = math.inf
-    for t in np.linspace(0.0, 1.0, n_samples):
-        z, _ = sample(loop, float(t))
-        diff = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(diff, math.inf)
-        best = min(best, float(diff.min()))
-    return best

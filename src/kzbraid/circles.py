@@ -5,7 +5,8 @@ preserving only, no reflections); diagrams are stored in a canonical form so
 structural equality is diagram equality.  Circles are numbered, so they are
 never permuted.  Enumeration, the 4T rows and the closure's projection find
 diagrams by orbit_key, an integer tuple computed from a layout, through one
-key -> basis position map per (circles, degree).
+key -> basis position map per (circles, degree).  A series on q circles is a
+dense vector over circle_basis(q, M), the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
+import numpy as np
+
 from .words import ZERO_THRESHOLD, malformed_json
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
@@ -23,25 +26,8 @@ MAX_CIRCLE_MATCHINGS = 2**18
 
 
 @dataclass(frozen=True)
-class CircleSkeleton:
-    """Numbered circles with a fixed count of endpoint slots on each."""
-
-    slots: tuple
-
-    def __post_init__(self):
-        slots = tuple(int(s) for s in self.slots)
-        if not slots or any(s < 0 for s in slots):
-            raise ValueError("slot counts must be non-negative, one per circle")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def n_circles(self):
-        return len(self.slots)
-
-
-@dataclass(frozen=True)
 class CircleDiagram:
-    """Perfect matching on the endpoint slots of a CircleSkeleton.
+    """Perfect matching on endpoint slots, slots[c] of them on circle c.
 
     chords is a tuple of ((circle, slot), (circle, slot)) pairs.  The stored
     representative is minimal under independent rotations of each circle.
@@ -91,10 +77,6 @@ class CircleDiagram:
     @property
     def n_circles(self):
         return len(self.slots)
-
-    @property
-    def skeleton(self):
-        return CircleSkeleton(self.slots)
 
     def sort_key(self):
         return (self.degree, self.slots, self.chords)
@@ -284,92 +266,61 @@ def orbit_positions(n_circles: int, degree: int):
     return {orbit_key(d.to_layout()): k for k, d in enumerate(basis)}
 
 
-class CircleSeries:
-    """Complex combination of circle diagrams, truncated above max_degree."""
-
-    def __init__(self, n_circles, max_degree, terms=None, zero_threshold=ZERO_THRESHOLD):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.n_circles = n_circles
-        self.max_degree = max_degree
-        self.zero_threshold = zero_threshold
-        acc = {}
-        for diagram, coeff in (terms or {}).items():
-            if diagram.n_circles != n_circles:
-                raise ValueError("circle-count mismatch")
-            if diagram.degree > max_degree:
-                continue
-            acc[diagram] = acc.get(diagram, 0j) + complex(coeff)
-        self._terms = {d: c for d, c in acc.items() if abs(c) >= zero_threshold}
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def coefficient(self, diagram):
-        return self._terms.get(diagram, 0j)
-
-    def __add__(self, other):
-        if self.n_circles != other.n_circles or self.max_degree != other.max_degree:
-            raise ValueError("series mismatch")
-        acc = dict(self._terms)
-        for d, c in other._terms.items():
-            acc[d] = acc.get(d, 0j) + c
-        return CircleSeries(self.n_circles, self.max_degree, acc, self.zero_threshold)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return CircleSeries(
-            self.n_circles,
-            self.max_degree,
-            {d: scalar * c for d, c in self._terms.items()},
-            self.zero_threshold,
-        )
-
-    __rmul__ = __mul__
-
-    def sup_diff(self, other):
-        keys = set(self._terms) | set(other._terms)
-        return max(
-            (abs(self._terms.get(d, 0j) - other._terms.get(d, 0j)) for d in keys),
-            default=0.0,
-        )
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
-
-    def __repr__(self):
-        return f"CircleSeries(q={self.n_circles}, M={self.max_degree}, {len(self._terms)} terms)"
+@lru_cache(maxsize=None)
+def circle_basis(n_circles: int, max_degree: int):
+    """Diagrams of degree <= max_degree, degree by degree: the dense circle series basis."""
+    return tuple(d for m in range(max_degree + 1) for d in enumerate_circle_diagrams(n_circles, m))
 
 
-def circle_series_to_json_dict(series: CircleSeries) -> dict:
+def circle_series_to_json_dict(
+    coefficients, n_circles, max_degree, zero_threshold=ZERO_THRESHOLD, positions=None
+) -> dict:
+    """JSON document of a dense series over circle_basis(n_circles, max_degree).
+
+    Lists every term whose modulus reaches zero_threshold among positions,
+    increasing basis positions, by default all of them; a reduced series
+    passes its free positions.
+    """
+    basis = circle_basis(n_circles, max_degree)
+    values = coefficients.tolist()
     terms = []
-    for diagram, coeff in series.sorted_terms():
-        terms.append(
-            {
-                "slots": list(diagram.slots),
-                "word": [[list(f1), list(f2)] for f1, f2 in diagram.chords],
-                "re": coeff.real,
-                "im": coeff.imag,
-            }
-        )
+    for k in range(len(basis)) if positions is None else positions:
+        coeff = values[k]
+        if abs(coeff) >= zero_threshold:
+            diagram = basis[k]
+            terms.append(
+                {
+                    "slots": list(diagram.slots),
+                    "word": [[list(f1), list(f2)] for f1, f2 in diagram.chords],
+                    "re": coeff.real,
+                    "im": coeff.imag,
+                }
+            )
     return {
-        "circles": series.n_circles,
-        "max_degree": series.max_degree,
+        "circles": n_circles,
+        "max_degree": max_degree,
         "terms": terms,
     }
 
 
-def circle_series_from_json_dict(data: dict, zero_threshold=ZERO_THRESHOLD) -> CircleSeries:
-    """Inverse of circle_series_to_json_dict; malformed input raises ValueError."""
+def circle_series_from_json_dict(data: dict) -> np.ndarray:
+    """Dense coefficients over circle_basis of a circle_series_to_json_dict document.
+
+    Terms above max_degree are dropped; malformed input raises ValueError.
+    """
     with malformed_json("circle series"):
-        terms = {}
+        n_circles, max_degree = data["circles"], data["max_degree"]
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
+        check_circle_budget(n_circles, max_degree)
+        basis = circle_basis(n_circles, max_degree)
+        position = {diagram: k for k, diagram in enumerate(basis)}
+        out = np.zeros(len(basis), dtype=complex)
         for entry in data["terms"]:
             diagram = CircleDiagram(
                 tuple(entry["slots"]),
                 tuple((tuple(f1), tuple(f2)) for f1, f2 in entry["word"]),
             )
-            terms[diagram] = complex(entry["re"], entry["im"])
-        return CircleSeries(data["circles"], data["max_degree"], terms, zero_threshold)
+            if diagram.degree <= max_degree:
+                out[position[diagram]] += complex(entry["re"], entry["im"])
+        return out

@@ -16,10 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .braids import BraidWord, permutation_of
-from .circles import CircleSeries, enumerate_circle_diagrams, orbit_key, orbit_positions
-from .relations import NormalFormSeries, reduce
+from .circles import circle_basis, enumerate_circle_diagrams, orbit_key, orbit_positions
+from .relations import reduce
 from .transport import kontsevich_of_braid
-from .words import ZERO_THRESHOLD, HorizontalSeries, all_pairs, series_to_dense
+from .words import ZERO_THRESHOLD, all_pairs
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,6 @@ class LinkSkeleton:
     def n_components(self):
         return len(self.components)
 
-    def component_of(self, strand):
-        for index, cycle in enumerate(self.components):
-            if strand in cycle:
-                return index
-        raise ValueError(f"strand {strand} outside skeleton")
-
 
 def closure_skeleton(word: BraidWord) -> LinkSkeleton:
     """Cycles of the braid permutation, each from its lowest strand."""
@@ -47,15 +41,11 @@ def closure_skeleton(word: BraidWord) -> LinkSkeleton:
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """Dense series over circle_basis(components, max_degree), raw and reduced."""
+
     skeleton: LinkSkeleton
-    series: CircleSeries
-    reduced: NormalFormSeries
-
-
-@lru_cache(maxsize=None)
-def _circle_basis(n_circles, max_degree):
-    """The graded circle basis: enumerate_circle_diagrams(q, m), m <= max_degree, concatenated."""
-    return tuple(d for m in range(max_degree + 1) for d in enumerate_circle_diagrams(n_circles, m))
+    series: np.ndarray
+    reduced: np.ndarray
 
 
 @lru_cache(maxsize=1 << 16)
@@ -120,7 +110,7 @@ def _degree_of(n_strands, size):
     return degree
 
 
-def tau_project(series, word: BraidWord, zero_threshold=None) -> CircleSeries:
+def tau_project(coefficients, word: BraidWord) -> np.ndarray:
     """Send braid words to diagrams on the closure's component circles.
 
     The k-th chord of a word (in height order) puts one foot on the circle of
@@ -128,50 +118,43 @@ def tau_project(series, word: BraidWord, zero_threshold=None) -> CircleSeries:
     traversal and, within a strand, increasing height.  Linear in the
     coefficients; canonical rotations applied by construction.
 
-    series is a HorizontalSeries or its dense vector over basis_words (as
-    braid_holonomy returns it); a vector is projected as given, so zero the
-    terms a threshold drops first.  Every basis word goes to one diagram
-    through an index cached per (N, M, cycles), and coefficients are summed
-    per diagram in basis order.  The circle series takes zero_threshold,
-    by default the HorizontalSeries' own or ZERO_THRESHOLD; diagrams no
-    term reaches, or whose terms cancel exactly, are not stored.
+    coefficients is a dense series over basis_words (as kontsevich_of_braid
+    returns it), projected as given, so zero the terms a threshold drops
+    first.  Every basis word goes to one diagram through an index cached
+    per (N, M, cycles), and coefficients are summed per diagram in basis
+    order into a dense series over circle_basis(components, M).
     """
-    if isinstance(series, HorizontalSeries):
-        if series.n_strands != word.n_strands:
-            raise ValueError("series skeleton does not match the braid word")
-        coefficients, max_degree = series_to_dense(series), series.max_degree
-        if zero_threshold is None:
-            zero_threshold = series.zero_threshold
-    else:
-        coefficients = series
-        max_degree = _degree_of(word.n_strands, len(coefficients))
-    if zero_threshold is None:
-        zero_threshold = ZERO_THRESHOLD
+    max_degree = _degree_of(word.n_strands, len(coefficients))
     skeleton = closure_skeleton(word)
     index = _tau_index(word.n_strands, max_degree, skeleton.components)
-    basis = _circle_basis(skeleton.n_components, max_degree)
-    real = np.bincount(index, coefficients.real, len(basis))
-    imag = np.bincount(index, coefficients.imag, len(basis))
-    live = np.flatnonzero((real != 0.0) | (imag != 0.0)).tolist()
-    values = zip(real[live].tolist(), imag[live].tolist())
-    terms = {basis[k]: complex(r, i) for k, (r, i) in zip(live, values)}
-    return CircleSeries(skeleton.n_components, max_degree, terms, zero_threshold)
+    size = len(circle_basis(skeleton.n_components, max_degree))
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, coefficients.real, size)
+    out.imag = np.bincount(index, coefficients.imag, size)
+    return out
 
 
-def close_braid(braid_series, word: BraidWord, zero_threshold=None) -> ClosureResult:
-    """Project a braid's series onto its closure's circles, raw and reduced.
+def close_braid(coefficients, word: BraidWord, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
+    """Project a braid's dense series onto its closure's circles, raw and reduced.
 
-    braid_series and zero_threshold are as for tau_project.
+    Zero the braid terms a threshold drops first, as for tau_project;
+    zero_threshold applies to the circle series reduce takes and returns.
     """
-    circle_series = tau_project(braid_series, word, zero_threshold)
-    return ClosureResult(closure_skeleton(word), circle_series, reduce(circle_series))
+    skeleton = closure_skeleton(word)
+    circle_series = tau_project(coefficients, word)
+    max_degree = _degree_of(word.n_strands, len(coefficients))
+    reduced = reduce(circle_series, ("circles", skeleton.n_components), max_degree, zero_threshold)
+    return ClosureResult(skeleton, circle_series, reduced)
 
 
 def kontsevich_link(word: BraidWord, max_degree: int, steps: int = 512) -> ClosureResult:
     """Braid-holonomy part of the link integral, raw and reduced.
 
-    Top and bottom closure-arc contributions are not grafted on, so use the
-    result for quantities insensitive to them (linking numbers, framing-killed
-    terms, comparisons of closures of equal braids).
+    Braid terms below ZERO_THRESHOLD are dropped before the projection.  Top
+    and bottom closure-arc contributions are not grafted on, so use the
+    result for quantities insensitive to them (linking numbers,
+    framing-killed terms, comparisons of closures of equal braids).
     """
-    return close_braid(kontsevich_of_braid(word, max_degree, steps), word)
+    holonomy = kontsevich_of_braid(word, max_degree, steps).tolist()
+    kept = np.array([c if abs(c) >= ZERO_THRESHOLD else 0j for c in holonomy])
+    return close_braid(kept, word)

@@ -3,11 +3,12 @@
 Relations are integral, so rows are kept as sparse integer vectors and
 eliminated without fractions: a row keeps a positive pivot and has its
 content divided out after each combination, and the echelon rows become
-exact Fractions once, at the end.  Complex series coefficients are pushed
-through the echelon rows afterwards.  Circle 4T rows find the basis index of
-each term by orbit_key, with no canonical diagram built per term.  Echelon
-forms are cached per (skeleton, degree) and are safe for concurrent reads
-once built.
+exact Fractions once, at the end.  A dense series is reduced by pushing its
+coefficients through the echelon rows, kept as floats.  Horizontal 4T rows
+compute each term's basis index from its chords' pair indices; circle 4T
+rows find it by orbit_key, with no canonical diagram built per term.
+Echelon forms and their float rows are cached per (skeleton, degree) and
+are safe for concurrent reads once built.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .circles import CircleSeries, enumerate_circle_diagrams, orbit_key, orbit_positions
-from .words import (
-    ZERO_THRESHOLD,
-    HorizontalSeries,
-    HorizontalWord,
-    all_pairs,
-    enumerate_words,
-)
+import numpy as np
+
+from .circles import enumerate_circle_diagrams, orbit_key, orbit_positions
+from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 
 
 class RelationSet:
@@ -74,10 +71,6 @@ class RelationSet:
     @property
     def rank(self):
         return len(self.echelon())
-
-    def free_indices(self):
-        pivots = self.echelon()
-        return tuple(k for k in range(len(self.basis)) if k not in pivots)
 
     def __repr__(self):
         return f"RelationSet(degree={self.degree}, basis={len(self.basis)}, rows={len(self.rows)})"
@@ -132,7 +125,8 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     basis = enumerate_words(n_strands, degree)
     if degree < 2 or n_strands == 2:
         return RelationSet(degree, basis, ())
-    index = {w: k for k, w in enumerate(basis)}
+    n_pairs = n_strands * (n_strands - 1) // 2
+    pair_index = {p.as_tuple(): q for q, p in enumerate(all_pairs(n_strands))}
     base_rows = []
     strands = range(1, n_strands + 1)
     for i in strands:
@@ -140,7 +134,7 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
             for k in strands:
                 if not (i < j < k):
                     continue
-                triple = [(i, j), (i, k), (j, k)]
+                triple = [pair_index[(i, j)], pair_index[(i, k)], pair_index[(j, k)]]
                 for slide in triple:
                     others = [p for p in triple if p != slide]
                     row = {}
@@ -148,23 +142,24 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
                         row[(slide, other)] = row.get((slide, other), 0) + 1
                         row[(other, slide)] = row.get((other, slide), 0) - 1
                     base_rows.append(row)
-    pairs = [p.as_tuple() for p in all_pairs(n_strands)]
+    pairs = list(pair_index)
     for a_idx, p in enumerate(pairs):
         for q in pairs[a_idx + 1:]:
             if set(p) & set(q):
                 continue
-            base_rows.append({(p, q): 1, (q, p): -1})
+            base_rows.append({(pair_index[p], pair_index[q]): 1, (pair_index[q], pair_index[p]): -1})
     rows = []
+    # a term's column is its word's index in the degree block, the chords
+    # read as base-P digits, lowest chord first: prefix a, the pair
+    # (low, high), then the degree-s suffix b
     for pos in range(degree - 1):
-        for prefix in enumerate_words(n_strands, pos):
-            for suffix in enumerate_words(n_strands, degree - 2 - pos):
+        suffixes = n_pairs ** (degree - 2 - pos)
+        for a in range(n_pairs**pos):
+            for b in range(suffixes):
                 for base in base_rows:
                     row = {}
                     for (low, high), coeff in base.items():
-                        word = HorizontalWord(
-                            n_strands, prefix.chords + (low, high) + suffix.chords
-                        )
-                        col = index[word]
+                        col = ((a * n_pairs + low) * n_pairs + high) * suffixes + b
                         row[col] = row.get(col, 0) + coeff
                     row = {c: v for c, v in row.items() if v}
                     if row:
@@ -236,108 +231,60 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-class NormalFormSeries:
-    """Coordinates of a series on the free words of the quotient basis."""
-
-    def __init__(self, skeleton, max_degree, bases, terms, zero_threshold=ZERO_THRESHOLD):
-        self.skeleton = skeleton  # ("strands", N) or ("circles", q)
-        self.max_degree = max_degree
-        self.bases = dict(bases)
-        self.zero_threshold = zero_threshold
-        self._terms = {k: complex(v) for k, v in terms.items() if abs(v) >= zero_threshold}
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def coefficient(self, element):
-        return self._terms.get(element, 0j)
-
-    def sup_diff(self, other):
-        if self.skeleton != other.skeleton:
-            raise ValueError("skeleton mismatch")
-        keys = set(self._terms) | set(other._terms)
-        return max(
-            (abs(self._terms.get(k, 0j) - other._terms.get(k, 0j)) for k in keys),
-            default=0.0,
-        )
-
-    def sup_norm(self):
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
-    def to_series(self):
-        """Re-expand on the ambient space (representatives are elements)."""
-        kind, size = self.skeleton
-        if kind == "strands":
-            return HorizontalSeries(size, self.max_degree, self._terms, self.zero_threshold)
-        return CircleSeries(size, self.max_degree, self._terms, self.zero_threshold)
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
-
-    def __repr__(self):
-        kind, size = self.skeleton
-        return f"NormalFormSeries({kind}={size}, M={self.max_degree}, {len(self._terms)} terms)"
+@lru_cache(maxsize=None)
+def _pivot_rows(skeleton, degree):
+    """(basis size, echelon rows as float entries off the pivot, in increasing pivot order)."""
+    kind, size = skeleton
+    build = horizontal_relations if kind == "strands" else circle_relations
+    relations = build(size, degree)
+    echelon = relations.echelon()
+    rows = tuple(
+        (p, tuple((c, float(q)) for c, q in echelon[p].items() if c != p)) for p in sorted(echelon)
+    )
+    return len(relations.basis), rows
 
 
-def _relation_for(series, degree, supplied):
-    if supplied is not None and degree in supplied:
-        return supplied[degree]
-    if isinstance(series, HorizontalSeries):
-        if degree < 2:
-            return None
-        return horizontal_relations(series.n_strands, degree)
-    return circle_relations(series.n_circles, degree)
+def reduce(coefficients, skeleton, max_degree: int, zero_threshold=ZERO_THRESHOLD) -> np.ndarray:
+    """Quotient a dense series by its relation sets, degree by degree.
 
-
-def reduce(series, relations=None) -> NormalFormSeries:
-    """Quotient a series by its relation sets, degree by degree.
-
-    relations may be None (built and cached automatically), a RelationSet, or
-    an iterable of them; missing degrees fall back to the automatic family.
+    skeleton is ("strands", N) for a series over basis_words(N, max_degree)
+    or ("circles", q) for one over circle_basis(q, max_degree).  Entries
+    below zero_threshold are dropped, then every echelon pivot is cleared in
+    increasing order by subtracting its row.  The result is on the same
+    basis: pivot entries are 0 and the free ones hold the normal-form
+    coordinates, those below zero_threshold zeroed.
     """
-    if isinstance(relations, RelationSet):
-        supplied = {relations.degree: relations}
-    elif relations is not None:
-        supplied = {r.degree: r for r in relations}
-    else:
-        supplied = None
-    horizontal = isinstance(series, HorizontalSeries)
-    skeleton = ("strands", series.n_strands) if horizontal else ("circles", series.n_circles)
-    by_degree = {}
-    for element, coeff in series.terms.items():
-        by_degree.setdefault(element.degree, {})[element] = coeff
-    bases = {}
-    out = {}
-    for m in range(series.max_degree + 1):
-        rs = _relation_for(series, m, supplied)
-        if rs is None:
-            basis = enumerate_words(series.n_strands, m)
-            pivots = {}
-        else:
-            basis = rs.basis
-            pivots = rs.echelon()
-        index = {e: k for k, e in enumerate(basis)}
-        vec = {}
-        for element, coeff in by_degree.get(m, {}).items():
-            if element not in index:
-                raise ValueError(f"element {element!r} missing from the degree-{m} basis")
-            vec[index[element]] = vec.get(index[element], 0j) + coeff
-        for p in sorted(pivots):
-            if p not in vec:
-                continue
-            amount = vec.pop(p)
-            for col, q in pivots[p].items():
-                if col == p:
-                    continue
-                vec[col] = vec.get(col, 0j) - amount * float(q)
-        free = [k for k in range(len(basis)) if k not in pivots]
-        bases[m] = tuple(basis[k] for k in free)
-        for k in free:
-            c = vec.get(k, 0j)
-            if abs(c) >= series.zero_threshold:
-                out[basis[k]] = c
-    return NormalFormSeries(skeleton, series.max_degree, bases, out, series.zero_threshold)
+    blocks = [_pivot_rows(skeleton, m) for m in range(max_degree + 1)]
+    if len(coefficients) != sum(size for size, _ in blocks):
+        raise ValueError(
+            f"{len(coefficients)} coefficients do not fill the {skeleton} basis to degree {max_degree}"
+        )
+    values = coefficients.tolist()
+    out = []
+    start = 0
+    for size, rows in blocks:
+        vec = [c if abs(c) >= zero_threshold else 0j for c in values[start:start + size]]
+        for p, row in rows:
+            amount = vec[p]
+            if amount:
+                vec[p] = 0j
+                for col, q in row:
+                    vec[col] -= amount * q
+        out += [c if abs(c) >= zero_threshold else 0j for c in vec]
+        start += size
+    return np.array(out, dtype=complex)
+
+
+@lru_cache(maxsize=None)
+def free_positions(skeleton, max_degree: int):
+    """Basis positions, to max_degree, that no echelon row pivots on: where reduce leaves coordinates."""
+    out, offset = [], 0
+    for m in range(max_degree + 1):
+        size, rows = _pivot_rows(skeleton, m)
+        pivots = {p for p, _ in rows}
+        out += [offset + k for k in range(size) if k not in pivots]
+        offset += size
+    return tuple(out)
 
 
 def quotient_dimension(degree: int, *, strands: int | None = None, circles: int | None = None) -> int:

@@ -31,25 +31,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .braids import BraidWord, ConfigLoop, realize
 from .words import (
-    ChordPair,
-    HorizontalSeries,
     HorizontalWord,
+    _blocks,
+    _outer,
     all_pairs,
     basis_size,
-    series_from_dense,
+    relabel_strands,
+    series_product,
 )
 
 _TWO_PI_I = 2j * math.pi
 # Most complex entries one temporary of the integrator holds: steps are
 # taken in chunks short enough that a chunk's degree M-1 block fits.
 _CHUNK_ENTRIES = 2**14
+# Most steps per segment a transport may take.  The connection is sampled at
+# 2 * steps + 1 points per segment, so the cap bounds that array too.
+MAX_STEPS = 2**16
 
 
 class TransportError(RuntimeError):
@@ -58,16 +62,16 @@ class TransportError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransportResult:
-    n_strands: int
-    max_degree: int
     steps_used: int
     richardson_error_estimate: float
     coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
 
-    @cached_property
-    def series(self) -> HorizontalSeries:
-        """The coefficients as a word series, built on first access."""
-        return series_from_dense(self.n_strands, self.max_degree, self.coefficients)
+
+def _check_arguments(max_degree, steps):
+    if max_degree < 0 or steps < 1:
+        raise ValueError("need max_degree >= 0 and steps >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
 
 
 @lru_cache(maxsize=None)
@@ -92,27 +96,6 @@ def _unit(n_pairs, max_degree):
     vec = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
     vec[0] = 1.0
     return vec
-
-
-@lru_cache(maxsize=None)
-def _block_slices(n_pairs, max_degree):
-    bounds = [basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
-    return tuple(slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1))
-
-
-def _blocks(vec, n_pairs, max_degree):
-    """Views of a dense series' degree blocks, degree 0 first."""
-    return [vec[block] for block in _block_slices(n_pairs, max_degree)]
-
-
-def _outer(a, b):
-    """Graded outer product along the last axis: entry i * len(b) + p is a_i b_p.
-
-    This puts b's chords on top of a's words.  Leading axes are batch axes,
-    one row per step.
-    """
-    prod = a[..., :, None] * b[..., None, :]
-    return prod.reshape(prod.shape[:-2] + (-1,))
 
 
 def _omega_grid(segment, steps, ii, jj):
@@ -185,17 +168,16 @@ def _integrate(loop, max_degree, steps):
 def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportResult:
     """Solve T' = omega * T from the identity along the loop.
 
-    steps counts fourth-order steps per segment (per braid letter).  The
-    error estimate compares against a half-resolution run and shrinks about
+    steps counts fourth-order steps per segment (per braid letter), at most
+    MAX_STEPS.  The error estimate compares against a half-resolution run and shrinks about
     sixteenfold when steps double; it is inf when steps < 2 leaves nothing
     to compare.
     """
-    if max_degree < 0 or steps < 1:
-        raise ValueError("need max_degree >= 0 and steps >= 1")
+    _check_arguments(max_degree, steps)
     fine, coarse = _integrate(loop, max_degree, steps)
     estimate = math.inf if coarse is None else float(np.abs(fine - coarse).max())
     fine.flags.writeable = False
-    return TransportResult(loop.n_strands, max_degree, steps * len(loop.segments), estimate, fine)
+    return TransportResult(steps * len(loop.segments), estimate, fine)
 
 
 @lru_cache(maxsize=64)
@@ -204,121 +186,62 @@ def _letter_holonomy(n_strands, k, sign, max_degree, steps):
     return transport(realize(BraidWord(n_strands, ((k, sign),))), max_degree, steps).coefficients
 
 
-@lru_cache(maxsize=64)
-def _relabel_index(n_strands, max_degree, strand_at):
-    """Gather index taking a slot-labelled dense series to strand labels.
-
-    strand_at[s - 1] is the strand standing at slot s; entry g of the
-    result is read from entry index[g] of the slot-labelled series.
-    """
-    pairs = all_pairs(n_strands)
-    pair_index = {pair: q for q, pair in enumerate(pairs)}
-    slot_of = {strand: slot for slot, strand in enumerate(strand_at, start=1)}
-    first = np.array([pair_index[ChordPair(slot_of[p.i], slot_of[p.j])] for p in pairs])
-    index = np.zeros(basis_size(len(pairs), max_degree), dtype=np.intp)
-    lo, hi = 0, 1
-    for _ in range(max_degree):
-        block = (1 + len(pairs) * index[lo:hi, None] + first).ravel()
-        index[hi : hi + len(block)] = block
-        lo, hi = hi, hi + len(block)
-    index.flags.writeable = False
-    return index
-
-
-def _stack(upper, lower, n_pairs, max_degree):
-    """Dense stacking product: upper's chords above lower's, truncated."""
-    out = np.zeros_like(lower)
-    upper, lower = _blocks(upper, n_pairs, max_degree), _blocks(lower, n_pairs, max_degree)
-    for r, target in enumerate(_blocks(out, n_pairs, max_degree)):
-        for p in range(r + 1):
-            target += _outer(lower[r - p], upper[p])
-    return out
-
-
-def braid_holonomy(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
-    """Dense holonomy of the word's loop over basis_words, composed from its letters.
+def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
+    """Kontsevich integral of the braid: its holonomy as a dense series over basis_words.
 
     Holonomy is multiplicative under concatenation of loops, so it is the
     stacking product of the letters' holonomies, each read through the
     strands standing at its slots when the letter starts.  A letter's own
-    holonomy depends only on (N, k, sign, max_degree, steps).  Nothing is
+    holonomy depends only on (N, k, sign, max_degree, steps) and is
+    integrated once per process by transport(); the result equals
+    transport(realize(word), ...).coefficients up to rounding.  Nothing is
     thresholded.
     """
-    if max_degree < 0 or steps < 1:
-        raise ValueError("need max_degree >= 0 and steps >= 1")
+    _check_arguments(max_degree, steps)
     n = word.n_strands
-    n_pairs = n * (n - 1) // 2
-    total = _unit(n_pairs, max_degree)
+    total = _unit(n * (n - 1) // 2, max_degree)
     strand_at = list(range(1, n + 1))
     for k, sign in word.letters:
         letter = _letter_holonomy(n, k, sign, max_degree, steps)
-        letter = letter[_relabel_index(n, max_degree, tuple(strand_at))]
-        total = _stack(letter, total, n_pairs, max_degree)
+        letter = relabel_strands(letter, n, max_degree, strand_at)
+        total = series_product(letter, total, n, max_degree)
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
     return total
 
 
-def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> HorizontalSeries:
-    """Kontsevich integral of the braid as a truncated word series.
-
-    Built from letter holonomies that transport() integrates once per
-    process; equal to transport(realize(word), ...).series up to rounding.
-    """
-    return series_from_dense(word.n_strands, max_degree, braid_holonomy(word, max_degree, steps))
-
-
-def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> HorizontalSeries:
-    """Truncated exp of the integrated connection with commuting chords.
+def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:
+    """Truncated exp of the integrated connection with commuting chords, dense.
 
     v = integral of omega is computed per pair by Gauss-Legendre quadrature
-    on each segment; the coefficient of an m-chord word is then
-    prod_k v[P_k] / m!, which is what ordering-blind transport would give.
+    on each segment; the degree-m block is then the m-fold outer product of
+    v divided by m!, which is what ordering-blind transport would give.
     """
-    pairs, ii, jj = _pair_indices(loop.n_strands)
+    _, ii, jj = _pair_indices(loop.n_strands)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
-    v = np.zeros(len(pairs), dtype=complex)
+    v = np.zeros(len(ii), dtype=complex)
     for segment in loop.segments:
         v += weights @ _segment_omega(segment, nodes, ii, jj)
-    live = [(pair, val) for pair, val in zip(pairs, v) if abs(val) > 0.0]
-    terms = {HorizontalWord(loop.n_strands, ()): 1.0 + 0.0j}
-
-    def extend(prefix_chords, prefix_value, degree):
-        if degree == max_degree:
-            return
-        for pair, val in live:
-            chords = prefix_chords + (pair,)
-            value = prefix_value * val
-            word = HorizontalWord(loop.n_strands, chords)
-            terms[word] = value / math.factorial(len(chords))
-            extend(chords, value, degree + 1)
-
-    extend((), 1.0 + 0.0j, 0)
-    return HorizontalSeries(loop.n_strands, max_degree, terms)
+    power = np.ones(1, dtype=complex)
+    out = [power]
+    for m in range(1, max_degree + 1):
+        power = _outer(power, v)
+        out.append(power / math.factorial(m))
+    return np.concatenate(out)
 
 
-def symmetrized(series: HorizontalSeries) -> HorizontalSeries:
-    """Average the coefficients over all chord orderings of each word."""
-    groups = {}
-    for word, coeff in series.terms.items():
-        key = tuple(sorted(c.as_tuple() for c in word.chords))
-        groups.setdefault(key, {})[word] = coeff
-    out = {}
-    for key, members in groups.items():
-        m = len(key)
-        orderings = set(permutations(key))
-        total = sum(members.values())
-        counts = {}
-        for pair in key:
-            counts[pair] = counts.get(pair, 0) + 1
-        mult = 1
-        for c in counts.values():
-            mult *= math.factorial(c)
-        value = total * mult / math.factorial(m) if m else total
-        for chords in orderings:
-            out[HorizontalWord(series.n_strands, chords)] = value
-    return HorizontalSeries(series.n_strands, series.max_degree, out, series.zero_threshold)
+def symmetrized(coefficients, n_strands: int, max_degree: int) -> np.ndarray:
+    """Average a dense series' coefficients over all chord orderings of each word."""
+    n_pairs = n_strands * (n_strands - 1) // 2
+    out = np.empty_like(coefficients)
+    for m, (block, target) in enumerate(
+        zip(_blocks(coefficients, n_pairs, max_degree), _blocks(out, n_pairs, max_degree))
+    ):
+        cube = block.reshape((n_pairs,) * m)
+        total = sum(cube.transpose(axes) for axes in permutations(range(m)))
+        target[:] = np.ravel(total) / math.factorial(m)
+    return out
 
 
 def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex:
@@ -351,7 +274,7 @@ def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex
     columns = [pairs.index(chord) for chord in word.chords]
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
-    # ConfigLoop.segment_at for all midpoints at once
+    # the segment holding each midpoint
     owner = np.minimum(np.searchsorted(loop.breaks, mids, side="right"), len(loop.segments) - 1)
     values = np.empty((grid, m), dtype=complex)
     for index, segment in enumerate(loop.segments):

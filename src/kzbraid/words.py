@@ -1,11 +1,10 @@
-"""Horizontal chord words on braid strands and truncated series over them.
+"""Horizontal chord words on braid strands and dense series over them.
 
 A word is a height-ordered tuple of strand pairs (lowest chord first); the
-stacking product concatenates words, left factor on top.  Series are finite
-complex combinations truncated above a fixed degree, with an ultrametric
-measuring the first degree at which two series differ.  A series also has a
-dense form, one coefficient per basis word in graded-lex order, in which it
-is computed and printed; word dicts are built only where a caller asks.
+stacking product concatenates words, left factor on top.  A series is a
+complex vector truncated above a fixed degree M, one coefficient per word of
+basis_words(N, M) in graded-lex order: every series is computed, combined
+and printed in this form.
 """
 
 from __future__ import annotations
@@ -79,13 +78,6 @@ class HorizontalWord:
         return f"<{body} on {self.n_strands}>"
 
 
-def ess_product(a: HorizontalWord, b: HorizontalWord) -> HorizontalWord:
-    """Stack a's chords above b's; the empty word is the identity."""
-    if a.n_strands != b.n_strands:
-        raise ValueError("strand-count mismatch")
-    return HorizontalWord(a.n_strands, b.chords + a.chords)
-
-
 def enumerate_words(n_strands: int, degree: int):
     """All degree-m words on N strands in graded-lexicographic order.
 
@@ -139,162 +131,79 @@ def basis_words(n_strands: int, max_degree: int):
     return tuple(w for m in range(max_degree + 1) for w in enumerate_words(n_strands, m))
 
 
-class HorizontalSeries:
-    """Complex combination of words, truncated above max_degree.
+@lru_cache(maxsize=None)
+def _block_slices(n_pairs, max_degree):
+    bounds = [basis_size(n_pairs, m) for m in range(-1, max_degree + 1)]
+    return tuple(slice(bounds[m], bounds[m + 1]) for m in range(max_degree + 1))
 
-    Coefficients with modulus below zero_threshold are not stored.  Instances
-    are immutable in use: every operation returns a new series.
+
+def _blocks(vec, n_pairs, max_degree):
+    """Views of a dense series' degree blocks, degree 0 first."""
+    return [vec[block] for block in _block_slices(n_pairs, max_degree)]
+
+
+def _outer(a, b):
+    """Graded outer product along the last axis: entry i * len(b) + p is a_i b_p.
+
+    This puts b's chords on top of a's words.  Leading axes are batch axes.
     """
-
-    def __init__(self, n_strands, max_degree, terms=None, zero_threshold=ZERO_THRESHOLD):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.n_strands = n_strands
-        self.max_degree = max_degree
-        self.zero_threshold = zero_threshold
-        acc = {}
-        for word, coeff in (terms or {}).items():
-            if not isinstance(word, HorizontalWord):
-                word = HorizontalWord(n_strands, tuple(word))
-            if word.n_strands != n_strands:
-                raise ValueError("strand-count mismatch")
-            if word.degree > max_degree:
-                continue
-            acc[word] = acc.get(word, 0j) + complex(coeff)
-        self._terms = {w: c for w, c in acc.items() if abs(c) >= zero_threshold}
-
-    @classmethod
-    def identity(cls, n_strands, max_degree, zero_threshold=ZERO_THRESHOLD):
-        one = HorizontalWord(n_strands, ())
-        return cls(n_strands, max_degree, {one: 1.0}, zero_threshold)
-
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def coefficient(self, word):
-        if not isinstance(word, HorizontalWord):
-            word = HorizontalWord(self.n_strands, tuple(word))
-        return self._terms.get(word, 0j)
-
-    def _check_compatible(self, other):
-        if self.n_strands != other.n_strands or self.max_degree != other.max_degree:
-            raise ValueError("series mismatch (strands or truncation degree)")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            acc[w] = acc.get(w, 0j) + c
-        return HorizontalSeries(self.n_strands, self.max_degree, acc, self.zero_threshold)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return HorizontalSeries(
-            self.n_strands,
-            self.max_degree,
-            {w: scalar * c for w, c in self._terms.items()},
-            self.zero_threshold,
-        )
-
-    __rmul__ = __mul__
-
-    def sup_diff(self, other):
-        """Max coefficient modulus of self - other over all words."""
-        self._check_compatible(other)
-        keys = set(self._terms) | set(other._terms)
-        return max(
-            (abs(self._terms.get(w, 0j) - other._terms.get(w, 0j)) for w in keys),
-            default=0.0,
-        )
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda item: item[0].sort_key())
-
-    def __repr__(self):
-        return f"HorizontalSeries(n={self.n_strands}, M={self.max_degree}, {len(self._terms)} terms)"
+    prod = a[..., :, None] * b[..., None, :]
+    return prod.reshape(prod.shape[:-2] + (-1,))
 
 
-def series_product(a: HorizontalSeries, b: HorizontalSeries) -> HorizontalSeries:
-    """Bilinear extension of the stacking product, truncated above max_degree."""
-    a._check_compatible(b)
-    acc = {}
-    for wa, ca in a._terms.items():
-        for wb, cb in b._terms.items():
-            if wa.degree + wb.degree > a.max_degree:
-                continue
-            word = HorizontalWord(a.n_strands, wb.chords + wa.chords)
-            acc[word] = acc.get(word, 0j) + ca * cb
-    return HorizontalSeries(a.n_strands, a.max_degree, acc, a.zero_threshold)
-
-
-def series_distance(a: HorizontalSeries, b: HorizontalSeries) -> float:
-    """2**(-k) with k the lowest degree holding a differing coefficient.
-
-    Differences below the zero threshold of either series do not count; the
-    distance is 0.0 when the series agree through their truncation degrees.
-    """
-    if a.n_strands != b.n_strands:
-        raise ValueError("strand-count mismatch")
-    tol = max(a.zero_threshold, b.zero_threshold)
-    top = max(a.max_degree, b.max_degree)
-    by_degree = {}
-    for src_sign, series in ((1.0, a), (-1.0, b)):
-        for w, c in series._terms.items():
-            key = (w.degree, w)
-            by_degree[key] = by_degree.get(key, 0j) + src_sign * c
-    diffs = sorted(deg for (deg, _w), c in by_degree.items() if abs(c) > tol)
-    if not diffs:
-        return 0.0
-    k = diffs[0]
-    if k > top:
-        return 0.0
-    return 2.0 ** (-k)
-
-
-def relabel_strands(series: HorizontalSeries, mapping) -> HorizontalSeries:
-    """Rename the strand labels of every chord; mapping is callable or dict.
-
-    Stacking one braid's transport on top of another's requires reading the
-    upper factor's labels through the lower braid's permutation, since a
-    strand keeps its bottom label across the whole composed loop.
-    """
-    rename = mapping if callable(mapping) else mapping.__getitem__
-    out = {}
-    for word, coeff in series._terms.items():
-        chords = tuple((rename(c.i), rename(c.j)) for c in word.chords)
-        new_word = HorizontalWord(series.n_strands, chords)
-        out[new_word] = out.get(new_word, 0j) + coeff
-    return HorizontalSeries(series.n_strands, series.max_degree, out, series.zero_threshold)
-
-
-def series_from_dense(n_strands, max_degree, coefficients, zero_threshold=ZERO_THRESHOLD):
-    """HorizontalSeries of a dense coefficient vector over basis_words."""
-    terms = {w: complex(c) for w, c in zip(basis_words(n_strands, max_degree), coefficients)}
-    return HorizontalSeries(n_strands, max_degree, terms, zero_threshold)
-
-
-def series_to_dense(series: HorizontalSeries) -> np.ndarray:
-    """Dense coefficient vector over basis_words; unstored words read 0."""
-    n_pairs = series.n_strands * (series.n_strands - 1) // 2
-    pair_index = {pair: q for q, pair in enumerate(all_pairs(series.n_strands))}
-    out = np.zeros(basis_size(n_pairs, series.max_degree), dtype=complex)
-    for word, coeff in series._terms.items():
-        g = 0
-        for chord in word.chords:
-            g = 1 + n_pairs * g + pair_index[chord]
-        out[g] = coeff
+def series_product(upper, lower, n_strands, max_degree):
+    """Stacking product of two dense series, upper's chords above lower's, truncated."""
+    n_pairs = n_strands * (n_strands - 1) // 2
+    size = _block_slices(n_pairs, max_degree)[-1].stop
+    if len(upper) != size or len(lower) != size:
+        raise ValueError(f"series product needs two vectors of {size} coefficients")
+    out = np.zeros_like(lower)
+    upper, lower = _blocks(upper, n_pairs, max_degree), _blocks(lower, n_pairs, max_degree)
+    for r, target in enumerate(_blocks(out, n_pairs, max_degree)):
+        for p in range(r + 1):
+            target += _outer(lower[r - p], upper[p])
     return out
 
 
-def series_to_json_dict(series: HorizontalSeries) -> dict:
+@lru_cache(maxsize=64)
+def _relabel_index(n_strands, max_degree, images):
+    """Gather index renaming every strand s of a dense series to images[s - 1].
+
+    Entry g of the renamed series is read from entry index[g] of the series.
+    """
+    pairs = all_pairs(n_strands)
+    pair_index = {pair: q for q, pair in enumerate(pairs)}
+    source = {image: strand for strand, image in enumerate(images, start=1)}
+    first = np.array([pair_index[ChordPair(source[p.i], source[p.j])] for p in pairs])
+    index = np.zeros(basis_size(len(pairs), max_degree), dtype=np.intp)
+    lo, hi = 0, 1
+    for _ in range(max_degree):
+        block = (1 + len(pairs) * index[lo:hi, None] + first).ravel()
+        index[hi : hi + len(block)] = block
+        lo, hi = hi, hi + len(block)
+    index.flags.writeable = False
+    return index
+
+
+def relabel_strands(coefficients, n_strands, max_degree, images):
+    """Rename the strands of every chord of a dense series, strand s to images[s - 1].
+
+    images is a permutation of 1..N.  Stacking one braid's transport on top
+    of another's requires reading the upper factor's labels through the
+    lower braid's permutation, since a strand keeps its bottom label across
+    the whole composed loop.
+    """
+    return coefficients[_relabel_index(n_strands, max_degree, tuple(images))]
+
+
+def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO_THRESHOLD) -> dict:
+    """JSON document of a dense series: every term whose modulus reaches zero_threshold."""
     terms = [
-        {"word": [list(c.as_tuple()) for c in w.chords], "re": c.real, "im": c.imag}
-        for w, c in series.sorted_terms()
+        {"word": [list(p.as_tuple()) for p in w.chords], "re": c.real, "im": c.imag}
+        for w, c in zip(basis_words(n_strands, max_degree), coefficients.tolist())
+        if abs(c) >= zero_threshold
     ]
-    return {"n_strands": series.n_strands, "max_degree": series.max_degree, "terms": terms}
+    return {"n_strands": n_strands, "max_degree": max_degree, "terms": terms}
 
 
 @lru_cache(maxsize=16)
@@ -313,10 +222,10 @@ def _json_heads(n_strands, max_degree, level):
 
 
 def series_json_text(n_strands, max_degree, terms, level=0) -> str:
-    """json.dumps(series_to_json_dict(series), indent=2), from a dense series.
+    """json.dumps(series_to_json_dict(...), indent=2) of the listed terms of a dense series.
 
     terms are (basis position, complex coefficient) pairs in increasing
-    position order, so in sorted_terms order; level is the depth at which
+    position order; level is the depth at which
     the document sits inside an enclosing indent=2 document.  Floats print
     as repr(float), as json does for finite values.
     """
@@ -341,11 +250,24 @@ def malformed_json(kind):
         raise ValueError(f"malformed {kind} JSON: {exc}") from None
 
 
-def series_from_json_dict(data: dict, zero_threshold=ZERO_THRESHOLD) -> HorizontalSeries:
-    """Inverse of series_to_json_dict; malformed input raises ValueError."""
+def series_from_json_dict(data: dict) -> np.ndarray:
+    """Dense coefficients over basis_words of a series_to_json_dict document.
+
+    Terms above max_degree are dropped; malformed input raises ValueError.
+    """
     with malformed_json("series"):
-        terms = {}
+        n_strands, max_degree = data["n_strands"], data["max_degree"]
+        if n_strands < 2 or max_degree < 0:
+            raise ValueError("need n_strands >= 2 and max_degree >= 0")
+        check_word_budget(n_strands, max_degree)
+        pairs = all_pairs(n_strands)
+        pair_index = {pair: q for q, pair in enumerate(pairs)}
+        out = np.zeros(basis_size(len(pairs), max_degree), dtype=complex)
         for entry in data["terms"]:
-            word = HorizontalWord(data["n_strands"], tuple(tuple(p) for p in entry["word"]))
-            terms[word] = complex(entry["re"], entry["im"])
-        return HorizontalSeries(data["n_strands"], data["max_degree"], terms, zero_threshold)
+            chords = [ChordPair(*p) for p in entry["word"]]
+            g = 0
+            for chord in chords:
+                g = 1 + len(pairs) * g + pair_index[chord]
+            if len(chords) <= max_degree:
+                out[g] += complex(entry["re"], entry["im"])
+        return out

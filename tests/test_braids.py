@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,12 +8,37 @@ import pytest
 from kzbraid.braids import (
     BraidParseError,
     BraidWord,
-    min_separation,
     parse_braid_word,
     permutation_of,
     realize,
-    sample,
 )
+
+
+def segment_at(loop, t):
+    """(segment, local s, duration) covering global time t."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"time {t} outside [0, 1]")
+    idx = min(bisect_right(loop.breaks, t), len(loop.segments) - 1)
+    left = loop.breaks[idx - 1] if idx else 0.0
+    duration = loop.breaks[idx] - left
+    return loop.segments[idx], (t - left) / duration, duration
+
+
+def sample(loop, t):
+    """Positions and global-time velocities at t, exact per segment."""
+    segment, s, duration = segment_at(loop, t)
+    return segment.positions(s), segment.velocities(s) / duration
+
+
+def min_separation(loop, n_samples):
+    """Smallest pairwise point distance over an n_samples time grid."""
+    best = math.inf
+    for t in np.linspace(0.0, 1.0, n_samples):
+        z, _ = sample(loop, float(t))
+        diff = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(diff, math.inf)
+        best = min(best, float(diff.min()))
+    return best
 
 
 def test_parse_examples():
@@ -124,12 +150,3 @@ def test_durations_validated():
         realize(w, durations=(1.0, 0.0))
     loop = realize(w, durations=(3.0, 1.0))
     assert loop.breaks == (0.75, 1.0)
-
-
-def test_loop_json_dump():
-    w = parse_braid_word("1 -2", 3)
-    data = realize(w).to_json_dict()
-    assert data == {
-        "n_strands": 3,
-        "segments": [{"letter": 1, "sign": 1}, {"letter": 2, "sign": -1}],
-    }

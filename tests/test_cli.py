@@ -8,12 +8,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import kzbraid
 from kzbraid.cli import main
 from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
 from kzbraid.closure import close_braid, kontsevich_link
-from kzbraid.words import HorizontalSeries, series_from_json_dict, series_to_json_dict
-from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
+from kzbraid.relations import free_positions
+from kzbraid.words import basis_words, series_from_json_dict
+from kzbraid.transport import MAX_STEPS, _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 
 
@@ -44,7 +47,16 @@ def test_compute_json_round_trip(capsys, tmp_path):
     assert code == 0
     parsed = series_from_json_dict(json.loads(out_file.read_text()))
     direct = kontsevich_of_braid(parse_braid_word("1 1", 2), 2, 128)
-    assert parsed.sup_diff(direct) < 1e-12
+    assert np.abs(parsed - direct).max() < 1e-12
+
+
+def test_compute_unwritable_output_is_validation_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "z.json"
+    code, _, err = run(capsys, "compute", "-n", "2", "-w", "1", "-m", "1", "-o", str(target))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.parent.exists()
 
 
 def test_compute_deterministic_bytes(capsys, tmp_path):
@@ -92,7 +104,8 @@ def _link_terms(capsys, tmp_path, *extra):
 def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
     link = _link_terms(capsys, tmp_path)
     direct = kontsevich_link(parse_braid_word("1 1 2 2", 3), 3, 64)
-    expected = circle_series_to_json_dict(direct.reduced.to_series())
+    q = direct.skeleton.n_components
+    expected = circle_series_to_json_dict(direct.reduced, q, 3, positions=free_positions(("circles", q), 3))
     assert json.dumps(link) == json.dumps(expected)
 
 
@@ -206,23 +219,36 @@ def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
 def _reference_stdout(strands, letters, max_degree, steps, close, threshold):
     """Stdout of compute as the word-dict series path printed it."""
     word = parse_braid_word(letters, strands)
-    series = kontsevich_of_braid(word, max_degree, steps)
-    series = HorizontalSeries(strands, max_degree, series.terms, threshold)
+    holonomy = kontsevich_of_braid(word, max_degree, steps)
+    terms = {
+        w: c for w, c in zip(basis_words(strands, max_degree), holonomy.tolist()) if abs(c) >= threshold
+    }
     lines = [f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg"]
-    for w, c in series.sorted_terms():
+    for w, c in sorted(terms.items(), key=lambda item: item[0].sort_key()):
         chords = "".join(f"({p.i},{p.j})" for p in w.chords) or "1"
         lines.append(
             f"{w.degree:>3}  {chords:<24}  {abs(c):<22.16g}  {math.atan2(c.imag, c.real):.16g}"
         )
-    document = series_to_json_dict(series)
+    document = {
+        "n_strands": strands,
+        "max_degree": max_degree,
+        "terms": [
+            {"word": [list(p.as_tuple()) for p in w.chords], "re": c.real, "im": c.imag}
+            for w, c in sorted(terms.items(), key=lambda item: item[0].sort_key())
+        ],
+    }
     if close:
-        result = close_braid(series, word)
+        kept = np.array([terms.get(w, 0j) for w in basis_words(strands, max_degree)])
+        result = close_braid(kept, word, threshold)
+        q = result.skeleton.n_components
         document = {
             "braid": document,
             "link": {
-                "components": result.skeleton.n_components,
+                "components": q,
                 "cycles": [list(cycle) for cycle in result.skeleton.components],
-                "series": circle_series_to_json_dict(result.reduced.to_series()),
+                "series": circle_series_to_json_dict(
+                    result.reduced, q, max_degree, threshold, free_positions(("circles", q), max_degree)
+                ),
             },
         }
     return "\n".join(lines) + "\n" + json.dumps(document, indent=2) + "\n"
@@ -238,7 +264,7 @@ def test_compute_output_bytes_match_series_path(capsys):
             str(rng.choice((1, -1)) * rng.randint(1, strands - 1)) for _ in range(rng.randint(0, 6))
         )
         steps = rng.choice((8, 16))
-        threshold = ("1e-12", "1e-3", "1e6")[k % 3]
+        threshold = ("1e-12", "1e-3", "1e6", "0")[k % 4]
         argv = ["compute", "-n", str(strands), "-m", str(max_degree), "--steps", str(steps),
                 "-w", letters, "--zero-threshold", threshold] + (["--close"] if close else [])
         code, out, _ = run(capsys, *argv)
@@ -292,6 +318,20 @@ def test_over_word_budget_refused_before_allocating():
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "basis words" in done.stderr
+
+
+def test_oversized_steps_refused_before_allocating():
+    # 4e8 steps would sample the connection at 8e8 points per segment
+    # (more than 6 GB) before integrating anything
+    for argv in (
+        ("compute", "-n", "2", "-w", "1", "-m", "1", "--steps", "400000000"),
+        ("verify", "reparam", "-m", "1", "--steps", "400000000"),
+    ):
+        done = _run_capped(*argv)
+        assert done.returncode == 1, done.stderr[-500:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert f"limit of {MAX_STEPS}" in done.stderr
 
 
 def test_over_circle_budget_refused_quickly():

@@ -1,58 +1,74 @@
+import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from kzbraid.circles import (
     CircleDiagram,
-    CircleSeries,
+    circle_basis,
     count_circle_matchings,
     enumerate_circle_diagrams,
     orbit_key,
     orbit_positions,
 )
 from kzbraid.relations import (
+    RelationSet,
+    _dedupe,
     circle_relations,
+    free_positions,
     horizontal_relations,
     quotient_dimension,
     reduce,
 )
-from kzbraid.words import HorizontalSeries, HorizontalWord
+from kzbraid.words import HorizontalWord, all_pairs, basis_words, enumerate_words
 
 
 def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
 
 
-def row_series(relation_set, row, n_strands=None, n_circles=None):
-    terms = {relation_set.basis[col]: float(coeff) for col, coeff in row}
-    if n_strands is not None:
-        return HorizontalSeries(n_strands, relation_set.degree, terms)
-    return CircleSeries(n_circles, relation_set.degree, terms)
+def series(n, max_degree, terms):
+    """Dense series over basis_words(n, max_degree) from {chord tuple: coefficient}."""
+    basis = basis_words(n, max_degree)
+    out = np.zeros(len(basis), dtype=complex)
+    for chords, coeff in terms.items():
+        out[basis.index(word(n, *chords))] += coeff
+    return out
+
+
+def graded_size(skeleton, max_degree):
+    kind, size = skeleton
+    if kind == "strands":
+        return len(basis_words(size, max_degree))
+    return len(circle_basis(size, max_degree))
+
+
+def relation_sets(skeleton, max_degree):
+    kind, size = skeleton
+    build = horizontal_relations if kind == "strands" else circle_relations
+    return [build(size, m) for m in range(max_degree + 1)]
 
 
 def test_four_term_row_present_n3():
     # the pictured relation on strands 1,2,3 must hold in the quotient
-    s = HorizontalSeries(
+    s = series(
         3,
         2,
         {
-            word(3, (1, 2), (2, 3)): 1.0,
-            word(3, (1, 2), (1, 3)): 1.0,
-            word(3, (2, 3), (1, 2)): -1.0,
-            word(3, (1, 3), (1, 2)): -1.0,
+            ((1, 2), (2, 3)): 1.0,
+            ((1, 2), (1, 3)): 1.0,
+            ((2, 3), (1, 2)): -1.0,
+            ((1, 3), (1, 2)): -1.0,
         },
     )
-    assert reduce(s).sup_norm() == 0.0
+    assert not reduce(s, ("strands", 3), 2).any()
 
 
 def test_disjoint_commutation_row_n4():
-    s = HorizontalSeries(
-        4,
-        2,
-        {word(4, (1, 2), (3, 4)): 1.0, word(4, (3, 4), (1, 2)): -1.0},
-    )
-    assert reduce(s).sup_norm() == 0.0
+    s = series(4, 2, {((1, 2), (3, 4)): 1.0, ((3, 4), (1, 2)): -1.0})
+    assert not reduce(s, ("strands", 4), 2).any()
 
 
 def test_two_strand_relations_empty():
@@ -69,43 +85,152 @@ def test_relation_entries_are_unit_rationals():
             assert coeff in (1, -1)
 
 
+def check_reduce_kernel(skeleton, max_degree):
+    """Every relation row of degree max_degree reduces to 0; every free unit vector is fixed."""
+    size = graded_size(skeleton, max_degree)
+    offset = graded_size(skeleton, max_degree - 1)
+    for row in relation_sets(skeleton, max_degree)[-1].rows:
+        vec = np.zeros(size, dtype=complex)
+        for col, coeff in row:
+            vec[offset + col] = coeff
+        assert not reduce(vec, skeleton, max_degree).any(), (skeleton, max_degree, row)
+    free = free_positions(skeleton, max_degree)
+    assert len(free) == sum(len(rs.basis) - rs.rank for rs in relation_sets(skeleton, max_degree))
+    for k in free:
+        vec = np.zeros(size, dtype=complex)
+        vec[k] = 1.0
+        assert np.array_equal(reduce(vec, skeleton, max_degree), vec), (skeleton, max_degree, k)
+
+
 def test_all_rows_reduce_to_zero():
     for n, m in ((3, 2), (3, 3), (4, 2), (4, 3)):
-        rs = horizontal_relations(n, m)
-        for row in rs.rows:
-            assert reduce(row_series(rs, row, n_strands=n)).sup_norm() == 0.0
+        check_reduce_kernel(("strands", n), m)
     for q, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
-        rs = circle_relations(q, m)
-        for row in rs.rows:
-            assert reduce(row_series(rs, row, n_circles=q)).sup_norm() == 0.0
+        check_reduce_kernel(("circles", q), m)
 
 
 def test_reduce_zero_series():
-    z = HorizontalSeries(3, 3)
-    assert reduce(z).sup_norm() == 0.0
+    z = np.zeros(len(basis_words(3, 3)), dtype=complex)
+    assert not reduce(z, ("strands", 3), 3).any()
 
 
 def test_reduce_idempotent():
-    s = HorizontalSeries(
+    s = series(
         3,
         3,
         {
-            word(3, (1, 2), (2, 3)): 1.5,
-            word(3, (2, 3), (1, 2), (1, 3)): -2j,
-            word(3, (1, 3)): 0.25,
+            ((1, 2), (2, 3)): 1.5,
+            ((2, 3), (1, 2), (1, 3)): -2j,
+            ((1, 3),): 0.25,
         },
     )
-    nf = reduce(s)
-    again = reduce(nf.to_series())
-    assert nf.sup_diff(again) == 0.0
+    nf = reduce(s, ("strands", 3), 3)
+    assert nf.any()
+    assert np.array_equal(reduce(nf, ("strands", 3), 3), nf)
 
 
 def test_reduce_rejects_foreign_words():
-    # a supplied relation set whose basis cannot express the series
-    rs = horizontal_relations(3, 2)
-    bad = HorizontalSeries(4, 2, {word(4, (1, 4), (1, 4)): 1.0})
-    with pytest.raises(ValueError):
-        reduce(bad, [rs])
+    # a vector over another basis than the skeleton's
+    bad = series(4, 2, {((1, 4), (1, 4)): 1.0})
+    with pytest.raises(ValueError, match="do not fill"):
+        reduce(bad, ("strands", 3), 2)
+
+
+def _dict_reduce(coefficients, skeleton, max_degree, zero_threshold):
+    """The word-dict reduce the dense one replaced, kept as its reference.
+
+    Returns {graded position: coordinate} over the free elements whose
+    coordinate reaches zero_threshold.
+    """
+    out = {}
+    offset = 0
+    for rs in relation_sets(skeleton, max_degree):
+        pivots = rs.echelon()
+        vec = {}
+        for k, coeff in enumerate(coefficients[offset:offset + len(rs.basis)].tolist()):
+            if abs(coeff) >= zero_threshold:
+                vec[k] = vec.get(k, 0j) + coeff
+        for p in sorted(pivots):
+            if p not in vec:
+                continue
+            amount = vec.pop(p)
+            for col, q in pivots[p].items():
+                if col == p:
+                    continue
+                vec[col] = vec.get(col, 0j) - amount * float(q)
+        for k in range(len(rs.basis)):
+            if k not in pivots and abs(vec.get(k, 0j)) >= zero_threshold:
+                out[offset + k] = vec.get(k, 0j)
+        offset += len(rs.basis)
+    return out
+
+
+def test_dense_reduce_equals_dict_reference():
+    rng = random.Random(6)
+    shapes = [(("strands", n), m) for n in (3, 4) for m in range(4)]
+    shapes += [(("circles", q), m) for q in (1, 2, 3) for m in range(5)]
+    for skeleton, max_degree in shapes:
+        size = graded_size(skeleton, max_degree)
+        for threshold in (1e-12, 0.0, 1e-3):
+            # entries of every scale, a third of them exactly zero
+            vec = np.array([
+                complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.choice((-14, -4, 0))
+                if rng.random() < 0.67 else 0j
+                for _ in range(size)
+            ])
+            dense = reduce(vec, skeleton, max_degree, threshold)
+            reference = _dict_reduce(vec, skeleton, max_degree, threshold)
+            expected = np.zeros(size, dtype=complex)
+            expected[list(reference)] = list(reference.values())
+            assert dense.tolist() == expected.tolist(), (skeleton, max_degree, threshold)
+
+
+def _word_index_rows(n_strands, degree):
+    """4T and disjoint-commutation rows built one HorizontalWord per term, the reference."""
+    basis = enumerate_words(n_strands, degree)
+    if degree < 2 or n_strands == 2:
+        return RelationSet(degree, basis, ())
+    index = {w: k for k, w in enumerate(basis)}
+    base_rows = []
+    strands = range(1, n_strands + 1)
+    for i in strands:
+        for j in strands:
+            for k in strands:
+                if not (i < j < k):
+                    continue
+                triple = [(i, j), (i, k), (j, k)]
+                for slide in triple:
+                    row = {}
+                    for other in [p for p in triple if p != slide]:
+                        row[(slide, other)] = row.get((slide, other), 0) + 1
+                        row[(other, slide)] = row.get((other, slide), 0) - 1
+                    base_rows.append(row)
+    pairs = [p.as_tuple() for p in all_pairs(n_strands)]
+    for a_idx, p in enumerate(pairs):
+        for q in pairs[a_idx + 1:]:
+            if not set(p) & set(q):
+                base_rows.append({(p, q): 1, (q, p): -1})
+    rows = []
+    for pos in range(degree - 1):
+        for prefix in enumerate_words(n_strands, pos):
+            for suffix in enumerate_words(n_strands, degree - 2 - pos):
+                for base in base_rows:
+                    row = {}
+                    for (low, high), coeff in base.items():
+                        col = index[HorizontalWord(n_strands, prefix.chords + (low, high) + suffix.chords)]
+                        row[col] = row.get(col, 0) + coeff
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        rows.append(row)
+    return RelationSet(degree, basis, _dedupe(rows))
+
+
+def test_horizontal_rows_equal_word_index_reference():
+    for n, top in ((3, 4), (4, 3), (5, 2)):
+        for m in range(top + 1):
+            built, reference = horizontal_relations(n, m), _word_index_rows(n, m)
+            assert built.basis == reference.basis
+            assert built.rows == reference.rows, (n, m)
 
 
 def test_circle_dimensions():

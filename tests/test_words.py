@@ -1,22 +1,21 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from kzbraid.circles import (
     CircleDiagram,
-    CircleSeries,
+    circle_basis,
     circle_series_from_json_dict,
     circle_series_to_json_dict,
 )
 from kzbraid.words import (
     ChordPair,
-    HorizontalSeries,
     HorizontalWord,
+    basis_words,
     enumerate_words,
-    ess_product,
     relabel_strands,
-    series_distance,
     series_from_json_dict,
     series_product,
     series_to_json_dict,
@@ -25,6 +24,19 @@ from kzbraid.words import (
 
 def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
+
+
+def series(n, max_degree, terms):
+    """Dense series over basis_words(n, max_degree) from {chord tuple: coefficient}."""
+    basis = basis_words(n, max_degree)
+    out = np.zeros(len(basis), dtype=complex)
+    for chords, coeff in terms.items():
+        out[basis.index(word(n, *chords))] += coeff
+    return out
+
+
+def unit(n, max_degree, *chords):
+    return series(n, max_degree, {chords: 1.0})
 
 
 def test_chord_pair_normalizes_order():
@@ -41,24 +53,25 @@ def test_word_validates_strand_bound():
 
 
 def test_ess_identity_and_order():
-    empty = word(2)
-    single = word(2, (1, 2))
-    assert ess_product(empty, single) == single
-    assert ess_product(single, empty) == single
-    a = word(3, (1, 2))
-    b = word(3, (2, 3))
-    assert ess_product(a, b) == word(3, (2, 3), (1, 2))
+    # the product of two words is the word with the left factor's chords on top
+    empty = unit(2, 1)
+    single = unit(2, 1, (1, 2))
+    assert np.array_equal(series_product(empty, single, 2, 1), single)
+    assert np.array_equal(series_product(single, empty, 2, 1), single)
+    a = unit(3, 2, (1, 2))
+    b = unit(3, 2, (2, 3))
+    assert np.array_equal(series_product(a, b, 3, 2), unit(3, 2, (2, 3), (1, 2)))
 
 
 def test_ess_noncommutative():
-    a = word(3, (1, 2))
-    b = word(3, (1, 3))
-    assert ess_product(a, b) != ess_product(b, a)
+    a = unit(3, 2, (1, 2))
+    b = unit(3, 2, (1, 3))
+    assert not np.array_equal(series_product(a, b, 3, 2), series_product(b, a, 3, 2))
 
 
 def test_ess_strand_mismatch():
     with pytest.raises(ValueError):
-        ess_product(word(2), word(3))
+        series_product(unit(2, 1), unit(3, 1), 2, 1)
 
 
 def test_enumerate_counts():
@@ -80,95 +93,65 @@ def test_enumerate_graded_lex_order():
 
 
 def test_ess_associativity_exhaustive():
-    for n in (2, 3, 4):
-        pool = [w for m in range(3) for w in enumerate_words(n, m)]
+    for n, top in ((2, 2), (3, 2), (4, 1)):
+        max_degree = 3 * top
+        pool = [w for m in range(top + 1) for w in enumerate_words(n, m)]
+        units = {w: unit(n, max_degree, *(c.as_tuple() for c in w.chords)) for w in pool}
         for a in pool:
             for b in pool:
-                ab = ess_product(a, b)
+                ab = series_product(units[a], units[b], n, max_degree)
+                stacked = b.chords + a.chords
+                assert np.array_equal(ab, unit(n, max_degree, *(c.as_tuple() for c in stacked)))
                 for c in pool:
-                    assert ess_product(ab, c) == ess_product(a, ess_product(b, c))
+                    left = series_product(ab, units[c], n, max_degree)
+                    bc = series_product(units[b], units[c], n, max_degree)
+                    assert np.array_equal(left, series_product(units[a], bc, n, max_degree))
 
 
 def test_series_identity_product():
-    one = HorizontalSeries.identity(3, 2)
-    b = HorizontalSeries(3, 2, {word(3, (1, 2)): 2.0, word(3, (1, 3), (2, 3)): 1j})
-    assert series_product(one, b).sup_diff(b) == 0.0
-    assert series_product(b, one).sup_diff(b) == 0.0
+    one = unit(3, 2)
+    b = series(3, 2, {((1, 2),): 2.0, ((1, 3), (2, 3)): 1j})
+    assert np.array_equal(series_product(one, b, 3, 2), b)
+    assert np.array_equal(series_product(b, one, 3, 2), b)
 
 
 def test_series_square_truncated():
-    a = HorizontalSeries(2, 2, {word(2): 1.0, word(2, (1, 2)): 0.5})
-    sq = series_product(a, a)
-    assert sq.coefficient(word(2)) == 1.0
-    assert sq.coefficient(word(2, (1, 2))) == 1.0
-    assert sq.coefficient(word(2, (1, 2), (1, 2))) == 0.25
+    a = series(2, 2, {(): 1.0, ((1, 2),): 0.5})
+    assert series_product(a, a, 2, 2).tolist() == [1.0, 1.0, 0.25]
 
 
 def test_series_product_associative_random():
     rng = random.Random(7)
 
     def random_series():
-        terms = {}
-        for m in range(3):
-            for w in enumerate_words(3, m):
-                if rng.random() < 0.5:
-                    terms[w] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        return HorizontalSeries(3, 2, terms)
+        values = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(13)]
+        return np.array([v if rng.random() < 0.5 else 0j for v in values])
 
     for _ in range(10):
         a, b, c = random_series(), random_series(), random_series()
-        left = series_product(series_product(a, b), c)
-        right = series_product(a, series_product(b, c))
-        assert left.sup_diff(right) < 1e-12
+        left = series_product(series_product(a, b, 3, 2), c, 3, 2)
+        right = series_product(a, series_product(b, c, 3, 2), 3, 2)
+        assert np.abs(left - right).max() < 1e-12
 
 
 def test_series_truncates_high_degree():
-    s = HorizontalSeries(2, 1, {word(2, (1, 2), (1, 2)): 5.0})
-    assert s.terms == {}
-
-
-def test_distance_examples():
-    one = HorizontalSeries.identity(2, 3)
-    assert series_distance(one, one) == 0.0
-    bumped = one + HorizontalSeries(2, 3, {word(2, (1, 2)): 1.0})
-    assert series_distance(one, bumped) == 0.5
-    zero_diff = HorizontalSeries(2, 3, {word(2): 1.0, word(2, (1, 2)): 1e-15})
-    assert series_distance(one, zero_diff) == 0.0
-
-
-def test_distance_ultrametric_random():
-    rng = random.Random(11)
-    values = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0]
-
-    def random_series():
-        terms = {}
-        for m in range(4):
-            for w in enumerate_words(2, m):
-                terms[w] = rng.choice(values)
-        return HorizontalSeries(2, 3, terms)
-
-    for _ in range(300):
-        a, b, c = random_series(), random_series(), random_series()
-        assert series_distance(a, b) <= max(series_distance(a, c), series_distance(c, b))
-        if series_distance(a, b) == 0.0:
-            assert a.sup_diff(b) <= 2e-12
+    chord = unit(2, 1, (1, 2))
+    assert series_product(chord, chord, 2, 1).tolist() == [0j, 0j]
 
 
 def test_relabel_strands():
-    s = HorizontalSeries(3, 2, {word(3, (1, 2)): 1.0, word(3, (2, 3), (1, 2)): 2.0})
-    swapped = relabel_strands(s, {1: 2, 2: 1, 3: 3})
-    assert swapped.coefficient(word(3, (1, 2))) == 1.0
-    assert swapped.coefficient(word(3, (1, 3), (1, 2))) == 2.0
+    s = series(3, 2, {((1, 2),): 1.0, ((2, 3), (1, 2)): 2.0})
+    swapped = relabel_strands(s, 3, 2, (2, 1, 3))
+    assert np.array_equal(swapped, series(3, 2, {((1, 2),): 1.0, ((1, 3), (1, 2)): 2.0}))
+    assert np.array_equal(relabel_strands(swapped, 3, 2, (2, 1, 3)), s)
 
 
 def test_json_round_trip():
-    s = HorizontalSeries(
-        3, 3, {word(3): 1.0, word(3, (1, 2)): 0.5 - 0.25j, word(3, (1, 3), (2, 3)): 1e-3j}
-    )
-    data = json.loads(json.dumps(series_to_json_dict(s)))
-    back = series_from_json_dict(data)
-    assert back.sup_diff(s) < 1e-15
+    s = series(3, 3, {(): 1.0, ((1, 2),): 0.5 - 0.25j, ((1, 3), (2, 3)): 1e-3j})
+    data = json.loads(json.dumps(series_to_json_dict(s, 3, 3)))
+    assert np.array_equal(series_from_json_dict(data), s)
     words_listed = [tuple(map(tuple, t["word"])) for t in data["terms"]]
+    assert len(words_listed) == 3
     assert words_listed == sorted(words_listed, key=lambda w: (len(w), w))
 
 
@@ -228,6 +211,7 @@ def test_json_readers_reject_malformed_input(reader, good, path, value):
 
 def test_circle_json_round_trip():
     diagram = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
-    s = CircleSeries(2, 2, {diagram: 0.25 - 1j})
-    back = circle_series_from_json_dict(json.loads(json.dumps(circle_series_to_json_dict(s))))
-    assert back.sup_diff(s) == 0.0
+    s = np.zeros(len(circle_basis(2, 2)), dtype=complex)
+    s[circle_basis(2, 2).index(diagram)] = 0.25 - 1j
+    back = circle_series_from_json_dict(json.loads(json.dumps(circle_series_to_json_dict(s, 2, 2))))
+    assert np.array_equal(back, s)
