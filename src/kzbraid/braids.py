@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 
 @dataclass(frozen=True)

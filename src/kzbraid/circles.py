@@ -3,10 +3,12 @@
 Endpoint slots on each circle are taken up to cyclic rotation (orientation
 preserving only, no reflections); diagrams are stored in a canonical form so
 structural equality is diagram equality.  Circles are numbered, so they are
-never permuted.  Enumeration, the 4T rows and the closure's projection find
-diagrams by orbit_key, an integer tuple computed from a layout, through one
-key -> basis position map per (circles, degree).  A series on q circles is a
-dense vector over circle_basis(q, M), the diagrams of each degree in turn.
+never permuted.  Enumeration keys each raw matching by orbit_key, an integer
+tuple computed from a layout.  The 4T rows and the closure's projection find
+a diagram's basis position through layout_position only: one memo over flat
+layouts relabeled by first appearance, backed by one orbit_key -> position
+map per (circles, degree).  A series on q circles is a dense vector over
+circle_basis(q, M), the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-import numpy as np
-
+from ._lazy import np
 from .words import ZERO_THRESHOLD, malformed_json
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
@@ -264,6 +265,24 @@ def orbit_positions(n_circles: int, degree: int):
     """orbit_key of each degree-m diagram -> its enumerate_circle_diagrams position."""
     basis = enumerate_circle_diagrams(n_circles, degree)
     return {orbit_key(d.to_layout()): k for k, d in enumerate(basis)}
+
+
+@lru_cache(maxsize=1 << 16)
+def layout_position(layout):
+    """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
+
+    layout is one flat tuple: each circle's chord labels followed by -1,
+    labels numbered 0, 1, ... by first appearance, so every layout drawn
+    alike shares one cache entry.  The 4T rows and the closure's tau index
+    both find diagrams through this one lookup.
+    """
+    circles = [[]]
+    for label in layout[:-1]:
+        if label < 0:
+            circles.append([])
+        else:
+            circles[-1].append(label)
+    return orbit_positions(len(circles), (len(layout) - len(circles)) // 2)[orbit_key(circles)]
 
 
 @lru_cache(maxsize=None)

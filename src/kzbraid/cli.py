@@ -13,10 +13,10 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .braids import BraidParseError, parse_braid_word, permutation_of, realize
 from .circles import check_circle_budget, circle_series_to_json_dict
 from .closure import close_braid, closure_skeleton
@@ -72,7 +72,10 @@ def _build_parser():
     compute.add_argument("--steps", type=int, default=_default_steps())
     compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
     compute.add_argument("--close", action="store_true", help="also reduce the closure")
-    compute.add_argument("--zero-threshold", type=float, default=1e-12)
+    compute.add_argument(
+        "--zero-threshold", type=float, default=1e-12,
+        help="list terms of modulus at least this, a number >= 0 (default 1e-12)",
+    )
 
     verify = sub.add_parser("verify", help="run one consistency check")
     verify.add_argument("check", help="|".join(sorted(_CHECKS)))
@@ -104,10 +107,20 @@ def _cmd_compute(args):
         raise ValidationError("need at least 2 strands")
     if args.max_degree < 0 or args.steps < 1:
         raise ValidationError("need max-degree >= 0 and steps >= 1")
+    if not args.zero_threshold >= 0:  # NaN fails every comparison
+        raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
     check_word_budget(args.strands, args.max_degree)
     word = parse_braid_word(args.word, args.strands)
     if args.close:
         check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
+    # opened before any work or output, so an unwritable path prints nothing
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
+        sink.write(_compute_json(args, word))
+    return EXIT_OK
+
+
+def _compute_json(args, word):
+    """Write the term table to stdout and return the JSON text."""
     holonomy = kontsevich_of_braid(word, args.max_degree, args.steps)
     # Python's abs, whose digits the table prints (np.abs can differ in the
     # last bit); kept terms stay in basis order
@@ -142,12 +155,7 @@ def _cmd_compute(args):
         text = f'{{\n  "braid": {braid},\n  "link": {link_text}\n}}\n'
     else:
         text = series_json_text(args.strands, args.max_degree, terms) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return text
 
 
 def _reduced_difference(texts, strands, max_degree, steps):

@@ -5,7 +5,9 @@ components are the cycles of the strand permutation.  A word's chords map to
 chords on the component circles: walk each component from its lowest strand,
 reading the feet on every strand bottom to top, then cross the closure arc to
 the next strand.  Chords among closure arcs and long chords contribute
-nothing and are never produced.
+nothing and are never produced.  The word-to-diagram index finds each
+diagram through circles.layout_position, the one layout lookup the circle
+4T rows use too.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import np
 from .braids import BraidWord, permutation_of
-from .circles import circle_basis, enumerate_circle_diagrams, orbit_key, orbit_positions
+from .circles import circle_basis, enumerate_circle_diagrams, layout_position
 from .relations import reduce
 from .transport import kontsevich_of_braid
 from .words import ZERO_THRESHOLD, all_pairs
@@ -48,22 +49,6 @@ class ClosureResult:
     reduced: np.ndarray
 
 
-@lru_cache(maxsize=1 << 16)
-def _layout_position(layout):
-    """Position of the diagram drawn by a layout in its degree's basis.
-
-    layout lists each circle's chord labels followed by -1, labels numbered
-    by first appearance, so braid words whose feet fall alike share an entry.
-    """
-    circles = [[]]
-    for label in layout[:-1]:
-        if label < 0:
-            circles.append([])
-        else:
-            circles[-1].append(label)
-    return orbit_positions(len(circles), (len(layout) - len(circles)) // 2)[orbit_key(circles)]
-
-
 @lru_cache(maxsize=64)
 def _tau_index(n_strands, max_degree, cycles):
     """Graded circle-basis position of tau of each word of basis_words, read-only.
@@ -90,7 +75,7 @@ def _tau_index(n_strands, max_degree, cycles):
             for cycle in cycles:
                 layout.extend(first.setdefault(h, len(first)) for s in cycle for h in feet[s - 1])
                 layout.append(-1)
-            index.append(offset + _layout_position(tuple(layout)))
+            index.append(offset + layout_position(tuple(layout)))
         offset += len(enumerate_circle_diagrams(len(cycles), height))
     out = np.array(index, dtype=np.intp)
     out.flags.writeable = False

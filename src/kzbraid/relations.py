@@ -6,7 +6,8 @@ content divided out after each combination, and the echelon rows become
 exact Fractions once, at the end.  A dense series is reduced by pushing its
 coefficients through the echelon rows, kept as floats.  Horizontal 4T rows
 compute each term's basis index from its chords' pair indices; circle 4T
-rows find it by orbit_key, with no canonical diagram built per term.
+rows find it through circles.layout_position, the memoized layout lookup the
+closure's tau index shares, with no canonical diagram built per term.
 Echelon forms and their float rows are cached per (skeleton, degree) and
 are safe for concurrent reads once built.
 """
@@ -17,9 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
-
-from .circles import enumerate_circle_diagrams, orbit_key, orbit_positions
+from ._lazy import np
+from .circles import enumerate_circle_diagrams, layout_position
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 
 
@@ -167,51 +167,40 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-def _circle_four_term_rows(diagram, positions):
+def _circle_four_term_rows(diagram):
     """4T rows seeded at every adjacent pair of feet of distinct chords.
 
     With chord a = (x, y) fixed and the sliding foot u of another chord, the
     relation reads D(u after x) - D(u before x) + D(u after y) - D(u before y),
-    'after' meaning forward along the circle orientation.  positions maps
-    each term's orbit_key to its basis index.
+    'after' meaning forward along the circle orientation.  Layouts are flat
+    label lists with -1 closing each circle; each term is relabeled by first
+    appearance and found by layout_position.
     """
     layout = diagram.to_layout()
+    flat = [label for circle in layout for label in circle + [-1]]
     rows = []
-    for c, circle in enumerate(layout):
+    start = 0  # flat index of the circle's first slot
+    for circle in layout:
         n = len(circle)
-        if n < 2:
-            continue
         for s in range(n):
             b = circle[s]
             a = circle[(s + 1) % n]
             if a == b:
                 continue
-            removed = list(layout)
-            removed[c] = circle[:s] + circle[s + 1:]
+            removed = flat[:start + s] + flat[start + s + 1:]
             # a's foot that was adjacent, repositioned after dropping slot s
-            x = (c, s) if s + 1 < n else (c, 0)
-            feet_a = [
-                (cc, ss)
-                for cc, cir in enumerate(removed)
-                for ss, label in enumerate(cir)
-                if label == a
-            ]
-            y = next(f for f in feet_a if f != x)
+            x = start + s if s + 1 < n else start
+            y = next(i for i, label in enumerate(removed) if label == a and i != x)
             row = {}
-            for (tc, ts), offset, sign in (
-                (x, 1, 1),
-                (x, 0, -1),
-                (y, 1, 1),
-                (y, 0, -1),
-            ):
-                lay = list(removed)
-                at = ts + offset
-                lay[tc] = removed[tc][:at] + [b] + removed[tc][at:]
-                k = positions[orbit_key(lay)]
+            for at, sign in ((x + 1, 1), (x, -1), (y + 1, 1), (y, -1)):
+                first = {-1: -1}  # circle ends stay -1, labels count from 0
+                term = removed[:at] + [b] + removed[at:]
+                k = layout_position(tuple([first.setdefault(label, len(first) - 1) for label in term]))
                 row[k] = row.get(k, 0) + sign
             row = {k: v for k, v in row.items() if v}
             if row:
                 rows.append(row)
+        start += n + 1
     return rows
 
 
@@ -225,9 +214,8 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     basis = enumerate_circle_diagrams(n_circles, degree)
     rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
     if degree >= 2:
-        positions = orbit_positions(n_circles, degree)
         for diagram in basis:
-            rows.extend(_circle_four_term_rows(diagram, positions))
+            rows.extend(_circle_four_term_rows(diagram))
     return RelationSet(degree, basis, _dedupe(rows))
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-import numpy as np
-
+from ._lazy import np
 from .braids import BraidWord, ConfigLoop, realize
 from .words import (
     HorizontalWord,

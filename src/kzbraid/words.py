@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
+from ._lazy import np
 
 ZERO_THRESHOLD = 1e-12
 # Largest word basis sum_{m<=M} P**m a request may build.  A compute request

@@ -52,11 +52,20 @@ def test_compute_json_round_trip(capsys, tmp_path):
 
 def test_compute_unwritable_output_is_validation_error(capsys, tmp_path):
     target = tmp_path / "missing" / "z.json"
-    code, _, err = run(capsys, "compute", "-n", "2", "-w", "1", "-m", "1", "-o", str(target))
+    code, out, err = run(capsys, "compute", "-n", "2", "-w", "1", "-m", "1", "-o", str(target))
     assert code == 1
+    assert out == ""  # the file is opened before the table is printed
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(target) in err
     assert not target.parent.exists()
+
+
+def test_compute_refuses_nan_or_negative_zero_threshold(capsys):
+    for value in ("nan", "-1", "-inf", "-0.5"):
+        code, out, err = run(capsys, "compute", "-n", "3", "-w", "1", "-m", "2", f"--zero-threshold={value}")
+        assert code == 1, value
+        assert out == ""
+        assert err.startswith("error: need zero-threshold >= 0") and err.count("\n") == 1
 
 
 def test_compute_deterministic_bytes(capsys, tmp_path):
@@ -283,6 +292,50 @@ def test_compute_zero_threshold_below_default_keeps_small_terms(capsys):
         assert len(json.loads("{" + document)["terms"]) == count
 
 
+def _child_env():
+    """os.environ with this kzbraid first on PYTHONPATH and one BLAS thread."""
+    src = str(Path(kzbraid.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+_FRESH_COMPUTE = ["compute", "-n", "3", "-w", "1 -2 1", "-m", "3", "--steps", "64", "--close"]
+_FRESH_SCRIPT = f"""
+import contextlib, io, json, sys
+from kzbraid.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue()
+
+exact = [run(argv) for argv in (["dims", "--strands", "3", "-m", "3"], ["dims", "--circles", "2", "-m", "3"], ["--help"])]
+loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": run({_FRESH_COMPUTE!r})}}, sys.stdout)
+"""
+
+
+def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
+    # pytest has numpy loaded already, so only a fresh process shows the deferral
+    done = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    report = json.loads(done.stdout)
+    assert report["numpy_loaded"] == []
+    dims_strands, dims_circles, usage = report["exact"]
+    assert dims_strands == [0, "0:1 1:3 2:7 3:15\n"]
+    assert dims_circles == [0, run(capsys, "dims", "--circles", "2", "-m", "3")[1]]
+    assert usage[0] == 0 and usage[1].startswith("usage: kzbraid")
+    code, out, _ = run(capsys, *_FRESH_COMPUTE)
+    assert code == 0
+    assert report["compute"] == [code, out]
+
+
 def _cap_address_space():
     limit = 2 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -294,12 +347,9 @@ def _run_capped(*argv):
     An over-large request that gets past the budget check then ends in a
     MemoryError traceback instead of exhausting the machine's memory.
     """
-    src = str(Path(kzbraid.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "kzbraid.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
+        capture_output=True, text=True, env=_child_env(), preexec_fn=_cap_address_space, timeout=120,
     )
 
 

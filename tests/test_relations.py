@@ -15,6 +15,7 @@ from kzbraid.circles import (
 )
 from kzbraid.relations import (
     RelationSet,
+    _circle_four_term_rows,
     _dedupe,
     circle_relations,
     free_positions,
@@ -231,6 +232,49 @@ def test_horizontal_rows_equal_word_index_reference():
             built, reference = horizontal_relations(n, m), _word_index_rows(n, m)
             assert built.basis == reference.basis
             assert built.rows == reference.rows, (n, m)
+
+
+def _orbit_key_four_term_rows(diagram):
+    """4T rows of one diagram, each term found by orbit_positions[orbit_key], the reference."""
+    positions = orbit_positions(diagram.n_circles, diagram.degree)
+    layout = diagram.to_layout()
+    rows = []
+    for c, circle in enumerate(layout):
+        n = len(circle)
+        for s in range(n):
+            b, a = circle[s], circle[(s + 1) % n]
+            if a == b:
+                continue
+            removed = list(layout)
+            removed[c] = circle[:s] + circle[s + 1:]
+            x = (c, s) if s + 1 < n else (c, 0)
+            feet_a = [(cc, ss) for cc, cir in enumerate(removed) for ss, label in enumerate(cir) if label == a]
+            y = next(f for f in feet_a if f != x)
+            row = {}
+            for (tc, ts), offset, sign in ((x, 1, 1), (x, 0, -1), (y, 1, 1), (y, 0, -1)):
+                lay = list(removed)
+                lay[tc] = removed[tc][:ts + offset] + [b] + removed[tc][ts + offset:]
+                k = positions[orbit_key(lay)]
+                row[k] = row.get(k, 0) + sign
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def test_circle_rows_equal_orbit_key_reference():
+    # the memoized layout_position against a fresh orbit_key per term
+    for q, top in ((1, 6), (2, 4), (3, 4)):
+        for m in range(top + 1):
+            basis = enumerate_circle_diagrams(q, m)
+            rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
+            for diagram in basis:
+                four_term = _orbit_key_four_term_rows(diagram) if m >= 2 else []
+                assert _circle_four_term_rows(diagram) == four_term, (q, m, diagram)
+                rows += four_term
+            built, reference = circle_relations(q, m), RelationSet(m, basis, _dedupe(rows))
+            assert built.rows == reference.rows, (q, m)
+            assert built.echelon() == reference.echelon(), (q, m)
 
 
 def test_circle_dimensions():
