@@ -154,8 +154,6 @@ class ConfigLoop:
     n_strands: int
     segments: tuple
     breaks: tuple  # cumulative segment end times, last equals 1.0
-    letters: tuple
-    end_positions: tuple  # exact integer slot of each strand at t = 1
 
 
 def realize(word: BraidWord, durations=None) -> ConfigLoop:
@@ -169,7 +167,7 @@ def realize(word: BraidWord, durations=None) -> ConfigLoop:
     if not word.letters:
         start = tuple(complex(k) for k in range(n))
         arc = _Arc(start, None, 0.0, 1)
-        return ConfigLoop(n, (arc,), (1.0,), (), tuple(range(1, n + 1)))
+        return ConfigLoop(n, (arc,), (1.0,))
     if durations is None:
         durations = [1.0] * len(word.letters)
     durations = [float(d) for d in durations]
@@ -194,5 +192,4 @@ def realize(word: BraidWord, durations=None) -> ConfigLoop:
         acc += dur / total
         breaks.append(acc)
     breaks[-1] = 1.0
-    end_positions = tuple(slot_of[strand] + 1 for strand in range(1, n + 1))
-    return ConfigLoop(n, tuple(segments), tuple(breaks), word.letters, end_positions)
+    return ConfigLoop(n, tuple(segments), tuple(breaks))

@@ -1,21 +1,20 @@
 """Chord diagrams on disjoint oriented circles.
 
 Endpoint slots on each circle are taken up to cyclic rotation (orientation
-preserving only, no reflections); diagrams are stored in a canonical form so
-structural equality is diagram equality.  Circles are numbered, so they are
-never permuted.  Enumeration keys each raw matching by orbit_key, an integer
-tuple computed from a layout.  The 4T rows and the closure's projection find
-a diagram's basis position through layout_position only: one memo over flat
-layouts relabeled by first appearance, backed by one orbit_key -> position
-map per (circles, degree).  A series on q circles is a dense vector over
-circle_basis(q, M), the diagrams of each degree in turn.
+preserving only, no reflections); circles are numbered, so they are never
+permuted.  A diagram's one identity is its orbit_key, an integer tuple
+computed from a layout; a CircleDiagram is one drawing, and == compares
+drawings.  Enumeration keeps the first drawing it meets per key.  The 4T rows
+and the closure's projection find basis positions through layout_position,
+which alone renumbers flat layouts for its memo.  A series on q circles is a
+dense vector over circle_basis(q, M), the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate
 from math import comb
 
 from ._lazy import np
@@ -30,8 +29,8 @@ MAX_CIRCLE_MATCHINGS = 2**18
 class CircleDiagram:
     """Perfect matching on endpoint slots, slots[c] of them on circle c.
 
-    chords is a tuple of ((circle, slot), (circle, slot)) pairs.  The stored
-    representative is minimal under independent rotations of each circle.
+    chords is a sorted tuple of sorted ((circle, slot), (circle, slot))
+    pairs: one drawing, unequal to its rotations; orbit_key identifies it.
     """
 
     slots: tuple
@@ -39,10 +38,10 @@ class CircleDiagram:
 
     def __post_init__(self):
         slots = tuple(int(s) for s in self.slots)
-        chords = tuple(
+        chords = tuple(sorted(
             tuple(sorted(((int(c1), int(s1)), (int(c2), int(s2)))))
             for (c1, s1), (c2, s2) in self.chords
-        )
+        ))
         seen = set()
         for foot in [f for ch in chords for f in ch]:
             c, s = foot
@@ -53,7 +52,6 @@ class CircleDiagram:
             seen.add(foot)
         if len(seen) != sum(slots):
             raise ValueError("chords must cover every slot exactly once")
-        slots, chords = _canonical(slots, chords)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "chords", chords)
 
@@ -79,9 +77,6 @@ class CircleDiagram:
     def n_circles(self):
         return len(self.slots)
 
-    def sort_key(self):
-        return (self.degree, self.slots, self.chords)
-
     def to_layout(self):
         """Per-circle slot lists holding the index of the owning chord."""
         layout = [[None] * n for n in self.slots]
@@ -102,24 +97,6 @@ class CircleDiagram:
 
     def __repr__(self):
         return f"<circles {self.slots} chords {self.chords}>"
-
-
-def _canonical(slots, chords):
-    """Minimal chord tuple over independent rotations of every circle."""
-    best = None
-    ranges = [range(n) if n else range(1) for n in slots]
-    for shifts in product(*ranges):
-        rotated = tuple(
-            sorted(
-                tuple(
-                    sorted(((c, (s - shifts[c]) % slots[c]) for c, s in chord))
-                )
-                for chord in chords
-            )
-        )
-        if best is None or rotated < best:
-            best = rotated
-    return slots, tuple(tuple(ch) for ch in (best or ()))
 
 
 def orbit_key(circles):
@@ -242,10 +219,10 @@ def check_circle_budget(n_circles: int, max_degree: int):
 
 @lru_cache(maxsize=None)
 def enumerate_circle_diagrams(n_circles: int, degree: int):
-    """All degree-m diagrams on q numbered circles, canonical and sorted.
+    """All degree-m diagrams on q numbered circles, sorted, one drawing each.
 
-    Each raw matching is reduced to its orbit_key; one CircleDiagram is
-    built per orbit.
+    Slot splits and, within one, matchings are walked in increasing order,
+    so the first drawing met per orbit_key is the least over rotations.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
@@ -257,7 +234,7 @@ def enumerate_circle_diagrams(n_circles: int, degree: int):
             key = orbit_key(circles)
             if key not in found:
                 found[key] = CircleDiagram.from_layout(circles)
-    return tuple(sorted(found.values(), key=CircleDiagram.sort_key))
+    return tuple(found.values())
 
 
 @lru_cache(maxsize=None)
@@ -267,15 +244,19 @@ def orbit_positions(n_circles: int, degree: int):
     return {orbit_key(d.to_layout()): k for k, d in enumerate(basis)}
 
 
-@lru_cache(maxsize=1 << 16)
 def layout_position(layout):
     """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
 
-    layout is one flat tuple: each circle's chord labels followed by -1,
-    labels numbered 0, 1, ... by first appearance, so every layout drawn
-    alike shares one cache entry.  The 4T rows and the closure's tau index
-    both find diagrams through this one lookup.
+    layout is one flat sequence: each circle's chord labels (ints >= 0, each
+    twice) followed by -1.  Labels are renumbered by first appearance in
+    front of the memo, so every layout drawn alike shares one cache entry.
     """
+    first = {-1: -1}  # circle ends stay -1, labels count from 0
+    return _relabeled_position(tuple([first.setdefault(label, len(first) - 1) for label in layout]))
+
+
+@lru_cache(maxsize=1 << 16)
+def _relabeled_position(layout):
     circles = [[]]
     for label in layout[:-1]:
         if label < 0:
@@ -332,14 +313,18 @@ def circle_series_from_json_dict(data: dict) -> np.ndarray:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         check_circle_budget(n_circles, max_degree)
-        basis = circle_basis(n_circles, max_degree)
-        position = {diagram: k for k, diagram in enumerate(basis)}
-        out = np.zeros(len(basis), dtype=complex)
+        sizes = [len(enumerate_circle_diagrams(n_circles, m)) for m in range(max_degree + 1)]
+        offsets = list(accumulate(sizes, initial=0))
+        out = np.zeros(offsets[-1], dtype=complex)
         for entry in data["terms"]:
             diagram = CircleDiagram(
                 tuple(entry["slots"]),
                 tuple((tuple(f1), tuple(f2)) for f1, f2 in entry["word"]),
             )
-            if diagram.degree <= max_degree:
-                out[position[diagram]] += complex(entry["re"], entry["im"])
+            if diagram.n_circles != n_circles:
+                raise ValueError(f"term on {diagram.n_circles} circles in a series on {n_circles}")
+            m = diagram.degree
+            if m <= max_degree:
+                k = offsets[m] + orbit_positions(n_circles, m)[orbit_key(diagram.to_layout())]
+                out[k] += complex(entry["re"], entry["im"])
         return out

@@ -71,11 +71,11 @@ def _tau_index(n_strands, max_degree, cycles):
                     grown.append(feet_up)
             level = grown
         for feet in level:
-            first, layout = {}, []
+            layout = []
             for cycle in cycles:
-                layout.extend(first.setdefault(h, len(first)) for s in cycle for h in feet[s - 1])
+                layout.extend(h for s in cycle for h in feet[s - 1])
                 layout.append(-1)
-            index.append(offset + layout_position(tuple(layout)))
+            index.append(offset + layout_position(layout))
         offset += len(enumerate_circle_diagrams(len(cycles), height))
     out = np.array(index, dtype=np.intp)
     out.flags.writeable = False
@@ -101,7 +101,7 @@ def tau_project(coefficients, word: BraidWord) -> np.ndarray:
     The k-th chord of a word (in height order) puts one foot on the circle of
     each strand it touches; feet along one circle follow the component
     traversal and, within a strand, increasing height.  Linear in the
-    coefficients; canonical rotations applied by construction.
+    coefficients; rotated drawings of one diagram share its basis position.
 
     coefficients is a dense series over basis_words (as kontsevich_of_braid
     returns it), projected as given, so zero the terms a threshold drops

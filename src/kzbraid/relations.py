@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from ._lazy import np
 from .circles import enumerate_circle_diagrams, layout_position
@@ -26,7 +26,7 @@ from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 class RelationSet:
     """Sparse relations over a fixed basis of one degree.
 
-    rows are dicts column -> entry, entries ints or Fractions.
+    rows are dicts column -> entry, entries ints.
     """
 
     def __init__(self, degree, basis, rows):
@@ -49,8 +49,7 @@ class RelationSet:
         if self._echelon is None:
             pivots = {}
             for raw in self.rows:
-                scale = lcm(*(v.denominator for _, v in raw))
-                row = {c: int(v * scale) for c, v in raw}
+                row = dict(raw)
                 while row:
                     lead = min(row)
                     if lead in pivots:
@@ -173,8 +172,8 @@ def _circle_four_term_rows(diagram):
     With chord a = (x, y) fixed and the sliding foot u of another chord, the
     relation reads D(u after x) - D(u before x) + D(u after y) - D(u before y),
     'after' meaning forward along the circle orientation.  Layouts are flat
-    label lists with -1 closing each circle; each term is relabeled by first
-    appearance and found by layout_position.
+    label lists with -1 closing each circle, each term found by
+    layout_position.
     """
     layout = diagram.to_layout()
     flat = [label for circle in layout for label in circle + [-1]]
@@ -193,9 +192,7 @@ def _circle_four_term_rows(diagram):
             y = next(i for i, label in enumerate(removed) if label == a and i != x)
             row = {}
             for at, sign in ((x + 1, 1), (x, -1), (y + 1, 1), (y, -1)):
-                first = {-1: -1}  # circle ends stay -1, labels count from 0
-                term = removed[:at] + [b] + removed[at:]
-                k = layout_position(tuple([first.setdefault(label, len(first) - 1) for label in term]))
+                k = layout_position(removed[:at] + [b] + removed[at:])
                 row[k] = row.get(k, 0) + sign
             row = {k: v for k, v in row.items() if v}
             if row:
@@ -280,9 +277,7 @@ def quotient_dimension(degree: int, *, strands: int | None = None, circles: int 
     if (strands is None) == (circles is None):
         raise ValueError("give exactly one of strands= or circles=")
     if strands is not None:
-        if degree < 2 or strands == 2:
-            return len(enumerate_words(strands, degree))
         rs = horizontal_relations(strands, degree)
-        return len(rs.basis) - rs.rank
-    rs = circle_relations(circles, degree)
+    else:
+        rs = circle_relations(circles, degree)
     return len(rs.basis) - rs.rank

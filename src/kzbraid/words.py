@@ -69,10 +69,6 @@ class HorizontalWord:
     def degree(self):
         return len(self.chords)
 
-    def sort_key(self):
-        """Graded order, then lexicographic on the chord tuples."""
-        return (len(self.chords), tuple(c.as_tuple() for c in self.chords))
-
     def __repr__(self):
         body = "".join(f"({c.i},{c.j})" for c in self.chords) or "1"
         return f"<{body} on {self.n_strands}>"

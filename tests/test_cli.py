@@ -18,6 +18,7 @@ from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_from_json_dict
 from kzbraid.transport import MAX_STEPS, _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
+from reference_orders import word_sort_key
 
 
 def run(capsys, *argv):
@@ -233,7 +234,7 @@ def _reference_stdout(strands, letters, max_degree, steps, close, threshold):
         w: c for w, c in zip(basis_words(strands, max_degree), holonomy.tolist()) if abs(c) >= threshold
     }
     lines = [f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg"]
-    for w, c in sorted(terms.items(), key=lambda item: item[0].sort_key()):
+    for w, c in sorted(terms.items(), key=lambda item: word_sort_key(item[0])):
         chords = "".join(f"({p.i},{p.j})" for p in w.chords) or "1"
         lines.append(
             f"{w.degree:>3}  {chords:<24}  {abs(c):<22.16g}  {math.atan2(c.imag, c.real):.16g}"
@@ -243,7 +244,7 @@ def _reference_stdout(strands, letters, max_degree, steps, close, threshold):
         "max_degree": max_degree,
         "terms": [
             {"word": [list(p.as_tuple()) for p in w.chords], "re": c.real, "im": c.imag}
-            for w, c in sorted(terms.items(), key=lambda item: item[0].sort_key())
+            for w, c in sorted(terms.items(), key=lambda item: word_sort_key(item[0]))
         ],
     }
     if close:

@@ -9,6 +9,7 @@ from kzbraid.circles import CircleDiagram, circle_basis
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import HorizontalWord, basis_words
+from reference_orders import canonical
 
 STEPS = 192
 
@@ -93,7 +94,7 @@ def test_tau_rejects_mismatched_skeleton():
 
 
 def _tau_reference(coefficients, w, max_degree):
-    """tau word by word: feet per strand, one CircleDiagram.from_layout each."""
+    """tau word by word: feet per strand, one canonical CircleDiagram each."""
     skeleton = closure_skeleton(w)
     out = {}
     for hword, coeff in zip(basis_words(w.n_strands, max_degree), coefficients.tolist()):
@@ -104,7 +105,7 @@ def _tau_reference(coefficients, w, max_degree):
             feet[chord.i].append(height)
             feet[chord.j].append(height)
         layout = [[h for strand in cycle for h in feet[strand]] for cycle in skeleton.components]
-        diagram = CircleDiagram.from_layout(layout)
+        diagram = canonical(CircleDiagram.from_layout(layout))
         out[diagram] = out.get(diagram, 0j) + coeff
     return {d: c for d, c in out.items() if c}
 

@@ -8,8 +8,10 @@ import pytest
 from kzbraid.circles import (
     CircleDiagram,
     circle_basis,
+    circle_series_from_json_dict,
     count_circle_matchings,
     enumerate_circle_diagrams,
+    layout_position,
     orbit_key,
     orbit_positions,
 )
@@ -24,6 +26,7 @@ from kzbraid.relations import (
     reduce,
 )
 from kzbraid.words import HorizontalWord, all_pairs, basis_words, enumerate_words
+from reference_orders import canonical, diagram_sort_key, rotations
 
 
 def word(n, *chords):
@@ -307,18 +310,44 @@ def test_prequotient_two_strand_dims():
     assert [quotient_dimension(m, strands=2) for m in range(4)] == [1, 1, 1, 1]
 
 
+def _check_rotations_share_one_position(diagram, n_drawings):
+    """Every rotated drawing of diagram finds the position of its canonical drawing.
+
+    Both lookups are checked: layout_position on the flat layout and
+    circle_series_from_json_dict on a one-term document.
+    """
+    q, m = diagram.n_circles, diagram.degree
+    basis = enumerate_circle_diagrams(q, m)
+    expected = basis.index(canonical(diagram))
+    offset = len(circle_basis(q, m - 1))
+    drawings = rotations(diagram)
+    assert len(drawings) == n_drawings  # the rotations draw distinct chord sets
+    for drawing in drawings:
+        flat = [label for circle in drawing.to_layout() for label in circle + [-1]]
+        assert layout_position(flat) == expected, drawing
+        document = {
+            "circles": q,
+            "max_degree": m,
+            "terms": [{
+                "slots": list(drawing.slots),
+                "word": [[list(f1), list(f2)] for f1, f2 in drawing.chords],
+                "re": 1.0,
+                "im": 0.0,
+            }],
+        }
+        assert np.flatnonzero(circle_series_from_json_dict(document)).tolist() == [offset + expected]
+
+
 def test_circle_canonicalization_rotation_invariant():
-    base = CircleDiagram((4,), (((0, 0), (0, 2)), ((0, 1), (0, 3))))
-    rotated = CircleDiagram((4,), (((0, 1), (0, 3)), ((0, 2), (0, 0))))
-    shifted = CircleDiagram((4,), (((0, 3), (0, 1)), ((0, 0), (0, 2))))
-    assert base == rotated == shifted
+    # one isolated chord and two crossing ones: each rotation moves the isolated chord
+    diagram = CircleDiagram((6,), (((0, 0), (0, 1)), ((0, 2), (0, 4)), ((0, 3), (0, 5))))
+    _check_rotations_share_one_position(diagram, 6)
 
 
 def test_circle_two_circle_rotations_independent():
-    a = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
-    b = CircleDiagram((2, 2), (((0, 1), (1, 1)), ((0, 0), (1, 0))))
-    c = CircleDiagram((2, 2), (((0, 1), (1, 0)), ((0, 0), (1, 1))))
-    assert a == b == c  # rotating one circle by one step maps the matchings onto each other
+    # rotating circle 1 alone swaps the feet of the two chords between circles
+    diagram = CircleDiagram((4, 2), (((0, 0), (0, 1)), ((0, 2), (1, 0)), ((0, 3), (1, 1))))
+    _check_rotations_share_one_position(diagram, 8)
 
 
 def test_quotient_dimension_argument_check():
@@ -390,7 +419,8 @@ def _raw_matchings(feet):
 
 
 def test_orbit_keyed_basis_matches_brute_force():
-    # one CircleDiagram per raw matching, every rotation of every diagram included
+    # every raw matching, every rotation of every diagram included, against
+    # the brute-force least rotation and the (degree, slots, chords) order
     for q, top in ((1, 5), (2, 4), (3, 3), (4, 3)):
         walked = 0
         for m in range(top + 1):
@@ -403,12 +433,12 @@ def test_orbit_keyed_basis_matches_brute_force():
                 feet = tuple((c, s) for c, n in enumerate(slots) for s in range(n))
                 for matching in _raw_matchings(feet):
                     walked += 1
-                    diagram = CircleDiagram(slots, matching)
+                    diagram = canonical(CircleDiagram(slots, matching))
                     layout = [[None] * n for n in slots]
                     for label, chord in enumerate(matching):
                         for c, s in chord:
                             layout[c][s] = label
                     assert basis[positions[orbit_key(layout)]] == diagram
                     found.add(diagram)
-            assert basis == tuple(sorted(found, key=CircleDiagram.sort_key))
+            assert basis == tuple(sorted(found, key=diagram_sort_key))
         assert walked == count_circle_matchings(q, top)

@@ -251,12 +251,12 @@ def test_abelian_single_generator_exact_match():
 
 def test_transport_error_on_collision():
     arc = _Arc((0j, 0j), None, 0.0, 1)
-    broken = ConfigLoop(2, (arc,), (1.0,), (), (1, 2))
+    broken = ConfigLoop(2, (arc,), (1.0,))
     # in the two-segment loop the first segment passes the finiteness check
     # and the message names the second
     good = realize(parse_braid_word("1", 3)).segments[0]
     collided = _Arc((0j, 0j, 2 + 0j), None, 0.0, 1)
-    second = ConfigLoop(3, (good, collided), (0.25, 1.0), (), (1, 2, 3))
+    second = ConfigLoop(3, (good, collided), (0.25, 1.0))
     cases = (
         (broken, 1, 4, "segment ending at t=1.0 (segment start t=0.0)"),
         (second, 1, 1, "segment ending at t=1.0 (segment start t=0.25)"),

@@ -20,6 +20,7 @@ from kzbraid.words import (
     series_product,
     series_to_json_dict,
 )
+from reference_orders import word_sort_key
 
 
 def word(n, *chords):
@@ -87,7 +88,7 @@ def test_enumerate_counts():
 
 def test_enumerate_graded_lex_order():
     words = enumerate_words(3, 2)
-    keys = [w.sort_key() for w in words]
+    keys = [word_sort_key(w) for w in words]
     assert keys == sorted(keys)
     assert len(set(words)) == len(words)
 
@@ -200,6 +201,7 @@ def _with(document, path, value):
         (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "word"), [[[0, 0], [0, 2]]]),
         (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "im"), [1]),
         (circle_series_from_json_dict, GOOD_CIRCLES, ("max_degree",), None),
+        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "slots"), [2, 0]),
     ],
 )
 def test_json_readers_reject_malformed_input(reader, good, path, value):
