@@ -218,8 +218,8 @@ def check_circle_budget(n_circles: int, max_degree: int):
 
 
 @lru_cache(maxsize=None)
-def enumerate_circle_diagrams(n_circles: int, degree: int):
-    """All degree-m diagrams on q numbered circles, sorted, one drawing each.
+def _orbit_table(n_circles: int, degree: int):
+    """(basis, orbit_key -> basis position) of the degree-m diagrams on q circles.
 
     Slot splits and, within one, matchings are walked in increasing order,
     so the first drawing met per orbit_key is the least over rotations.
@@ -234,14 +234,17 @@ def enumerate_circle_diagrams(n_circles: int, degree: int):
             key = orbit_key(circles)
             if key not in found:
                 found[key] = CircleDiagram.from_layout(circles)
-    return tuple(found.values())
+    return tuple(found.values()), {key: k for k, key in enumerate(found)}
 
 
-@lru_cache(maxsize=None)
+def enumerate_circle_diagrams(n_circles: int, degree: int):
+    """All degree-m diagrams on q numbered circles, sorted, one drawing each."""
+    return _orbit_table(n_circles, degree)[0]
+
+
 def orbit_positions(n_circles: int, degree: int):
     """orbit_key of each degree-m diagram -> its enumerate_circle_diagrams position."""
-    basis = enumerate_circle_diagrams(n_circles, degree)
-    return {orbit_key(d.to_layout()): k for k, d in enumerate(basis)}
+    return _orbit_table(n_circles, degree)[1]
 
 
 def layout_position(layout):

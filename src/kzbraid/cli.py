@@ -1,9 +1,9 @@
 """Command line front end: compute, verify, dims.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  The default
-step count comes from KZBRAID_STEPS when set.  Output is deterministic: terms
-are emitted in graded-lexicographic order and floats use the shortest
-round-trip representation.
+step count comes from KZBRAID_STEPS when set, read on every call.  Output is
+deterministic: terms are emitted in graded-lexicographic order and floats use
+the shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ def _default_steps():
         raise ValidationError(f"KZBRAID_STEPS must be an integer, got {text!r}") from None
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process; --steps defaults to None."""
     parser = _Parser(prog="kzbraid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -69,7 +71,11 @@ def _build_parser():
     compute.add_argument("-n", "--strands", type=int, required=True)
     compute.add_argument("-w", "--word", default="", help="signed generator indices")
     compute.add_argument("-m", "--max-degree", type=int, default=3)
-    compute.add_argument("--steps", type=int, default=_default_steps())
+    compute.add_argument(
+        "--steps", type=int,
+        help="letters are integrated at least as accurately as this many RK4 steps"
+        " per letter, 1 to 2^16 (default KZBRAID_STEPS, else 512)",
+    )
     compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
     compute.add_argument("--close", action="store_true", help="also reduce the closure")
     compute.add_argument(
@@ -80,7 +86,10 @@ def _build_parser():
     verify = sub.add_parser("verify", help="run one consistency check")
     verify.add_argument("check", help="|".join(sorted(_CHECKS)))
     verify.add_argument("-m", "--max-degree", type=int, default=3)
-    verify.add_argument("--steps", type=int, default=_default_steps())
+    verify.add_argument(
+        "--steps", type=int,
+        help="RK4 steps per letter of direct transports (default KZBRAID_STEPS, else 512)",
+    )
 
     dims = sub.add_parser("dims", help="quotient dimensions per degree")
     group = dims.add_mutually_exclusive_group(required=True)
@@ -194,7 +203,8 @@ def _check_multiplicativity(max_degree, steps):
     # product of its segment transports; the upper segment equals the upper
     # braid's own transport with strands read through the lower permutation.
     # kontsevich_of_braid is itself such a product, so the concatenation is
-    # integrated directly as one loop.
+    # integrated directly as one loop.  The factors are spectral letters, so
+    # the residual is the error of transport() at `steps`.
     words = [parse_braid_word(text, 3) for text in ("1", "2", "-1")]
     worst = 0.0
     for upper in words:
@@ -269,7 +279,10 @@ def _cmd_dims(args):
 
 def main(argv=None) -> int:
     try:
+        steps = _default_steps()  # checked before parsing, for every command
         args = _build_parser().parse_args(argv)
+        if args.command != "dims" and args.steps is None:
+            args.steps = steps
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "verify":

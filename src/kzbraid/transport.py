@@ -1,26 +1,33 @@
 """Numerical holonomy of the KZ form in the truncated word algebra.
 
 The connection samples as one complex number per strand pair,
-(1/2 pi i) (zi' - zj')/(zi - zj), and the transport solves T' = omega * T
-(stacking product, new chord on top) with classical fourth-order steps taken
-segment by segment, so every step sees an analytic integrand.  Degree-m
-coefficients of the result are the iterated integrals over the ordered
-simplex 0 <= t1 < ... < tm <= 1; chords are stored bottom-up in time order
-and every coefficient already carries its 1/(2 pi i)^m normalization.
+(1/2 pi i) (zi' - zj')/(zi - zj), and a holonomy solves T' = omega * T
+(stacking product, new chord on top) segment by segment, so every segment
+sees an analytic integrand.  Degree-m coefficients of the result are the
+iterated integrals over the ordered simplex 0 <= t1 < ... < tm <= 1 (Chen's
+iterated integrals); chords are stored bottom-up in time order and every
+coefficient already carries its 1/(2 pi i)^m normalization.  The degree-r
+part of T depends only on degree r - 1, T_r(s) = integral_0^s T_{r-1} omega,
+so both integrators below go one degree at a time.
 
-Every stage of a step puts one chord on top, so the degree-r part of a step
-depends only on degree r - 1 (as Chen's iterated integrals do).  The steps
-of a segment are therefore taken together, one degree at a time: the stages
-of a chunk of steps are outer products with the sampled connection, the
-state along the chunk is the prefix sum of their increments, and the top
-degree, which feeds no other, is only summed, by matrix products.  Below the
-top degree this is the arithmetic of stepping one step at a time, in the
-same order; the top degree differs from it by summation order only.
+transport() integrates any loop with classical fourth-order steps and
+carries the step-doubling error estimate.  The steps of a segment are taken
+together, one degree at a time: the stages of a chunk of steps are outer
+products with the sampled connection, the state along the chunk is the
+prefix sum of their increments, and the top degree, which feeds no other, is
+only summed, by matrix products.  Below the top degree this is the
+arithmetic of stepping one step at a time, in the same order; the top degree
+differs from it by summation order only.
 
-transport() integrates any loop and carries the step-doubling error
-estimate.  A braid's integral is built from its letters instead: each
-letter's holonomy is transported once per process and cached, and a word
-is their stacking product, each letter relabeled to the strands it moves.
+A braid's integral is built from its letters instead: each letter is one
+analytic segment, integrated once per process and cached, and a word is
+their stacking product, each letter relabeled to the strands it moves.  A
+letter is integrated spectrally (Greengard, SIAM J. Numer. Anal. 28, 1991):
+the connection is sampled at n + 1 Chebyshev-Lobatto nodes, with n doubled
+until its Chebyshev tail is resolved, and each degree is the Chebyshev
+indefinite integral of the degree below times omega, so M sweeps give the
+degree-M truncation to about machine precision, independent of any step
+count.
 
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
@@ -53,6 +60,13 @@ _CHUNK_ENTRIES = 2**14
 # Most steps per segment a transport may take.  The connection is sampled at
 # 2 * steps + 1 points per segment, so the cap bounds that array too.
 MAX_STEPS = 2**16
+# A letter is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
+# up to this cap: the first n at which the last two Chebyshev coefficients of
+# the sampled connection are at most _TAIL_TOLERANCE times its largest one.
+# Every letter resolves at n = 32 (its iterated integrals are then within
+# about 5e-16 of fine RK4); a letter that does not resolve by the cap fails.
+_MAX_NODES = 128
+_TAIL_TOLERANCE = 1e-11
 
 
 class TransportError(RuntimeError):
@@ -179,10 +193,69 @@ def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportR
     return TransportResult(steps * len(loop.segments), estimate, fine)
 
 
+@lru_cache(maxsize=None)
+def _chebyshev(n):
+    """(nodes, C, S) for n + 1 Chebyshev-Lobatto nodes on [0, 1].
+
+    The nodes (1 - cos(pi j / n)) / 2 increase from 0 to 1.  C maps values
+    at the nodes to the Chebyshev coefficients of their interpolant, in
+    t = 2x - 1; S maps them to that interpolant's integral from 0 at the
+    nodes, so S[-1] holds the Clenshaw-Curtis weights.
+    """
+    j = np.arange(n + 1)
+    # T_k(t_j) for k <= n + 1, t_j = cos(pi (n - j) / n); the multiples of
+    # pi / n are reduced mod 2 pi in integers, so every cosine is accurate
+    cheb = np.cos(np.pi * (np.outer(n - j, np.arange(n + 2)) % (2 * n)) / n)
+    ends = np.where((j == 0) | (j == n), 0.5, 1.0)
+    coefficients = (2.0 / n) * ends[:, None] * cheb[:, : n + 1].T * ends
+    # antiderivatives of T_0 .. T_n: T_1, T_2 / 4, then
+    # (T_{k+1} / (k + 1) - T_{k-1} / (k - 1)) / 2, taken from t = -1 (node 0)
+    k = np.arange(2, n + 1)
+    anti = np.column_stack(
+        [cheb[:, 1], cheb[:, 2] / 4, (cheb[:, 3:] / (k + 1) - cheb[:, 1:n] / (k - 1)) / 2]
+    )
+    integration = 0.5 * (anti - anti[0]) @ coefficients
+    return 0.5 * (1.0 - np.cos(np.pi * j / n)), coefficients, integration
+
+
+def _resolved_omega(segment, ii, jj):
+    """(S, omega at its nodes) at the fewest nodes that resolve the segment's connection."""
+    n = 8
+    while True:
+        nodes, coefficients, integration = _chebyshev(n)
+        omega = _segment_omega(segment, nodes, ii, jj)
+        spectrum = np.abs(coefficients @ omega)
+        tail, scale = spectrum[-2:].max(), spectrum.max()
+        if tail <= _TAIL_TOLERANCE * scale:  # NaN fails
+            return integration, omega
+        if n >= _MAX_NODES:
+            raise TransportError(
+                f"connection not resolved at {n} Chebyshev nodes: last coefficients"
+                f" {tail:.1e} against a largest of {scale:.1e}"
+            )
+        n *= 2
+
+
 @lru_cache(maxsize=64)
-def _letter_holonomy(n_strands, k, sign, max_degree, steps):
-    """Dense holonomy of one letter in slot labels, integrated once, read-only."""
-    return transport(realize(BraidWord(n_strands, ((k, sign),))), max_degree, steps).coefficients
+def _letter_holonomy(n_strands, k, sign, max_degree):
+    """Dense holonomy of one letter in slot labels, integrated once, read-only.
+
+    Degree r at the nodes is S @ (degree r - 1 times omega); the top degree
+    is only needed at s = 1, so it takes the quadrature row S[-1] alone.
+    """
+    segment = realize(BraidWord(n_strands, ((k, sign),))).segments[0]
+    _, ii, jj = _pair_indices(n_strands)
+    integration, omega = _resolved_omega(segment, ii, jj)
+    out = _unit(len(ii), max_degree)
+    blocks = _blocks(out, len(ii), max_degree)
+    if max_degree:
+        path = np.ones((len(omega), 1), dtype=complex)  # degree 0 at every node
+        for r in range(1, max_degree):
+            path = integration @ _outer(path, omega)
+            blocks[r][:] = path[-1]
+        blocks[-1][:] = ((integration[-1][:, None] * path).T @ omega).ravel()
+    out.flags.writeable = False
+    return out
 
 
 def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
@@ -191,17 +264,18 @@ def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> n
     Holonomy is multiplicative under concatenation of loops, so it is the
     stacking product of the letters' holonomies, each read through the
     strands standing at its slots when the letter starts.  A letter's own
-    holonomy depends only on (N, k, sign, max_degree, steps) and is
-    integrated once per process by transport(); the result equals
-    transport(realize(word), ...).coefficients up to rounding.  Nothing is
-    thresholded.
+    holonomy depends only on (N, k, sign, max_degree) and is integrated
+    once per process, spectrally, to about machine precision.  steps is
+    checked as transport() checks it but does not change the result, which
+    is at least as accurate as transport(realize(word), max_degree,
+    steps).coefficients.  Nothing is thresholded.
     """
     _check_arguments(max_degree, steps)
     n = word.n_strands
     total = _unit(n * (n - 1) // 2, max_degree)
     strand_at = list(range(1, n + 1))
     for k, sign in word.letters:
-        letter = _letter_holonomy(n, k, sign, max_degree, steps)
+        letter = _letter_holonomy(n, k, sign, max_degree)
         letter = relabel_strands(letter, n, max_degree, strand_at)
         total = series_product(letter, total, n, max_degree)
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -208,13 +209,50 @@ def test_dims_circles_degree_zero(capsys):
     assert out.strip() == "0:1"
 
 
-def test_steps_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("KZBRAID_STEPS", "32")
+def test_steps_env_override(capsys, monkeypatch):
+    # compute's letters do not depend on the step count; the direct
+    # transports of verify do, so its residual shows the count used
+    for argv in (("compute", "-n", "3", "-w", "1 -2", "-m", "2"), ("verify", "abelian", "-m", "2")):
+        monkeypatch.setenv("KZBRAID_STEPS", "32")
+        from_env = run(capsys, *argv)
+        monkeypatch.delenv("KZBRAID_STEPS")
+        assert from_env[0] == 0
+        assert from_env == run(capsys, *argv, "--steps", "32")
+    assert from_env != run(capsys, *argv)
+
+
+def test_steps_env_read_on_every_call(capsys, monkeypatch):
+    seen = []
+    for steps in ("32", "64"):
+        monkeypatch.setenv("KZBRAID_STEPS", steps)
+        seen.append(run(capsys, "verify", "abelian", "-m", "2"))
+        monkeypatch.delenv("KZBRAID_STEPS")
+        assert seen[-1] == run(capsys, "verify", "abelian", "-m", "2", "--steps", steps)
+    assert seen[0] != seen[1]
     from kzbraid import cli
 
-    parser = cli._build_parser()
-    args = parser.parse_args(["compute", "-n", "2", "-w", "1"])
-    assert args.steps == 32
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_unresolved_letter_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("kzbraid.transport"), "_MAX_NODES", 8)
+    _letter_holonomy.cache_clear()
+    try:
+        code, out, err = run(capsys, "compute", "-n", "3", "-w", "1", "-m", "2")
+    finally:
+        _letter_holonomy.cache_clear()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "not resolved at 8 Chebyshev nodes" in err
+
+
+def test_verify_multiplicativity_measures_rk4_error(capsys):
+    # spectral letters on one side, RK4 over the concatenation on the other
+    for extra in ((), ("--steps", "128")):
+        code, out, _ = run(capsys, "verify", "multiplicativity", "-m", "3", *extra)
+        assert code == 0, out
+        assert out.startswith("multiplicativity: residual=") and out.endswith(" PASS\n")
 
 
 def test_bad_steps_env_is_validation_error(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from kzbraid.transport import (
     _CHUNK_ENTRIES,
     MAX_STEPS,
     TransportError,
+    _advance,
     _integrate,
     _letter_holonomy,
     _omega_grid,
@@ -33,6 +34,7 @@ from kzbraid.transport import (
 )
 from kzbraid.words import (
     HorizontalWord,
+    _blocks,
     basis_size,
     basis_words,
     enumerate_words,
@@ -170,24 +172,51 @@ def _reduced_word(rng, n, length):
 
 
 def test_composed_holonomy_matches_direct_transport():
+    # spectral letters against one fine RK4 run over the whole loop
     rng = random.Random(20121)
     for _ in range(24):
         n, max_degree = rng.randint(2, 4), rng.randint(0, 4)
         w = _reduced_word(rng, n, rng.randint(0, 12))
-        direct = transport(realize(w), max_degree, 32).coefficients
-        composed = kontsevich_of_braid(w, max_degree, 32)
+        direct = transport(realize(w), max_degree, 4096).coefficients
+        composed = kontsevich_of_braid(w, max_degree)
         assert np.abs(composed - direct).max() <= 1e-12, (w, max_degree)
 
 
 def test_cached_letters_are_read_only():
     w = parse_braid_word("1 -2 2 1", 3)
     before = kontsevich_of_braid(w, 3, 32)
-    letter = _letter_holonomy(3, 2, 1, 3, 32)
+    letter = _letter_holonomy(3, 2, 1, 3)
     with pytest.raises(ValueError):
         letter[1] = 5.0
     with pytest.raises(ValueError):
         letter *= 2.0
     assert np.array_equal(kontsevich_of_braid(w, 3, 32), before)
+
+
+def test_letters_match_fine_rk4():
+    # transport()'s fine run alone: fourth-order steps at 4096 per letter
+    for n in (2, 3, 4, 5):
+        _, ii, jj = _pair_indices(n)
+        for k in range(1, n):
+            for sign in (1, -1):
+                segment = realize(BraidWord(n, ((k, sign),))).segments[0]
+                fine = identity(n, 4)
+                _advance(_blocks(fine, len(ii), 4), _omega_grid(segment, 4096, ii, jj))
+                for max_degree in range(5):
+                    letter = _letter_holonomy(n, k, sign, max_degree)
+                    assert np.abs(letter - fine[: len(letter)]).max() <= 1e-14, (n, k, sign)
+
+
+def test_letter_steps_do_not_change_the_integral():
+    w = parse_braid_word("1 -2 3", 4)
+    assert np.array_equal(kontsevich_of_braid(w, 3, 1), kontsevich_of_braid(w, 3, 512))
+
+
+def test_top_letter_symmetrizes_to_abelian_holonomy():
+    # N=5, M=5: the largest letter; the abelian closed form is an exact oracle
+    letter = _letter_holonomy(5, 2, 1, 5)
+    closed = abelian_holonomy(realize(BraidWord(5, ((2, 1),))), 5)
+    assert sup_diff(symmetrized(letter, 5, 5), closed) <= 1e-13
 
 
 def test_two_strand_multiplicativity_literal():
