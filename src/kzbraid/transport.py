@@ -63,8 +63,9 @@ MAX_STEPS = 2**16
 # A letter is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
 # up to this cap: the first n at which the last two Chebyshev coefficients of
 # the sampled connection are at most _TAIL_TOLERANCE times its largest one.
-# Every letter resolves at n = 32 (its iterated integrals are then within
-# about 5e-16 of fine RK4); a letter that does not resolve by the cap fails.
+# Letters on three or more strands resolve at n = 32 (their iterated
+# integrals are then within about 5e-16 of fine RK4), on two strands at 8;
+# a letter that does not resolve by the cap fails.
 _MAX_NODES = 128
 _TAIL_TOLERANCE = 1e-11
 
