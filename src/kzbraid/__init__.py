@@ -15,6 +15,7 @@ from .circles import (
     check_circle_budget,
     circle_basis,
     circle_series_from_json_dict,
+    circle_series_json_text,
     circle_series_to_json_dict,
     enumerate_circle_diagrams,
 )

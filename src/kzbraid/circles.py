@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from ._lazy import np
-from .words import ZERO_THRESHOLD, malformed_json
+from .words import ZERO_THRESHOLD, _document_text, json_list_text, malformed_json
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
 # a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
@@ -304,6 +304,37 @@ def circle_series_to_json_dict(
         "max_degree": max_degree,
         "terms": terms,
     }
+
+
+@lru_cache(maxsize=16)
+def _json_heads(n_circles, max_degree, positions, level):
+    """Basis position -> the text of its JSON term up to the real part, for the listed positions."""
+    basis = circle_basis(n_circles, max_degree)
+    i2, i3 = "  " * (level + 2), "  " * (level + 3)
+    heads = {}
+    for k in range(len(basis)) if positions is None else positions:
+        diagram = basis[k]
+        heads[k] = (
+            f'{i2}{{\n{i3}"slots": {json_list_text(diagram.slots, level + 3)},'
+            f'\n{i3}"word": {json_list_text(diagram.chords, level + 3)},\n{i3}"re": '
+        )
+    return heads
+
+
+def circle_series_json_text(
+    coefficients, n_circles, max_degree, zero_threshold=ZERO_THRESHOLD, positions=None, level=0
+) -> str:
+    """json.dumps(circle_series_to_json_dict(...), indent=2) with the same arguments.
+
+    level is the depth at which the document sits inside an enclosing
+    indent=2 document.  Term heads are built once per (n_circles,
+    max_degree, positions, level), for the given positions only.
+    """
+    heads = _json_heads(n_circles, max_degree, positions, level)
+    values = coefficients.tolist()
+    listed = [k for k in heads if abs(values[k]) >= zero_threshold]
+    fields = (("circles", n_circles), ("max_degree", max_degree))
+    return _document_text(fields, heads, coefficients, listed, level)
 
 
 def circle_series_from_json_dict(data: dict) -> np.ndarray:

@@ -9,7 +9,7 @@ the shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401  perfbench/tracing.py wraps cli.json.dumps
 import math
 import os
 import sys
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .braids import BraidParseError, parse_braid_word, permutation_of, realize
-from .circles import check_circle_budget, circle_series_to_json_dict
+from .circles import check_circle_budget, circle_series_json_text
 from .closure import close_braid, closure_skeleton
 from .relations import free_positions, quotient_dimension, reduce
 from .transport import (
@@ -34,6 +34,7 @@ from .words import (
     basis_words,
     check_word_budget,
     enumerate_words,
+    json_list_text,
     relabel_strands,
     series_json_text,
     series_product,
@@ -100,6 +101,8 @@ def _build_parser():
 
 
 _TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
+# a table row after its cached prefix: modulus, then argument
+_TABLE_ROW = "{:<22.16g}  {:.16g}\n".format
 
 
 @lru_cache(maxsize=16)
@@ -124,47 +127,44 @@ def _cmd_compute(args):
         check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
     # opened before any work or output, so an unwritable path prints nothing
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
-        sink.write(_compute_json(args, word))
+        sink.writelines(_compute_json(args, word))
     return EXIT_OK
 
 
 def _compute_json(args, word):
-    """Write the term table to stdout and return the JSON text."""
+    """Write the term table to stdout and return the JSON text, in parts to write in turn."""
     holonomy = kontsevich_of_braid(word, args.max_degree, args.steps)
     # Python's abs, whose digits the table prints (np.abs can differ in the
     # last bit); kept terms stay in basis order
-    kept = [
-        (g, c, modulus)
-        for g, c in enumerate(holonomy.tolist())
-        if (modulus := abs(c)) >= args.zero_threshold
-    ]
+    moduli = list(map(abs, holonomy.tolist()))
+    kept = [g for g, modulus in enumerate(moduli) if modulus >= args.zero_threshold]
     prefixes = _table_prefixes(args.strands, args.max_degree)
-    sys.stdout.write(_TABLE_HEADER + "".join([
-        f"{prefixes[g]}{modulus:<22.16g}  {math.atan2(c.imag, c.real):.16g}\n"
-        for g, c, modulus in kept
-    ]))
-    terms = [(g, c) for g, c, _ in kept]
-    if args.close:
-        positions = [g for g, _ in terms]
-        projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
-        projected[positions] = holonomy[positions]
-        result = close_braid(projected, word, args.zero_threshold)
-        q = result.skeleton.n_components
-        free = free_positions(("circles", q), args.max_degree)
-        link = {
-            "components": q,
-            "cycles": [list(cycle) for cycle in result.skeleton.components],
-            "series": circle_series_to_json_dict(
-                result.reduced, q, args.max_degree, args.zero_threshold, free
-            ),
-        }
-        # the layout json.dumps(indent=2) gives {"braid": ..., "link": link}
-        braid = series_json_text(args.strands, args.max_degree, terms, level=1)
-        link_text = json.dumps(link, indent=2).replace("\n", "\n  ")
-        text = f'{{\n  "braid": {braid},\n  "link": {link_text}\n}}\n'
-    else:
-        text = series_json_text(args.strands, args.max_degree, terms) + "\n"
-    return text
+    table = [None] * (2 * len(kept) + 1)
+    table[0] = _TABLE_HEADER
+    table[1::2] = [prefixes[g] for g in kept]
+    table[2::2] = map(
+        _TABLE_ROW,
+        [moduli[g] for g in kept],
+        map(math.atan2, holonomy.imag.take(kept).tolist(), holonomy.real.take(kept).tolist()),
+    )
+    sys.stdout.write("".join(table))
+    if not args.close:
+        return [series_json_text(holonomy, args.strands, args.max_degree, kept), "\n"]
+    projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
+    projected[kept] = holonomy[kept]
+    result = close_braid(projected, word, args.zero_threshold)
+    q = result.skeleton.n_components
+    free = free_positions(("circles", q), args.max_degree)
+    # the layout json.dumps(indent=2) gives {"braid": ..., "link": {...}}
+    return [
+        '{\n  "braid": ',
+        series_json_text(holonomy, args.strands, args.max_degree, kept, level=1),
+        f',\n  "link": {{\n    "components": {q},\n    "cycles": ',
+        json_list_text(result.skeleton.components, 2),
+        ',\n    "series": ',
+        circle_series_json_text(result.reduced, q, args.max_degree, args.zero_threshold, free, level=2),
+        "\n  }\n}\n",
+    ]
 
 
 def _reduced_difference(texts, strands, max_degree, steps):

@@ -202,13 +202,25 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
     return {"n_strands": n_strands, "max_degree": max_degree, "terms": terms}
 
 
+def json_list_text(value, depth) -> str:
+    """json.dumps(value, indent=2) of an int or nested lists (or tuples) of ints.
+
+    depth is the indent level the value sits at inside its document.
+    """
+    if not isinstance(value, (list, tuple)):
+        return str(value)
+    if not value:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = ("," + inner).join([json_list_text(v, depth + 1) for v in value])
+    return f"[{inner}{items}\n{'  ' * depth}]"
+
+
 @lru_cache(maxsize=16)
 def _json_heads(n_strands, max_degree, level):
     """Per basis word, the text of its JSON term up to the real part."""
-    i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
-    chord_text = {
-        pair: f"{i4}[\n{i5}{pair.i},\n{i5}{pair.j}\n{i4}]" for pair in all_pairs(n_strands)
-    }
+    i2, i3, i4 = ("  " * (level + k) for k in range(2, 5))
+    chord_text = {pair: i4 + json_list_text(pair.as_tuple(), level + 4) for pair in all_pairs(n_strands)}
     heads = []
     for word in basis_words(n_strands, max_degree):
         chords = ",\n".join(chord_text[c] for c in word.chords)
@@ -217,22 +229,41 @@ def _json_heads(n_strands, max_degree, level):
     return tuple(heads)
 
 
-def series_json_text(n_strands, max_degree, terms, level=0) -> str:
-    """json.dumps(series_to_json_dict(...), indent=2) of the listed terms of a dense series.
+def _document_text(fields, heads, coefficients, positions, level) -> str:
+    """json.dumps(indent=2) text of a series document, its terms listed at positions.
 
-    terms are (basis position, complex coefficient) pairs in increasing
-    position order; level is the depth at which
-    the document sits inside an enclosing indent=2 document.  Floats print
-    as repr(float), as json does for finite values.
+    fields are the (key, int) entries before "terms"; heads[g] is the text
+    of the term of basis position g up to its real part, as the _json_heads
+    caches hold it; positions increase.  level is the depth at which the document
+    sits inside an enclosing indent=2 document.  The text is one join of
+    cached pieces and the floats' repr, as json prints finite floats.
+    """
+    i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
+    pieces = ["{\n"] + [f'{i1}"{key}": {value},\n' for key, value in fields]
+    if not positions:
+        pieces.append(f'{i1}"terms": []\n{i0}}}')
+        return "".join(pieces)
+    # per term: head, real part, middle, imaginary part, close
+    terms = [f',\n{i3}"im": '] * (5 * len(positions))
+    terms[0::5] = [heads[g] for g in positions]
+    terms[1::5] = map(repr, coefficients.real.take(positions).tolist())
+    terms[3::5] = map(repr, coefficients.imag.take(positions).tolist())
+    terms[4::5] = [f"\n{i2}}},\n"] * len(positions)
+    terms[-1] = f"\n{i2}}}\n{i1}]\n{i0}}}"  # the last term takes no comma
+    pieces.append(f'{i1}"terms": [\n')
+    return "".join(pieces + terms)
+
+
+def series_json_text(coefficients, n_strands, max_degree, positions, level=0) -> str:
+    """json.dumps(series_to_json_dict(...), indent=2) of the terms of a dense series at positions.
+
+    positions are the listed basis positions in increasing order, for
+    example those whose modulus reaches the threshold; level is the depth at
+    which the document sits inside an enclosing indent=2 document.
     """
     heads = _json_heads(n_strands, max_degree, level)
-    i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
-    body = ",\n".join([f'{heads[g]}{c.real!r},\n{i3}"im": {c.imag!r}\n{i2}}}' for g, c in terms])
-    listed = f"[\n{body}\n{i1}]" if body else "[]"
-    return (
-        f'{{\n{i1}"n_strands": {n_strands},\n{i1}"max_degree": {max_degree},'
-        f'\n{i1}"terms": {listed}\n{i0}}}'
-    )
+    fields = (("n_strands", n_strands), ("max_degree", max_degree))
+    return _document_text(fields, heads, coefficients, positions, level)
 
 
 @contextmanager

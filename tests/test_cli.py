@@ -14,7 +14,7 @@ import numpy as np
 import kzbraid
 from kzbraid.cli import main
 from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
-from kzbraid.closure import close_braid, kontsevich_link
+from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_from_json_dict
 from kzbraid.transport import MAX_STEPS, _letter_holonomy, kontsevich_of_braid
@@ -319,6 +319,42 @@ def test_compute_output_bytes_match_series_path(capsys):
         assert code == 0
         expected = _reference_stdout(strands, letters, max_degree, steps, close, float(threshold))
         assert out == expected, argv
+
+
+def test_close_output_bytes_match_series_path_at_degree_four(capsys):
+    # the shape of the link-closure workload: the circle series is written
+    # from cached text, which only degree 4 fills with every term kind
+    for strands, letters, components in (
+        (3, "1 2 -1 2", 1), (2, "1 -1 1 1", 2), (3, "2 1 2 2 -1", 2), (3, "1 1 -2 -2", 3), (4, "1 2 -1", 3),
+    ):
+        assert closure_skeleton(parse_braid_word(letters, strands)).n_components == components
+        for threshold in ("1e-12", "0", "1e-3"):
+            argv = ["compute", "-n", str(strands), "-m", "4", "-w", letters, "--close",
+                    "--zero-threshold", threshold]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == _reference_stdout(strands, letters, 4, 512, True, float(threshold)), argv
+
+
+def test_compute_memory_at_n4_m6():
+    # 56k basis words: a fresh process grows by about 88 MB on CPython 3.11
+    # (82 MB tracemalloc peak); assembled from per-term f-strings, copied
+    # into the enclosing document, it grew by 116 MB (112 MB traced)
+    script = (
+        "import contextlib, os, resource, sys\n"
+        "import numpy\n"
+        "from kzbraid.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = main(['compute', '-n', '4', '-m', '6', '--steps', '2', '-w', '1 2 3'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    code, grown_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert grown_kb < 110 * 1024
 
 
 def test_compute_zero_threshold_below_default_keeps_small_terms(capsys):

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +44,9 @@ from kzbraid.words import (
     series_product,
 )
 from test_braids import segment_at
+
+# the module, which the package's `transport` function shadows as an attribute
+transport_module = importlib.import_module("kzbraid.transport")
 
 STEPS = 192
 
@@ -180,6 +185,56 @@ def test_composed_holonomy_matches_direct_transport():
         direct = transport(realize(w), max_degree, 4096).coefficients
         composed = kontsevich_of_braid(w, max_degree)
         assert np.abs(composed - direct).max() <= 1e-12, (w, max_degree)
+
+
+def _letter_fold(w, max_degree):
+    """Reference: the letters' holonomies multiplied one at a time, lowest first."""
+    n = w.n_strands
+    total = identity(n, max_degree)
+    strand_at = list(range(1, n + 1))
+    for k, sign in w.letters:
+        letter = relabel_strands(_letter_holonomy(n, k, sign, max_degree), n, max_degree, strand_at)
+        total = series_product(letter, total, n, max_degree)
+        strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, max_degree, length",
+    [(3, 3, 0), (4, 0, 5), (3, 1, 6), (4, 3, 1), (2, 4, 9), (5, 3, 7), (4, 4, 16), (3, 4, 16)],
+)
+@pytest.mark.parametrize("per_chunk", [None, 1, 2])
+def test_scan_matches_letter_fold(monkeypatch, n, max_degree, length, per_chunk):
+    # per_chunk letters per chunk carry the product across chunk boundaries
+    if per_chunk is not None:
+        n_pairs = n * (n - 1) // 2
+        monkeypatch.setattr(transport_module, "_SCAN_ENTRIES", per_chunk * n_pairs ** max(max_degree - 1, 0))
+    w = _reduced_word(random.Random(f"{n}:{max_degree}:{length}"), n, length)
+    reference = _letter_fold(w, max_degree)
+    scanned = kontsevich_of_braid(w, max_degree)
+    assert np.abs(scanned - reference).max() <= 1e-14 * np.abs(reference).max(), (w, max_degree)
+
+
+def test_scan_memory_stays_within_budget():
+    # 400 letters on 5 strands to degree 5 (111,111 basis words): an
+    # unchunked scan holds the (400, 111111) complex array of its gathered
+    # letters alone, 711 MB, more than ten times the bound.  The word is a
+    # product of squares, so its letters start from at most five strand
+    # orders, and the warm-up on one square of each letter leaves no letter
+    # or relabel index for the traced run to allocate.
+    n, max_degree, bound = 5, 5, 40e6
+    assert 400 * basis_size(10, max_degree) * 16 > 10 * bound
+    squares = _reduced_word(random.Random(400), n, 200).letters
+    w = BraidWord(n, tuple(letter for letter in squares for _ in range(2)))
+    kontsevich_of_braid(BraidWord(n, tuple(letter for letter in set(squares) for _ in range(2))), max_degree)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kontsevich_of_braid(w, max_degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < bound
 
 
 def test_cached_letters_are_read_only():

@@ -8,6 +8,7 @@ from kzbraid.circles import (
     CircleDiagram,
     circle_basis,
     circle_series_from_json_dict,
+    circle_series_json_text,
     circle_series_to_json_dict,
 )
 from kzbraid.words import (
@@ -15,8 +16,10 @@ from kzbraid.words import (
     HorizontalWord,
     basis_words,
     enumerate_words,
+    json_list_text,
     relabel_strands,
     series_from_json_dict,
+    series_json_text,
     series_product,
     series_to_json_dict,
 )
@@ -217,3 +220,30 @@ def test_circle_json_round_trip():
     s[circle_basis(2, 2).index(diagram)] = 0.25 - 1j
     back = circle_series_from_json_dict(json.loads(json.dumps(circle_series_to_json_dict(s, 2, 2))))
     assert np.array_equal(back, s)
+
+
+def test_json_text_matches_json_dumps():
+    # the cached-text writers against json.dumps(indent=2), nested `level`
+    # deep in an enclosing indent=2 document
+    rng = np.random.default_rng(1010)
+    for level in (0, 1, 2):
+        indent = "\n" + "  " * level
+        for n, max_degree in ((2, 0), (3, 2), (4, 2)):
+            size = len(basis_words(n, max_degree))
+            s = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size) + 1j * rng.normal(size=size)
+            for threshold in (0.0, 1.0, np.inf):
+                kept = [g for g, c in enumerate(s.tolist()) if abs(c) >= threshold]
+                expected = json.dumps(series_to_json_dict(s, n, max_degree, threshold), indent=2)
+                assert series_json_text(s, n, max_degree, kept, level) == expected.replace("\n", indent)
+        for q, max_degree in ((1, 3), (2, 2), (3, 1)):
+            size = len(circle_basis(q, max_degree))
+            s = rng.normal(size=size) + 1j * rng.normal(size=size)
+            for threshold in (0.0, 1.0, np.inf):
+                for positions in (None, tuple(range(0, size, 2)), ()):
+                    expected = json.dumps(
+                        circle_series_to_json_dict(s, q, max_degree, threshold, positions), indent=2
+                    )
+                    text = circle_series_json_text(s, q, max_degree, threshold, positions, level)
+                    assert text == expected.replace("\n", indent)
+        for value in ([], [[1, 2], [3]], ((0, (1, 2)),), 7):
+            assert json_list_text(value, level) == json.dumps(value, indent=2).replace("\n", indent)
