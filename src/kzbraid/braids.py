@@ -148,6 +148,29 @@ class _Arc:
 
 
 @dataclass(frozen=True)
+class _Warped:
+    """A segment at local time phi(s) = (e^{as} - 1) / (e^a - 1), a = rate, velocity phi'(s) v(phi(s))."""
+
+    segment: object
+    rate: float
+
+    def _phi(self, s):
+        return np.expm1(self.rate * np.asarray(s, dtype=float)) / math.expm1(self.rate)
+
+    def positions(self, s):
+        return self.segment.positions(self._phi(s))
+
+    def velocities(self, s):
+        speed = self.rate * np.exp(self.rate * np.asarray(s, dtype=float)) / math.expm1(self.rate)
+        return speed[..., None] * self.segment.velocities(self._phi(s))
+
+
+def _warped(loop, rate):
+    """The loop with every segment warped by _Warped(segment, rate)."""
+    return ConfigLoop(loop.n_strands, tuple(_Warped(s, rate) for s in loop.segments), loop.breaks)
+
+
+@dataclass(frozen=True)
 class ConfigLoop:
     """Piecewise-analytic loop of N distinct points over [0, 1]."""
 

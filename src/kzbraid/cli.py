@@ -1,9 +1,10 @@
 """Command line front end: compute, verify, dims.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.  The default
-step count comes from KZBRAID_STEPS when set, read on every call.  Output is
+Exit codes: 0 success, 1 validation error, 2 numerical failure.  Output is
 deterministic: terms are emitted in graded-lexicographic order and floats use
-the shortest round-trip representation.
+the shortest round-trip representation.  Every loop is integrated spectrally,
+so --steps (default KZBRAID_STEPS when set, read on every call) is checked
+but changes no result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from contextlib import nullcontext
 from functools import lru_cache
 
 from ._lazy import np
-from .braids import BraidParseError, parse_braid_word, permutation_of, realize
+from .braids import BraidParseError, _warped, parse_braid_word, permutation_of, realize
 from .circles import check_circle_budget, circle_series_json_text
 from .closure import close_braid, closure_skeleton
 from .relations import free_positions, quotient_dimension, reduce
@@ -74,8 +75,8 @@ def _build_parser():
     compute.add_argument("-m", "--max-degree", type=int, default=3)
     compute.add_argument(
         "--steps", type=int,
-        help="letters are integrated at least as accurately as this many RK4 steps"
-        " per letter, 1 to 2^16 (default KZBRAID_STEPS, else 512)",
+        help="checked, 1 to 2^16, but no longer changes results: letters are"
+        " integrated spectrally (default KZBRAID_STEPS, else 512)",
     )
     compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
     compute.add_argument("--close", action="store_true", help="also reduce the closure")
@@ -89,7 +90,8 @@ def _build_parser():
     verify.add_argument("-m", "--max-degree", type=int, default=3)
     verify.add_argument(
         "--steps", type=int,
-        help="RK4 steps per letter of direct transports (default KZBRAID_STEPS, else 512)",
+        help="checked, 1 to 2^16, but no longer changes results: loops are"
+        " integrated spectrally (default KZBRAID_STEPS, else 512)",
     )
 
     dims = sub.add_parser("dims", help="quotient dimensions per degree")
@@ -203,8 +205,8 @@ def _check_multiplicativity(max_degree, steps):
     # product of its segment transports; the upper segment equals the upper
     # braid's own transport with strands read through the lower permutation.
     # kontsevich_of_braid is itself such a product, so the concatenation is
-    # integrated directly as one loop.  The factors are spectral letters, so
-    # the residual is the error of transport() at `steps`.
+    # integrated directly as one loop, by spectral segments composed as
+    # kontsevich_of_braid composes its letters.
     words = [parse_braid_word(text, 3) for text in ("1", "2", "-1")]
     worst = 0.0
     for upper in words:
@@ -232,10 +234,15 @@ def _check_abelian(max_degree, steps):
 
 
 def _check_reparam(max_degree, steps):
+    # the same loop at uneven speed inside every segment; a velocity that
+    # missed the factor phi' would be off by 0.04 to 0.2
     word = parse_braid_word("1 2", 3)
     even = transport(realize(word), max_degree, steps).coefficients
-    skew = transport(realize(word, durations=(2.0, 1.0)), max_degree, steps).coefficients
-    return np.abs(even - skew).max(), 1e-7
+    worst = 0.0
+    for rate in (1.0, 2.0, 4.0):
+        warped = _warped(realize(word, durations=(2.0, 1.0)), rate)
+        worst = max(worst, np.abs(transport(warped, max_degree, steps).coefficients - even).max())
+    return worst, 1e-12
 
 
 _CHECKS = {

@@ -7,30 +7,23 @@ sees an analytic integrand.  Degree-m coefficients of the result are the
 iterated integrals over the ordered simplex 0 <= t1 < ... < tm <= 1 (Chen's
 iterated integrals); chords are stored bottom-up in time order and every
 coefficient already carries its 1/(2 pi i)^m normalization.  The degree-r
-part of T depends only on degree r - 1, T_r(s) = integral_0^s T_{r-1} omega,
-so both integrators below go one degree at a time.
+part of T depends only on degree r - 1, T_r(s) = integral_0^s T_{r-1} omega.
 
-transport() integrates any loop with classical fourth-order steps and
-carries the step-doubling error estimate.  The steps of a segment are taken
-together, one degree at a time: the stages of a chunk of steps are outer
-products with the sampled connection, the state along the chunk is the
-prefix sum of their increments, and the top degree, which feeds no other, is
-only summed, by matrix products.  Below the top degree this is the
-arithmetic of stepping one step at a time, in the same order; the top degree
-differs from it by summation order only.
+Every loop is integrated one way.  A segment is integrated spectrally
+(Greengard, SIAM J. Numer. Anal. 28, 1991): the connection is sampled at
+n + 1 Chebyshev-Lobatto nodes, with n doubled until its Chebyshev tail is
+resolved, and each degree is the Chebyshev indefinite integral of the
+degree below times omega, so M sweeps give the degree-M truncation to about
+machine precision.  A loop's holonomy is the stacking product of its
+segments' holonomies, composed by one scan: for a chunk of factors, degree r
+after each factor is the prefix sum of outer products of the lower degrees
+before it with the factors, and the top degree, which feeds no other, is
+only summed, by matrix products.
 
-A braid's integral is built from its letters instead: each letter is one
-analytic segment, integrated once per process and cached, and a word is
-their stacking product, each letter relabeled to the strands it moves.  The
-product is scanned like the steps of transport(): for a chunk of letters,
-degree r after each letter is the prefix sum of outer products of the
-lower degrees before it with the letters, and the top degree is only
-summed.  A letter is integrated spectrally (Greengard, SIAM J. Numer. Anal. 28, 1991):
-the connection is sampled at n + 1 Chebyshev-Lobatto nodes, with n doubled
-until its Chebyshev tail is resolved, and each degree is the Chebyshev
-indefinite integral of the degree below times omega, so M sweeps give the
-degree-M truncation to about machine precision, independent of any step
-count.
+transport() sweeps the segments of any loop and estimates its error from
+the same loop at twice each segment's node count.  A braid's integral scans
+its letters instead: each letter's holonomy is swept once per process and
+cached, and read through the strands at its slots when the letter starts.
 
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
@@ -57,25 +50,22 @@ from .words import (
 )
 
 _TWO_PI_I = 2j * math.pi
-# Most complex entries one temporary of the integrator holds: steps are
-# taken in chunks short enough that a chunk's degree M-1 block fits.
-_CHUNK_ENTRIES = 2**14
-# The same bound for kontsevich_of_braid's scan: a chunk of L letters holds
-# L rows of P**(M-1) entries per degree M-1 temporary, and their gathered
-# holonomies, about P times that.  A 400-letter word on 5 strands to degree
+# Most complex entries one temporary of the scan holds: a chunk of L factors
+# holds L rows of P**(M-1) entries per degree M-1 temporary, and the factors
+# themselves, about P times that.  A 400-letter word on 5 strands to degree
 # 5 then takes 6 letters per chunk: 0.75 s on one thread of a 2-vCPU host, at
 # a traced peak of 26 MB (one letter at a time: 1.3 s, 7 MB).  Unchunked it
 # held 1.57 GB; at 2**14, one letter per chunk, it took 1.9 s.
 _SCAN_ENTRIES = 2**16
-# Most steps per segment a transport may take.  The connection is sampled at
-# 2 * steps + 1 points per segment, so the cap bounds that array too.
+# Largest steps argument accepted.  Steps no longer change any result; the
+# argument is still checked, so requests beyond the cap stay refused.
 MAX_STEPS = 2**16
-# A letter is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
+# A segment is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
 # up to this cap: the first n at which the last two Chebyshev coefficients of
 # the sampled connection are at most _TAIL_TOLERANCE times its largest one.
 # Letters on three or more strands resolve at n = 32 (their iterated
-# integrals are then within about 5e-16 of fine RK4), on two strands at 8;
-# a letter that does not resolve by the cap fails.
+# integrals are then within about 2e-16 of the n = 128 ones), on two strands
+# at 8; a segment that does not resolve by the cap fails.
 _MAX_NODES = 128
 _TAIL_TOLERANCE = 1e-11
 
@@ -86,7 +76,7 @@ class TransportError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransportResult:
-    steps_used: int
+    steps_used: int  # nodes of each segment's 2n-node comparison run, summed over segments
     richardson_error_estimate: float
     coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
 
@@ -122,88 +112,6 @@ def _unit(n_pairs, max_degree):
     return vec
 
 
-def _omega_grid(segment, steps, ii, jj):
-    """Connection at the nodes and midpoints of `steps` equal steps over [0, 1]."""
-    return _segment_omega(segment, np.arange(2 * steps + 1) / (2 * steps), ii, jj)
-
-
-def _advance(blocks, omega):
-    """Fourth-order steps of T' = omega * T through the sampled rows, in place.
-
-    omega holds node, midpoint, node, ... rows; blocks are the state's
-    degree blocks.  Steps go in chunks; within one, degree r of every stage
-    is an outer product of degree r - 1 of the stage before with a row.
-    """
-    top = len(blocks) - 1
-    if top == 0:
-        return
-    n_steps = (len(omega) - 1) // 2
-    h = 2.0 / (len(omega) - 1)
-    chunk = max(1, _CHUNK_ENTRIES // omega.shape[1] ** (top - 1))
-    for lo in range(0, n_steps, chunk):
-        hi = min(lo + chunk, n_steps)
-        a0 = omega[2 * lo : 2 * hi : 2]
-        am = omega[2 * lo + 1 : 2 * hi : 2]
-        a1 = omega[2 * lo + 2 : 2 * hi + 1 : 2]
-        # per step, state t and stage points u1 = t + h/2 k1, u2 = t + h/2 k2,
-        # u3 = t + h k3; in degree 0 every k vanishes
-        t = u1 = u2 = u3 = np.broadcast_to(blocks[0], (hi - lo, 1))
-        for r in range(1, top):
-            k1, k2, k3, k4 = _outer(t, a0), _outer(u1, am), _outer(u2, am), _outer(u3, a1)
-            path = np.empty((hi - lo + 1, k1.shape[1]), dtype=complex)
-            path[0] = blocks[r]
-            path[1:] = k1 + 2.0 * k2 + 2.0 * k3 + k4
-            path[1:] *= h / 6.0
-            np.cumsum(path, axis=0, out=path)
-            blocks[r][:] = path[-1]
-            t = path[:-1]
-            u1, u2, u3 = t + (0.5 * h) * k1, t + (0.5 * h) * k2, t + h * k3
-        total = t.T @ a0 + (u1 + u2).T @ (2.0 * am) + u3.T @ a1
-        blocks[top] += (h / 6.0) * total.ravel()
-
-
-def _integrate(loop, max_degree, steps):
-    """(fine, coarse) end states; coarse takes steps // 2 steps, None below 2.
-
-    The connection is sampled once per segment; with even steps the coarse
-    run's nodes and midpoints are every other fine sample.
-    """
-    _, ii, jj = _pair_indices(loop.n_strands)
-    n_pairs = len(ii)
-    fine = _unit(n_pairs, max_degree)
-    coarse = _unit(n_pairs, max_degree) if steps >= 2 else None
-    fine_blocks = _blocks(fine, n_pairs, max_degree)
-    coarse_blocks = None if coarse is None else _blocks(coarse, n_pairs, max_degree)
-    for seg_index, segment in enumerate(loop.segments):
-        omega = _omega_grid(segment, steps, ii, jj)
-        _advance(fine_blocks, omega)
-        if coarse is not None:
-            half = omega[::2] if steps % 2 == 0 else _omega_grid(segment, steps // 2, ii, jj)
-            _advance(coarse_blocks, half)
-        if not (np.isfinite(fine).all() and (coarse is None or np.isfinite(coarse).all())):
-            left = loop.breaks[seg_index - 1] if seg_index else 0.0
-            raise TransportError(
-                f"non-finite transport coefficients inside segment ending at t={loop.breaks[seg_index]}"
-                f" (segment start t={left})"
-            )
-    return fine, coarse
-
-
-def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportResult:
-    """Solve T' = omega * T from the identity along the loop.
-
-    steps counts fourth-order steps per segment (per braid letter), at most
-    MAX_STEPS.  The error estimate compares against a half-resolution run and shrinks about
-    sixteenfold when steps double; it is inf when steps < 2 leaves nothing
-    to compare.
-    """
-    _check_arguments(max_degree, steps)
-    fine, coarse = _integrate(loop, max_degree, steps)
-    estimate = math.inf if coarse is None else float(np.abs(fine - coarse).max())
-    fine.flags.writeable = False
-    return TransportResult(steps * len(loop.segments), estimate, fine)
-
-
 @lru_cache(maxsize=None)
 def _chebyshev(n):
     """(nodes, C, S) for n + 1 Chebyshev-Lobatto nodes on [0, 1].
@@ -230,15 +138,18 @@ def _chebyshev(n):
 
 
 def _resolved_omega(segment, ii, jj):
-    """(S, omega at its nodes) at the fewest nodes that resolve the segment's connection."""
+    """(n, omega at the nodes of _chebyshev(n)) at the fewest nodes that resolve the segment's connection.
+
+    A non-finite sample ends the search; the caller reports it.
+    """
     n = 8
     while True:
-        nodes, coefficients, integration = _chebyshev(n)
+        nodes, coefficients, _ = _chebyshev(n)
         omega = _segment_omega(segment, nodes, ii, jj)
         spectrum = np.abs(coefficients @ omega)
         tail, scale = spectrum[-2:].max(), spectrum.max()
-        if tail <= _TAIL_TOLERANCE * scale:  # NaN fails
-            return integration, omega
+        if tail <= _TAIL_TOLERANCE * scale or not math.isfinite(scale):
+            return n, omega
         if n >= _MAX_NODES:
             raise TransportError(
                 f"connection not resolved at {n} Chebyshev nodes: last coefficients"
@@ -247,76 +158,123 @@ def _resolved_omega(segment, ii, jj):
         n *= 2
 
 
-@lru_cache(maxsize=64)
-def _letter_holonomy(n_strands, k, sign, max_degree):
-    """Dense holonomy of one letter in slot labels, integrated once, read-only.
+def _sweeps(n, omega, max_degree):
+    """Dense holonomy of a segment from omega at the n + 1 nodes of _chebyshev(n).
 
     Degree r at the nodes is S @ (degree r - 1 times omega); the top degree
     is only needed at s = 1, so it takes the quadrature row S[-1] alone.
     """
-    segment = realize(BraidWord(n_strands, ((k, sign),))).segments[0]
-    _, ii, jj = _pair_indices(n_strands)
-    integration, omega = _resolved_omega(segment, ii, jj)
-    out = _unit(len(ii), max_degree)
-    blocks = _blocks(out, len(ii), max_degree)
+    integration = _chebyshev(n)[2]
+    n_pairs = omega.shape[1]
+    out = _unit(n_pairs, max_degree)
+    blocks = _blocks(out, n_pairs, max_degree)
     if max_degree:
-        path = np.ones((len(omega), 1), dtype=complex)  # degree 0 at every node
+        path = np.ones((n + 1, 1), dtype=complex)  # degree 0 at every node
         for r in range(1, max_degree):
             path = integration @ _outer(path, omega)
             blocks[r][:] = path[-1]
         blocks[-1][:] = ((integration[-1][:, None] * path).T @ omega).ravel()
+    return out
+
+
+def _scan(factors, count, n_pairs, max_degree):
+    """Stacking product of `count` dense factors drawn from an iterator, the first lowest.
+
+    The factors are read a chunk at a time into one array.  Degree r after
+    each factor is the prefix sum of the increments sum_{p >= 1} (degree
+    r - p before the factor) times (the factor's degree p); the top degree,
+    which feeds no other, is only summed.  Nothing is thresholded.
+    """
+    total = _unit(n_pairs, max_degree)
+    blocks = _blocks(total, n_pairs, max_degree)
+    slices = _block_slices(n_pairs, max_degree)
+    chunk = max(1, _SCAN_ENTRIES // n_pairs ** max(max_degree - 1, 0))
+    for lo in range(0, count, chunk):
+        part = np.empty((min(chunk, count - lo), len(total)), dtype=complex)
+        for row, factor in zip(part, factors):
+            row[:] = factor
+        part_blocks = [part[:, block] for block in slices]
+        # before[q][i]: degree q of the product before factor lo + i
+        before = [np.ones((len(part), 1), dtype=complex)]
+        for r in range(1, max_degree):
+            path = np.empty((len(part) + 1, n_pairs**r), dtype=complex)
+            path[0] = blocks[r]
+            path[1:] = _outer(before[r - 1], part_blocks[1])
+            for p in range(2, r + 1):
+                path[1:] += _outer(before[r - p], part_blocks[p])
+            np.cumsum(path, axis=0, out=path)
+            blocks[r][:] = path[-1]
+            before.append(path[:-1])
+        for p in range(1, max_degree + 1):
+            blocks[-1] += (before[max_degree - p].T @ part_blocks[p]).ravel()
+    return total
+
+
+def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportResult:
+    """Solve T' = omega * T from the identity along the loop.
+
+    Each segment is swept at the fewest Chebyshev nodes n that resolve its
+    connection, and the segments are composed by the scan kontsevich_of_braid
+    uses.  The error estimate is the largest difference from the same loop
+    at 2n nodes per segment; steps_used counts the 2n + 1 nodes of each
+    segment.  steps is checked (1 to MAX_STEPS) but does not change the
+    result.
+    """
+    _check_arguments(max_degree, steps)
+    _, ii, jj = _pair_indices(loop.n_strands)
+    resolved, doubled = [], []  # (n, omega at the nodes of _chebyshev(n)) per segment
+    for index, segment in enumerate(loop.segments):
+        n, omega = _resolved_omega(segment, ii, jj)
+        if not np.isfinite(omega).all():
+            left = loop.breaks[index - 1] if index else 0.0
+            raise TransportError(
+                f"non-finite transport coefficients inside segment ending at t={loop.breaks[index]}"
+                f" (segment start t={left})"
+            )
+        resolved.append((n, omega))
+        doubled.append((2 * n, _segment_omega(segment, _chebyshev(2 * n)[0], ii, jj)))
+    coefficients, finer = (
+        _scan((_sweeps(n, omega, max_degree) for n, omega in samples), len(samples), len(ii), max_degree)
+        for samples in (resolved, doubled)
+    )
+    coefficients.flags.writeable = False
+    nodes = sum(n + 1 for n, _ in doubled)
+    return TransportResult(nodes, float(np.abs(coefficients - finer).max()), coefficients)
+
+
+@lru_cache(maxsize=64)
+def _letter_holonomy(n_strands, k, sign, max_degree):
+    """Dense holonomy of one letter in slot labels, integrated once, read-only."""
+    segment = realize(BraidWord(n_strands, ((k, sign),))).segments[0]
+    _, ii, jj = _pair_indices(n_strands)
+    out = _sweeps(*_resolved_omega(segment, ii, jj), max_degree)
     out.flags.writeable = False
     return out
+
+
+def _relabeled_letters(word, max_degree):
+    """Each letter's cached holonomy, read through the strands at its slots when it starts."""
+    n = word.n_strands
+    strand_at = list(range(1, n + 1))
+    for k, sign in word.letters:
+        yield relabel_strands(_letter_holonomy(n, k, sign, max_degree), n, max_degree, strand_at)
+        strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
 
 
 def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
     """Kontsevich integral of the braid: its holonomy as a dense series over basis_words.
 
     Holonomy is multiplicative under concatenation of loops, so it is the
-    stacking product of the letters' holonomies, each read through the
-    strands standing at its slots when the letter starts.  A letter's own
-    holonomy depends only on (N, k, sign, max_degree) and is integrated
-    once per process, spectrally, to about machine precision.  The product
-    is a scan over the letters, one degree at a time: degree r after each
-    letter is the prefix sum of the increments sum_{p >= 1} (degree r - p
-    before the letter) times (the letter's degree p), batched over a chunk
-    of letters; the top degree, which feeds no other, is only summed.
-    steps is checked as transport() checks it but does not change the
-    result, which is at least as accurate as transport(realize(word),
-    max_degree, steps).coefficients.  Nothing is thresholded.
+    scanned stacking product of the letters' holonomies, each read through
+    the strands standing at its slots when the letter starts.  A letter's
+    own holonomy depends only on (N, k, sign, max_degree) and is integrated
+    once per process.  steps is checked as transport() checks it and does
+    not change the result, which equals transport(realize(word),
+    max_degree).coefficients up to rounding.  Nothing is thresholded.
     """
     _check_arguments(max_degree, steps)
     n = word.n_strands
-    n_pairs = n * (n - 1) // 2
-    total = _unit(n_pairs, max_degree)
-    blocks = _blocks(total, n_pairs, max_degree)
-    slices = _block_slices(n_pairs, max_degree)
-    readings = []  # (k, sign, strands at the slots when the letter starts)
-    strand_at = list(range(1, n + 1))
-    for k, sign in word.letters:
-        readings.append((k, sign, tuple(strand_at)))
-        strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
-    chunk = max(1, _SCAN_ENTRIES // n_pairs ** max(max_degree - 1, 0))
-    for lo in range(0, len(readings), chunk):
-        part = readings[lo : lo + chunk]
-        letters = np.empty((len(part), len(total)), dtype=complex)
-        for row, (k, sign, images) in zip(letters, part):
-            row[:] = relabel_strands(_letter_holonomy(n, k, sign, max_degree), n, max_degree, images)
-        letter_blocks = [letters[:, block] for block in slices]
-        # before[q][i]: degree q of the product before letter lo + i
-        before = [np.ones((len(part), 1), dtype=complex)]
-        for r in range(1, max_degree):
-            path = np.empty((len(part) + 1, n_pairs**r), dtype=complex)
-            path[0] = blocks[r]
-            path[1:] = _outer(before[r - 1], letter_blocks[1])
-            for p in range(2, r + 1):
-                path[1:] += _outer(before[r - p], letter_blocks[p])
-            np.cumsum(path, axis=0, out=path)
-            blocks[r][:] = path[-1]
-            before.append(path[:-1])
-        for p in range(1, max_degree + 1):
-            blocks[-1] += (before[max_degree - p].T @ letter_blocks[p]).ravel()
-    return total
+    return _scan(_relabeled_letters(word, max_degree), len(word), n * (n - 1) // 2, max_degree)
 
 
 def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:

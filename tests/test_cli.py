@@ -210,25 +210,28 @@ def test_dims_circles_degree_zero(capsys):
 
 
 def test_steps_env_override(capsys, monkeypatch):
-    # compute's letters do not depend on the step count; the direct
-    # transports of verify do, so its residual shows the count used
+    # every loop is integrated spectrally: the step count, from the
+    # environment or the flag, is checked but changes no output
     for argv in (("compute", "-n", "3", "-w", "1 -2", "-m", "2"), ("verify", "abelian", "-m", "2")):
         monkeypatch.setenv("KZBRAID_STEPS", "32")
         from_env = run(capsys, *argv)
         monkeypatch.delenv("KZBRAID_STEPS")
         assert from_env[0] == 0
-        assert from_env == run(capsys, *argv, "--steps", "32")
-    assert from_env != run(capsys, *argv)
+        assert from_env == run(capsys, *argv, "--steps", "32") == run(capsys, *argv)
 
 
 def test_steps_env_read_on_every_call(capsys, monkeypatch):
+    # the value is still read and validated on every call, though a valid
+    # one changes nothing
     seen = []
-    for steps in ("32", "64"):
+    for steps in ("32", "0", "64", "70000", "x"):
         monkeypatch.setenv("KZBRAID_STEPS", steps)
         seen.append(run(capsys, "verify", "abelian", "-m", "2"))
         monkeypatch.delenv("KZBRAID_STEPS")
-        assert seen[-1] == run(capsys, "verify", "abelian", "-m", "2", "--steps", steps)
-    assert seen[0] != seen[1]
+    assert seen[0] == seen[2] and seen[0][0] == 0
+    assert seen[1] == (1, "", "error: need max_degree >= 0 and steps >= 1\n")
+    assert seen[3] == (1, "", f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n")
+    assert seen[4] == (1, "", "error: KZBRAID_STEPS must be an integer, got 'x'\n")
     from kzbraid import cli
 
     assert cli._build_parser() is cli._build_parser()
@@ -247,12 +250,14 @@ def test_unresolved_letter_is_numerical_failure(capsys, monkeypatch):
     assert "not resolved at 8 Chebyshev nodes" in err
 
 
-def test_verify_multiplicativity_measures_rk4_error(capsys):
-    # spectral letters on one side, RK4 over the concatenation on the other
-    for extra in ((), ("--steps", "128")):
-        code, out, _ = run(capsys, "verify", "multiplicativity", "-m", "3", *extra)
+def test_verify_lines_do_not_depend_on_steps(capsys):
+    # every check passes and prints one line whatever the step count
+    for check in ("braid-relation", "far-commutation", "oracle", "multiplicativity", "abelian", "reparam"):
+        lines = {run(capsys, "verify", check, "-m", "3", "--steps", steps) for steps in ("1", "2", "16", "32", "512")}
+        assert len(lines) == 1, lines
+        code, out, _ = lines.pop()
         assert code == 0, out
-        assert out.startswith("multiplicativity: residual=") and out.endswith(" PASS\n")
+        assert out.startswith(f"{check}: residual=") and out.endswith(" PASS\n")
 
 
 def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
@@ -446,8 +451,8 @@ def test_over_word_budget_refused_before_allocating():
 
 
 def test_oversized_steps_refused_before_allocating():
-    # 4e8 steps would sample the connection at 8e8 points per segment
-    # (more than 6 GB) before integrating anything
+    # steps no longer change any result, but a count above the limit is
+    # still refused, before anything is sampled
     for argv in (
         ("compute", "-n", "2", "-w", "1", "-m", "1", "--steps", "400000000"),
         ("verify", "reparam", "-m", "1", "--steps", "400000000"),

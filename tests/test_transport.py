@@ -12,6 +12,8 @@ from kzbraid.braids import (
     BraidWord,
     ConfigLoop,
     _Arc,
+    _Warped,
+    _warped,
     parse_braid_word,
     permutation_of,
     realize,
@@ -19,15 +21,13 @@ from kzbraid.braids import (
 from kzbraid.closure import kontsevich_link
 from kzbraid.relations import reduce
 from kzbraid.transport import (
-    _CHUNK_ENTRIES,
-    MAX_STEPS,
     TransportError,
-    _advance,
-    _integrate,
+    _chebyshev,
     _letter_holonomy,
-    _omega_grid,
     _pair_indices,
+    _scan,
     _segment_omega,
+    _sweeps,
     abelian_holonomy,
     kontsevich_of_braid,
     simplex_oracle,
@@ -36,7 +36,6 @@ from kzbraid.transport import (
 )
 from kzbraid.words import (
     HorizontalWord,
-    _blocks,
     basis_size,
     basis_words,
     enumerate_words,
@@ -177,14 +176,14 @@ def _reduced_word(rng, n, length):
 
 
 def test_composed_holonomy_matches_direct_transport():
-    # spectral letters against one fine RK4 run over the whole loop
+    # cached letters, relabeled, against every segment of the loop swept anew
     rng = random.Random(20121)
     for _ in range(24):
         n, max_degree = rng.randint(2, 4), rng.randint(0, 4)
         w = _reduced_word(rng, n, rng.randint(0, 12))
-        direct = transport(realize(w), max_degree, 4096).coefficients
+        direct = transport(realize(w), max_degree).coefficients
         composed = kontsevich_of_braid(w, max_degree)
-        assert np.abs(composed - direct).max() <= 1e-12, (w, max_degree)
+        assert np.abs(composed - direct).max() <= 1e-14, (w, max_degree)
 
 
 def _letter_fold(w, max_degree):
@@ -249,17 +248,15 @@ def test_cached_letters_are_read_only():
 
 
 def test_letters_match_fine_rk4():
-    # transport()'s fine run alone: fourth-order steps at 4096 per letter
+    # an independent integrator: 1024 classical fourth-order steps per letter,
+    # whose own error is about 2e-14 here
     for n in (2, 3, 4, 5):
-        _, ii, jj = _pair_indices(n)
         for k in range(1, n):
             for sign in (1, -1):
-                segment = realize(BraidWord(n, ((k, sign),))).segments[0]
-                fine = identity(n, 4)
-                _advance(_blocks(fine, len(ii), 4), _omega_grid(segment, 4096, ii, jj))
+                fine = _reference_integrate(realize(BraidWord(n, ((k, sign),))), 4, 1024)
                 for max_degree in range(5):
                     letter = _letter_holonomy(n, k, sign, max_degree)
-                    assert np.abs(letter - fine[: len(letter)]).max() <= 1e-14, (n, k, sign)
+                    assert np.abs(letter - fine[: len(letter)]).max() <= 1e-13, (n, k, sign)
 
 
 def test_letter_steps_do_not_change_the_integral():
@@ -292,25 +289,60 @@ def test_far_commutation_flatness():
     assert sup_diff(za, zb) < 1e-6
 
 
+REPARAM_CASES = (("1 2", 3, (2.0, 1.0)), ("1 1 -2", 3, (1.0, 3.0, 2.0)), ("1 -2 3", 4, (1.0, 2.0, 3.0)))
+
+
 def test_reparametrization_invariance():
-    w = parse_braid_word("1 2", 3)
-    even = transport(realize(w), 3, STEPS).coefficients
-    skew = transport(realize(w, durations=(2.0, 1.0)), 3, STEPS).coefficients
-    assert sup_diff(even, skew) < 1e-7
+    # uneven durations between segments and uneven speed inside each one
+    for text, n, durations in REPARAM_CASES:
+        w = parse_braid_word(text, n)
+        even = transport(realize(w), 3, STEPS).coefficients
+        for rate in (1.0, 2.0, 4.0):
+            warped = transport(_warped(realize(w, durations=durations), rate), 3, STEPS)
+            assert sup_diff(even, warped.coefficients) < 1e-12, (text, rate)
 
 
-def test_richardson_fourth_order():
-    loop = realize(parse_braid_word("1 2", 3))
-    coarse = transport(loop, 3, 64).richardson_error_estimate
-    fine = transport(loop, 3, 128).richardson_error_estimate
-    assert 12.0 < coarse / fine < 20.0
+class _WarpedWithoutSpeed(_Warped):
+    """The warped path with the velocity not scaled by phi': a wrong reparametrization."""
+
+    def velocities(self, s):
+        return self.segment.velocities(self._phi(s))
+
+
+def test_reparametrization_gate_fails_without_speed_factor():
+    for text, n, durations in REPARAM_CASES:
+        w = parse_braid_word(text, n)
+        even = transport(realize(w), 3, STEPS).coefficients
+        loop = realize(w, durations=durations)
+        for rate in (1.0, 2.0, 4.0):
+            wrong = ConfigLoop(n, tuple(_WarpedWithoutSpeed(s, rate) for s in loop.segments), loop.breaks)
+            assert sup_diff(even, transport(wrong, 3, STEPS).coefficients) > 0.01, (text, rate)
+
+
+def _at_nodes(loop, n, max_degree):
+    """The loop's holonomy with every segment swept at n + 1 nodes."""
+    _, ii, jj = _pair_indices(loop.n_strands)
+    factors = (_sweeps(n, _segment_omega(s, _chebyshev(n)[0], ii, jj), max_degree) for s in loop.segments)
+    return _scan(factors, len(loop.segments), len(ii), max_degree)
+
+
+def test_transport_converges_geometrically_in_nodes():
+    loop = realize(parse_braid_word("1 -2 1", 3), durations=(1.0, 2.0, 1.5))
+    reference = _at_nodes(loop, 128, 3)
+    errors = [sup_diff(_at_nodes(loop, n, 3), reference) for n in (4, 8, 16, 32)]
+    assert errors[0] >= 100 * errors[1] and errors[1] >= 100 * errors[2], errors
+    assert errors[3] <= 1e-15, errors
+    result = transport(loop, 3, STEPS)
+    assert sup_diff(result.coefficients, reference) <= 1e-15
+    assert result.richardson_error_estimate <= 1e-15
 
 
 def test_transport_reports_steps():
+    # "1 2" on 3 strands: both letters resolve at n = 32, compared at 64
     loop = realize(parse_braid_word("1 2", 3))
-    res = transport(loop, 2, 32)
-    assert res.steps_used == 64
-    assert math.isinf(transport(loop, 1, 1).richardson_error_estimate)
+    res, single = transport(loop, 2, 32), transport(loop, 1, 1)
+    assert res.steps_used == single.steps_used == 2 * (2 * 32 + 1)
+    assert 0.0 <= single.richardson_error_estimate <= 1e-15
 
 
 def test_abelian_matches_symmetrized_transport():
@@ -354,7 +386,7 @@ def test_transport_error_on_collision():
 
 
 def _reference_integrate(loop, max_degree, steps):
-    """(fine, coarse) end states taken one classical RK4 step at a time."""
+    """End state of `steps` classical RK4 steps per segment, taken one at a time."""
     _, ii, jj = _pair_indices(loop.n_strands)
     n_pairs = len(ii)
     n_low = basis_size(n_pairs, max_degree - 1)
@@ -376,56 +408,12 @@ def _reference_integrate(loop, max_degree, steps):
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return state
 
-    fine = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
-    fine[0] = 1.0
-    coarse = fine.copy() if steps >= 2 else None
+    state = np.zeros(basis_size(n_pairs, max_degree), dtype=complex)
+    state[0] = 1.0
     for segment in loop.segments:
-        omega = _omega_grid(segment, steps, ii, jj)
-        fine = rk4(fine, omega)
-        if coarse is not None:
-            half = omega[::2] if steps % 2 == 0 else _omega_grid(segment, steps // 2, ii, jj)
-            coarse = rk4(coarse, half)
-    return fine, coarse
-
-
-# (strands, max_degree, steps, letters); the chunk holds
-# _CHUNK_ENTRIES // P**(M-1) steps, so (3, 6, 128), (4, 5, 128) and (5, 4, 40)
-# end runs on a partial chunk
-REFERENCE_CASES = (
-    (2, 0, 512, "1 1"),
-    (2, 6, 512, "1 -1 1"),
-    (3, 3, 128, "1 2 -1 2"),
-    (3, 5, 7, "2 1"),
-    (3, 6, 128, "1 -2"),
-    (4, 1, 512, "3 -1"),
-    (4, 2, 1, "1 3 -2"),
-    (4, 4, 3, "3 2 1"),
-    (4, 5, 128, "-2"),
-    (5, 3, 2, "4 -1"),
-    (5, 4, 40, "2 -3 4"),
-    (5, 5, 3, "1"),
-)
-
-
-def test_integrator_matches_step_loop_reference():
-    partial_chunks = 0
-    for n, max_degree, steps, text in REFERENCE_CASES:
-        w = parse_braid_word(text, n)
-        durations = [1.0 + 0.5 * k for k in range(len(w))]
-        loop = realize(w, durations=durations)
-        fine, coarse = _integrate(loop, max_degree, steps)
-        ref_fine, ref_coarse = _reference_integrate(loop, max_degree, steps)
-        assert np.abs(fine - ref_fine).max() <= 1e-13, (n, max_degree, steps)
-        if steps >= 2:
-            assert np.abs(coarse - ref_coarse).max() <= 1e-13, (n, max_degree, steps)
-            estimate = transport(loop, max_degree, steps).richardson_error_estimate
-            assert abs(estimate - np.abs(ref_fine - ref_coarse).max()) <= 1e-13
-        else:
-            assert coarse is None and ref_coarse is None
-        n_pairs = n * (n - 1) // 2
-        chunk = max(1, _CHUNK_ENTRIES // n_pairs ** max(max_degree - 1, 0))
-        partial_chunks += steps > chunk and steps % chunk != 0
-    assert partial_chunks >= 3
+        # nodes and midpoints of the steps
+        state = rk4(state, _segment_omega(segment, np.arange(2 * steps + 1) / (2 * steps), ii, jj))
+    return state
 
 
 @st.composite
