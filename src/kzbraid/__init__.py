@@ -36,7 +36,6 @@ from .relations import (
     reduce,
 )
 from .transport import (
-    MAX_STEPS,
     TransportError,
     TransportResult,
     abelian_holonomy,

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Output is
 deterministic: terms are emitted in graded-lexicographic order and floats use
 the shortest round-trip representation.  Every loop is integrated spectrally,
-so --steps (default KZBRAID_STEPS when set, read on every call) is checked
-but changes no result.
+so --steps (default KZBRAID_STEPS when set, read on every call) changes no
+result: it is checked here, 1 to MAX_STEPS, with the other arguments and
+before any file is opened, and passed nowhere.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .words import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+MAX_STEPS = 2**16  # largest --steps accepted, though steps change no result
+_STEPS_HELP = "checked, 1 to 2^16, but changes no result (default KZBRAID_STEPS, else 512)"
 
 
 class ValidationError(Exception):
@@ -73,11 +76,7 @@ def _build_parser():
     compute.add_argument("-n", "--strands", type=int, required=True)
     compute.add_argument("-w", "--word", default="", help="signed generator indices")
     compute.add_argument("-m", "--max-degree", type=int, default=3)
-    compute.add_argument(
-        "--steps", type=int,
-        help="checked, 1 to 2^16, but no longer changes results: letters are"
-        " integrated spectrally (default KZBRAID_STEPS, else 512)",
-    )
+    compute.add_argument("--steps", type=int, help=_STEPS_HELP)
     compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
     compute.add_argument("--close", action="store_true", help="also reduce the closure")
     compute.add_argument(
@@ -88,11 +87,7 @@ def _build_parser():
     verify = sub.add_parser("verify", help="run one consistency check")
     verify.add_argument("check", help="|".join(sorted(_CHECKS)))
     verify.add_argument("-m", "--max-degree", type=int, default=3)
-    verify.add_argument(
-        "--steps", type=int,
-        help="checked, 1 to 2^16, but no longer changes results: loops are"
-        " integrated spectrally (default KZBRAID_STEPS, else 512)",
-    )
+    verify.add_argument("--steps", type=int, help=_STEPS_HELP)
 
     dims = sub.add_parser("dims", help="quotient dimensions per degree")
     group = dims.add_mutually_exclusive_group(required=True)
@@ -127,6 +122,7 @@ def _cmd_compute(args):
     word = parse_braid_word(args.word, args.strands)
     if args.close:
         check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
+    _check_steps_limit(args.steps)
     # opened before any work or output, so an unwritable path prints nothing
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
         sink.writelines(_compute_json(args, word))
@@ -135,7 +131,7 @@ def _cmd_compute(args):
 
 def _compute_json(args, word):
     """Write the term table to stdout and return the JSON text, in parts to write in turn."""
-    holonomy = kontsevich_of_braid(word, args.max_degree, args.steps)
+    holonomy = kontsevich_of_braid(word, args.max_degree)
     # Python's abs, whose digits the table prints (np.abs can differ in the
     # last bit); kept terms stay in basis order
     moduli = list(map(abs, holonomy.tolist()))
@@ -169,29 +165,34 @@ def _compute_json(args, word):
     ]
 
 
-def _reduced_difference(texts, strands, max_degree, steps):
+def _check_steps_limit(steps):
+    if steps > MAX_STEPS:
+        raise ValidationError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
+
+
+def _reduced_difference(texts, strands, max_degree):
     """Largest coefficient difference between two braids' series after reduce."""
     za, zb = [
-        reduce(kontsevich_of_braid(parse_braid_word(text, strands), max_degree, steps),
+        reduce(kontsevich_of_braid(parse_braid_word(text, strands), max_degree),
                ("strands", strands), max_degree)
         for text in texts
     ]
     return np.abs(za - zb).max()
 
 
-def _check_braid_relation(max_degree, steps):
-    return _reduced_difference(("1 2 1", "2 1 2"), 3, max_degree, steps), 1e-6
+def _check_braid_relation(max_degree):
+    return _reduced_difference(("1 2 1", "2 1 2"), 3, max_degree), 1e-12
 
 
-def _check_far_commutation(max_degree, steps):
-    return _reduced_difference(("1 3", "3 1"), 4, max_degree, steps), 1e-6
+def _check_far_commutation(max_degree):
+    return _reduced_difference(("1 3", "3 1"), 4, max_degree), 1e-12
 
 
-def _check_oracle(max_degree, steps):
+def _check_oracle(max_degree):
     worst = 0.0
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
-        coefficients = transport(loop, max_degree, steps).coefficients
+        coefficients = transport(loop, max_degree).coefficients
         for degree in range(1, min(2, max_degree) + 1):
             start = basis_size(strands * (strands - 1) // 2, degree - 1)
             for g, word in enumerate(enumerate_words(strands, degree), start):
@@ -200,7 +201,7 @@ def _check_oracle(max_degree, steps):
     return worst, 1e-5
 
 
-def _check_multiplicativity(max_degree, steps):
+def _check_multiplicativity(max_degree):
     # flow property: the transport of a concatenated loop is the stacking
     # product of its segment transports; the upper segment equals the upper
     # braid's own transport with strands read through the lower permutation.
@@ -213,35 +214,35 @@ def _check_multiplicativity(max_degree, steps):
         for lower in words:
             combined = type(upper)(3, lower.letters + upper.letters)
             z_upper = relabel_strands(
-                kontsevich_of_braid(upper, max_degree, steps),
+                kontsevich_of_braid(upper, max_degree),
                 3,
                 max_degree,
                 permutation_of(lower).inverse().images,
             )
-            z_lower = kontsevich_of_braid(lower, max_degree, steps)
-            zc = transport(realize(combined), max_degree, steps).coefficients
+            z_lower = kontsevich_of_braid(lower, max_degree)
+            zc = transport(realize(combined), max_degree).coefficients
             worst = max(worst, np.abs(series_product(z_upper, z_lower, 3, max_degree) - zc).max())
-    return worst, 1e-8
+    return worst, 1e-12
 
 
-def _check_abelian(max_degree, steps):
+def _check_abelian(max_degree):
     worst = 0.0
     for text in ("1 2", "1 1 -2"):
         loop = realize(parse_braid_word(text, 3))
-        sym = symmetrized(transport(loop, max_degree, steps).coefficients, 3, max_degree)
+        sym = symmetrized(transport(loop, max_degree).coefficients, 3, max_degree)
         worst = max(worst, np.abs(sym - abelian_holonomy(loop, max_degree)).max())
-    return worst, 1e-7
+    return worst, 1e-12
 
 
-def _check_reparam(max_degree, steps):
+def _check_reparam(max_degree):
     # the same loop at uneven speed inside every segment; a velocity that
     # missed the factor phi' would be off by 0.04 to 0.2
     word = parse_braid_word("1 2", 3)
-    even = transport(realize(word), max_degree, steps).coefficients
+    even = transport(realize(word), max_degree).coefficients
     worst = 0.0
     for rate in (1.0, 2.0, 4.0):
         warped = _warped(realize(word, durations=(2.0, 1.0)), rate)
-        worst = max(worst, np.abs(transport(warped, max_degree, steps).coefficients - even).max())
+        worst = max(worst, np.abs(transport(warped, max_degree).coefficients - even).max())
     return worst, 1e-12
 
 
@@ -260,7 +261,10 @@ def _cmd_verify(args):
         raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
     # far-commutation compares braids on 4 strands, every other check at most 3
     check_word_budget(4 if args.check == "far-commutation" else 3, args.max_degree)
-    residual, tolerance = _CHECKS[args.check](args.max_degree, args.steps)
+    if args.max_degree < 0 or args.steps < 1:
+        raise ValidationError("need max_degree >= 0 and steps >= 1")
+    _check_steps_limit(args.steps)
+    residual, tolerance = _CHECKS[args.check](args.max_degree)
     ok = residual < tolerance
     print(f"{args.check}: residual={residual:.3e} tolerance={tolerance:.1e} {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -132,14 +132,15 @@ def close_braid(coefficients, word: BraidWord, zero_threshold=ZERO_THRESHOLD) ->
     return ClosureResult(skeleton, circle_series, reduced)
 
 
-def kontsevich_link(word: BraidWord, max_degree: int, steps: int = 512) -> ClosureResult:
+def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
     """Braid-holonomy part of the link integral, raw and reduced.
 
-    Braid terms below ZERO_THRESHOLD are dropped before the projection.  Top
-    and bottom closure-arc contributions are not grafted on, so use the
-    result for quantities insensitive to them (linking numbers,
-    framing-killed terms, comparisons of closures of equal braids).
+    The braid's series is kontsevich_of_braid(word, max_degree); its terms
+    below ZERO_THRESHOLD are dropped before the projection.  Top and bottom
+    closure-arc contributions are not grafted on, so use the result for
+    quantities insensitive to them (linking numbers, framing-killed terms,
+    comparisons of closures of equal braids).
     """
-    holonomy = kontsevich_of_braid(word, max_degree, steps).tolist()
+    holonomy = kontsevich_of_braid(word, max_degree).tolist()
     kept = np.array([c if abs(c) >= ZERO_THRESHOLD else 0j for c in holonomy])
     return close_braid(kept, word)

@@ -21,9 +21,10 @@ before it with the factors, and the top degree, which feeds no other, is
 only summed, by matrix products.
 
 transport() sweeps the segments of any loop and estimates its error from
-the same loop at twice each segment's node count.  A braid's integral scans
-its letters instead: each letter's holonomy is swept once per process and
-cached, and read through the strands at its slots when the letter starts.
+the same loop at twice each segment's node count, chosen per segment, so
+no function here takes a step count.  A braid's integral scans its letters
+instead: each letter's holonomy is swept once per process and cached, and
+read through the strands at its slots when the letter starts.
 
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
@@ -57,9 +58,6 @@ _TWO_PI_I = 2j * math.pi
 # a traced peak of 26 MB (one letter at a time: 1.3 s, 7 MB).  Unchunked it
 # held 1.57 GB; at 2**14, one letter per chunk, it took 1.9 s.
 _SCAN_ENTRIES = 2**16
-# Largest steps argument accepted.  Steps no longer change any result; the
-# argument is still checked, so requests beyond the cap stay refused.
-MAX_STEPS = 2**16
 # A segment is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
 # up to this cap: the first n at which the last two Chebyshev coefficients of
 # the sampled connection are at most _TAIL_TOLERANCE times its largest one.
@@ -79,13 +77,6 @@ class TransportResult:
     steps_used: int  # nodes of each segment's 2n-node comparison run, summed over segments
     richardson_error_estimate: float
     coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
-
-
-def _check_arguments(max_degree, steps):
-    if max_degree < 0 or steps < 1:
-        raise ValueError("need max_degree >= 0 and steps >= 1")
-    if steps > MAX_STEPS:
-        raise ValueError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
 
 
 @lru_cache(maxsize=None)
@@ -210,17 +201,17 @@ def _scan(factors, count, n_pairs, max_degree):
     return total
 
 
-def transport(loop: ConfigLoop, max_degree: int, steps: int = 512) -> TransportResult:
+def transport(loop: ConfigLoop, max_degree: int) -> TransportResult:
     """Solve T' = omega * T from the identity along the loop.
 
     Each segment is swept at the fewest Chebyshev nodes n that resolve its
     connection, and the segments are composed by the scan kontsevich_of_braid
     uses.  The error estimate is the largest difference from the same loop
     at 2n nodes per segment; steps_used counts the 2n + 1 nodes of each
-    segment.  steps is checked (1 to MAX_STEPS) but does not change the
-    result.
+    segment.
     """
-    _check_arguments(max_degree, steps)
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     _, ii, jj = _pair_indices(loop.n_strands)
     resolved, doubled = [], []  # (n, omega at the nodes of _chebyshev(n)) per segment
     for index, segment in enumerate(loop.segments):
@@ -261,18 +252,18 @@ def _relabeled_letters(word, max_degree):
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
 
 
-def kontsevich_of_braid(word: BraidWord, max_degree: int, steps: int = 512) -> np.ndarray:
+def kontsevich_of_braid(word: BraidWord, max_degree: int) -> np.ndarray:
     """Kontsevich integral of the braid: its holonomy as a dense series over basis_words.
 
     Holonomy is multiplicative under concatenation of loops, so it is the
     scanned stacking product of the letters' holonomies, each read through
     the strands standing at its slots when the letter starts.  A letter's
     own holonomy depends only on (N, k, sign, max_degree) and is integrated
-    once per process.  steps is checked as transport() checks it and does
-    not change the result, which equals transport(realize(word),
+    once per process.  The result equals transport(realize(word),
     max_degree).coefficients up to rounding.  Nothing is thresholded.
     """
-    _check_arguments(max_degree, steps)
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     n = word.n_strands
     return _scan(_relabeled_letters(word, max_degree), len(word), n * (n - 1) // 2, max_degree)
 

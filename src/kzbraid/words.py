@@ -104,20 +104,25 @@ def basis_size(n_pairs: int, max_degree: int) -> int:
 
 
 def check_word_budget(n_strands: int, max_degree: int):
-    """Raise ValueError when the words of degree <= max_degree exceed MAX_BASIS_WORDS.
+    """Raise ValueError when a basis of degree <= max_degree stores more than MAX_BASIS_WORDS.
 
-    Counts without building anything.  Strand counts below 2 pass: they
-    have no basis to cap, and building one reports the error.
+    Counts without building: the words of degree <= max(M, 1), as degree 0
+    still samples all P pairs; on one pair, the M + 1 words and their
+    M (M + 1) / 2 chords.  Strand counts below 2 pass: building reports them.
     """
     if n_strands < 2:
         return
     n_pairs = n_strands * (n_strands - 1) // 2
-    # 2**21 > MAX_BASIS_WORDS, so with P >= 2 no degree past 21 needs counting
-    size = max_degree + 1 if n_pairs == 1 else basis_size(n_pairs, min(max_degree, 21))
+    if n_pairs == 1:
+        chords = max_degree * (max_degree + 1) // 2
+        size, counted = max_degree + 1 + chords, f"{max_degree + 1} words holding {chords} chords"
+    else:  # 2**21 > MAX_BASIS_WORDS, so with P >= 2 no degree past 21 needs counting
+        degree = max(max_degree, 1)
+        size, counted = basis_size(n_pairs, min(degree, 21)), f"sum of {n_pairs}**m for m <= {degree}"
     if size > MAX_BASIS_WORDS:
         raise ValueError(
             f"{n_strands} strands to degree {max_degree} need more than"
-            f" {MAX_BASIS_WORDS} basis words (sum of {n_pairs}**m for m <= {max_degree})"
+            f" {MAX_BASIS_WORDS} basis words ({counted})"
         )
 
 

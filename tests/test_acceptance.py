@@ -31,9 +31,6 @@ from kzbraid.words import (
 )
 from test_transport import _at_nodes
 
-STEPS = 512
-
-
 def _report(number, name, residual, bound):
     ok = residual < bound
     print(f"criterion {number:02d} {name}: residual={residual:.3e} bound={bound:.1e} "
@@ -62,35 +59,35 @@ def sup_diff(a, b):
 def test_01_identity_braid():
     worst = 0.0
     for n in (2, 3, 4):
-        series = kontsevich_of_braid(parse_braid_word("", n), 4, STEPS)
+        series = kontsevich_of_braid(parse_braid_word("", n), 4)
         assert series[0] == 1.0
         worst = max(worst, float(np.abs(series[1:]).max()))
     _report(1, "identity braid", worst, 1e-12)
 
 
 def test_02_winding_degree_one():
-    z1 = kontsevich_of_braid(parse_braid_word("1", 2), 1, STEPS)
-    z2 = kontsevich_of_braid(parse_braid_word("1 1", 2), 1, STEPS)
-    zi = kontsevich_of_braid(parse_braid_word("-1", 2), 1, STEPS)
+    z1 = kontsevich_of_braid(parse_braid_word("1", 2), 1)
+    z2 = kontsevich_of_braid(parse_braid_word("1 1", 2), 1)
+    zi = kontsevich_of_braid(parse_braid_word("-1", 2), 1)
     chord = position(2, (1, 2))
     residual = max(abs(z1[chord] - 0.5), abs(z2[chord] - 1.0), abs(zi[chord] + 0.5))
-    _report(2, "degree-1 winding", residual, 1e-8)
+    _report(2, "degree-1 winding", residual, 1e-12)
 
 
 def test_03_ordered_exponential():
-    series = kontsevich_of_braid(parse_braid_word("1", 2), 4, STEPS)
+    series = kontsevich_of_braid(parse_braid_word("1", 2), 4)
     residual = max(
         abs(series[position(2, *([(1, 2)] * m))] - 0.5**m / math.factorial(m))
         for m in range(5)
     )
-    _report(3, "ordered exponential", residual, 1e-8)
+    _report(3, "ordered exponential", residual, 1e-12)
 
 
 def test_04_oracle_agreement():
     residual = 0.0
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
-        series = transport(loop, 2, STEPS).coefficients
+        series = transport(loop, 2).coefficients
         for degree in (1, 2):
             for w in enumerate_words(strands, degree):
                 g = position(strands, *(c.as_tuple() for c in w.chords))
@@ -98,7 +95,7 @@ def test_04_oracle_agreement():
     _report(4, "simplex oracle agreement", residual, 1e-5)
     # optional degree-3 check at the coarser grid
     loop = realize(parse_braid_word("1 2", 3))
-    series3 = transport(loop, 3, STEPS).coefficients
+    series3 = transport(loop, 3).coefficients
     residual3 = max(
         abs(series3[g] - simplex_oracle(loop, w, 128))
         for g, w in enumerate(enumerate_words(3, 3), 1 + 3 + 9)
@@ -107,15 +104,15 @@ def test_04_oracle_agreement():
 
 
 def test_05_braid_relation():
-    za = reduce(kontsevich_of_braid(parse_braid_word("1 2 1", 3), 3, STEPS), ("strands", 3), 3)
-    zb = reduce(kontsevich_of_braid(parse_braid_word("2 1 2", 3), 3, STEPS), ("strands", 3), 3)
-    _report(5, "braid relation flatness", sup_diff(za, zb), 1e-6)
+    za = reduce(kontsevich_of_braid(parse_braid_word("1 2 1", 3), 3), ("strands", 3), 3)
+    zb = reduce(kontsevich_of_braid(parse_braid_word("2 1 2", 3), 3), ("strands", 3), 3)
+    _report(5, "braid relation flatness", sup_diff(za, zb), 1e-12)
 
 
 def test_06_far_commutation():
-    za = reduce(kontsevich_of_braid(parse_braid_word("1 3", 4), 3, STEPS), ("strands", 4), 3)
-    zb = reduce(kontsevich_of_braid(parse_braid_word("3 1", 4), 3, STEPS), ("strands", 4), 3)
-    _report(6, "far commutation flatness", sup_diff(za, zb), 1e-6)
+    za = reduce(kontsevich_of_braid(parse_braid_word("1 3", 4), 3), ("strands", 4), 3)
+    zb = reduce(kontsevich_of_braid(parse_braid_word("3 1", 4), 3), ("strands", 4), 3)
+    _report(6, "far commutation flatness", sup_diff(za, zb), 1e-12)
 
 
 def test_07_multiplicativity():
@@ -131,16 +128,16 @@ def test_07_multiplicativity():
         for lower in factors:
             combined = BraidWord(3, lower.letters + upper.letters)
             z_upper = relabel_strands(
-                kontsevich_of_braid(upper, 3, STEPS), 3, 3, permutation_of(lower).inverse().images
+                kontsevich_of_braid(upper, 3), 3, 3, permutation_of(lower).inverse().images
             )
-            z_lower = kontsevich_of_braid(lower, 3, STEPS)
-            zc = transport(realize(combined), 3, STEPS).coefficients
+            z_lower = kontsevich_of_braid(lower, 3)
+            zc = transport(realize(combined), 3).coefficients
             residual = max(residual, sup_diff(series_product(z_upper, z_lower, 3, 3), zc))
     # the two-strand instance needs no relabeling and must hold literally
-    z = kontsevich_of_braid(parse_braid_word("1", 2), 3, STEPS)
-    zz = transport(realize(parse_braid_word("1 1", 2)), 3, STEPS).coefficients
+    z = kontsevich_of_braid(parse_braid_word("1", 2), 3)
+    zz = transport(realize(parse_braid_word("1 1", 2)), 3).coefficients
     residual = max(residual, sup_diff(series_product(z, z, 2, 3), zz))
-    _report(7, "multiplicativity (flow property)", residual, 1e-8)
+    _report(7, "multiplicativity (flow property)", residual, 1e-12)
 
 
 def test_08_reparametrization_invariance():
@@ -149,20 +146,20 @@ def test_08_reparametrization_invariance():
     residual = 0.0
     for text, durations in (("1 2", (2.0, 1.0)), ("1 1 -2", (1.0, 3.0, 2.0))):
         w = parse_braid_word(text, 3)
-        even = transport(realize(w), 3, STEPS).coefficients
+        even = transport(realize(w), 3).coefficients
         for rate in (1.0, 2.0, 4.0):
             warped = _warped(realize(w, durations=durations), rate)
-            residual = max(residual, sup_diff(even, transport(warped, 3, STEPS).coefficients))
+            residual = max(residual, sup_diff(even, transport(warped, 3).coefficients))
     _report(8, "reparametrization invariance", residual, 1e-12)
 
 
 def test_09_hopf_link_and_unknot():
-    hopf = kontsevich_link(parse_braid_word("1 1", 2), 1, STEPS)
+    hopf = kontsevich_link(parse_braid_word("1 1", 2), 1)
     inter = circle_basis(2, 1).index(CircleDiagram((1, 1), (((0, 0), (1, 0)),)))
     residual = abs(hopf.reduced[inter] - 1.0)
-    unknot = kontsevich_link(parse_braid_word("1", 2), 1, STEPS)
+    unknot = kontsevich_link(parse_braid_word("1", 2), 1)
     degree_one_exact = not unknot.reduced[1:].any()
-    _report(9, "hopf linking number", residual, 1e-6)
+    _report(9, "hopf linking number", residual, 1e-12)
     _report_flag(9, "unknot degree-1 framed away", degree_one_exact)
 
 
@@ -170,9 +167,9 @@ def test_10_abelianization_identity():
     residual = 0.0
     for text in ("1 2", "1 1 -2"):
         loop = realize(parse_braid_word(text, 3))
-        sym = symmetrized(transport(loop, 3, STEPS).coefficients, 3, 3)
+        sym = symmetrized(transport(loop, 3).coefficients, 3, 3)
         residual = max(residual, sup_diff(sym, abelian_holonomy(loop, 3)))
-    _report(10, "abelianization identity", residual, 1e-7)
+    _report(10, "abelianization identity", residual, 1e-12)
 
 
 # --- criterion 11: independent enumeration + rank oracle -------------------

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 
 import kzbraid
-from kzbraid.cli import main
+from kzbraid.cli import MAX_STEPS, main
 from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
 from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_from_json_dict
-from kzbraid.transport import MAX_STEPS, _letter_holonomy, kontsevich_of_braid
+from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 from reference_orders import word_sort_key
 
@@ -48,7 +48,7 @@ def test_compute_json_round_trip(capsys, tmp_path):
     )
     assert code == 0
     parsed = series_from_json_dict(json.loads(out_file.read_text()))
-    direct = kontsevich_of_braid(parse_braid_word("1 1", 2), 2, 128)
+    direct = kontsevich_of_braid(parse_braid_word("1 1", 2), 2)
     assert np.abs(parsed - direct).max() < 1e-12
 
 
@@ -114,7 +114,7 @@ def _link_terms(capsys, tmp_path, *extra):
 
 def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
     link = _link_terms(capsys, tmp_path)
-    direct = kontsevich_link(parse_braid_word("1 1 2 2", 3), 3, 64)
+    direct = kontsevich_link(parse_braid_word("1 1 2 2", 3), 3)
     q = direct.skeleton.n_components
     expected = circle_series_to_json_dict(direct.reduced, q, 3, positions=free_positions(("circles", q), 3))
     assert json.dumps(link) == json.dumps(expected)
@@ -221,17 +221,28 @@ def test_steps_env_override(capsys, monkeypatch):
 
 
 def test_steps_env_read_on_every_call(capsys, monkeypatch):
-    # the value is still read and validated on every call, though a valid
-    # one changes nothing
-    seen = []
-    for steps in ("32", "0", "64", "70000", "x"):
-        monkeypatch.setenv("KZBRAID_STEPS", steps)
-        seen.append(run(capsys, "verify", "abelian", "-m", "2"))
-        monkeypatch.delenv("KZBRAID_STEPS")
-    assert seen[0] == seen[2] and seen[0][0] == 0
-    assert seen[1] == (1, "", "error: need max_degree >= 0 and steps >= 1\n")
-    assert seen[3] == (1, "", f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n")
-    assert seen[4] == (1, "", "error: KZBRAID_STEPS must be an integer, got 'x'\n")
+    # the value, from the environment or the flag, is still read and
+    # validated on every call of compute and verify, though a valid one
+    # changes nothing
+    limit = f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n"
+    for argv, low in (
+        (("compute", "-n", "3", "-w", "1 -2", "-m", "2"), "error: need max-degree >= 0 and steps >= 1\n"),
+        (("verify", "abelian", "-m", "2"), "error: need max_degree >= 0 and steps >= 1\n"),
+    ):
+        valid = run(capsys, *argv)
+        assert valid[0] == 0
+        for steps in ("32", "0", "64", "-3", "70000", "abc", "1.5"):
+            monkeypatch.setenv("KZBRAID_STEPS", steps)
+            from_env = run(capsys, *argv)
+            monkeypatch.delenv("KZBRAID_STEPS")
+            from_flag = run(capsys, *argv, "--steps", steps)
+            if steps in ("32", "64"):
+                assert from_env == from_flag == valid
+            elif steps in ("abc", "1.5"):
+                assert from_env == (1, "", f"error: KZBRAID_STEPS must be an integer, got {steps!r}\n")
+                assert from_flag == (1, "", f"error: argument --steps: invalid int value: {steps!r}\n")
+            else:
+                assert from_env == from_flag == (1, "", limit if steps == "70000" else low), steps
     from kzbraid import cli
 
     assert cli._build_parser() is cli._build_parser()
@@ -269,10 +280,10 @@ def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
     assert "KZBRAID_STEPS" in err
 
 
-def _reference_stdout(strands, letters, max_degree, steps, close, threshold):
+def _reference_stdout(strands, letters, max_degree, close, threshold):
     """Stdout of compute as the word-dict series path printed it."""
     word = parse_braid_word(letters, strands)
-    holonomy = kontsevich_of_braid(word, max_degree, steps)
+    holonomy = kontsevich_of_braid(word, max_degree)
     terms = {
         w: c for w, c in zip(basis_words(strands, max_degree), holonomy.tolist()) if abs(c) >= threshold
     }
@@ -322,7 +333,7 @@ def test_compute_output_bytes_match_series_path(capsys):
                 "-w", letters, "--zero-threshold", threshold] + (["--close"] if close else [])
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        expected = _reference_stdout(strands, letters, max_degree, steps, close, float(threshold))
+        expected = _reference_stdout(strands, letters, max_degree, close, float(threshold))
         assert out == expected, argv
 
 
@@ -338,7 +349,7 @@ def test_close_output_bytes_match_series_path_at_degree_four(capsys):
                     "--zero-threshold", threshold]
             code, out, _ = run(capsys, *argv)
             assert code == 0
-            assert out == _reference_stdout(strands, letters, 4, 512, True, float(threshold)), argv
+            assert out == _reference_stdout(strands, letters, 4, True, float(threshold)), argv
 
 
 def test_compute_memory_at_n4_m6():
@@ -436,18 +447,35 @@ def _run_capped(*argv):
 def test_over_word_budget_refused_before_allocating():
     # 45**6 ~ 8.3e9 words for compute; dims at degree 7 would build 45**7;
     # verify at degree 14 needs 3**14 words on 3 strands, far-commutation at
-    # degree 8 counts its 4 strands (6**8 words)
+    # degree 8 counts its 4 strands (6**8 words).  Two strands have one word
+    # per degree but M (M + 1) / 2 chords in all, and degree 0 still samples
+    # and indexes all N (N - 1) / 2 pairs, so the budget counts both
     for argv in (
         ("compute", "-n", "10", "-m", "6"),
         ("dims", "--strands", "10", "-m", "7"),
         ("verify", "braid-relation", "-m", "14"),
         ("verify", "far-commutation", "-m", "8"),
+        ("compute", "-n", "2", "-m", "2000", "-w", "1"),
+        ("dims", "--strands", "2", "-m", "4000"),
+        ("compute", "-n", "2000", "-m", "0", "-w", "1"),
+        ("dims", "--strands", "20000", "-m", "0"),
     ):
+        start = time.monotonic()
         done = _run_capped(*argv)
+        assert time.monotonic() - start < 5, argv
         assert done.returncode == 1, done.stderr[-500:]
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "basis words" in done.stderr
+
+
+def test_refused_steps_leave_output_file_untouched(capsys, tmp_path):
+    # --steps is checked with the other arguments, before -o is opened
+    target = tmp_path / "existing.json"
+    target.write_bytes(b'{"kept": true}\n')
+    code, out, err = run(capsys, "compute", "-n", "2", "-w", "1", "-m", "1", "--steps", "70000", "-o", str(target))
+    assert (code, out, err) == (1, "", f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n")
+    assert target.read_bytes() == b'{"kept": true}\n'
 
 
 def test_oversized_steps_refused_before_allocating():

@@ -11,9 +11,6 @@ from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import HorizontalWord, basis_words
 from reference_orders import canonical
 
-STEPS = 192
-
-
 def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
 
@@ -138,7 +135,7 @@ def test_tau_index_matches_per_word_reference_on_every_permutation():
 def test_tau_sparse_series_and_dense_vector_agree():
     # a thresholded holonomy projects like the per-word reference on its kept terms
     w = parse_braid_word("1 -2 3 2 -1", 4)
-    dense = kontsevich_of_braid(w, 3, 16)
+    dense = kontsevich_of_braid(w, 3)
     threshold = 1e-3
     kept = np.array([c if abs(c) >= threshold else 0j for c in dense.tolist()])
     assert 0 < np.count_nonzero(kept) < len(dense)
@@ -149,19 +146,19 @@ def test_tau_sparse_series_and_dense_vector_agree():
 
 
 def test_trivial_braid_closure_two_unknots():
-    result = kontsevich_link(parse_braid_word("", 2), 3, STEPS)
+    result = kontsevich_link(parse_braid_word("", 2), 3)
     assert result.skeleton.n_components == 2
     assert np.abs(result.reduced[1:]).max() < 1e-12
 
 
 def test_hopf_link_linking_number():
-    result = kontsevich_link(parse_braid_word("1 1", 2), 1, STEPS)
+    result = kontsevich_link(parse_braid_word("1 1", 2), 1)
     expected = circle_basis(2, 1).index(CircleDiagram((1, 1), (((0, 0), (1, 0)),)))
     assert abs(result.reduced[expected] - 1.0) < 1e-6
 
 
 def test_unknot_degree_one_vanishes_exactly():
-    result = kontsevich_link(parse_braid_word("1", 2), 1, STEPS)
+    result = kontsevich_link(parse_braid_word("1", 2), 1)
     assert not result.reduced[1:].any()
 
 
@@ -196,7 +193,7 @@ def test_linking_numbers_match_crossing_count():
         if skeleton.n_components < 2:
             continue
         checked += 1
-        result = kontsevich_link(w, 1, 128)
+        result = kontsevich_link(w, 1)
         expected = _combinatorial_linking(w, skeleton)
         for pair in [(i, j) for i in range(skeleton.n_components) for j in range(i + 1, skeleton.n_components)]:
             slots = [0] * skeleton.n_components

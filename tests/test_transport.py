@@ -47,9 +47,6 @@ from test_braids import segment_at
 # the module, which the package's `transport` function shadows as an attribute
 transport_module = importlib.import_module("kzbraid.transport")
 
-STEPS = 192
-
-
 def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
 
@@ -92,17 +89,17 @@ def test_omega_sigma1_half():
 
 
 def test_transport_identity_braid():
-    res = transport(realize(parse_braid_word("", 4)), 4, STEPS)
+    res = transport(realize(parse_braid_word("", 4)), 4)
     assert np.array_equal(res.coefficients, identity(4, 4))
 
 
 def test_transport_empty_word_coefficient_exact():
-    res = transport(realize(parse_braid_word("1 2 -1", 3)), 3, STEPS)
+    res = transport(realize(parse_braid_word("1 2 -1", 3)), 3)
     assert res.coefficients[0] == 1.0 + 0.0j
 
 
 def test_transport_ordered_exponential():
-    series = kontsevich_of_braid(parse_braid_word("1", 2), 4, STEPS)
+    series = kontsevich_of_braid(parse_braid_word("1", 2), 4)
     for m in range(5):
         expected = 0.5**m / math.factorial(m)
         got = series[position(2, *([(1, 2)] * m))]
@@ -110,12 +107,12 @@ def test_transport_ordered_exponential():
 
 
 def test_transport_full_winding():
-    series = kontsevich_of_braid(parse_braid_word("1 1", 2), 1, STEPS)
+    series = kontsevich_of_braid(parse_braid_word("1 1", 2), 1)
     assert series[position(2, (1, 2))] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_retraced_loop_cancels():
-    series = kontsevich_of_braid(parse_braid_word("1 -1", 2), 3, STEPS)
+    series = kontsevich_of_braid(parse_braid_word("1 -1", 2), 3)
     assert sup_diff(series, identity(2, 3)) < 1e-9
 
 
@@ -133,7 +130,7 @@ def test_oracle_sigma1_values():
 def test_oracle_agrees_with_transport():
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
-        series = transport(loop, 2, STEPS).coefficients
+        series = transport(loop, 2).coefficients
         for degree in (1, 2):
             for w in enumerate_words(strands, degree):
                 direct = simplex_oracle(loop, w, 512)
@@ -158,10 +155,10 @@ def test_flow_property_with_relabel():
         lower = parse_braid_word(lower_text, 3)
         combined = BraidWord(3, lower.letters + upper.letters)
         z_upper = relabel_strands(
-            kontsevich_of_braid(upper, 3, STEPS), 3, 3, permutation_of(lower).inverse().images
+            kontsevich_of_braid(upper, 3), 3, 3, permutation_of(lower).inverse().images
         )
-        z_lower = kontsevich_of_braid(lower, 3, STEPS)
-        zc = transport(realize(combined), 3, STEPS).coefficients
+        z_lower = kontsevich_of_braid(lower, 3)
+        zc = transport(realize(combined), 3).coefficients
         assert sup_diff(series_product(z_upper, z_lower, 3, 3), zc) < 1e-10
 
 
@@ -238,13 +235,13 @@ def test_scan_memory_stays_within_budget():
 
 def test_cached_letters_are_read_only():
     w = parse_braid_word("1 -2 2 1", 3)
-    before = kontsevich_of_braid(w, 3, 32)
+    before = kontsevich_of_braid(w, 3)
     letter = _letter_holonomy(3, 2, 1, 3)
     with pytest.raises(ValueError):
         letter[1] = 5.0
     with pytest.raises(ValueError):
         letter *= 2.0
-    assert np.array_equal(kontsevich_of_braid(w, 3, 32), before)
+    assert np.array_equal(kontsevich_of_braid(w, 3), before)
 
 
 def test_letters_match_fine_rk4():
@@ -259,11 +256,6 @@ def test_letters_match_fine_rk4():
                     assert np.abs(letter - fine[: len(letter)]).max() <= 1e-13, (n, k, sign)
 
 
-def test_letter_steps_do_not_change_the_integral():
-    w = parse_braid_word("1 -2 3", 4)
-    assert np.array_equal(kontsevich_of_braid(w, 3, 1), kontsevich_of_braid(w, 3, 512))
-
-
 def test_top_letter_symmetrizes_to_abelian_holonomy():
     # N=5, M=5: the largest letter; the abelian closed form is an exact oracle
     letter = _letter_holonomy(5, 2, 1, 5)
@@ -272,20 +264,20 @@ def test_top_letter_symmetrizes_to_abelian_holonomy():
 
 
 def test_two_strand_multiplicativity_literal():
-    z = kontsevich_of_braid(parse_braid_word("1", 2), 3, STEPS)
-    zz = transport(realize(parse_braid_word("1 1", 2)), 3, STEPS).coefficients
+    z = kontsevich_of_braid(parse_braid_word("1", 2), 3)
+    zz = transport(realize(parse_braid_word("1 1", 2)), 3).coefficients
     assert sup_diff(series_product(z, z, 2, 3), zz) < 1e-9
 
 
 def test_braid_relation_flatness():
-    za = reduce(kontsevich_of_braid(parse_braid_word("1 2 1", 3), 3, STEPS), ("strands", 3), 3)
-    zb = reduce(kontsevich_of_braid(parse_braid_word("2 1 2", 3), 3, STEPS), ("strands", 3), 3)
+    za = reduce(kontsevich_of_braid(parse_braid_word("1 2 1", 3), 3), ("strands", 3), 3)
+    zb = reduce(kontsevich_of_braid(parse_braid_word("2 1 2", 3), 3), ("strands", 3), 3)
     assert sup_diff(za, zb) < 1e-6
 
 
 def test_far_commutation_flatness():
-    za = reduce(kontsevich_of_braid(parse_braid_word("1 3", 4), 3, STEPS), ("strands", 4), 3)
-    zb = reduce(kontsevich_of_braid(parse_braid_word("3 1", 4), 3, STEPS), ("strands", 4), 3)
+    za = reduce(kontsevich_of_braid(parse_braid_word("1 3", 4), 3), ("strands", 4), 3)
+    zb = reduce(kontsevich_of_braid(parse_braid_word("3 1", 4), 3), ("strands", 4), 3)
     assert sup_diff(za, zb) < 1e-6
 
 
@@ -296,9 +288,9 @@ def test_reparametrization_invariance():
     # uneven durations between segments and uneven speed inside each one
     for text, n, durations in REPARAM_CASES:
         w = parse_braid_word(text, n)
-        even = transport(realize(w), 3, STEPS).coefficients
+        even = transport(realize(w), 3).coefficients
         for rate in (1.0, 2.0, 4.0):
-            warped = transport(_warped(realize(w, durations=durations), rate), 3, STEPS)
+            warped = transport(_warped(realize(w, durations=durations), rate), 3)
             assert sup_diff(even, warped.coefficients) < 1e-12, (text, rate)
 
 
@@ -312,11 +304,11 @@ class _WarpedWithoutSpeed(_Warped):
 def test_reparametrization_gate_fails_without_speed_factor():
     for text, n, durations in REPARAM_CASES:
         w = parse_braid_word(text, n)
-        even = transport(realize(w), 3, STEPS).coefficients
+        even = transport(realize(w), 3).coefficients
         loop = realize(w, durations=durations)
         for rate in (1.0, 2.0, 4.0):
             wrong = ConfigLoop(n, tuple(_WarpedWithoutSpeed(s, rate) for s in loop.segments), loop.breaks)
-            assert sup_diff(even, transport(wrong, 3, STEPS).coefficients) > 0.01, (text, rate)
+            assert sup_diff(even, transport(wrong, 3).coefficients) > 0.01, (text, rate)
 
 
 def _at_nodes(loop, n, max_degree):
@@ -332,7 +324,7 @@ def test_transport_converges_geometrically_in_nodes():
     errors = [sup_diff(_at_nodes(loop, n, 3), reference) for n in (4, 8, 16, 32)]
     assert errors[0] >= 100 * errors[1] and errors[1] >= 100 * errors[2], errors
     assert errors[3] <= 1e-15, errors
-    result = transport(loop, 3, STEPS)
+    result = transport(loop, 3)
     assert sup_diff(result.coefficients, reference) <= 1e-15
     assert result.richardson_error_estimate <= 1e-15
 
@@ -340,7 +332,7 @@ def test_transport_converges_geometrically_in_nodes():
 def test_transport_reports_steps():
     # "1 2" on 3 strands: both letters resolve at n = 32, compared at 64
     loop = realize(parse_braid_word("1 2", 3))
-    res, single = transport(loop, 2, 32), transport(loop, 1, 1)
+    res, single = transport(loop, 2), transport(loop, 1)
     assert res.steps_used == single.steps_used == 2 * (2 * 32 + 1)
     assert 0.0 <= single.richardson_error_estimate <= 1e-15
 
@@ -348,7 +340,7 @@ def test_transport_reports_steps():
 def test_abelian_matches_symmetrized_transport():
     for text in ("1 2", "1 1 -2"):
         loop = realize(parse_braid_word(text, 3))
-        sym = symmetrized(transport(loop, 3, STEPS).coefficients, 3, 3)
+        sym = symmetrized(transport(loop, 3).coefficients, 3, 3)
         assert sup_diff(sym, abelian_holonomy(loop, 3)) < 1e-7
 
 
@@ -360,7 +352,7 @@ def test_abelian_identity_braid():
 
 def test_abelian_single_generator_exact_match():
     loop = realize(parse_braid_word("1", 2))
-    direct = transport(loop, 4, STEPS).coefficients
+    direct = transport(loop, 4).coefficients
     closed = abelian_holonomy(loop, 4)
     assert sup_diff(direct, closed) < 1e-9
 
@@ -374,14 +366,14 @@ def test_transport_error_on_collision():
     collided = _Arc((0j, 0j, 2 + 0j), None, 0.0, 1)
     second = ConfigLoop(3, (good, collided), (0.25, 1.0))
     cases = (
-        (broken, 1, 4, "segment ending at t=1.0 (segment start t=0.0)"),
-        (second, 1, 1, "segment ending at t=1.0 (segment start t=0.25)"),
-        (second, 4, 7, "segment ending at t=1.0 (segment start t=0.25)"),
+        (broken, 1, "segment ending at t=1.0 (segment start t=0.0)"),
+        (second, 1, "segment ending at t=1.0 (segment start t=0.25)"),
+        (second, 4, "segment ending at t=1.0 (segment start t=0.25)"),
     )
     with np.errstate(all="ignore"):
-        for loop, max_degree, steps, where in cases:
+        for loop, max_degree, where in cases:
             with pytest.raises(TransportError) as caught:
-                transport(loop, max_degree, steps)
+                transport(loop, max_degree)
             assert str(caught.value) == f"non-finite transport coefficients inside {where}"
 
 
@@ -439,13 +431,13 @@ def test_flow_property_on_random_words(w, max_degree, cut):
     lower, upper = BraidWord(w.n_strands, w.letters[:cut]), BraidWord(w.n_strands, w.letters[cut:])
     n = w.n_strands
     z_upper = relabel_strands(
-        transport(realize(upper), max_degree, 16).coefficients,
+        transport(realize(upper), max_degree).coefficients,
         n,
         max_degree,
         permutation_of(lower).inverse().images,
     )
-    z_lower = transport(realize(lower), max_degree, 16).coefficients
-    direct = transport(realize(w), max_degree, 16).coefficients
+    z_lower = transport(realize(lower), max_degree).coefficients
+    direct = transport(realize(w), max_degree).coefficients
     assert sup_diff(series_product(z_upper, z_lower, n, max_degree), direct) <= 1e-12
 
 
@@ -453,8 +445,7 @@ def test_flow_property_on_random_words(w, max_degree, cut):
 @given(st.integers(2, 5), st.data(), st.sampled_from((1, -1)), st.integers(0, 4))
 def test_letter_times_inverse_is_identity(n, data, sign, max_degree):
     k = data.draw(st.integers(1, n - 1))
-    steps = data.draw(st.sampled_from((128, 256, 512)))
-    z = kontsevich_of_braid(BraidWord(n, ((k, sign), (k, -sign))), max_degree, steps)
+    z = kontsevich_of_braid(BraidWord(n, ((k, sign), (k, -sign))), max_degree)
     assert sup_diff(z, identity(n, max_degree)) <= 1e-10
 
 
@@ -466,6 +457,6 @@ def test_closure_conjugation_invariance(w, data):
     k = data.draw(st.integers(1, w.n_strands - 1))
     sign = data.draw(st.sampled_from((1, -1)))
     conjugated = BraidWord(w.n_strands, ((k, sign),) + w.letters + ((k, -sign),))
-    z = kontsevich_link(w, 3, 128).series
-    zc = kontsevich_link(conjugated, 3, 128).series
+    z = kontsevich_link(w, 3).series
+    zc = kontsevich_link(conjugated, 3).series
     assert sup_diff(z, zc) <= 1e-9
