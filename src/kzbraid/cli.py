@@ -26,6 +26,7 @@ from .relations import free_positions, quotient_dimension, reduce
 from .transport import (
     TransportError,
     abelian_holonomy,
+    check_sample_budget,
     kontsevich_of_braid,
     simplex_oracle,
     symmetrized,
@@ -119,6 +120,7 @@ def _cmd_compute(args):
     if not args.zero_threshold >= 0:  # NaN fails every comparison
         raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
     check_word_budget(args.strands, args.max_degree)
+    check_sample_budget(args.strands)
     word = parse_braid_word(args.word, args.strands)
     if args.close:
         check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
@@ -170,22 +172,39 @@ def _check_steps_limit(steps):
         raise ValidationError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
 
 
-def _reduced_difference(texts, strands, max_degree):
-    """Largest coefficient difference between two braids' series after reduce."""
-    za, zb = [
-        reduce(kontsevich_of_braid(parse_braid_word(text, strands), max_degree),
-               ("strands", strands), max_degree)
-        for text in texts
-    ]
-    return np.abs(za - zb).max()
+def _reduced_difference(za, zb, strands, max_degree):
+    """Largest coefficient difference between two series on strands after reduce.
+
+    Nothing is dropped first (threshold 0): a coefficient below the default
+    threshold on one side only would reach the normal-form coordinates
+    times their integer coefficients, which grow with the degree.
+    """
+    ra, rb = (reduce(z, ("strands", strands), max_degree, 0.0) for z in (za, zb))
+    return np.abs(ra - rb).max()
+
+
+def _braid_series(texts, strands, max_degree):
+    return [kontsevich_of_braid(parse_braid_word(text, strands), max_degree) for text in texts]
 
 
 def _check_braid_relation(max_degree):
-    return _reduced_difference(("1 2 1", "2 1 2"), 3, max_degree), 1e-12
+    return _reduced_difference(*_braid_series(("1 2 1", "2 1 2"), 3, max_degree), 3, max_degree), 1e-12
 
 
 def _check_far_commutation(max_degree):
-    return _reduced_difference(("1 3", "3 1"), 4, max_degree), 1e-12
+    return _reduced_difference(*_braid_series(("1 3", "3 1"), 4, max_degree), 4, max_degree), 1e-12
+
+
+def _check_full_twist(max_degree):
+    # the full twist (s1 s2 s3)^4 rotates the four base points once, along
+    # which the connection is sum t_ij dtheta / 2 pi; sum t_ij is central
+    # modulo the relations, so Z = exp(sum t_ij): every degree-m word with
+    # coefficient 1/m!
+    twist = kontsevich_of_braid(parse_braid_word(" ".join(["1 2 3"] * 4), 4), max_degree)
+    exponential = np.concatenate(
+        [np.full(6**m, 1.0 / math.factorial(m), dtype=complex) for m in range(max_degree + 1)]
+    )
+    return _reduced_difference(twist, exponential, 4, max_degree), 1e-12
 
 
 def _check_oracle(max_degree):
@@ -246,25 +265,35 @@ def _check_reparam(max_degree):
     return worst, 1e-12
 
 
+# check -> (function, strands of its largest braid, highest degree accepted).
+# A cap is the word budget's degree or the highest degree at which a fresh
+# `verify` line took at most a third of 10 s on a 2-vCPU host (at most 3.2 s
+# over 3 runs), which leaves room for a host whose speed drifts by half, so
+# every accepted line ends within 10 s; the next degree took 4.3 to 60 s.
 _CHECKS = {
-    "braid-relation": _check_braid_relation,
-    "far-commutation": _check_far_commutation,
-    "oracle": _check_oracle,
-    "multiplicativity": _check_multiplicativity,
-    "abelian": _check_abelian,
-    "reparam": _check_reparam,
+    "braid-relation": (_check_braid_relation, 3, 11),
+    "far-commutation": (_check_far_commutation, 4, 7),
+    "full-twist": (_check_full_twist, 4, 7),
+    "oracle": (_check_oracle, 3, 12),
+    "multiplicativity": (_check_multiplicativity, 3, 10),
+    "abelian": (_check_abelian, 3, 8),
+    "reparam": (_check_reparam, 3, 10),
 }
 
 
 def _cmd_verify(args):
     if args.check not in _CHECKS:
         raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
-    # far-commutation compares braids on 4 strands, every other check at most 3
-    check_word_budget(4 if args.check == "far-commutation" else 3, args.max_degree)
+    check, strands, top_degree = _CHECKS[args.check]
+    check_word_budget(strands, args.max_degree)
     if args.max_degree < 0 or args.steps < 1:
         raise ValidationError("need max_degree >= 0 and steps >= 1")
     _check_steps_limit(args.steps)
-    residual, tolerance = _CHECKS[args.check](args.max_degree)
+    if args.max_degree > top_degree:
+        raise ValidationError(
+            f"verify {args.check} runs to degree {top_degree} at most, got {args.max_degree}"
+        )
+    residual, tolerance = check(args.max_degree)
     ok = residual < tolerance
     print(f"{args.check}: residual={residual:.3e} tolerance={tolerance:.1e} {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -1,21 +1,33 @@
-"""Exact rational relation sets and quotient reduction.
+"""Exact relation sets and quotient reduction.
 
-Relations are integral, so rows are kept as sparse integer vectors and
-eliminated without fractions: a row keeps a positive pivot and has its
-content divided out after each combination, and the echelon rows become
-exact Fractions once, at the end.  A dense series is reduced by pushing its
-coefficients through the echelon rows, kept as floats.  Horizontal 4T rows
-compute each term's basis index from its chords' pair indices; circle 4T
-rows find it through circles.layout_position, the memoized layout lookup the
-closure's tau index shares, with no canonical diagram built per term.
-Echelon forms and their float rows are cached per (skeleton, degree) and
-are safe for concurrent reads once built.
+On strands the quotient by 4T and disjoint commutation is U(t_N), the
+enveloping algebra of the Drinfeld-Kohno Lie algebra, with Kohno's basis of
+normal words: words whose chords' top strands never decrease from bottom to
+top.  Each other word has one rewrite row at its lowest descent (a
+commutation or a 4T move), and reduce clears those words in an order the
+rows never go back on, so no relation is built or eliminated;
+quotient_dimension counts the normal words without building any.
+horizontal_relations builds the 4T and commutation rows themselves: it is
+the reference the tests check the rewriting against, and nothing here calls
+it.
+
+On circles, relations are integral, so rows are kept as sparse integer
+vectors and eliminated without fractions: a row keeps a positive pivot and
+has its content divided out after each combination, and the echelon rows
+become exact Fractions once, at the end.  A dense circle series is reduced
+by pushing its coefficients through the echelon rows, kept as floats.
+Circle 4T rows find each term's basis index through circles.layout_position,
+the memoized layout lookup the closure's tau index shares, with no canonical
+diagram built per term.  Rewrite rows, echelon forms and their float rows
+are cached per (strand or circle count, degree) and are safe for concurrent
+reads once built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from ._lazy import np
@@ -217,11 +229,9 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
 
 
 @lru_cache(maxsize=None)
-def _pivot_rows(skeleton, degree):
+def _pivot_rows(n_circles, degree):
     """(basis size, echelon rows as float entries off the pivot, in increasing pivot order)."""
-    kind, size = skeleton
-    build = horizontal_relations if kind == "strands" else circle_relations
-    relations = build(size, degree)
+    relations = circle_relations(n_circles, degree)
     echelon = relations.echelon()
     rows = tuple(
         (p, tuple((c, float(q)) for c, q in echelon[p].items() if c != p)) for p in sorted(echelon)
@@ -229,17 +239,66 @@ def _pivot_rows(skeleton, degree):
     return len(relations.basis), rows
 
 
+@lru_cache(maxsize=None)
+def _rewrite_rows(n_strands, degree):
+    """(basis size, one rewrite row per non-normal degree-m word), in the order reduce clears them.
+
+    A word is normal when the top strands of its chords never decrease from
+    bottom to top (Kohno's basis of the quotient).  At its lowest descent, a
+    chord x = t_aK directly below a chord y whose top strand is below K, the
+    word equals itself with x and y swapped, plus, when y = t_ad shares
+    strand a with x, (t_dK, t_aK) minus (t_aK, t_dK) there (4T on strands a,
+    d, K); otherwise x and y are disjoint and commute.  The row (word,
+    ((term, -coefficient), ...)) says so.  Each term's top-strand sequence
+    has a larger sum, or the same sum and is lexicographically smaller, so
+    taking the sequences in that order never returns to a cleared word: the
+    rows are a triangular normal-form map onto the normal words.
+    """
+    pairs = [p.as_tuple() for p in all_pairs(n_strands)]
+    n_pairs = len(pairs)
+    pair_index = {p: q for q, p in enumerate(pairs)}
+    chords_under = {k: [pair_index[(i, k)] for i in range(1, k)] for k in range(2, n_strands + 1)}
+    weights = [n_pairs ** (degree - 1 - p) for p in range(degree)]
+    sequences = sorted(
+        product(range(2, n_strands + 1), repeat=degree), key=lambda tops: (sum(tops), [-t for t in tops])
+    )
+    rows = []
+    for tops in sequences:
+        # every word with these top strands has its lowest descent at p
+        p = next((p for p in range(degree - 1) if tops[p] > tops[p + 1]), None)
+        if p is None:
+            continue
+        low, high, k = weights[p], weights[p + 1], tops[p]
+        for word in product(*(chords_under[t] for t in tops)):
+            g = sum(map(int.__mul__, word, weights))
+            x, y = word[p], word[p + 1]
+            a, chord = pairs[x][0], pairs[y]
+            row = [(g + (y - x) * (low - high), -1.0)]
+            if a in chord:
+                dk = pair_index[(chord[0] + chord[1] - a, k)]
+                row += [(g + (dk - x) * low + (x - y) * high, -1.0), (g + (dk - y) * high, 1.0)]
+            rows.append((g, tuple(row)))
+    return n_pairs**degree, tuple(rows)
+
+
+def _quotient_rows(skeleton, degree):
+    """(basis size, clearing rows) of one degree: rewrite rows on strands, echelon rows on circles."""
+    kind, size = skeleton
+    return (_rewrite_rows if kind == "strands" else _pivot_rows)(size, degree)
+
+
 def reduce(coefficients, skeleton, max_degree: int, zero_threshold=ZERO_THRESHOLD) -> np.ndarray:
-    """Quotient a dense series by its relation sets, degree by degree.
+    """Quotient a dense series by its relations, degree by degree.
 
     skeleton is ("strands", N) for a series over basis_words(N, max_degree)
     or ("circles", q) for one over circle_basis(q, max_degree).  Entries
-    below zero_threshold are dropped, then every echelon pivot is cleared in
-    increasing order by subtracting its row.  The result is on the same
-    basis: pivot entries are 0 and the free ones hold the normal-form
-    coordinates, those below zero_threshold zeroed.
+    below zero_threshold are dropped, then every non-normal word (strands)
+    or echelon pivot (circles) is cleared in turn by moving its amount onto
+    the terms of its row.  The result is on the same basis: cleared entries
+    are 0 and the rest hold the normal-form coordinates, those below
+    zero_threshold zeroed.
     """
-    blocks = [_pivot_rows(skeleton, m) for m in range(max_degree + 1)]
+    blocks = [_quotient_rows(skeleton, m) for m in range(max_degree + 1)]
     if len(coefficients) != sum(size for size, _ in blocks):
         raise ValueError(
             f"{len(coefficients)} coefficients do not fill the {skeleton} basis to degree {max_degree}"
@@ -262,22 +321,32 @@ def reduce(coefficients, skeleton, max_degree: int, zero_threshold=ZERO_THRESHOL
 
 @lru_cache(maxsize=None)
 def free_positions(skeleton, max_degree: int):
-    """Basis positions, to max_degree, that no echelon row pivots on: where reduce leaves coordinates."""
+    """Basis positions, to max_degree, where reduce leaves coordinates: normal words or non-pivots."""
     out, offset = [], 0
     for m in range(max_degree + 1):
-        size, rows = _pivot_rows(skeleton, m)
-        pivots = {p for p, _ in rows}
-        out += [offset + k for k in range(size) if k not in pivots]
+        size, rows = _quotient_rows(skeleton, m)
+        cleared = {p for p, _ in rows}
+        out += [offset + k for k in range(size) if k not in cleared]
         offset += size
     return tuple(out)
 
 
 def quotient_dimension(degree: int, *, strands: int | None = None, circles: int | None = None) -> int:
-    """Diagram count minus exact rank of the relation set at one degree."""
+    """Dimension of the quotient at one degree.
+
+    On strands it is the number of normal words, the coefficient of t^m in
+    prod_{k=1}^{N-1} 1 / (1 - k t) (Kohno), counted without building a word;
+    on circles, the diagram count minus the exact rank of the relation set.
+    """
     if (strands is None) == (circles is None):
         raise ValueError("give exactly one of strands= or circles=")
-    if strands is not None:
-        rs = horizontal_relations(strands, degree)
-    else:
+    if circles is not None:
         rs = circle_relations(circles, degree)
-    return len(rs.basis) - rs.rank
+        return len(rs.basis) - rs.rank
+    if strands < 2 or degree < 0:
+        raise ValueError("need n_strands >= 2 and degree >= 0")
+    counts = [1] + [0] * degree  # normal words whose chords' top strands are at most k + 1
+    for k in range(1, strands):
+        for m in range(1, degree + 1):
+            counts[m] += k * counts[m - 1]
+    return counts[degree]

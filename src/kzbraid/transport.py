@@ -66,6 +66,11 @@ _SCAN_ENTRIES = 2**16
 # at 8; a segment that does not resolve by the cap fails.
 _MAX_NODES = 128
 _TAIL_TOLERANCE = 1e-11
+# Most connection samples, pairs times nodes, a letter may take at the node
+# cap.  A sample held about 80 bytes at its peak (compute -n 600 -m 1: 505 MB
+# for 179,700 pairs at 33 nodes), so the cap bounds a letter's sampling near
+# 2.7 GB, as MAX_BASIS_WORDS bounds the basis; 721 strands pass it.
+MAX_CONNECTION_SAMPLES = 2**25
 
 
 class TransportError(RuntimeError):
@@ -85,6 +90,20 @@ def _pair_indices(n_strands):
     ii = np.array([p.i - 1 for p in pairs])
     jj = np.array([p.j - 1 for p in pairs])
     return pairs, ii, jj
+
+
+def check_sample_budget(n_strands: int):
+    """Raise ValueError when a letter on n_strands could take more than MAX_CONNECTION_SAMPLES samples.
+
+    A letter samples the connection of every strand pair, at up to
+    _MAX_NODES + 1 nodes, whatever the degree, 0 included.
+    """
+    n_pairs = n_strands * (n_strands - 1) // 2
+    if n_pairs * (_MAX_NODES + 1) > MAX_CONNECTION_SAMPLES:
+        raise ValueError(
+            f"{n_strands} strands need more than {MAX_CONNECTION_SAMPLES} connection samples"
+            f" per letter ({n_pairs} pairs at up to {_MAX_NODES + 1} nodes)"
+        )
 
 
 def _segment_omega(segment, s, ii, jj):

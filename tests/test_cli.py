@@ -10,14 +10,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kzbraid
-from kzbraid.cli import MAX_STEPS, main
+from kzbraid.cli import _CHECKS, MAX_STEPS, main
 from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
 from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_from_json_dict
-from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
+from kzbraid.transport import _letter_holonomy, check_sample_budget, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 from reference_orders import word_sort_key
 
@@ -263,7 +264,8 @@ def test_unresolved_letter_is_numerical_failure(capsys, monkeypatch):
 
 def test_verify_lines_do_not_depend_on_steps(capsys):
     # every check passes and prints one line whatever the step count
-    for check in ("braid-relation", "far-commutation", "oracle", "multiplicativity", "abelian", "reparam"):
+    for check in ("braid-relation", "far-commutation", "full-twist", "oracle", "multiplicativity", "abelian",
+                  "reparam"):
         lines = {run(capsys, "verify", check, "-m", "3", "--steps", steps) for steps in ("1", "2", "16", "32", "512")}
         assert len(lines) == 1, lines
         code, out, _ = lines.pop()
@@ -467,6 +469,43 @@ def test_over_word_budget_refused_before_allocating():
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "basis words" in done.stderr
+
+
+def test_over_sample_budget_refused_before_sampling():
+    # 1,448 strands pass the word budget to degree 1 (1,047,628 pairs), but
+    # a letter sampled every pair at 33 nodes and more and ended in a
+    # MemoryError traceback at a 1.65 GB peak, at degree 0 as well
+    for degree in ("1", "0"):
+        argv = ("compute", "-n", "1448", "-m", degree, "-w", "1")
+        start = time.monotonic()
+        done = _run_capped(*argv)
+        assert time.monotonic() - start < 5, argv
+        assert done.returncode == 1, done.stderr[-500:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "connection samples" in done.stderr
+    check_sample_budget(721)
+    with pytest.raises(ValueError, match="connection samples"):
+        check_sample_budget(722)
+
+
+def test_verify_refuses_degrees_past_its_cap(capsys):
+    # each check's cap keeps a fresh line within about 10 s; one degree more
+    # is refused before any work, by the word budget where the cap is its degree
+    for check, (_, _, top_degree) in _CHECKS.items():
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", check, "-m", str(top_degree + 1))
+        assert time.monotonic() - start < 1, check
+        assert (code, out) == (1, ""), check
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_reduces_braids_without_a_threshold(capsys):
+    # at the default threshold 1e-12 each braid dropped its own small
+    # coefficients before the normal form, which grew their difference to 1e-10
+    code, out, _ = run(capsys, "verify", "braid-relation", "-m", "10")
+    assert code == 0 and out.endswith(" PASS\n")
+    assert float(out.split("residual=")[1].split()[0]) <= 1e-15
 
 
 def test_refused_steps_leave_output_file_untouched(capsys, tmp_path):

@@ -89,8 +89,20 @@ def test_relation_entries_are_unit_rationals():
             assert coeff in (1, -1)
 
 
+def normal_positions(n, max_degree):
+    """Graded positions of Kohno's normal words: the chords' top strands never decrease upward."""
+    return tuple(
+        k for k, w in enumerate(basis_words(n, max_degree))
+        if all(low.j <= high.j for low, high in zip(w.chords, w.chords[1:]))
+    )
+
+
 def check_reduce_kernel(skeleton, max_degree):
-    """Every relation row of degree max_degree reduces to 0; every free unit vector is fixed."""
+    """Every relation row of degree max_degree reduces to 0; every free unit vector is fixed.
+
+    On strands the free positions are the normal words, as many as the
+    echelon's quotient dimension in every degree.
+    """
     size = graded_size(skeleton, max_degree)
     offset = graded_size(skeleton, max_degree - 1)
     for row in relation_sets(skeleton, max_degree)[-1].rows:
@@ -100,6 +112,10 @@ def check_reduce_kernel(skeleton, max_degree):
         assert not reduce(vec, skeleton, max_degree).any(), (skeleton, max_degree, row)
     free = free_positions(skeleton, max_degree)
     assert len(free) == sum(len(rs.basis) - rs.rank for rs in relation_sets(skeleton, max_degree))
+    if skeleton[0] == "strands":
+        assert free == normal_positions(skeleton[1], max_degree)
+        top = relation_sets(skeleton, max_degree)[-1]
+        assert quotient_dimension(max_degree, strands=skeleton[1]) == len(top.basis) - top.rank
     for k in free:
         vec = np.zeros(size, dtype=complex)
         vec[k] = 1.0
@@ -107,8 +123,10 @@ def check_reduce_kernel(skeleton, max_degree):
 
 
 def test_all_rows_reduce_to_zero():
-    for n, m in ((3, 2), (3, 3), (4, 2), (4, 3)):
-        check_reduce_kernel(("strands", n), m)
+    # the normal-form map against the echelon of horizontal_relations, its reference
+    for n, top in ((3, 5), (4, 4), (5, 3)):
+        for m in range(top + 1):
+            check_reduce_kernel(("strands", n), m)
     for q, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
         check_reduce_kernel(("circles", q), m)
 
@@ -170,6 +188,9 @@ def _dict_reduce(coefficients, skeleton, max_degree, zero_threshold):
 
 
 def test_dense_reduce_equals_dict_reference():
+    # circles: entry for entry the echelon reduce of the reference; strands,
+    # at threshold 0: the normal form of v and of the reference's echelon
+    # reduction of v agree
     rng = random.Random(6)
     shapes = [(("strands", n), m) for n in (3, 4) for m in range(4)]
     shapes += [(("circles", q), m) for q in (1, 2, 3) for m in range(5)]
@@ -182,11 +203,17 @@ def test_dense_reduce_equals_dict_reference():
                 if rng.random() < 0.67 else 0j
                 for _ in range(size)
             ])
+            if skeleton[0] == "strands" and threshold != 0.0:
+                continue
             dense = reduce(vec, skeleton, max_degree, threshold)
             reference = _dict_reduce(vec, skeleton, max_degree, threshold)
             expected = np.zeros(size, dtype=complex)
             expected[list(reference)] = list(reference.values())
-            assert dense.tolist() == expected.tolist(), (skeleton, max_degree, threshold)
+            if skeleton[0] == "circles":
+                assert dense.tolist() == expected.tolist(), (skeleton, max_degree, threshold)
+            else:
+                through_echelon = reduce(expected, skeleton, max_degree, 0.0)
+                assert np.abs(dense - through_echelon).max() <= 1e-12, (skeleton, max_degree)
 
 
 def _word_index_rows(n_strands, degree):
