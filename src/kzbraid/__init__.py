@@ -14,7 +14,6 @@ from .circles import (
     CircleDiagram,
     check_circle_budget,
     circle_basis,
-    circle_series_from_json_dict,
     circle_series_json_text,
     circle_series_to_json_dict,
     enumerate_circle_diagrams,
@@ -54,7 +53,6 @@ from .words import (
     check_word_budget,
     enumerate_words,
     relabel_strands,
-    series_from_json_dict,
     series_json_text,
     series_product,
     series_to_json_dict,

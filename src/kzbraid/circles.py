@@ -12,13 +12,13 @@ dense vector over circle_basis(q, M), the diagrams of each degree in turn.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 
 from ._lazy import np
-from .words import ZERO_THRESHOLD, _document_text, json_list_text, malformed_json
+from .words import ZERO_THRESHOLD, _document_text
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
 # a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
@@ -313,11 +313,9 @@ def _json_heads(n_circles, max_degree, positions, level):
     i2, i3 = "  " * (level + 2), "  " * (level + 3)
     heads = {}
     for k in range(len(basis)) if positions is None else positions:
-        diagram = basis[k]
-        heads[k] = (
-            f'{i2}{{\n{i3}"slots": {json_list_text(diagram.slots, level + 3)},'
-            f'\n{i3}"word": {json_list_text(diagram.chords, level + 3)},\n{i3}"re": '
-        )
+        slots = json.dumps(basis[k].slots, indent=2).replace("\n", "\n" + i3)
+        chords = json.dumps(basis[k].chords, indent=2).replace("\n", "\n" + i3)
+        heads[k] = f'{i2}{{\n{i3}"slots": {slots},\n{i3}"word": {chords},\n{i3}"re": '
     return heads
 
 
@@ -335,30 +333,3 @@ def circle_series_json_text(
     listed = [k for k in heads if abs(values[k]) >= zero_threshold]
     fields = (("circles", n_circles), ("max_degree", max_degree))
     return _document_text(fields, heads, coefficients, listed, level)
-
-
-def circle_series_from_json_dict(data: dict) -> np.ndarray:
-    """Dense coefficients over circle_basis of a circle_series_to_json_dict document.
-
-    Terms above max_degree are dropped; malformed input raises ValueError.
-    """
-    with malformed_json("circle series"):
-        n_circles, max_degree = data["circles"], data["max_degree"]
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        check_circle_budget(n_circles, max_degree)
-        sizes = [len(enumerate_circle_diagrams(n_circles, m)) for m in range(max_degree + 1)]
-        offsets = list(accumulate(sizes, initial=0))
-        out = np.zeros(offsets[-1], dtype=complex)
-        for entry in data["terms"]:
-            diagram = CircleDiagram(
-                tuple(entry["slots"]),
-                tuple((tuple(f1), tuple(f2)) for f1, f2 in entry["word"]),
-            )
-            if diagram.n_circles != n_circles:
-                raise ValueError(f"term on {diagram.n_circles} circles in a series on {n_circles}")
-            m = diagram.degree
-            if m <= max_degree:
-                k = offsets[m] + orbit_positions(n_circles, m)[orbit_key(diagram.to_layout())]
-                out[k] += complex(entry["re"], entry["im"])
-        return out

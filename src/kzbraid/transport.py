@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from ._lazy import np
 from .braids import BraidWord, ConfigLoop, realize
@@ -310,15 +309,23 @@ def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:
 
 
 def symmetrized(coefficients, n_strands: int, max_degree: int) -> np.ndarray:
-    """Average a dense series' coefficients over all chord orderings of each word."""
+    """Average a dense series' coefficients over all chord orderings of each word.
+
+    A word's orderings are the words with its chord multiset, so each degree
+    block is averaged per multiset, keyed by the index of the word with its
+    base-P digits sorted.
+    """
     n_pairs = n_strands * (n_strands - 1) // 2
-    out = np.empty_like(coefficients)
+    out = coefficients.copy()  # degree 0 has one ordering
     for m, (block, target) in enumerate(
         zip(_blocks(coefficients, n_pairs, max_degree), _blocks(out, n_pairs, max_degree))
     ):
-        cube = block.reshape((n_pairs,) * m)
-        total = sum(cube.transpose(axes) for axes in permutations(range(m)))
-        target[:] = np.ravel(total) / math.factorial(m)
+        if m == 0:
+            continue
+        shape = (n_pairs,) * m
+        key = np.ravel_multi_index(tuple(np.sort(np.indices(shape).reshape(m, -1), axis=0)), shape)
+        total = np.bincount(key, block.real) + 1j * np.bincount(key, block.imag)
+        target[:] = total[key] / np.bincount(key)[key]
     return out
 
 

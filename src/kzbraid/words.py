@@ -9,7 +9,7 @@ and printed in this form.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -207,25 +207,11 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
     return {"n_strands": n_strands, "max_degree": max_degree, "terms": terms}
 
 
-def json_list_text(value, depth) -> str:
-    """json.dumps(value, indent=2) of an int or nested lists (or tuples) of ints.
-
-    depth is the indent level the value sits at inside its document.
-    """
-    if not isinstance(value, (list, tuple)):
-        return str(value)
-    if not value:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    items = ("," + inner).join([json_list_text(v, depth + 1) for v in value])
-    return f"[{inner}{items}\n{'  ' * depth}]"
-
-
 @lru_cache(maxsize=16)
 def _json_heads(n_strands, max_degree, level):
     """Per basis word, the text of its JSON term up to the real part."""
     i2, i3, i4 = ("  " * (level + k) for k in range(2, 5))
-    chord_text = {pair: i4 + json_list_text(pair.as_tuple(), level + 4) for pair in all_pairs(n_strands)}
+    chord_text = {p: i4 + json.dumps(p.as_tuple(), indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)}
     heads = []
     for word in basis_words(n_strands, max_degree):
         chords = ",\n".join(chord_text[c] for c in word.chords)
@@ -269,37 +255,3 @@ def series_json_text(coefficients, n_strands, max_degree, positions, level=0) ->
     heads = _json_heads(n_strands, max_degree, level)
     fields = (("n_strands", n_strands), ("max_degree", max_degree))
     return _document_text(fields, heads, coefficients, positions, level)
-
-
-@contextmanager
-def malformed_json(kind):
-    """Turn what reading a malformed `kind` JSON document raises into one ValueError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"malformed {kind} JSON: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {kind} JSON: {exc}") from None
-
-
-def series_from_json_dict(data: dict) -> np.ndarray:
-    """Dense coefficients over basis_words of a series_to_json_dict document.
-
-    Terms above max_degree are dropped; malformed input raises ValueError.
-    """
-    with malformed_json("series"):
-        n_strands, max_degree = data["n_strands"], data["max_degree"]
-        if n_strands < 2 or max_degree < 0:
-            raise ValueError("need n_strands >= 2 and max_degree >= 0")
-        check_word_budget(n_strands, max_degree)
-        pairs = all_pairs(n_strands)
-        pair_index = {pair: q for q, pair in enumerate(pairs)}
-        out = np.zeros(basis_size(len(pairs), max_degree), dtype=complex)
-        for entry in data["terms"]:
-            chords = [ChordPair(*p) for p in entry["word"]]
-            g = 0
-            for chord in chords:
-                g = 1 + len(pairs) * g + pair_index[chord]
-            if len(chords) <= max_degree:
-                out[g] += complex(entry["re"], entry["im"])
-        return out

@@ -315,7 +315,7 @@ def test_14_full_twist_closed_form():
     # modulo the relations, so Z = exp(sum t_ij): every degree-m word with
     # coefficient 1/m!.  The threshold 0 keeps reduce from zeroing both sides.
     residual = 0.0
-    for n, max_degree in ((2, 6), (3, 5), (4, 4), (4, 5), (5, 4)):
+    for n, max_degree in ((2, 6), (3, 5), (4, 4), (4, 5), (5, 4), (5, 5)):
         n_pairs = n * (n - 1) // 2
         twist = BraidWord(n, tuple((k, 1) for _ in range(n) for k in range(1, n)))
         exponential = np.concatenate(

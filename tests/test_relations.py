@@ -8,7 +8,6 @@ import pytest
 from kzbraid.circles import (
     CircleDiagram,
     circle_basis,
-    circle_series_from_json_dict,
     count_circle_matchings,
     enumerate_circle_diagrams,
     layout_position,
@@ -341,28 +340,17 @@ def _check_rotations_share_one_position(diagram, n_drawings):
     """Every rotated drawing of diagram finds the position of its canonical drawing.
 
     Both lookups are checked: layout_position on the flat layout and
-    circle_series_from_json_dict on a one-term document.
+    orbit_positions at the drawing's orbit_key.
     """
     q, m = diagram.n_circles, diagram.degree
     basis = enumerate_circle_diagrams(q, m)
     expected = basis.index(canonical(diagram))
-    offset = len(circle_basis(q, m - 1))
     drawings = rotations(diagram)
     assert len(drawings) == n_drawings  # the rotations draw distinct chord sets
     for drawing in drawings:
         flat = [label for circle in drawing.to_layout() for label in circle + [-1]]
         assert layout_position(flat) == expected, drawing
-        document = {
-            "circles": q,
-            "max_degree": m,
-            "terms": [{
-                "slots": list(drawing.slots),
-                "word": [[list(f1), list(f2)] for f1, f2 in drawing.chords],
-                "re": 1.0,
-                "im": 0.0,
-            }],
-        }
-        assert np.flatnonzero(circle_series_from_json_dict(document)).tolist() == [offset + expected]
+        assert orbit_positions(q, m)[orbit_key(drawing.to_layout())] == expected, drawing
 
 
 def test_circle_canonicalization_rotation_invariant():

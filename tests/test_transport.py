@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from kzbraid.transport import (
 )
 from kzbraid.words import (
     HorizontalWord,
+    _blocks,
     basis_size,
     basis_words,
     enumerate_words,
@@ -335,6 +337,27 @@ def test_transport_reports_steps():
     res, single = transport(loop, 2), transport(loop, 1)
     assert res.steps_used == single.steps_used == 2 * (2 * 32 + 1)
     assert 0.0 <= single.richardson_error_estimate <= 1e-15
+
+
+def _symmetrized_by_permutations(coefficients, n_strands, max_degree):
+    """Each degree-m block summed over its m! chord orderings, then divided by m!."""
+    n_pairs = n_strands * (n_strands - 1) // 2
+    blocks = []
+    for m, block in enumerate(_blocks(coefficients, n_pairs, max_degree)):
+        cube = block.reshape((n_pairs,) * m)
+        total = sum(cube.transpose(axes) for axes in permutations(range(m)))
+        blocks.append(np.ravel(total) / math.factorial(m))
+    return np.concatenate(blocks)
+
+
+def test_symmetrized_matches_permutation_sum():
+    rng = np.random.default_rng(1414)
+    for n in (3, 4):
+        for max_degree in range(6):
+            size = basis_size(n * (n - 1) // 2, max_degree)
+            s = rng.normal(size=size) + 1j * rng.normal(size=size)
+            expected = _symmetrized_by_permutations(s, n, max_degree)
+            assert sup_diff(symmetrized(s, n, max_degree), expected) <= 1e-12, (n, max_degree)
 
 
 def test_abelian_matches_symmetrized_transport():

@@ -7,7 +7,6 @@ import pytest
 from kzbraid.circles import (
     CircleDiagram,
     circle_basis,
-    circle_series_from_json_dict,
     circle_series_json_text,
     circle_series_to_json_dict,
 )
@@ -16,9 +15,7 @@ from kzbraid.words import (
     HorizontalWord,
     basis_words,
     enumerate_words,
-    json_list_text,
     relabel_strands,
-    series_from_json_dict,
     series_json_text,
     series_product,
     series_to_json_dict,
@@ -153,73 +150,26 @@ def test_relabel_strands():
 def test_json_round_trip():
     s = series(3, 3, {(): 1.0, ((1, 2),): 0.5 - 0.25j, ((1, 3), (2, 3)): 1e-3j})
     data = json.loads(json.dumps(series_to_json_dict(s, 3, 3)))
-    assert np.array_equal(series_from_json_dict(data), s)
+    assert data["n_strands"] == 3 and data["max_degree"] == 3
+    kept = np.flatnonzero(s).tolist()
+    basis = basis_words(3, 3)
+    assert [t["word"] for t in data["terms"]] == [[list(p.as_tuple()) for p in basis[g].chords] for g in kept]
+    assert [complex(t["re"], t["im"]) for t in data["terms"]] == s[kept].tolist()
     words_listed = [tuple(map(tuple, t["word"])) for t in data["terms"]]
-    assert len(words_listed) == 3
     assert words_listed == sorted(words_listed, key=lambda w: (len(w), w))
-
-
-GOOD_SERIES = {"n_strands": 3, "max_degree": 2, "terms": [{"word": [[1, 2]], "re": 0.5, "im": 0.0}]}
-GOOD_CIRCLES = {
-    "circles": 1,
-    "max_degree": 2,
-    "terms": [{"slots": [2], "word": [[[0, 0], [0, 1]]], "re": 1.0, "im": -0.5}],
-}
-
-
-def _with(document, path, value):
-    """Copy of document with the entry at path replaced, or deleted when value is ...."""
-    if not path:
-        return value
-    document = json.loads(json.dumps(document))
-    *parents, last = path
-    holder = document
-    for key in parents:
-        holder = holder[key]
-    if value is ...:
-        del holder[last]
-    else:
-        holder[last] = value
-    return document
-
-
-@pytest.mark.parametrize(
-    "reader, good, path, value",
-    [
-        (series_from_json_dict, GOOD_SERIES, (), None),
-        (series_from_json_dict, GOOD_SERIES, (), "text"),
-        (series_from_json_dict, GOOD_SERIES, (), {"terms": {}}),
-        (series_from_json_dict, GOOD_SERIES, ("terms",), ...),
-        (series_from_json_dict, GOOD_SERIES, ("max_degree",), "2"),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "im"), ...),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "re"), None),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [[1, 2, 3]]),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [7]),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0, "word"), [[1, 5]]),
-        (series_from_json_dict, GOOD_SERIES, ("terms", 0), "term"),
-        (circle_series_from_json_dict, GOOD_CIRCLES, (), []),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("circles",), ...),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "slots"), 2),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "word"), [[0, 0]]),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "word"), [[[0, 0], [0, 2]]]),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "im"), [1]),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("max_degree",), None),
-        (circle_series_from_json_dict, GOOD_CIRCLES, ("terms", 0, "slots"), [2, 0]),
-    ],
-)
-def test_json_readers_reject_malformed_input(reader, good, path, value):
-    reader(good)
-    with pytest.raises(ValueError, match="^malformed .*JSON: ") as caught:
-        reader(_with(good, path, value))
-    assert "\n" not in str(caught.value)
 
 
 def test_circle_json_round_trip():
     diagram = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
+    k = circle_basis(2, 2).index(diagram)
     s = np.zeros(len(circle_basis(2, 2)), dtype=complex)
-    s[circle_basis(2, 2).index(diagram)] = 0.25 - 1j
-    back = circle_series_from_json_dict(json.loads(json.dumps(circle_series_to_json_dict(s, 2, 2))))
-    assert np.array_equal(back, s)
+    s[k] = 0.25 - 1j
+    data = json.loads(json.dumps(circle_series_to_json_dict(s, 2, 2)))
+    assert data["circles"] == 2 and data["max_degree"] == 2
+    [term] = data["terms"]
+    listed = CircleDiagram(tuple(term["slots"]), tuple((tuple(f1), tuple(f2)) for f1, f2 in term["word"]))
+    assert listed == circle_basis(2, 2)[k] == diagram
+    assert complex(term["re"], term["im"]) == s[k]
 
 
 def test_json_text_matches_json_dumps():
@@ -245,5 +195,3 @@ def test_json_text_matches_json_dumps():
                     )
                     text = circle_series_json_text(s, q, max_degree, threshold, positions, level)
                     assert text == expected.replace("\n", indent)
-        for value in ([], [[1, 2], [3]], ((0, (1, 2)),), 7):
-            assert json_list_text(value, level) == json.dumps(value, indent=2).replace("\n", indent)
