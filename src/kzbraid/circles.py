@@ -2,12 +2,14 @@
 
 Endpoint slots on each circle are taken up to cyclic rotation (orientation
 preserving only, no reflections); circles are numbered, so they are never
-permuted.  A diagram's one identity is its orbit_key, an integer tuple
-computed from a layout; a CircleDiagram is one drawing, and == compares
-drawings.  Enumeration keeps the first drawing it meets per key.  The 4T rows
-and the closure's projection find basis positions through layout_position,
-which alone renumbers flat layouts for its memo.  A series on q circles is a
-dense vector over circle_basis(q, M), the diagrams of each degree in turn.
+permuted.  A drawing is a flat layout, each circle's chord labels followed
+by -1, with labels numbered by first appearance; a CircleDiagram is one
+drawing, and == compares drawings.  Each (circles, degree) has one table
+from every drawing to its basis position, filled by one walk over the raw
+matchings, so the 4T rows and the closure's projection find a layout's
+position by renumbering its labels and one dict lookup (layout_position).
+A series on q circles is a dense vector over circle_basis(q, M), the
+diagrams of each degree in turn.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
+from operator import itemgetter
 
 from ._lazy import np
 from .words import ZERO_THRESHOLD, _document_text
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
 # a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
+# The drawing tables keep one entry per matching walked, so this also bounds
+# the drawings held in memory.
 MAX_CIRCLE_MATCHINGS = 2**18
 
 
@@ -30,7 +36,8 @@ class CircleDiagram:
     """Perfect matching on endpoint slots, slots[c] of them on circle c.
 
     chords is a sorted tuple of sorted ((circle, slot), (circle, slot))
-    pairs: one drawing, unequal to its rotations; orbit_key identifies it.
+    pairs: one drawing, unequal to its rotations; layout_position finds the
+    basis position they share.
     """
 
     slots: tuple
@@ -99,60 +106,6 @@ class CircleDiagram:
         return f"<circles {self.slots} chords {self.chords}>"
 
 
-def orbit_key(circles):
-    """One integer tuple per diagram: the least code over circle rotations.
-
-    circles lists each circle's chord labels (any hashable, each label twice
-    overall).  A circle's code gives each foot a token: the forward distance
-    to its partner when both feet are on that circle, -2 - p when the
-    partner is the p-th foot of the rotated earlier circles read in order,
-    and 0 when the partner is on a later circle.  The key is the least
-    concatenation of codes, each followed by -1, over independent rotations
-    of the circles.  It is taken circle by circle, branching only where
-    rotations tie, so two layouts share a key iff they draw one diagram.
-    Rotating a code is slicing a list, and lists compare in C.
-    """
-    key = []
-    placed = [{}]  # per tied choice: label -> global position of its one foot so far
-    offset = 0
-    for circle in circles:
-        n = len(circle)
-        first = {}
-        tokens = [0] * n
-        for p, label in enumerate(circle):
-            q = first.setdefault(label, p)
-            if q != p:
-                tokens[q] = p - q
-                tokens[p] = n + q - p
-        best, tied = None, []
-        for seen in placed:
-            if seen:
-                marked = [-2 - seen[x] if x in seen else t for x, t in zip(circle, tokens)]
-            else:
-                marked = tokens
-            doubled = marked + marked
-            for r in range(max(n, 1)):
-                code = doubled[r:r + n]
-                if best is None or code < best:
-                    best, tied = code, [(seen, r)]
-                elif code == best:
-                    tied.append((seen, r))
-        key += best
-        key.append(-1)
-        if 0 in best:  # feet whose partners later circles will meet
-            placed = []
-            for seen, r in tied:
-                seen = dict(seen)
-                for p, label in enumerate(circle):
-                    if not tokens[p] and label not in seen:
-                        seen[label] = offset + (p - r) % n
-                placed.append(seen)
-        else:  # tied rotations of this circle place nothing new
-            placed = list({id(seen): seen for seen, _ in tied}.values())
-        offset += n
-    return tuple(key)
-
-
 def _compositions(total, parts):
     if parts == 1:
         yield (total,)
@@ -162,29 +115,26 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def _labelings(size):
-    """Every perfect matching of positions 0..size-1 as a label per position.
+def _matchings(degree):
+    """Every perfect matching of 2m feet in a row, in increasing chord-tuple order.
 
-    Chords are numbered by their first position, so each matching is drawn
-    once.  The list yielded is reused: copy it to keep it.
+    Each is a tuple of chord labels numbered by first appearance, then -1.
+    Foot 0 pairs with each later foot in turn, and the feet left take every
+    matching of degree m - 1 with its labels raised by one.
     """
-    labels = [-1] * size
+    if degree == 0:
+        yield (-1,)
+        return
+    rest = [tuple([label + 1 if label >= 0 else -1 for label in sub]) for sub in _matchings(degree - 1)]
+    for k in range(2 * degree - 1):
+        for sub in rest:
+            yield (0,) + sub[:k] + (0,) + sub[k:]
 
-    def fill(label, first):
-        while first < size and labels[first] >= 0:
-            first += 1
-        if first == size:
-            yield labels
-            return
-        labels[first] = label
-        for k in range(first + 1, size):
-            if labels[k] < 0:
-                labels[k] = label
-                yield from fill(label + 1, first + 1)
-                labels[k] = -1
-        labels[first] = -1
 
-    return fill(0, 0)
+def _first_appearance(layout):
+    """layout as a drawing: labels renumbered 0, 1, ... by first appearance, -1 kept."""
+    first = {-1: -1}
+    return tuple([first.setdefault(label, len(first) - 1) for label in layout])
 
 
 def count_circle_matchings(n_circles: int, max_degree: int) -> int:
@@ -219,22 +169,38 @@ def check_circle_budget(n_circles: int, max_degree: int):
 
 @lru_cache(maxsize=None)
 def _orbit_table(n_circles: int, degree: int):
-    """(basis, orbit_key -> basis position) of the degree-m diagrams on q circles.
+    """(basis, drawing -> basis position) of the degree-m diagrams on q circles.
 
-    Slot splits and, within one, matchings are walked in increasing order,
-    so the first drawing met per orbit_key is the least over rotations.
+    Slot splits and, within one, matchings are walked in increasing order.
+    A drawing not yet in the table starts a new basis diagram, the least
+    drawing of its orbit, and every rotation of it is recorded under that
+    diagram's position, so the table holds each raw matching once.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
-    found = {}
+    if degree == 0:  # one drawing, all -1; on one circle itemgetter would not return a tuple
+        return (CircleDiagram((0,) * n_circles, ()),), {(-1,) * n_circles: 0}
+    basis, drawings = [], {}
     for slots in _compositions(2 * degree, n_circles):
-        bounds = [sum(slots[:c]) for c in range(n_circles + 1)]
-        for labels in _labelings(2 * degree):
-            circles = [labels[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            key = orbit_key(circles)
-            if key not in found:
-                found[key] = CircleDiagram.from_layout(circles)
-    return tuple(found.values()), {key: k for k, key in enumerate(found)}
+        starts = [sum(slots[:c]) for c in range(n_circles)]
+        # per independent rotation of the circles, the matching's index read
+        # at each slot of the drawing, and its closing -1 after each circle;
+        # the first, no circle rotated, draws the matching as it is
+        rotations = [
+            itemgetter(*[
+                k for start, n, r in zip(starts, slots, shift)
+                for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
+            ])
+            for shift in product(*(range(max(n, 1)) for n in slots))
+        ]
+        for matching in _matchings(degree):
+            drawing = rotations[0](matching)
+            if drawing not in drawings:
+                drawings[drawing] = len(basis)
+                for rotate in rotations[1:]:
+                    drawings[_first_appearance(rotate(matching))] = len(basis)
+                basis.append(CircleDiagram.from_layout([matching[k:k + n] for k, n in zip(starts, slots)]))
+    return tuple(basis), drawings
 
 
 def enumerate_circle_diagrams(n_circles: int, degree: int):
@@ -242,31 +208,16 @@ def enumerate_circle_diagrams(n_circles: int, degree: int):
     return _orbit_table(n_circles, degree)[0]
 
 
-def orbit_positions(n_circles: int, degree: int):
-    """orbit_key of each degree-m diagram -> its enumerate_circle_diagrams position."""
-    return _orbit_table(n_circles, degree)[1]
-
-
 def layout_position(layout):
     """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
 
     layout is one flat sequence: each circle's chord labels (ints >= 0, each
-    twice) followed by -1.  Labels are renumbered by first appearance in
-    front of the memo, so every layout drawn alike shares one cache entry.
+    twice) followed by -1.  Any rotation of any circle finds the same position.
     """
-    first = {-1: -1}  # circle ends stay -1, labels count from 0
-    return _relabeled_position(tuple([first.setdefault(label, len(first) - 1) for label in layout]))
-
-
-@lru_cache(maxsize=1 << 16)
-def _relabeled_position(layout):
-    circles = [[]]
-    for label in layout[:-1]:
-        if label < 0:
-            circles.append([])
-        else:
-            circles[-1].append(label)
-    return orbit_positions(len(circles), (len(layout) - len(circles)) // 2)[orbit_key(circles)]
+    n_circles = layout.count(-1)
+    drawings = _orbit_table(n_circles, (len(layout) - n_circles) // 2)[1]
+    position = drawings.get(tuple(layout))  # only drawings are keys, so a hit needs no renumbering
+    return drawings[_first_appearance(layout)] if position is None else position
 
 
 @lru_cache(maxsize=None)

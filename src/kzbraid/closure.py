@@ -6,8 +6,8 @@ chords on the component circles: walk each component from its lowest strand,
 reading the feet on every strand bottom to top, then cross the closure arc to
 the next strand.  Chords among closure arcs and long chords contribute
 nothing and are never produced.  The word-to-diagram index finds each
-diagram through circles.layout_position, the one layout lookup the circle
-4T rows use too.
+diagram through circles.layout_position, the drawing-table lookup the
+circle 4T rows use too.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ has its content divided out after each combination, and the echelon rows
 become exact Fractions once, at the end.  A dense circle series is reduced
 by pushing its coefficients through the echelon rows, kept as floats.
 Circle 4T rows find each term's basis index through circles.layout_position,
-the memoized layout lookup the closure's tau index shares, with no canonical
-diagram built per term.  Rewrite rows, echelon forms and their float rows
-are cached per (strand or circle count, degree) and are safe for concurrent
-reads once built.
+one renumbering and one lookup in the drawing table the closure's tau index
+shares, with no canonical diagram built per term.  Rewrite rows, echelon
+forms and their float rows are cached per (strand or circle count, degree)
+and are safe for concurrent reads once built.
 """
 
 from __future__ import annotations
@@ -201,7 +201,9 @@ def _circle_four_term_rows(diagram):
             removed = flat[:start + s] + flat[start + s + 1:]
             # a's foot that was adjacent, repositioned after dropping slot s
             x = start + s if s + 1 < n else start
-            y = next(i for i, label in enumerate(removed) if label == a and i != x)
+            y = removed.index(a)
+            if y == x:
+                y = removed.index(a, x + 1)
             row = {}
             for at, sign in ((x + 1, 1), (x, -1), (y + 1, 1), (y, -1)):
                 k = layout_position(removed[:at] + [b] + removed[at:])

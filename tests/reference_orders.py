@@ -1,9 +1,10 @@
 """Reference canonical forms and basis orders, written independently of kzbraid.
 
-kzbraid identifies a circle diagram by circles.orbit_key and keeps the first
-drawing its enumeration meets; these helpers restate what that must equal:
-the drawing with the least chord tuple over independent circle rotations,
-bases sorted by (degree, slots, chords), words by (degree, chords).
+kzbraid files every drawing of a circle diagram under the basis position of
+the first drawing its enumeration meets; these helpers restate what that
+must equal: the drawing with the least chord tuple over independent circle
+rotations, bases sorted by (degree, slots, chords), words by (degree,
+chords).
 """
 
 from itertools import product

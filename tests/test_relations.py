@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 
 from kzbraid.circles import (
     CircleDiagram,
+    _orbit_table,
     circle_basis,
     count_circle_matchings,
     enumerate_circle_diagrams,
     layout_position,
-    orbit_key,
-    orbit_positions,
 )
 from kzbraid.relations import (
     RelationSet,
@@ -263,9 +263,8 @@ def test_horizontal_rows_equal_word_index_reference():
             assert built.rows == reference.rows, (n, m)
 
 
-def _orbit_key_four_term_rows(diagram):
-    """4T rows of one diagram, each term found by orbit_positions[orbit_key], the reference."""
-    positions = orbit_positions(diagram.n_circles, diagram.degree)
+def _canonical_four_term_rows(diagram, position):
+    """4T rows of one diagram, the reference: position(drawing) finds each term."""
     layout = diagram.to_layout()
     rows = []
     for c, circle in enumerate(layout):
@@ -283,7 +282,7 @@ def _orbit_key_four_term_rows(diagram):
             for (tc, ts), offset, sign in ((x, 1, 1), (x, 0, -1), (y, 1, 1), (y, 0, -1)):
                 lay = list(removed)
                 lay[tc] = removed[tc][:ts + offset] + [b] + removed[tc][ts + offset:]
-                k = positions[orbit_key(lay)]
+                k = position(CircleDiagram.from_layout(lay))
                 row[k] = row.get(k, 0) + sign
             row = {k: v for k, v in row.items() if v}
             if row:
@@ -291,14 +290,20 @@ def _orbit_key_four_term_rows(diagram):
     return rows
 
 
-def test_circle_rows_equal_orbit_key_reference():
-    # the memoized layout_position against a fresh orbit_key per term
+def test_circle_rows_equal_canonical_reference():
+    # the drawing-table layout_position against the brute-force least rotation per term
     for q, top in ((1, 6), (2, 4), (3, 4)):
         for m in range(top + 1):
             basis = enumerate_circle_diagrams(q, m)
+            index = {diagram: k for k, diagram in enumerate(basis)}  # basis.index as a dict
+
+            @lru_cache(maxsize=None)  # terms repeat across diagrams
+            def position(drawing):
+                return index[canonical(drawing)]
+
             rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
             for diagram in basis:
-                four_term = _orbit_key_four_term_rows(diagram) if m >= 2 else []
+                four_term = _canonical_four_term_rows(diagram, position) if m >= 2 else []
                 assert _circle_four_term_rows(diagram) == four_term, (q, m, diagram)
                 rows += four_term
             built, reference = circle_relations(q, m), RelationSet(m, basis, _dedupe(rows))
@@ -339,8 +344,9 @@ def test_prequotient_two_strand_dims():
 def _check_rotations_share_one_position(diagram, n_drawings):
     """Every rotated drawing of diagram finds the position of its canonical drawing.
 
-    Both lookups are checked: layout_position on the flat layout and
-    orbit_positions at the drawing's orbit_key.
+    Both lookups are checked: layout_position on the flat layout as drawn,
+    labels numbered by first appearance, and on the same layout with its
+    labels numbered in reverse, which it must renumber.
     """
     q, m = diagram.n_circles, diagram.degree
     basis = enumerate_circle_diagrams(q, m)
@@ -350,7 +356,7 @@ def _check_rotations_share_one_position(diagram, n_drawings):
     for drawing in drawings:
         flat = [label for circle in drawing.to_layout() for label in circle + [-1]]
         assert layout_position(flat) == expected, drawing
-        assert orbit_positions(q, m)[orbit_key(drawing.to_layout())] == expected, drawing
+        assert layout_position([m - 1 - label if label >= 0 else -1 for label in flat]) == expected, drawing
 
 
 def test_circle_canonicalization_rotation_invariant():
@@ -433,14 +439,13 @@ def _raw_matchings(feet):
             yield ((first, second),) + sub
 
 
-def test_orbit_keyed_basis_matches_brute_force():
+def test_drawing_table_basis_matches_brute_force():
     # every raw matching, every rotation of every diagram included, against
     # the brute-force least rotation and the (degree, slots, chords) order
     for q, top in ((1, 5), (2, 4), (3, 3), (4, 3)):
         walked = 0
         for m in range(top + 1):
             basis = enumerate_circle_diagrams(q, m)
-            positions = orbit_positions(q, m)
             found = set()
             for slots in product(range(2 * m + 1), repeat=q):
                 if sum(slots) != 2 * m:
@@ -453,7 +458,25 @@ def test_orbit_keyed_basis_matches_brute_force():
                     for label, chord in enumerate(matching):
                         for c, s in chord:
                             layout[c][s] = label
-                    assert basis[positions[orbit_key(layout)]] == diagram
+                    flat = [label for circle in layout for label in circle + [-1]]
+                    assert basis[layout_position(flat)] == diagram
                     found.add(diagram)
             assert basis == tuple(sorted(found, key=diagram_sort_key))
         assert walked == count_circle_matchings(q, top)
+
+
+def test_drawing_table_holds_each_matching_once():
+    # one entry per raw matching of the degree, each filed under the basis
+    # position of its brute-force least rotation: the drawings filed at a
+    # position are the rotations of a diagram that is its own canonical drawing
+    for q, top in ((1, 6), (2, 4), (3, 4), (4, 3)):
+        for m in range(top + 1):
+            basis, drawings = _orbit_table(q, m)
+            assert len(drawings) == count_circle_matchings(q, m) - count_circle_matchings(q, m - 1)
+            filed = [set() for _ in basis]
+            for drawing, position in drawings.items():
+                ends = [k for k, label in enumerate(drawing) if label < 0]
+                circles = [drawing[start + 1:end] for start, end in zip([-1] + ends, ends)]
+                filed[position].add(CircleDiagram.from_layout(circles))
+            for diagram, drawn in zip(basis, filed):
+                assert diagram == canonical(diagram) and drawn == rotations(diagram), (q, m, diagram)
