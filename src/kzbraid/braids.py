@@ -11,31 +11,29 @@ diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._lazy import np
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """Signed generator letters (k, sign) on n_strands strands."""
+class BraidWord(namedtuple("BraidWord", "n_strands letters")):
+    """Signed generator letters (k, sign) on n_strands strands.
 
-    n_strands: int
-    letters: tuple
+    The tuple (n_strands, letters), so len() is 2: count letters with len(word.letters).
+    """
 
-    def __post_init__(self):
-        if self.n_strands < 2:
+    __slots__ = ()
+
+    def __new__(cls, n_strands, letters):
+        if n_strands < 2:
             raise ValueError("need at least 2 strands")
-        letters = tuple((int(k), int(sign)) for k, sign in self.letters)
+        letters = tuple((int(k), int(sign)) for k, sign in letters)
         for k, sign in letters:
-            if not 1 <= k <= self.n_strands - 1:
+            if not 1 <= k <= n_strands - 1:
                 raise ValueError(f"generator index {k} out of range")
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "letters", letters)
-
-    def __len__(self):
-        return len(self.letters)
+        return super().__new__(cls, n_strands, letters)
 
     def __repr__(self):
         body = " ".join(str(k * sign) for k, sign in self.letters) or "e"
@@ -64,17 +62,16 @@ def parse_braid_word(text: str, n_strands: int) -> BraidWord:
     return BraidWord(n_strands, tuple(letters))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Images of 1..N, images[k-1] = pi(k)."""
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+    def __new__(cls, images):
+        images = tuple(int(v) for v in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a bijection on 1..N")
-        object.__setattr__(self, "images", images)
+        return super().__new__(cls, images)
 
     def __call__(self, k):
         return self.images[k - 1]
@@ -114,14 +111,15 @@ def permutation_of(word: BraidWord) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class _Arc:
-    """One analytic time segment; local parameter s runs over [0, 1]."""
+class _Arc(namedtuple("_Arc", "start moving center sign")):
+    """One analytic time segment; local parameter s runs over [0, 1].
 
-    start: tuple  # complex start position per strand
-    moving: tuple | None  # (strand at left slot, strand at right slot) or None
-    center: float
-    sign: int
+    start is the complex start position per strand; moving is (strand at
+    left slot, strand at right slot), or None when no strand moves, and that
+    pair makes a half turn about center, counterclockwise for sign +1.
+    """
+
+    __slots__ = ()
 
     def positions(self, s):
         """Point per strand at local time s; an array s adds leading axes."""
@@ -147,12 +145,10 @@ class _Arc:
         return v
 
 
-@dataclass(frozen=True)
-class _Warped:
+class _Warped(namedtuple("_Warped", "segment rate")):
     """A segment at local time phi(s) = (e^{as} - 1) / (e^a - 1), a = rate, velocity phi'(s) v(phi(s))."""
 
-    segment: object
-    rate: float
+    __slots__ = ()
 
     def _phi(self, s):
         return np.expm1(self.rate * np.asarray(s, dtype=float)) / math.expm1(self.rate)
@@ -170,13 +166,13 @@ def _warped(loop, rate):
     return ConfigLoop(loop.n_strands, tuple(_Warped(s, rate) for s in loop.segments), loop.breaks)
 
 
-@dataclass(frozen=True)
-class ConfigLoop:
-    """Piecewise-analytic loop of N distinct points over [0, 1]."""
+class ConfigLoop(namedtuple("ConfigLoop", "n_strands segments breaks")):
+    """Piecewise-analytic loop of N distinct points over [0, 1].
 
-    n_strands: int
-    segments: tuple
-    breaks: tuple  # cumulative segment end times, last equals 1.0
+    breaks are the cumulative segment end times, the last equal to 1.0.
+    """
+
+    __slots__ = ()
 
 
 def realize(word: BraidWord, durations=None) -> ConfigLoop:

@@ -4,7 +4,8 @@ Endpoint slots on each circle are taken up to cyclic rotation (orientation
 preserving only, no reflections); circles are numbered, so they are never
 permuted.  A drawing is a flat layout, each circle's chord labels followed
 by -1, with labels numbered by first appearance; a CircleDiagram is one
-drawing, and == compares drawings.  Each (circles, degree) has one table
+drawing, and == compares drawings, a diagram also equaling the plain
+(slots, chords) tuple of its fields.  Each (circles, degree) has one table
 from every drawing to its basis position, filled by one walk over the raw
 matchings, so the 4T rows and the closure's projection find a layout's
 position by renumbering its labels and one dict lookup (layout_position).
@@ -15,7 +16,7 @@ diagrams of each degree in turn.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -31,8 +32,7 @@ from .words import ZERO_THRESHOLD, _document_text
 MAX_CIRCLE_MATCHINGS = 2**18
 
 
-@dataclass(frozen=True)
-class CircleDiagram:
+class CircleDiagram(namedtuple("CircleDiagram", "slots chords")):
     """Perfect matching on endpoint slots, slots[c] of them on circle c.
 
     chords is a sorted tuple of sorted ((circle, slot), (circle, slot))
@@ -40,14 +40,13 @@ class CircleDiagram:
     basis position they share.
     """
 
-    slots: tuple
-    chords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        slots = tuple(int(s) for s in self.slots)
+    def __new__(cls, slots, chords):
+        slots = tuple(int(s) for s in slots)
         chords = tuple(sorted(
             tuple(sorted(((int(c1), int(s1)), (int(c2), int(s2)))))
-            for (c1, s1), (c2, s2) in self.chords
+            for (c1, s1), (c2, s2) in chords
         ))
         seen = set()
         for foot in [f for ch in chords for f in ch]:
@@ -59,8 +58,7 @@ class CircleDiagram:
             seen.add(foot)
         if len(seen) != sum(slots):
             raise ValueError("chords must cover every slot exactly once")
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "chords", chords)
+        return super().__new__(cls, slots, chords)
 
     @classmethod
     def from_layout(cls, layout):

@@ -98,8 +98,9 @@ def _build_parser():
 
 
 _TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
-# a table row after its cached prefix: modulus, then argument
-_TABLE_ROW = "{:<22.16g}  {:.16g}\n".format
+# a table row: its cached prefix, modulus, then argument; the same text as
+# "{:<22.16g}  {:.16g}" gives for every float
+_TABLE_ROW = "%s%-22.16g  %.16g\n"
 
 
 @lru_cache(maxsize=16)
@@ -138,15 +139,11 @@ def _compute_json(args, word):
     moduli = list(map(abs, holonomy.tolist()))
     kept = [g for g, modulus in enumerate(moduli) if modulus >= args.zero_threshold]
     prefixes = _table_prefixes(args.strands, args.max_degree)
-    table = [None] * (2 * len(kept) + 1)
-    table[0] = _TABLE_HEADER
-    table[1::2] = [prefixes[g] for g in kept]
-    table[2::2] = map(
-        _TABLE_ROW,
-        [moduli[g] for g in kept],
-        map(math.atan2, holonomy.imag.take(kept).tolist(), holonomy.real.take(kept).tolist()),
-    )
-    sys.stdout.write("".join(table))
+    rows = [None] * (3 * len(kept))
+    rows[0::3] = [prefixes[g] for g in kept]
+    rows[1::3] = [moduli[g] for g in kept]
+    rows[2::3] = map(math.atan2, holonomy.imag.take(kept).tolist(), holonomy.real.take(kept).tolist())
+    sys.stdout.write((_TABLE_HEADER + _TABLE_ROW * len(kept)) % tuple(rows))
     if not args.close:
         return [series_json_text(holonomy, args.strands, args.max_degree, kept), "\n"]
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept

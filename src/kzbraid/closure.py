@@ -12,7 +12,7 @@ circle 4T rows use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._lazy import np
@@ -23,12 +23,10 @@ from .transport import kontsevich_of_braid
 from .words import ZERO_THRESHOLD, all_pairs
 
 
-@dataclass(frozen=True)
-class LinkSkeleton:
+class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
     """Component circles of a braid closure, strands in traversal order."""
 
-    n_strands: int
-    components: tuple
+    __slots__ = ()
 
     @property
     def n_components(self):
@@ -40,13 +38,10 @@ def closure_skeleton(word: BraidWord) -> LinkSkeleton:
     return LinkSkeleton(word.n_strands, permutation_of(word).cycles())
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(namedtuple("ClosureResult", "skeleton series reduced")):
     """Dense series over circle_basis(components, max_degree), raw and reduced."""
 
-    skeleton: LinkSkeleton
-    series: np.ndarray
-    reduced: np.ndarray
+    __slots__ = ()
 
 
 @lru_cache(maxsize=64)

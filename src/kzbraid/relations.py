@@ -25,7 +25,6 @@ and are safe for concurrent reads once built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -59,6 +58,8 @@ class RelationSet:
         instance.
         """
         if self._echelon is None:
+            from fractions import Fraction  # here, so only a process that eliminates imports it
+
             pivots = {}
             for raw in self.rows:
                 row = dict(raw)

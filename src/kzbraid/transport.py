@@ -34,7 +34,7 @@ fiber for cross checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._lazy import np
@@ -76,11 +76,15 @@ class TransportError(RuntimeError):
     """Non-finite values met while integrating."""
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    steps_used: int  # nodes of each segment's 2n-node comparison run, summed over segments
-    richardson_error_estimate: float
-    coefficients: np.ndarray  # read-only, one entry per basis word in graded-lex order
+class TransportResult(namedtuple("TransportResult", "steps_used richardson_error_estimate coefficients")):
+    """A loop's transport and its error estimate.
+
+    steps_used is the nodes of each segment's 2n-node comparison run, summed
+    over segments; coefficients is read-only, one entry per basis word in
+    graded-lex order.
+    """
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +287,7 @@ def kontsevich_of_braid(word: BraidWord, max_degree: int) -> np.ndarray:
     if max_degree < 0:
         raise ValueError("need max_degree >= 0")
     n = word.n_strands
-    return _scan(_relabeled_letters(word, max_degree), len(word), n * (n - 1) // 2, max_degree)
+    return _scan(_relabeled_letters(word, max_degree), len(word.letters), n * (n - 1) // 2, max_degree)
 
 
 def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:

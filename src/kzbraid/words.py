@@ -10,7 +10,7 @@ and printed in this form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -24,20 +24,16 @@ ZERO_THRESHOLD = 1e-12
 MAX_BASIS_WORDS = 2**20
 
 
-@dataclass(frozen=True, order=True)
-class ChordPair:
+class ChordPair(namedtuple("ChordPair", "i j")):
     """Unordered chord between two distinct strands, normalized to i < j."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        i, j = self.i, self.j
-        if i > j:
-            object.__setattr__(self, "i", j)
-            object.__setattr__(self, "j", i)
-        if self.i < 1 or self.i == self.j:
+    def __new__(cls, i, j):
+        low, high = (j, i) if i > j else (i, j)
+        if low < 1 or low == high:
             raise ValueError(f"invalid chord pair ({i}, {j})")
+        return super().__new__(cls, low, high)
 
     def as_tuple(self):
         return (self.i, self.j)
@@ -49,21 +45,19 @@ def _as_pair(value):
     return ChordPair(*value)
 
 
-@dataclass(frozen=True)
-class HorizontalWord:
+class HorizontalWord(namedtuple("HorizontalWord", "n_strands chords")):
     """Chords on n_strands vertical strands, ordered bottom to top."""
 
-    n_strands: int
-    chords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_strands < 2:
+    def __new__(cls, n_strands, chords):
+        if n_strands < 2:
             raise ValueError("need at least 2 strands")
-        chords = tuple(_as_pair(c) for c in self.chords)
+        chords = tuple(_as_pair(c) for c in chords)
         for c in chords:
-            if c.j > self.n_strands:
-                raise ValueError(f"chord {c.as_tuple()} exceeds {self.n_strands} strands")
-        object.__setattr__(self, "chords", chords)
+            if c.j > n_strands:
+                raise ValueError(f"chord {c.as_tuple()} exceeds {n_strands} strands")
+        return super().__new__(cls, n_strands, chords)
 
     @property
     def degree(self):
@@ -226,23 +220,20 @@ def _document_text(fields, heads, coefficients, positions, level) -> str:
     fields are the (key, int) entries before "terms"; heads[g] is the text
     of the term of basis position g up to its real part, as the _json_heads
     caches hold it; positions increase.  level is the depth at which the document
-    sits inside an enclosing indent=2 document.  The text is one join of
-    cached pieces and the floats' repr, as json prints finite floats.
+    sits inside an enclosing indent=2 document.  The text is one %-format
+    of cached heads and the floats' repr, as json prints finite floats.
     """
     i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
-    pieces = ["{\n"] + [f'{i1}"{key}": {value},\n' for key, value in fields]
+    opening = "{\n" + "".join(f'{i1}"{key}": {value},\n' for key, value in fields)
     if not positions:
-        pieces.append(f'{i1}"terms": []\n{i0}}}')
-        return "".join(pieces)
-    # per term: head, real part, middle, imaginary part, close
-    terms = [f',\n{i3}"im": '] * (5 * len(positions))
-    terms[0::5] = [heads[g] for g in positions]
-    terms[1::5] = map(repr, coefficients.real.take(positions).tolist())
-    terms[3::5] = map(repr, coefficients.imag.take(positions).tolist())
-    terms[4::5] = [f"\n{i2}}},\n"] * len(positions)
-    terms[-1] = f"\n{i2}}}\n{i1}]\n{i0}}}"  # the last term takes no comma
-    pieces.append(f'{i1}"terms": [\n')
-    return "".join(pieces + terms)
+        return f'{opening}{i1}"terms": []\n{i0}}}'
+    # per term: head, real part, imaginary part; fields hold no %
+    values = [None] * (3 * len(positions))
+    values[0::3] = [heads[g] for g in positions]
+    values[1::3] = coefficients.real.take(positions).tolist()
+    values[2::3] = coefficients.imag.take(positions).tolist()
+    terms = ",\n".join([f'%s%r,\n{i3}"im": %r\n{i2}}}'] * len(positions))
+    return f'{opening}{i1}"terms": [\n{terms}\n{i1}]\n{i0}}}' % tuple(values)
 
 
 def series_json_text(coefficients, n_strands, max_degree, positions, level=0) -> str:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from kzbraid.braids import (
     BraidParseError,
     BraidWord,
+    Permutation,
     parse_braid_word,
     permutation_of,
     realize,
@@ -71,6 +73,36 @@ def test_permutation_inverse():
     q = p.inverse()
     for k in (1, 2, 3):
         assert q(p(k)) == k
+
+
+def test_braid_records_validate_and_stay_frozen():
+    word = BraidWord(n_strands=3, letters=[(1.0, 1), ("2", -1)])
+    assert word.letters == ((1, 1), (2, -1)) and len(word.letters) == 2
+    assert word == BraidWord(3, ((1, 1), (2, -1))) and len({word, BraidWord(3, word.letters)}) == 1
+    assert repr(word) == "BraidWord(3; 1 -2)" and repr(BraidWord(2, ())) == "BraidWord(2; e)"
+    for args, message in (
+        ((1, ()), "need at least 2 strands"),
+        ((3, ((3, 1),)), "generator index 3 out of range"),
+        ((3, ((1, 0),)), "sign must be +1 or -1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BraidWord(*args)
+    perm = permutation_of(word)
+    assert perm == Permutation(["3", 1, 2.0]) and hash(perm) == hash(Permutation((3, 1, 2)))
+    assert repr(perm) == "Permutation(images=(3, 1, 2))"
+    with pytest.raises(ValueError, match=re.escape("not a bijection on 1..N")):
+        Permutation((1, 1))
+    loop = realize(BraidWord(2, ((1, 1),)))
+    assert repr(loop) == (
+        "ConfigLoop(n_strands=2, segments=(_Arc(start=(0j, (1+0j)), moving=(1, 2), center=0.5, sign=1),),"
+        " breaks=(1.0,))"
+    )
+    assert hash(loop) == hash(realize(BraidWord(2, ((1, 1),))))
+    for record, field in ((word, "letters"), (perm, "images"), (loop, "breaks"), (loop.segments[0], "sign")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_identity_loop():

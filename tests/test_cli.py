@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kzbraid
-from kzbraid.cli import _CHECKS, MAX_STEPS, main
+from kzbraid.cli import _CHECKS, _TABLE_ROW, MAX_STEPS, main
 from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
 from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
@@ -353,6 +353,21 @@ def test_close_output_bytes_match_series_path_at_degree_four(capsys):
             assert out == _reference_stdout(strands, letters, 4, True, float(threshold)), argv
 
 
+def test_compute_table_matches_per_row_format(capsys):
+    # the table is one %-format per block; the reference formats each row
+    # with str.format.  Threshold 0 lists the exact zero coefficients, whose
+    # arguments atan2 gives as 0 or pi, signed zeros included
+    for strands, letters in ((2, ""), (2, "1 -1"), (4, "1 3")):
+        assert 0j in kontsevich_of_braid(parse_braid_word(letters, strands), 3).tolist()
+        code, out, _ = run(capsys, "compute", "-n", str(strands), "-m", "3", "-w", letters, "--zero-threshold", "0")
+        assert code == 0
+        assert out == _reference_stdout(strands, letters, 3, False, 0.0), (strands, letters)
+    specials = (0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, math.inf, math.nan, 1e16, 0.1)
+    for modulus in specials:
+        for arg in specials:
+            assert _TABLE_ROW % ("", modulus, arg) == f"{modulus:<22.16g}  {arg:.16g}\n"
+
+
 def test_compute_memory_at_n4_m6():
     # 56k basis words: a fresh process grows by about 88 MB on CPython 3.11
     # (82 MB tracemalloc peak); assembled from per-term f-strings, copied
@@ -406,9 +421,19 @@ def run(argv):
             code = exc.code
     return code, out.getvalue()
 
-exact = [run(argv) for argv in (["dims", "--strands", "3", "-m", "3"], ["dims", "--circles", "2", "-m", "3"], ["--help"])]
+def deferred():
+    return sorted({{"dataclasses", "fractions"}} & set(sys.modules))
+
+# after the import, then after each call in turn
+stdlib = [deferred()]
+exact = []
+for argv in (["dims", "--strands", "3", "-m", "3"], ["--help"], ["dims", "--circles", "2", "-m", "3"]):
+    exact.append(run(argv))
+    stdlib.append(deferred())
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
-json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": run({_FRESH_COMPUTE!r})}}, sys.stdout)
+compute = run({_FRESH_COMPUTE!r})
+stdlib.append(deferred())
+json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": compute, "stdlib_loaded": stdlib}}, sys.stdout)
 """
 
 
@@ -419,7 +444,9 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert done.returncode == 0, done.stderr[-500:]
     report = json.loads(done.stdout)
     assert report["numpy_loaded"] == []
-    dims_strands, dims_circles, usage = report["exact"]
+    # records are named tuples, and only the circle echelon imports fractions
+    assert report["stdlib_loaded"] == [[], [], [], ["fractions"], ["fractions"]]
+    dims_strands, usage, dims_circles = report["exact"]
     assert dims_strands == [0, "0:1 1:3 2:7 3:15\n"]
     assert dims_circles == [0, run(capsys, "dims", "--circles", "2", "-m", "3")[1]]
     assert usage[0] == 0 and usage[1].startswith("usage: kzbraid")

@@ -34,6 +34,16 @@ def test_closure_skeleton_examples():
     assert closure_skeleton(parse_braid_word("1 1", 2)).components == ((1,), (2,))
     assert closure_skeleton(parse_braid_word("1", 2)).components == ((1, 2),)
     assert closure_skeleton(parse_braid_word("1 2", 3)).n_components == 1
+    skeleton = closure_skeleton(parse_braid_word("1", 3))
+    assert repr(skeleton) == "LinkSkeleton(n_strands=3, components=((1, 2), (3,)))"
+    assert hash(skeleton) == hash(closure_skeleton(parse_braid_word("-1", 3)))
+    result = kontsevich_link(parse_braid_word("1", 3), 1)
+    assert result.skeleton == skeleton and repr(result).startswith(
+        "ClosureResult(skeleton=LinkSkeleton(n_strands=3, components=((1, 2), (3,))), series=array(["
+    )
+    for record, field in ((skeleton, "components"), (result, "reduced")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
 
 
 def test_component_count_matches_cycles_random():

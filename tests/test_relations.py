@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -369,6 +370,29 @@ def test_circle_two_circle_rotations_independent():
     # rotating circle 1 alone swaps the feet of the two chords between circles
     diagram = CircleDiagram((4, 2), (((0, 0), (0, 1)), ((0, 2), (1, 0)), ((0, 3), (1, 1))))
     _check_rotations_share_one_position(diagram, 8)
+
+
+def test_circle_diagram_normalizes_validates_and_stays_frozen():
+    diagram = CircleDiagram(["2", 2.0], [[(1, 1), (0, 1)], ((1, 0), ("0", 0))])
+    assert diagram.slots == (2, 2) and diagram.chords == (((0, 0), (1, 0)), ((0, 1), (1, 1)))
+    assert diagram == ((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))  # a plain (slots, chords) tuple
+    assert diagram == CircleDiagram.from_layout([["a", "b"], ["a", "b"]]) and hash(diagram) == hash(
+        CircleDiagram((2, 2), (((0, 1), (1, 1)), ((0, 0), (1, 0))))
+    )
+    assert repr(diagram) == "<circles (2, 2) chords (((0, 0), (1, 0)), ((0, 1), (1, 1)))>"
+    assert (diagram.degree, diagram.n_circles, diagram.to_layout()) == (2, 2, [[0, 1], [0, 1]])
+    for slots, chords, message in (
+        ((2,), (((0, 0), (0, 2)),), "endpoint (0, 2) outside the skeleton"),
+        ((2,), (((0, 0), (1, 0)),), "endpoint (1, 0) outside the skeleton"),
+        ((2,), (((0, 0), (0, 0)),), "endpoint (0, 0) used twice"),
+        ((4,), (((0, 0), (0, 1)),), "chords must cover every slot exactly once"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CircleDiagram(slots, chords)
+    with pytest.raises(ValueError, match=re.escape("label 'a' appears 3 times")):
+        CircleDiagram.from_layout([["a", "a", "a", "b"], ["b"]])
+    with pytest.raises(AttributeError):
+        diagram.slots = (4,)
 
 
 def test_quotient_dimension_argument_check():

@@ -337,6 +337,9 @@ def test_transport_reports_steps():
     res, single = transport(loop, 2), transport(loop, 1)
     assert res.steps_used == single.steps_used == 2 * (2 * 32 + 1)
     assert 0.0 <= single.richardson_error_estimate <= 1e-15
+    assert repr(single).startswith(f"TransportResult(steps_used=130, richardson_error_estimate={single.richardson_error_estimate!r}, ")
+    with pytest.raises(AttributeError):
+        single.steps_used = 0
 
 
 def _symmetrized_by_permutations(coefficients, n_strands, max_degree):
@@ -450,7 +453,7 @@ def reduced_words(draw, max_strands=4, max_length=8):
 def test_flow_property_on_random_words(w, max_degree, cut):
     # the transport of a loop is the stacking product of the transports of
     # its two parts, the upper part read through the strands the lower moved
-    cut = min(cut, len(w))
+    cut = min(cut, len(w.letters))
     lower, upper = BraidWord(w.n_strands, w.letters[:cut]), BraidWord(w.n_strands, w.letters[cut:])
     n = w.n_strands
     z_upper = relabel_strands(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -41,16 +42,28 @@ def unit(n, max_degree, *chords):
 
 
 def test_chord_pair_normalizes_order():
-    assert ChordPair(3, 1) == ChordPair(1, 3)
-    with pytest.raises(ValueError):
-        ChordPair(2, 2)
-    with pytest.raises(ValueError):
-        ChordPair(0, 1)
+    assert ChordPair(3, 1) == ChordPair(1, 3) and ChordPair(j=1, i=2) == ChordPair(1, 2)
+    assert (ChordPair(3, 1).i, ChordPair(3, 1).j) == (1, 3) and repr(ChordPair(3, 1)) == "ChordPair(i=1, j=3)"
+    assert sorted([ChordPair(2, 3), ChordPair(3, 1), ChordPair(2, 1)]) == [ChordPair(1, 2), ChordPair(1, 3), ChordPair(2, 3)]
+    assert hash(ChordPair(2, 1)) == hash(ChordPair(1, 2))
+    for args, message in (((2, 2), "invalid chord pair (2, 2)"), ((1, 0), "invalid chord pair (1, 0)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChordPair(*args)
+    with pytest.raises(AttributeError):
+        ChordPair(1, 2).i = 3
 
 
 def test_word_validates_strand_bound():
-    with pytest.raises(ValueError):
-        word(2, (1, 3))
+    with pytest.raises(ValueError, match=re.escape("chord (1, 3) exceeds 2 strands")):
+        word(2, (3, 1))
+    with pytest.raises(ValueError, match=re.escape("need at least 2 strands")):
+        word(1)
+    w = word(3, (2, 1), ChordPair(2, 3))
+    assert w.chords == (ChordPair(1, 2), ChordPair(2, 3)) and w.degree == 2
+    assert repr(w) == "<(1,2)(2,3) on 3>" and repr(word(2)) == "<1 on 2>"
+    assert len({w, word(3, (1, 2), (2, 3))}) == 1
+    with pytest.raises(AttributeError):
+        w.chords = ()
 
 
 def test_ess_identity_and_order():
