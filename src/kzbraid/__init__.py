@@ -11,7 +11,6 @@ from .braids import (
 )
 from .circles import (
     MAX_CIRCLE_MATCHINGS,
-    CircleDiagram,
     check_circle_budget,
     circle_basis,
     circle_series_json_text,

@@ -2,27 +2,27 @@
 
 Endpoint slots on each circle are taken up to cyclic rotation (orientation
 preserving only, no reflections); circles are numbered, so they are never
-permuted.  A drawing is a flat layout, each circle's chord labels followed
-by -1, with labels numbered by first appearance; a CircleDiagram is one
-drawing, and == compares drawings, a diagram also equaling the plain
-(slots, chords) tuple of its fields.  Each (circles, degree) has one table
-from every drawing to its basis position, filled by one walk over the raw
-matchings, so the 4T rows and the closure's projection find a layout's
-position by renumbering its labels and one dict lookup (layout_position).
-A series on q circles is a dense vector over circle_basis(q, M), the
-diagrams of each degree in turn.
+permuted.  A drawing is a flat tuple, each circle's chord labels followed
+by -1, with labels numbered by first appearance.  A basis entry is the
+drawing of its diagram that the enumeration meets first, the one with the
+least chord tuple; its slot counts and chords (for the JSON form) and
+whether it has an isolated chord are read off it.  Each (circles, degree)
+has one table from every drawing to its basis position, filled by one walk
+over the raw matchings, so the 4T rows and the closure's projection find a
+layout's position by one dict lookup, renumbering its labels only when the
+layout as given is not a drawing (layout_position).  A series on q circles
+is a dense vector over circle_basis(q, M), the diagrams of each degree in
+turn.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import itemgetter
 
-from ._lazy import np
 from .words import ZERO_THRESHOLD, _document_text
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
@@ -30,78 +30,6 @@ from .words import ZERO_THRESHOLD, _document_text
 # The drawing tables keep one entry per matching walked, so this also bounds
 # the drawings held in memory.
 MAX_CIRCLE_MATCHINGS = 2**18
-
-
-class CircleDiagram(namedtuple("CircleDiagram", "slots chords")):
-    """Perfect matching on endpoint slots, slots[c] of them on circle c.
-
-    chords is a sorted tuple of sorted ((circle, slot), (circle, slot))
-    pairs: one drawing, unequal to its rotations; layout_position finds the
-    basis position they share.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, slots, chords):
-        slots = tuple(int(s) for s in slots)
-        chords = tuple(sorted(
-            tuple(sorted(((int(c1), int(s1)), (int(c2), int(s2)))))
-            for (c1, s1), (c2, s2) in chords
-        ))
-        seen = set()
-        for foot in [f for ch in chords for f in ch]:
-            c, s = foot
-            if not (0 <= c < len(slots)) or not (0 <= s < slots[c]):
-                raise ValueError(f"endpoint {foot} outside the skeleton")
-            if foot in seen:
-                raise ValueError(f"endpoint {foot} used twice")
-            seen.add(foot)
-        if len(seen) != sum(slots):
-            raise ValueError("chords must cover every slot exactly once")
-        return super().__new__(cls, slots, chords)
-
-    @classmethod
-    def from_layout(cls, layout):
-        """Build from per-circle lists of chord labels, each label twice."""
-        positions = {}
-        for c, circle in enumerate(layout):
-            for s, label in enumerate(circle):
-                positions.setdefault(label, []).append((c, s))
-        chords = []
-        for label, feet in positions.items():
-            if len(feet) != 2:
-                raise ValueError(f"label {label!r} appears {len(feet)} times")
-            chords.append(tuple(feet))
-        return cls(tuple(len(circle) for circle in layout), tuple(chords))
-
-    @property
-    def degree(self):
-        return len(self.chords)
-
-    @property
-    def n_circles(self):
-        return len(self.slots)
-
-    def to_layout(self):
-        """Per-circle slot lists holding the index of the owning chord."""
-        layout = [[None] * n for n in self.slots]
-        for idx, ((c1, s1), (c2, s2)) in enumerate(self.chords):
-            layout[c1][s1] = idx
-            layout[c2][s2] = idx
-        return layout
-
-    def has_isolated_chord(self):
-        """True when some chord's feet are cyclically adjacent on one circle."""
-        for (c1, s1), (c2, s2) in self.chords:
-            if c1 != c2:
-                continue
-            n = self.slots[c1]
-            if (s1 + 1) % n == s2 or (s2 + 1) % n == s1:
-                return True
-        return False
-
-    def __repr__(self):
-        return f"<circles {self.slots} chords {self.chords}>"
 
 
 def _compositions(total, parts):
@@ -133,6 +61,43 @@ def _first_appearance(layout):
     """layout as a drawing: labels renumbered 0, 1, ... by first appearance, -1 kept."""
     first = {-1: -1}
     return tuple([first.setdefault(label, len(first) - 1) for label in layout])
+
+
+def _position(drawings, layout):
+    """Basis position of a layout tuple in its degree's drawing table."""
+    position = drawings.get(layout)  # only drawings are keys, so a hit needs no renumbering
+    return drawings[_first_appearance(layout)] if position is None else position
+
+
+def slots_and_chords(drawing):
+    """(slot count per circle, sorted chords as ((circle, slot), (circle, slot)) feet) of a drawing.
+
+    Labels are numbered by first appearance, so label order is the order of
+    each chord's lower foot.
+    """
+    slots, chords = [], [[] for _ in range((len(drawing) - drawing.count(-1)) // 2)]
+    c = s = 0
+    for label in drawing:
+        if label < 0:
+            slots.append(s)
+            c, s = c + 1, 0
+        else:
+            chords[label].append((c, s))
+            s += 1
+    return tuple(slots), tuple(map(tuple, chords))
+
+
+def has_isolated_chord(drawing):
+    """True when some chord's feet are cyclically adjacent on one circle (framing independence kills it)."""
+    start = 0
+    for k, label in enumerate(drawing):
+        if label < 0:
+            if k - start > 1 and drawing[start] == drawing[k - 1]:
+                return True
+            start = k + 1
+        elif drawing[k - 1] == label:  # the slot before a circle's first is a -1
+            return True
+    return False
 
 
 def count_circle_matchings(n_circles: int, max_degree: int) -> int:
@@ -167,17 +132,21 @@ def check_circle_budget(n_circles: int, max_degree: int):
 
 @lru_cache(maxsize=None)
 def _orbit_table(n_circles: int, degree: int):
-    """(basis, drawing -> basis position) of the degree-m diagrams on q circles.
+    """(basis drawings, drawing -> basis position) of the degree-m diagrams on q circles.
 
-    Slot splits and, within one, matchings are walked in increasing order.
-    A drawing not yet in the table starts a new basis diagram, the least
-    drawing of its orbit, and every rotation of it is recorded under that
-    diagram's position, so the table holds each raw matching once.
+    Slot splits and, within one, matchings are walked in increasing order;
+    the matchings of the degree are generated once.  A drawing not yet in
+    the table starts a new basis diagram, the least drawing of its orbit,
+    and every rotation of it is recorded under that diagram's position, so
+    the table holds each raw matching once.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
     if degree == 0:  # one drawing, all -1; on one circle itemgetter would not return a tuple
-        return (CircleDiagram((0,) * n_circles, ()),), {(-1,) * n_circles: 0}
+        drawing = (-1,) * n_circles
+        return (drawing,), {drawing: 0}
+    # one circle has one slot split, so its matchings are walked as generated
+    matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
     basis, drawings = [], {}
     for slots in _compositions(2 * degree, n_circles):
         starts = [sum(slots[:c]) for c in range(n_circles)]
@@ -191,18 +160,18 @@ def _orbit_table(n_circles: int, degree: int):
             ])
             for shift in product(*(range(max(n, 1)) for n in slots))
         ]
-        for matching in _matchings(degree):
+        for matching in matchings:
             drawing = rotations[0](matching)
             if drawing not in drawings:
                 drawings[drawing] = len(basis)
                 for rotate in rotations[1:]:
                     drawings[_first_appearance(rotate(matching))] = len(basis)
-                basis.append(CircleDiagram.from_layout([matching[k:k + n] for k, n in zip(starts, slots)]))
+                basis.append(drawing)
     return tuple(basis), drawings
 
 
 def enumerate_circle_diagrams(n_circles: int, degree: int):
-    """All degree-m diagrams on q numbered circles, sorted, one drawing each."""
+    """All degree-m diagrams on q numbered circles, sorted, as their least drawings."""
     return _orbit_table(n_circles, degree)[0]
 
 
@@ -213,9 +182,7 @@ def layout_position(layout):
     twice) followed by -1.  Any rotation of any circle finds the same position.
     """
     n_circles = layout.count(-1)
-    drawings = _orbit_table(n_circles, (len(layout) - n_circles) // 2)[1]
-    position = drawings.get(tuple(layout))  # only drawings are keys, so a hit needs no renumbering
-    return drawings[_first_appearance(layout)] if position is None else position
+    return _position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], tuple(layout))
 
 
 @lru_cache(maxsize=None)
@@ -239,11 +206,11 @@ def circle_series_to_json_dict(
     for k in range(len(basis)) if positions is None else positions:
         coeff = values[k]
         if abs(coeff) >= zero_threshold:
-            diagram = basis[k]
+            slots, chords = slots_and_chords(basis[k])
             terms.append(
                 {
-                    "slots": list(diagram.slots),
-                    "word": [[list(f1), list(f2)] for f1, f2 in diagram.chords],
+                    "slots": list(slots),
+                    "word": [[list(f1), list(f2)] for f1, f2 in chords],
                     "re": coeff.real,
                     "im": coeff.imag,
                 }
@@ -262,8 +229,7 @@ def _json_heads(n_circles, max_degree, positions, level):
     i2, i3 = "  " * (level + 2), "  " * (level + 3)
     heads = {}
     for k in range(len(basis)) if positions is None else positions:
-        slots = json.dumps(basis[k].slots, indent=2).replace("\n", "\n" + i3)
-        chords = json.dumps(basis[k].chords, indent=2).replace("\n", "\n" + i3)
+        slots, chords = (json.dumps(part, indent=2).replace("\n", "\n" + i3) for part in slots_and_chords(basis[k]))
         heads[k] = f'{i2}{{\n{i3}"slots": {slots},\n{i3}"word": {chords},\n{i3}"re": '
     return heads
 

@@ -5,9 +5,10 @@ components are the cycles of the strand permutation.  A word's chords map to
 chords on the component circles: walk each component from its lowest strand,
 reading the feet on every strand bottom to top, then cross the closure arc to
 the next strand.  Chords among closure arcs and long chords contribute
-nothing and are never produced.  The word-to-diagram index finds each
-diagram through circles.layout_position, the drawing-table lookup the
-circle 4T rows use too.
+nothing and are never produced.  The word-to-diagram index fetches each
+degree's drawing table once and looks every word's layout up in it, the
+lookup the circle 4T rows use too; a layout is renumbered only when it is
+not a drawing as it stands.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .braids import BraidWord, permutation_of
-from .circles import circle_basis, enumerate_circle_diagrams, layout_position
+from .circles import _orbit_table, _position, circle_basis
 from .relations import reduce
 from .transport import kontsevich_of_braid
 from .words import ZERO_THRESHOLD, all_pairs
@@ -56,6 +57,7 @@ def _tau_index(n_strands, max_degree, cycles):
     index = []
     offset = 0
     for height in range(max_degree + 1):
+        basis, drawings = _orbit_table(len(cycles), height)
         if height:
             grown = []
             for feet in level:
@@ -70,8 +72,8 @@ def _tau_index(n_strands, max_degree, cycles):
             for cycle in cycles:
                 layout.extend(h for s in cycle for h in feet[s - 1])
                 layout.append(-1)
-            index.append(offset + layout_position(layout))
-        offset += len(enumerate_circle_diagrams(len(cycles), height))
+            index.append(offset + _position(drawings, tuple(layout)))
+        offset += len(basis)
     out = np.array(index, dtype=np.intp)
     out.flags.writeable = False
     return out

@@ -11,16 +11,18 @@ horizontal_relations builds the 4T and commutation rows themselves: it is
 the reference the tests check the rewriting against, and nothing here calls
 it.
 
-On circles, relations are integral, so rows are kept as sparse integer
-vectors and eliminated without fractions: a row keeps a positive pivot and
-has its content divided out after each combination, and the echelon rows
-become exact Fractions once, at the end.  A dense circle series is reduced
-by pushing its coefficients through the echelon rows, kept as floats.
-Circle 4T rows find each term's basis index through circles.layout_position,
-one renumbering and one lookup in the drawing table the closure's tau index
-shares, with no canonical diagram built per term.  Rewrite rows, echelon
-forms and their float rows are cached per (strand or circle count, degree)
-and are safe for concurrent reads once built.
+On circles, framing independence sets every diagram with an isolated chord
+to zero outright: those positions are the relation set's killed columns,
+dropped from every 4T row, and they never enter the elimination.  Each 4T
+relation is built once, from the seed met first in basis order, with each
+term's basis index found in the drawing table the closure's tau index
+shares.  Relations are integral, so rows are kept as sparse integer vectors
+and eliminated without fractions: a row keeps a positive pivot and has its
+content divided out after each combination.  A dense circle series is
+reduced by pushing its coefficients through the echelon rows, divided by
+their pivots into floats once; killed positions are pivots with empty rows.
+Rewrite rows, echelon forms and their float rows are cached per (strand or
+circle count, degree) and are safe for concurrent reads once built.
 """
 
 from __future__ import annotations
@@ -30,36 +32,35 @@ from itertools import product
 from math import gcd
 
 from ._lazy import np
-from .circles import enumerate_circle_diagrams, layout_position
+from .circles import _orbit_table, _position, has_isolated_chord
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 
 
 class RelationSet:
     """Sparse relations over a fixed basis of one degree.
 
-    rows are dicts column -> entry, entries ints.
+    rows are sorted (column, entry) tuples, entries ints.  killed lists the
+    columns set to zero outright (unit relations), which no row holds.
     """
 
-    def __init__(self, degree, basis, rows):
+    def __init__(self, degree, basis, rows, killed=()):
         self.degree = degree
         self.basis = tuple(basis)
         self.rows = tuple(tuple(sorted(row.items())) for row in rows)
+        self.killed = tuple(killed)
         self._echelon = None
 
     def echelon(self):
-        """Row echelon form: pivot column -> sparse row with 1 on its pivot.
+        """Row echelon form of rows: pivot column -> sparse integer row with a positive pivot.
 
         A pivot row is zero before its pivot and on every pivot found after
         it, but may keep a pivot found before it (at a later column), so
         reduce clears pivots in increasing order.  Rows are eliminated in
-        turn as integer multiples of these rational rows, with a positive
-        pivot and the content divided out after each step; the entries
-        become Fractions once, at the end.  Built once, cached on the
-        instance.
+        turn as integer multiples of these rows, the content divided out
+        after each step.  The killed columns are not among the pivots.
+        Built once, cached on the instance.
         """
         if self._echelon is None:
-            from fractions import Fraction  # here, so only a process that eliminates imports it
-
             pivots = {}
             for raw in self.rows:
                 row = dict(raw)
@@ -75,14 +76,12 @@ class RelationSet:
                             pivots[p] = _eliminate(prow, row, lead)
                     pivots[lead] = row
                     break
-            self._echelon = {
-                p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in pivots.items()
-            }
+            self._echelon = pivots
         return self._echelon
 
     @property
     def rank(self):
-        return len(self.echelon())
+        return len(self.killed) + len(self.echelon())
 
     def __repr__(self):
         return f"RelationSet(degree={self.degree}, basis={len(self.basis)}, rows={len(self.rows)})"
@@ -179,67 +178,83 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-def _circle_four_term_rows(diagram):
-    """4T rows seeded at every adjacent pair of feet of distinct chords.
+def _circle_four_term_rows(drawing, parent, killed):
+    """4T rows seeded at the adjacent feet of distinct chords in one basis drawing.
 
-    With chord a = (x, y) fixed and the sliding foot u of another chord, the
-    relation reads D(u after x) - D(u before x) + D(u after y) - D(u before y),
-    'after' meaning forward along the circle orientation.  Layouts are flat
-    label lists with -1 closing each circle, each term found by
-    layout_position.
+    With chord a = (x, y) fixed and the sliding foot u of another chord b,
+    the relation reads D(u after x) - D(u before x) + D(u after y) - D(u
+    before y), 'after' meaning forward along the circle orientation.  A seed
+    is b's foot just before x: its term D(u before x) is the drawing itself,
+    at basis position parent.  The relation's other seed is the term D(u
+    before y), looked up first: when its position is below parent, the row
+    was built from that seed already and this one is skipped.  Terms at a
+    position k with killed[k] true (an isolated chord) are left out.
     """
-    layout = diagram.to_layout()
-    flat = [label for circle in layout for label in circle + [-1]]
+    n_circles = drawing.count(-1)
+    drawings = _orbit_table(n_circles, (len(drawing) - n_circles) // 2)[1]
     rows = []
     start = 0  # flat index of the circle's first slot
-    for circle in layout:
-        n = len(circle)
-        for s in range(n):
-            b = circle[s]
-            a = circle[(s + 1) % n]
-            if a == b:
-                continue
-            removed = flat[:start + s] + flat[start + s + 1:]
-            # a's foot that was adjacent, repositioned after dropping slot s
-            x = start + s if s + 1 < n else start
-            y = removed.index(a)
-            if y == x:
-                y = removed.index(a, x + 1)
-            row = {}
-            for at, sign in ((x + 1, 1), (x, -1), (y + 1, 1), (y, -1)):
-                k = layout_position(removed[:at] + [b] + removed[at:])
+    for i, b in enumerate(drawing):
+        if b < 0:
+            start = i + 1
+            continue
+        # a's foot that was adjacent, repositioned after dropping slot i
+        x, a = (i, drawing[i + 1]) if drawing[i + 1] >= 0 else (start, drawing[start])
+        if a == b:
+            continue
+        removed = drawing[:i] + drawing[i + 1:]
+        y = removed.index(a)
+        if y == x:
+            y = removed.index(a, x + 1)
+        other = _position(drawings, removed[:y] + (b,) + removed[y:])
+        if other < parent:
+            continue
+        row = {}
+        for k, sign in (
+            (_position(drawings, removed[:x + 1] + (b,) + removed[x + 1:]), 1),
+            (parent, -1),
+            (_position(drawings, removed[:y + 1] + (b,) + removed[y + 1:]), 1),
+            (other, -1),
+        ):
+            if not killed[k]:
                 row[k] = row.get(k, 0) + sign
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-        start += n + 1
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            rows.append(row)
     return rows
 
 
 @lru_cache(maxsize=None)
 def circle_relations(n_circles: int, degree: int) -> RelationSet:
-    """4T plus framing-independence rows among degree-m circle diagrams.
+    """4T rows among degree-m circle diagrams, framing independence as killed columns.
 
     Every diagram with an isolated chord (feet adjacent on its circle, no
-    other foot between them) is set to zero.
+    other foot between them) is set to zero: its position is killed and
+    left out of the 4T rows.
     """
-    basis = enumerate_circle_diagrams(n_circles, degree)
-    rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
+    basis = _orbit_table(n_circles, degree)[0]
+    killed = [has_isolated_chord(drawing) for drawing in basis]
+    rows = []
     if degree >= 2:
-        for diagram in basis:
-            rows.extend(_circle_four_term_rows(diagram))
-    return RelationSet(degree, basis, _dedupe(rows))
+        for parent, drawing in enumerate(basis):
+            rows.extend(_circle_four_term_rows(drawing, parent, killed))
+    return RelationSet(degree, basis, _dedupe(rows), (k for k, flag in enumerate(killed) if flag))
 
 
 @lru_cache(maxsize=None)
 def _pivot_rows(n_circles, degree):
-    """(basis size, echelon rows as float entries off the pivot, in increasing pivot order)."""
+    """(basis size, clearing rows in increasing pivot order) of one circle degree.
+
+    Killed positions clear with empty rows.  Echelon rows are divided by
+    their pivot, which they leave out: the integer quotient v / pivot is the
+    correctly rounded float of the rational entry.
+    """
     relations = circle_relations(n_circles, degree)
-    echelon = relations.echelon()
-    rows = tuple(
-        (p, tuple((c, float(q)) for c, q in echelon[p].items() if c != p)) for p in sorted(echelon)
-    )
-    return len(relations.basis), rows
+    rows = dict.fromkeys(relations.killed, ())
+    for p, row in relations.echelon().items():
+        pivot = row[p]
+        rows[p] = tuple((c, v / pivot) for c, v in row.items() if c != p)
+    return len(relations.basis), tuple(sorted(rows.items()))
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +354,8 @@ def quotient_dimension(degree: int, *, strands: int | None = None, circles: int 
 
     On strands it is the number of normal words, the coefficient of t^m in
     prod_{k=1}^{N-1} 1 / (1 - k t) (Kohno), counted without building a word;
-    on circles, the diagram count minus the exact rank of the relation set.
+    on circles, the diagram count minus the killed (framing) count and the
+    exact rank of the 4T rows, which is the relation set's rank.
     """
     if (strands is None) == (circles is None):
         raise ValueError("give exactly one of strands= or circles=")

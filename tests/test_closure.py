@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
-from kzbraid.circles import CircleDiagram, circle_basis
+from kzbraid.circles import circle_basis
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import HorizontalWord, basis_words
-from reference_orders import canonical
+from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of
 
 def word(n, *chords):
     return HorizontalWord(n, tuple(chords))
@@ -25,9 +25,9 @@ def series(n, max_degree, terms):
 
 
 def terms(coefficients, n_circles, max_degree):
-    """{diagram: coefficient} of the nonzero entries of a dense circle series."""
+    """{CircleDiagram: coefficient} of the nonzero entries of a dense circle series."""
     basis = circle_basis(n_circles, max_degree)
-    return {basis[k]: c for k, c in enumerate(coefficients.tolist()) if c}
+    return {diagram_of(basis[k]): c for k, c in enumerate(coefficients.tolist()) if c}
 
 
 def test_closure_skeleton_examples():
@@ -163,7 +163,7 @@ def test_trivial_braid_closure_two_unknots():
 
 def test_hopf_link_linking_number():
     result = kontsevich_link(parse_braid_word("1 1", 2), 1)
-    expected = circle_basis(2, 1).index(CircleDiagram((1, 1), (((0, 0), (1, 0)),)))
+    expected = circle_basis(2, 1).index(drawing_of(CircleDiagram((1, 1), (((0, 0), (1, 0)),))))
     assert abs(result.reduced[expected] - 1.0) < 1e-6
 
 
@@ -210,6 +210,6 @@ def test_linking_numbers_match_crossing_count():
             slots[pair[0]] = 1
             slots[pair[1]] = 1
             diagram = CircleDiagram(tuple(slots), (((pair[0], 0), (pair[1], 0)),))
-            got = result.reduced[circle_basis(skeleton.n_components, 1).index(diagram)]
+            got = result.reduced[circle_basis(skeleton.n_components, 1).index(drawing_of(diagram))]
             want = expected.get(frozenset(pair), 0.0)
             assert abs(got - want) < 1e-6

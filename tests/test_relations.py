@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from kzbraid.circles import (
-    CircleDiagram,
     _orbit_table,
     circle_basis,
     count_circle_matchings,
     enumerate_circle_diagrams,
+    has_isolated_chord,
     layout_position,
+    slots_and_chords,
 )
 from kzbraid.relations import (
     RelationSet,
     _circle_four_term_rows,
     _dedupe,
+    _pivot_rows,
     circle_relations,
     free_positions,
     horizontal_relations,
@@ -26,7 +28,7 @@ from kzbraid.relations import (
     reduce,
 )
 from kzbraid.words import HorizontalWord, all_pairs, basis_words, enumerate_words
-from reference_orders import canonical, diagram_sort_key, rotations
+from reference_orders import CircleDiagram, canonical, diagram_of, diagram_sort_key, drawing_of, rotations
 
 
 def word(n, *chords):
@@ -84,7 +86,7 @@ def test_relation_entries_are_unit_rationals():
     rs = horizontal_relations(3, 3)
     for row in rs.rows:
         for _col, coeff in row:
-            # exact integer entries; echelon() turns them into Fractions
+            # exact integer entries, eliminated as integers
             assert type(coeff) is int
             assert coeff in (1, -1)
 
@@ -98,14 +100,15 @@ def normal_positions(n, max_degree):
 
 
 def check_reduce_kernel(skeleton, max_degree):
-    """Every relation row of degree max_degree reduces to 0; every free unit vector is fixed.
+    """Every relation row and killed unit of degree max_degree reduces to 0; every free unit vector is fixed.
 
     On strands the free positions are the normal words, as many as the
     echelon's quotient dimension in every degree.
     """
     size = graded_size(skeleton, max_degree)
     offset = graded_size(skeleton, max_degree - 1)
-    for row in relation_sets(skeleton, max_degree)[-1].rows:
+    top = relation_sets(skeleton, max_degree)[-1]
+    for row in top.rows + tuple(((k, 1),) for k in top.killed):
         vec = np.zeros(size, dtype=complex)
         for col, coeff in row:
             vec[offset + col] = coeff
@@ -161,13 +164,14 @@ def test_reduce_rejects_foreign_words():
 def _dict_reduce(coefficients, skeleton, max_degree, zero_threshold):
     """The word-dict reduce the dense one replaced, kept as its reference.
 
-    Returns {graded position: coordinate} over the free elements whose
-    coordinate reaches zero_threshold.
+    Clears the pivots of each degree's Fraction echelon (_reference_echelon)
+    in increasing order.  Returns {graded position: coordinate} over the
+    free elements whose coordinate reaches zero_threshold.
     """
     out = {}
     offset = 0
     for rs in relation_sets(skeleton, max_degree):
-        pivots = rs.echelon()
+        pivots = _reference_echelon(skeleton[0], skeleton[1], rs.degree)
         vec = {}
         for k, coeff in enumerate(coefficients[offset:offset + len(rs.basis)].tolist()):
             if abs(coeff) >= zero_threshold:
@@ -188,8 +192,9 @@ def _dict_reduce(coefficients, skeleton, max_degree, zero_threshold):
 
 
 def test_dense_reduce_equals_dict_reference():
-    # circles: entry for entry the echelon reduce of the reference; strands,
-    # at threshold 0: the normal form of v and of the reference's echelon
+    # circles: entry for entry the echelon reduce of the full reference (unit
+    # rows for the killed positions plus every seed's 4T rows); strands, at
+    # threshold 0: the normal form of v and of the reference's echelon
     # reduction of v agree
     rng = random.Random(6)
     shapes = [(("strands", n), m) for n in (3, 4) for m in range(4)]
@@ -265,7 +270,7 @@ def test_horizontal_rows_equal_word_index_reference():
 
 
 def _canonical_four_term_rows(diagram, position):
-    """4T rows of one diagram, the reference: position(drawing) finds each term."""
+    """4T rows of one diagram from every seed, the reference: position(drawing) finds each term."""
     layout = diagram.to_layout()
     rows = []
     for c, circle in enumerate(layout):
@@ -291,25 +296,82 @@ def _canonical_four_term_rows(diagram, position):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _reference_circle_rows(q, m):
+    """(every seed's 4T rows, isolated-chord positions) of degree m on q circles, through CircleDiagrams.
+
+    Each term's position is the basis index of its brute-force least rotation.
+    """
+    basis = [diagram_of(drawing) for drawing in enumerate_circle_diagrams(q, m)]
+    index = {diagram: k for k, diagram in enumerate(basis)}  # basis.index as a dict
+
+    @lru_cache(maxsize=None)  # terms repeat across diagrams
+    def position(drawing):
+        return index[canonical(drawing)]
+
+    rows = [row for diagram in basis for row in _canonical_four_term_rows(diagram, position)] if m >= 2 else []
+    return rows, tuple(k for k, diagram in enumerate(basis) if diagram.has_isolated_chord())
+
+
+@lru_cache(maxsize=None)
+def _reference_echelon(kind, size, m):
+    """Fraction echelon of the reference relations: strands, horizontal_relations; circles, the full set.
+
+    The full circle set is a unit row per isolated-chord position followed
+    by every seed's 4T rows, deduplicated.
+    """
+    if kind == "strands":
+        return _fraction_echelon(horizontal_relations(size, m))
+    rows, killed = _reference_circle_rows(size, m)
+    full = RelationSet(m, enumerate_circle_diagrams(size, m), _dedupe([{k: 1} for k in killed] + rows))
+    return _fraction_echelon(full)
+
+
+# shapes whose circle quotient is checked against the full reference
+_CIRCLE_SHAPES = ((1, 6), (2, 4), (3, 4), (4, 3), (2, 5))
+
+
 def test_circle_rows_equal_canonical_reference():
-    # the drawing-table layout_position against the brute-force least rotation per term
-    for q, top in ((1, 6), (2, 4), (3, 4)):
+    # the built rows against every seed's brute-force rows with the killed
+    # terms dropped, deduplicated: no row holds a killed position, and each
+    # relation is built from one of its two seeds, the first met, so at most
+    # half as many rows are built as the reference's
+    for q, top in _CIRCLE_SHAPES:
         for m in range(top + 1):
+            rows, killed = _reference_circle_rows(q, m)
+            dropped = [row for row in ({k: v for k, v in r.items() if k not in killed} for r in rows) if row]
             basis = enumerate_circle_diagrams(q, m)
-            index = {diagram: k for k, diagram in enumerate(basis)}  # basis.index as a dict
+            built = circle_relations(q, m)
+            assert built.killed == killed, (q, m)
+            assert built.rows == RelationSet(m, basis, _dedupe(dropped)).rows, (q, m)
+            flags = [k in killed for k in range(len(basis))]
+            seeded = sum(len(_circle_four_term_rows(drawing, k, flags)) for k, drawing in enumerate(basis))
+            assert 2 * seeded <= len(dropped), (q, m)
 
-            @lru_cache(maxsize=None)  # terms repeat across diagrams
-            def position(drawing):
-                return index[canonical(drawing)]
 
-            rows = [{k: 1} for k, diagram in enumerate(basis) if diagram.has_isolated_chord()]
-            for diagram in basis:
-                four_term = _canonical_four_term_rows(diagram, position) if m >= 2 else []
-                assert _circle_four_term_rows(diagram) == four_term, (q, m, diagram)
-                rows += four_term
-            built, reference = circle_relations(q, m), RelationSet(m, basis, _dedupe(rows))
-            assert built.rows == reference.rows, (q, m)
-            assert built.echelon() == reference.echelon(), (q, m)
+def test_circle_quotient_equals_full_reference():
+    # against the Fraction echelon of the unit rows for killed positions plus
+    # every seed's 4T rows: the same dimension, the same pivots, the same
+    # float rows off the killed columns, and the same reduce output
+    rng = random.Random(17)
+    for q, top in _CIRCLE_SHAPES:
+        for m in range(top + 1):
+            full = _reference_echelon("circles", q, m)
+            built = circle_relations(q, m)
+            assert len(built.basis) - built.rank == len(built.basis) - len(full) == quotient_dimension(m, circles=q)
+            size, rows = _pivot_rows(q, m)
+            assert size == len(built.basis) and [p for p, _ in rows] == sorted(full), (q, m)
+            killed = set(built.killed)
+            for p, row in rows:
+                expected = {c: float(v) for c, v in full[p].items() if c != p and c not in killed}
+                assert dict(row) == expected, (q, m, p)
+        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(len(circle_basis(q, top)))])
+        for threshold in (0.0, 1e-12, 0.5):
+            reference = _dict_reduce(vec, ("circles", q), top, threshold)
+            dense = reduce(vec, ("circles", q), top, threshold)
+            free = free_positions(("circles", q), top)
+            assert [dense[k] for k in free] == [reference.get(k, 0j) for k in free], (q, top, threshold)
+            assert not np.delete(dense, free).any()
 
 
 def test_circle_dimensions():
@@ -321,9 +383,9 @@ def test_circle_dimensions():
 
 def test_circle_degree_two_structure():
     diagrams = enumerate_circle_diagrams(1, 2)
-    assert len(diagrams) == 2
-    killed = [d for d in diagrams if d.has_isolated_chord()]
-    assert len(killed) == 1
+    assert diagrams == ((0, 0, 1, 1, -1), (0, 1, 0, 1, -1))
+    killed = [d for d in diagrams if has_isolated_chord(d)]
+    assert killed == [(0, 0, 1, 1, -1)] and circle_relations(1, 2).killed == (0,)
 
 
 def test_horizontal_dimensions_match_sympy_rank():
@@ -351,7 +413,7 @@ def _check_rotations_share_one_position(diagram, n_drawings):
     """
     q, m = diagram.n_circles, diagram.degree
     basis = enumerate_circle_diagrams(q, m)
-    expected = basis.index(canonical(diagram))
+    expected = basis.index(drawing_of(canonical(diagram)))
     drawings = rotations(diagram)
     assert len(drawings) == n_drawings  # the rotations draw distinct chord sets
     for drawing in drawings:
@@ -393,6 +455,9 @@ def test_circle_diagram_normalizes_validates_and_stays_frozen():
         CircleDiagram.from_layout([["a", "a", "a", "b"], ["b"]])
     with pytest.raises(AttributeError):
         diagram.slots = (4,)
+    # the library's drawing of it: slots and chords read back, the isolated-chord test agrees
+    assert drawing_of(diagram) == (0, 1, -1, 0, 1, -1) and diagram_of((1, 0, -1, 1, 0, -1)) == diagram
+    assert slots_and_chords(drawing_of(diagram)) == diagram and not has_isolated_chord(drawing_of(diagram))
 
 
 def test_quotient_dimension_argument_check():
@@ -439,17 +504,20 @@ def _fraction_echelon(relation_set):
 
 
 def test_integer_echelon_equals_fraction_reference():
+    # integer rows with a positive pivot, each divided by its pivot, against
+    # a Fraction elimination of the same rows
     sets = [(horizontal_relations, n, m) for n, top in ((3, 4), (4, 3), (5, 2)) for m in range(top + 1)]
     # circle_relations(1, 6) is the first set whose echelon has a denominator 4
     sets += [(circle_relations, q, m) for q, top in ((1, 6), (2, 4), (3, 4)) for m in range(top + 1)]
     denominators = set()
     for build, size, m in sets:
         echelon = build(size, m).echelon()
-        assert echelon == _fraction_echelon(build(size, m)), (build.__name__, size, m)
-        entries = [v for row in echelon.values() for v in row.values()]
-        assert all(type(v) is Fraction for v in entries)
+        assert all(type(v) is int for row in echelon.values() for v in row.values())
+        assert all(row[p] > 0 for p, row in echelon.items())
+        normalized = {p: {c: Fraction(v, row[p]) for c, v in row.items()} for p, row in echelon.items()}
+        assert normalized == _fraction_echelon(build(size, m)), (build.__name__, size, m)
         if build is circle_relations:
-            denominators.update(v.denominator for v in entries)
+            denominators.update(v.denominator for row in normalized.values() for v in row.values())
     assert {2, 4} <= denominators
 
 
@@ -483,9 +551,13 @@ def test_drawing_table_basis_matches_brute_force():
                         for c, s in chord:
                             layout[c][s] = label
                     flat = [label for circle in layout for label in circle + [-1]]
-                    assert basis[layout_position(flat)] == diagram
+                    assert diagram_of(basis[layout_position(flat)]) == diagram
                     found.add(diagram)
-            assert basis == tuple(sorted(found, key=diagram_sort_key))
+            # each entry is its canonical diagram's drawing, read back by slots_and_chords
+            expected = sorted(found, key=diagram_sort_key)
+            assert basis == tuple(map(drawing_of, expected))
+            assert [slots_and_chords(drawing) for drawing in basis] == expected
+            assert [has_isolated_chord(d) for d in basis] == [d.has_isolated_chord() for d in expected]
         assert walked == count_circle_matchings(q, top)
 
 
@@ -499,8 +571,7 @@ def test_drawing_table_holds_each_matching_once():
             assert len(drawings) == count_circle_matchings(q, m) - count_circle_matchings(q, m - 1)
             filed = [set() for _ in basis]
             for drawing, position in drawings.items():
-                ends = [k for k, label in enumerate(drawing) if label < 0]
-                circles = [drawing[start + 1:end] for start, end in zip([-1] + ends, ends)]
-                filed[position].add(CircleDiagram.from_layout(circles))
-            for diagram, drawn in zip(basis, filed):
+                filed[position].add(diagram_of(drawing))
+            for drawing, drawn in zip(basis, filed):
+                diagram = diagram_of(drawing)
                 assert diagram == canonical(diagram) and drawn == rotations(diagram), (q, m, diagram)
