@@ -150,6 +150,16 @@ def _chebyshev(n):
     return 0.5 * (1.0 - np.cos(np.pi * j / n)), coefficients, integration
 
 
+def _real_times(matrix, values):
+    """matrix @ values for a real matrix and complex values, as one real product.
+
+    values is multiplied as its float view, real and imaginary parts side
+    by side, so BLAS runs a real product: numpy would hand the mixed product
+    to the complex routine, whose threaded form is slow at these sizes.
+    """
+    return (matrix @ np.ascontiguousarray(values).view(float)).view(complex)
+
+
 def _resolved_omega(segment, ii, jj):
     """(n, omega at the nodes of _chebyshev(n)) at the fewest nodes that resolve the segment's connection.
 
@@ -159,7 +169,7 @@ def _resolved_omega(segment, ii, jj):
     while True:
         nodes, coefficients, _ = _chebyshev(n)
         omega = _segment_omega(segment, nodes, ii, jj)
-        spectrum = np.abs(coefficients @ omega)
+        spectrum = np.abs(_real_times(coefficients, omega))
         tail, scale = spectrum[-2:].max(), spectrum.max()
         if tail <= _TAIL_TOLERANCE * scale or not math.isfinite(scale):
             return n, omega
@@ -184,7 +194,7 @@ def _sweeps(n, omega, max_degree):
     if max_degree:
         path = np.ones((n + 1, 1), dtype=complex)  # degree 0 at every node
         for r in range(1, max_degree):
-            path = integration @ _outer(path, omega)
+            path = _real_times(integration, _outer(path, omega))
             blocks[r][:] = path[-1]
         blocks[-1][:] = ((integration[-1][:, None] * path).T @ omega).ravel()
     return out
