@@ -35,6 +35,11 @@ class BraidWord(namedtuple("BraidWord", "n_strands letters")):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
         return super().__new__(cls, n_strands, letters)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+        return cls(*iterable)
+
     def __repr__(self):
         body = " ".join(str(k * sign) for k, sign in self.letters) or "e"
         return f"BraidWord({self.n_strands}; {body})"
@@ -72,6 +77,11 @@ class Permutation(namedtuple("Permutation", "images")):
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a bijection on 1..N")
         return super().__new__(cls, images)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+        return cls(*iterable)
 
     def __call__(self, k):
         return self.images[k - 1]

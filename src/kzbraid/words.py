@@ -35,6 +35,11 @@ class ChordPair(namedtuple("ChordPair", "i j")):
             raise ValueError(f"invalid chord pair ({i}, {j})")
         return super().__new__(cls, low, high)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+        return cls(*iterable)
+
     def as_tuple(self):
         return (self.i, self.j)
 
@@ -58,6 +63,11 @@ class HorizontalWord(namedtuple("HorizontalWord", "n_strands chords")):
             if c.j > n_strands:
                 raise ValueError(f"chord {c.as_tuple()} exceeds {n_strands} strands")
         return super().__new__(cls, n_strands, chords)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+        return cls(*iterable)
 
     @property
     def degree(self):

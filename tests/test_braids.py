@@ -105,6 +105,29 @@ def test_braid_records_validate_and_stay_frozen():
             record.extra = 1
 
 
+def test_braid_word_make_and_replace_validate():
+    word = BraidWord(3, ((1, 1),))
+    assert BraidWord._make([3, [("2", -1)]]) == BraidWord(3, ((2, -1),))
+    assert type(word._replace(n_strands=4)) is BraidWord and repr(word._replace(n_strands=4)) == "BraidWord(4; 1)"
+    for bad, message in (
+        (lambda: BraidWord(2, ())._replace(n_strands=0), "need at least 2 strands"),
+        (lambda: word._replace(letters=((3, 1),)), "generator index 3 out of range"),
+        (lambda: BraidWord._make((2, ((1, 2),))), "sign must be +1 or -1, got 2"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad()
+    with pytest.raises(TypeError):
+        BraidWord._make((2, (), ()))
+
+
+def test_permutation_make_and_replace_validate():
+    assert Permutation._make([["2", 1]]) == Permutation((2, 1))
+    assert Permutation((1, 2))._replace(images=(2, 3, 1)).cycles() == ((1, 2, 3),)
+    for bad in (lambda: Permutation((1, 2))._replace(images=(1, 1)), lambda: Permutation._make([(0, 1)])):
+        with pytest.raises(ValueError, match=re.escape("not a bijection on 1..N")):
+            bad()
+
+
 def test_identity_loop():
     loop = realize(parse_braid_word("", 3))
     for t in (0.0, 0.3, 1.0):

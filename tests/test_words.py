@@ -52,6 +52,18 @@ def test_chord_pair_normalizes_order():
         ChordPair(1, 2).i = 3
 
 
+def test_chord_pair_make_and_replace_normalize():
+    assert ChordPair._make((3, 1)) == ChordPair(1, 3) and ChordPair(1, 2)._replace(i=3) == ChordPair(2, 3)
+    for bad, message in (
+        (lambda: ChordPair._make((2, 2)), "invalid chord pair (2, 2)"),
+        (lambda: ChordPair(1, 2)._replace(j=1), "invalid chord pair (1, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad()
+    with pytest.raises(TypeError):
+        ChordPair._make((1, 2, 3))
+
+
 def test_word_validates_strand_bound():
     with pytest.raises(ValueError, match=re.escape("chord (1, 3) exceeds 2 strands")):
         word(2, (3, 1))
@@ -63,6 +75,18 @@ def test_word_validates_strand_bound():
     assert len({w, word(3, (1, 2), (2, 3))}) == 1
     with pytest.raises(AttributeError):
         w.chords = ()
+
+
+def test_horizontal_word_make_and_replace_validate():
+    w = word(3, (1, 2))
+    assert HorizontalWord._make((3, [(2, 1)])) == w and w._replace(chords=[(3, 2)]).chords == (ChordPair(2, 3),)
+    for bad, message in (
+        (lambda: w._replace(n_strands=2, chords=[(1, 3)]), "chord (1, 3) exceeds 2 strands"),
+        (lambda: HorizontalWord._make((1, ())), "need at least 2 strands"),
+        (lambda: w._replace(chords=[(2, 2)]), "invalid chord pair (2, 2)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad()
 
 
 def test_ess_identity_and_order():
