@@ -36,8 +36,7 @@ class BraidWord(namedtuple("BraidWord", "n_strands letters")):
         return super().__new__(cls, n_strands, letters)
 
     @classmethod
-    def _make(cls, iterable):
-        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
         return cls(*iterable)
 
     def __repr__(self):
@@ -79,8 +78,7 @@ class Permutation(namedtuple("Permutation", "images")):
         return super().__new__(cls, images)
 
     @classmethod
-    def _make(cls, iterable):
-        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
         return cls(*iterable)
 
     def __call__(self, k):

@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd
 
 from ._lazy import np
-from .circles import _orbit_table, _position, has_isolated_chord
+from .circles import _orbit_table, _position, enumerate_circle_diagrams, has_isolated_chord
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 
 
@@ -232,7 +232,7 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     other foot between them) is set to zero: its position is killed and
     left out of the 4T rows.
     """
-    basis = _orbit_table(n_circles, degree)[0]
+    basis = enumerate_circle_diagrams(n_circles, degree)
     killed = [has_isolated_chord(drawing) for drawing in basis]
     rows = []
     if degree >= 2:

@@ -36,8 +36,7 @@ class ChordPair(namedtuple("ChordPair", "i j")):
         return super().__new__(cls, low, high)
 
     @classmethod
-    def _make(cls, iterable):
-        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
         return cls(*iterable)
 
     def as_tuple(self):
@@ -65,8 +64,7 @@ class HorizontalWord(namedtuple("HorizontalWord", "n_strands chords")):
         return super().__new__(cls, n_strands, chords)
 
     @classmethod
-    def _make(cls, iterable):
-        """Through __new__, as _replace too (namedtuple's own _make skips the checks)."""
+    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
         return cls(*iterable)
 
     @property
