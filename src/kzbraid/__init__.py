@@ -45,8 +45,6 @@ from .transport import (
 from .words import (
     MAX_BASIS_WORDS,
     ZERO_THRESHOLD,
-    ChordPair,
-    HorizontalWord,
     all_pairs,
     basis_words,
     check_word_budget,

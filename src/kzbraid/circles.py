@@ -10,7 +10,7 @@ whether it has an isolated chord are read off it.  Each (circles, degree)
 has one table from every drawing to its basis position, filled by one walk
 over the raw matchings, so the 4T rows and the closure's projection find a
 layout's position by one dict lookup, renumbering its labels only when the
-layout as given is not a drawing (layout_position).  A series on q circles
+layout as given is not a drawing (_position).  A series on q circles
 is a dense vector over circle_basis(q, M), the diagrams of each degree in
 turn.
 """
@@ -175,16 +175,6 @@ def enumerate_circle_diagrams(n_circles: int, degree: int):
     return _orbit_table(n_circles, degree)[0]
 
 
-def layout_position(layout):
-    """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
-
-    layout is one flat sequence: each circle's chord labels (ints >= 0, each
-    twice) followed by -1.  Any rotation of any circle finds the same position.
-    """
-    n_circles = layout.count(-1)
-    return _position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], tuple(layout))
-
-
 @lru_cache(maxsize=None)
 def circle_basis(n_circles: int, max_degree: int):
     """Diagrams of degree <= max_degree, degree by degree: the dense circle series basis."""
@@ -198,7 +188,9 @@ def circle_series_to_json_dict(
 
     Lists every term whose modulus reaches zero_threshold among positions,
     increasing basis positions, by default all of them; a reduced series
-    passes its free positions.
+    passes its free positions.  compute writes circle_series_json_text;
+    this is the tests' reference for it, kept here because the benchmark
+    tracer wraps it.
     """
     basis = circle_basis(n_circles, max_degree)
     values = coefficients.tolist()

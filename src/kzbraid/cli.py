@@ -1,8 +1,9 @@
 """Command line front end: compute, verify, dims.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Output is
-deterministic: terms are emitted in graded-lexicographic order and floats use
-the shortest round-trip representation.  Every loop is integrated spectrally,
+deterministic: terms are emitted in graded-lexicographic order; the table
+prints floats with 16 significant digits (%.16g) and the JSON in their
+shortest round-trip form (repr).  Every loop is integrated spectrally,
 so --steps (default KZBRAID_STEPS when set, read on every call) changes no
 result: it is checked here, 1 to MAX_STEPS, with the other arguments and
 before any file is opened, and passed nowhere.
@@ -107,7 +108,7 @@ _TABLE_ROW = "%s%-22.16g  %.16g\n"
 def _table_prefixes(n_strands, max_degree):
     """Per basis word, its table row up to the modulus column."""
     return tuple(
-        f"{w.degree:>3}  {''.join(f'({c.i},{c.j})' for c in w.chords) or '1':<24}  "
+        f"{len(w):>3}  {''.join(f'({i},{j})' for i, j in w) or '1':<24}  "
         for w in basis_words(n_strands, max_degree)
     )
 
@@ -208,7 +209,7 @@ def _check_oracle(max_degree):
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
         coefficients = transport(loop, max_degree).coefficients
-        for degree in range(1, min(2, max_degree) + 1):
+        for degree in range(1, min(3, max_degree) + 1):
             start = basis_size(strands * (strands - 1) // 2, degree - 1)
             for g, word in enumerate(enumerate_words(strands, degree), start):
                 direct = simplex_oracle(loop, word, 512)

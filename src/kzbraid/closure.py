@@ -52,7 +52,7 @@ def _tau_index(n_strands, max_degree, cycles):
     Words are grown one top chord at a time in basis order; feet[s] lists
     the heights of the chords with a foot on strand s + 1, bottom first.
     """
-    pairs = [(p.i - 1, p.j - 1) for p in all_pairs(n_strands)]
+    pairs = [(i - 1, j - 1) for i, j in all_pairs(n_strands)]
     level = [((),) * n_strands]
     index = []
     offset = 0

@@ -131,13 +131,16 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     Base relations act on an adjacent height pair and are embedded below and
     above by every word context.  The disjoint family [t_ij, t_kl] = 0 is
     included alongside 4T: the connection's curvature only vanishes modulo
-    both, and far-apart generators must commute in the quotient.
+    both, and far-apart generators must commute in the quotient.  Only the
+    tests call it, as the reference for _rewrite_rows; it stays here
+    because the benchmark tracer wraps it and reads its cache_info().
     """
     basis = enumerate_words(n_strands, degree)
     if degree < 2 or n_strands == 2:
         return RelationSet(degree, basis, ())
     n_pairs = n_strands * (n_strands - 1) // 2
-    pair_index = {p.as_tuple(): q for q, p in enumerate(all_pairs(n_strands))}
+    pairs = all_pairs(n_strands)
+    pair_index = {p: q for q, p in enumerate(pairs)}
     base_rows = []
     strands = range(1, n_strands + 1)
     for i in strands:
@@ -153,7 +156,6 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
                         row[(slide, other)] = row.get((slide, other), 0) + 1
                         row[(other, slide)] = row.get((other, slide), 0) - 1
                     base_rows.append(row)
-    pairs = list(pair_index)
     for a_idx, p in enumerate(pairs):
         for q in pairs[a_idx + 1:]:
             if set(p) & set(q):
@@ -272,7 +274,7 @@ def _rewrite_rows(n_strands, degree):
     taking the sequences in that order never returns to a cleared word: the
     rows are a triangular normal-form map onto the normal words.
     """
-    pairs = [p.as_tuple() for p in all_pairs(n_strands)]
+    pairs = all_pairs(n_strands)
     n_pairs = len(pairs)
     pair_index = {p: q for q, p in enumerate(pairs)}
     chords_under = {k: [pair_index[(i, k)] for i in range(1, k)] for k in range(2, n_strands + 1)}

@@ -40,7 +40,6 @@ from functools import lru_cache
 from ._lazy import np
 from .braids import BraidWord, ConfigLoop, realize
 from .words import (
-    HorizontalWord,
     _block_slices,
     _blocks,
     _outer,
@@ -90,8 +89,7 @@ class TransportResult(namedtuple("TransportResult", "steps_used richardson_error
 @lru_cache(maxsize=None)
 def _pair_indices(n_strands):
     pairs = all_pairs(n_strands)
-    ii = np.array([p.i - 1 for p in pairs])
-    jj = np.array([p.j - 1 for p in pairs])
+    ii, jj = np.array(pairs).T - 1
     return pairs, ii, jj
 
 
@@ -343,8 +341,10 @@ def symmetrized(coefficients, n_strands: int, max_degree: int) -> np.ndarray:
     return out
 
 
-def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex:
+def simplex_oracle(loop: ConfigLoop, word: tuple, grid: int) -> complex:
     """Iterated integral of the word's chords over the ordered simplex.
+
+    word is a tuple of strand pairs (i, j), i < j, bottom chord first.
 
     Composite midpoint rule per axis: the integrand factors are frozen at
     cell midpoints and the resulting piecewise-constant product is integrated
@@ -357,7 +357,7 @@ def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex
     capped at 3 (a degree-m word needs the m-fold product resolved on the
     grid, and checking beyond degree 3 is quadrature-budget territory).
     """
-    m = word.degree
+    m = len(word)
     if m > 3:
         raise ValueError(
             f"degree {m} word rejected: the nested quadrature touches grid^m"
@@ -365,12 +365,13 @@ def simplex_oracle(loop: ConfigLoop, word: HorizontalWord, grid: int) -> complex
         )
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    if word.n_strands != loop.n_strands:
-        raise ValueError("strand-count mismatch")
+    pairs, ii, jj = _pair_indices(loop.n_strands)
+    for chord in word:
+        if chord not in pairs:
+            raise ValueError(f"chord {chord} is not a pair i < j of the loop's {loop.n_strands} strands")
     if m == 0:
         return 1.0 + 0.0j
-    pairs, ii, jj = _pair_indices(loop.n_strands)
-    columns = [pairs.index(chord) for chord in word.chords]
+    columns = [pairs.index(chord) for chord in word]
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
     # the segment holding each midpoint

@@ -1,6 +1,7 @@
 """Horizontal chord words on braid strands and dense series over them.
 
-A word is a height-ordered tuple of strand pairs (lowest chord first); the
+A word is a height-ordered tuple of chords t_ij, each the strand pair
+(i, j) with i < j, lowest chord first, so its degree is its length; the
 stacking product concatenates words, left factor on top.  A series is a
 complex vector truncated above a fixed degree M, one coefficient per word of
 basis_words(N, M) in graded-lex order: every series is computed, combined
@@ -10,7 +11,6 @@ and printed in this form.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -24,58 +24,6 @@ ZERO_THRESHOLD = 1e-12
 MAX_BASIS_WORDS = 2**20
 
 
-class ChordPair(namedtuple("ChordPair", "i j")):
-    """Unordered chord between two distinct strands, normalized to i < j."""
-
-    __slots__ = ()
-
-    def __new__(cls, i, j):
-        low, high = (j, i) if i > j else (i, j)
-        if low < 1 or low == high:
-            raise ValueError(f"invalid chord pair ({i}, {j})")
-        return super().__new__(cls, low, high)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
-        return cls(*iterable)
-
-    def as_tuple(self):
-        return (self.i, self.j)
-
-
-def _as_pair(value):
-    if isinstance(value, ChordPair):
-        return value
-    return ChordPair(*value)
-
-
-class HorizontalWord(namedtuple("HorizontalWord", "n_strands chords")):
-    """Chords on n_strands vertical strands, ordered bottom to top."""
-
-    __slots__ = ()
-
-    def __new__(cls, n_strands, chords):
-        if n_strands < 2:
-            raise ValueError("need at least 2 strands")
-        chords = tuple(_as_pair(c) for c in chords)
-        for c in chords:
-            if c.j > n_strands:
-                raise ValueError(f"chord {c.as_tuple()} exceeds {n_strands} strands")
-        return super().__new__(cls, n_strands, chords)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
-        return cls(*iterable)
-
-    @property
-    def degree(self):
-        return len(self.chords)
-
-    def __repr__(self):
-        body = "".join(f"({c.i},{c.j})" for c in self.chords) or "1"
-        return f"<{body} on {self.n_strands}>"
-
-
 def enumerate_words(n_strands: int, degree: int):
     """All degree-m words on N strands in graded-lexicographic order.
 
@@ -83,14 +31,12 @@ def enumerate_words(n_strands: int, degree: int):
     """
     if n_strands < 2 or degree < 0:
         raise ValueError("need n_strands >= 2 and degree >= 0")
-    pairs = all_pairs(n_strands)
-    return tuple(HorizontalWord(n_strands, combo) for combo in product(pairs, repeat=degree))
+    return tuple(product(all_pairs(n_strands), repeat=degree))
 
 
 def all_pairs(n_strands: int):
-    return tuple(
-        ChordPair(i, j) for i in range(1, n_strands) for j in range(i + 1, n_strands + 1)
-    )
+    """The strand pairs (i, j), i < j, in lexicographic order: the chords t_ij."""
+    return tuple((i, j) for i in range(1, n_strands) for j in range(i + 1, n_strands + 1))
 
 
 # Dense series: one complex entry per word of degree <= M in graded-lex order
@@ -177,7 +123,7 @@ def _relabel_index(n_strands, max_degree, images):
     pairs = all_pairs(n_strands)
     pair_index = {pair: q for q, pair in enumerate(pairs)}
     source = {image: strand for strand, image in enumerate(images, start=1)}
-    first = np.array([pair_index[ChordPair(source[p.i], source[p.j])] for p in pairs])
+    first = np.array([pair_index[min(source[i], source[j]), max(source[i], source[j])] for i, j in pairs])
     index = np.zeros(basis_size(len(pairs), max_degree), dtype=np.intp)
     lo, hi = 0, 1
     for _ in range(max_degree):
@@ -200,9 +146,13 @@ def relabel_strands(coefficients, n_strands, max_degree, images):
 
 
 def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO_THRESHOLD) -> dict:
-    """JSON document of a dense series: every term whose modulus reaches zero_threshold."""
+    """JSON document of a dense series: every term whose modulus reaches zero_threshold.
+
+    compute writes series_json_text; this is the tests' reference for it,
+    kept here because the benchmark tracer wraps it.
+    """
     terms = [
-        {"word": [list(p.as_tuple()) for p in w.chords], "re": c.real, "im": c.imag}
+        {"word": [list(p) for p in w], "re": c.real, "im": c.imag}
         for w, c in zip(basis_words(n_strands, max_degree), coefficients.tolist())
         if abs(c) >= zero_threshold
     ]
@@ -213,10 +163,10 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
 def _json_heads(n_strands, max_degree, level):
     """Per basis word, the text of its JSON term up to the real part."""
     i2, i3, i4 = ("  " * (level + k) for k in range(2, 5))
-    chord_text = {p: i4 + json.dumps(p.as_tuple(), indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)}
+    chord_text = {p: i4 + json.dumps(p, indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)}
     heads = []
     for word in basis_words(n_strands, max_degree):
-        chords = ",\n".join(chord_text[c] for c in word.chords)
+        chords = ",\n".join(chord_text[c] for c in word)
         word_text = f"[\n{chords}\n{i3}]" if chords else "[]"
         heads.append(f'{i2}{{\n{i3}"word": {word_text},\n{i3}"re": ')
     return tuple(heads)

@@ -5,7 +5,7 @@ under the basis position of the first drawing its enumeration meets; these
 helpers restate what that must equal: CircleDiagram is the validating
 (slots, chords) record, the canonical drawing has the least chord tuple
 over independent circle rotations, bases sort by (degree, slots, chords),
-words by (degree, chords).
+words, tuples of strand pairs (i, j) with i < j, by (degree, chords).
 """
 
 from collections import namedtuple
@@ -129,6 +129,13 @@ def diagram_sort_key(diagram):
     return (diagram.degree, diagram.slots, diagram.chords)
 
 
+def word(n, *chords):
+    """A word on n strands as its chord tuple, each chord normalized to (i, j), i < j <= n."""
+    out = tuple((min(c), max(c)) for c in chords)
+    assert all(1 <= i < j <= n for i, j in out), chords
+    return out
+
+
 def word_sort_key(word):
     """Graded order, then lexicographic on the chord tuples."""
-    return (len(word.chords), tuple(c.as_tuple() for c in word.chords))
+    return (len(word), word)

@@ -23,12 +23,12 @@ from kzbraid.transport import (
     transport,
 )
 from kzbraid.words import (
-    HorizontalWord,
     basis_words,
     enumerate_words,
     relabel_strands,
     series_product,
 )
+from reference_orders import word
 from test_transport import _at_nodes
 
 def _report(number, name, residual, bound):
@@ -41,10 +41,6 @@ def _report(number, name, residual, bound):
 def _report_flag(number, name, ok, detail=""):
     print(f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {number} ({name}) failed {detail}"
-
-
-def word(n, *chords):
-    return HorizontalWord(n, tuple(chords))
 
 
 def position(n, *chords):
@@ -90,7 +86,7 @@ def test_04_oracle_agreement():
         series = transport(loop, 2).coefficients
         for degree in (1, 2):
             for w in enumerate_words(strands, degree):
-                g = position(strands, *(c.as_tuple() for c in w.chords))
+                g = position(strands, *w)
                 residual = max(residual, abs(series[g] - simplex_oracle(loop, w, 512)))
     _report(4, "simplex oracle agreement", residual, 1e-5)
     # optional degree-3 check at the coarser grid

@@ -272,6 +272,24 @@ def test_verify_lines_do_not_depend_on_steps(capsys):
         assert out.startswith(f"{check}: residual=") and out.endswith(" PASS\n")
 
 
+def test_verify_oracle_compares_through_degree_three(capsys, monkeypatch):
+    # every word of degree 1..min(3, M) of the braids "1" and "1 1" on 2
+    # strands (one word per degree) and "1 2" on 3 strands (3**d words)
+    cli = importlib.import_module("kzbraid.cli")
+    oracle, degrees = cli.simplex_oracle, []
+
+    def recording(loop, word, grid):
+        degrees.append(len(word))
+        return oracle(loop, word, grid)
+
+    monkeypatch.setattr(cli, "simplex_oracle", recording)
+    for max_degree, top in ((1, 1), (2, 2), (3, 3), (4, 3)):
+        degrees.clear()
+        code, out, _ = run(capsys, "verify", "oracle", "-m", str(max_degree))
+        assert code == 0 and out.endswith(" PASS\n"), out
+        assert sorted(degrees) == sorted(d for d in range(1, top + 1) for _ in range(2 + 3**d))
+
+
 def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("KZBRAID_STEPS", "abc")
     code, out, err = run(capsys, "dims", "--strands", "3")
@@ -290,15 +308,15 @@ def _reference_stdout(strands, letters, max_degree, close, threshold):
     }
     lines = [f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg"]
     for w, c in sorted(terms.items(), key=lambda item: word_sort_key(item[0])):
-        chords = "".join(f"({p.i},{p.j})" for p in w.chords) or "1"
+        chords = "".join(f"({i},{j})" for i, j in w) or "1"
         lines.append(
-            f"{w.degree:>3}  {chords:<24}  {abs(c):<22.16g}  {math.atan2(c.imag, c.real):.16g}"
+            f"{len(w):>3}  {chords:<24}  {abs(c):<22.16g}  {math.atan2(c.imag, c.real):.16g}"
         )
     document = {
         "n_strands": strands,
         "max_degree": max_degree,
         "terms": [
-            {"word": [list(p.as_tuple()) for p in w.chords], "re": c.real, "im": c.imag}
+            {"word": [list(p) for p in w], "re": c.real, "im": c.imag}
             for w, c in sorted(terms.items(), key=lambda item: word_sort_key(item[0]))
         ],
     }

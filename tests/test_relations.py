@@ -9,11 +9,11 @@ import pytest
 
 from kzbraid.circles import (
     _orbit_table,
+    _position,
     circle_basis,
     count_circle_matchings,
     enumerate_circle_diagrams,
     has_isolated_chord,
-    layout_position,
     slots_and_chords,
 )
 from kzbraid.relations import (
@@ -27,12 +27,8 @@ from kzbraid.relations import (
     quotient_dimension,
     reduce,
 )
-from kzbraid.words import HorizontalWord, all_pairs, basis_words, enumerate_words
-from reference_orders import CircleDiagram, canonical, diagram_of, diagram_sort_key, drawing_of, rotations
-
-
-def word(n, *chords):
-    return HorizontalWord(n, tuple(chords))
+from kzbraid.words import all_pairs, basis_words, enumerate_words
+from reference_orders import CircleDiagram, canonical, diagram_of, diagram_sort_key, drawing_of, rotations, word
 
 
 def series(n, max_degree, terms):
@@ -95,7 +91,7 @@ def normal_positions(n, max_degree):
     """Graded positions of Kohno's normal words: the chords' top strands never decrease upward."""
     return tuple(
         k for k, w in enumerate(basis_words(n, max_degree))
-        if all(low.j <= high.j for low, high in zip(w.chords, w.chords[1:]))
+        if all(low[1] <= high[1] for low, high in zip(w, w[1:]))
     )
 
 
@@ -222,7 +218,7 @@ def test_dense_reduce_equals_dict_reference():
 
 
 def _word_index_rows(n_strands, degree):
-    """4T and disjoint-commutation rows built one HorizontalWord per term, the reference."""
+    """4T and disjoint-commutation rows built one word per term, looked up by its chords, the reference."""
     basis = enumerate_words(n_strands, degree)
     if degree < 2 or n_strands == 2:
         return RelationSet(degree, basis, ())
@@ -241,7 +237,7 @@ def _word_index_rows(n_strands, degree):
                         row[(slide, other)] = row.get((slide, other), 0) + 1
                         row[(other, slide)] = row.get((other, slide), 0) - 1
                     base_rows.append(row)
-    pairs = [p.as_tuple() for p in all_pairs(n_strands)]
+    pairs = all_pairs(n_strands)
     for a_idx, p in enumerate(pairs):
         for q in pairs[a_idx + 1:]:
             if not set(p) & set(q):
@@ -253,7 +249,7 @@ def _word_index_rows(n_strands, degree):
                 for base in base_rows:
                     row = {}
                     for (low, high), coeff in base.items():
-                        col = index[HorizontalWord(n_strands, prefix.chords + (low, high) + suffix.chords)]
+                        col = index[prefix + (low, high) + suffix]
                         row[col] = row.get(col, 0) + coeff
                     row = {c: v for c, v in row.items() if v}
                     if row:
@@ -402,6 +398,17 @@ def test_horizontal_dimensions_match_sympy_rank():
 
 def test_prequotient_two_strand_dims():
     assert [quotient_dimension(m, strands=2) for m in range(4)] == [1, 1, 1, 1]
+
+
+def layout_position(layout):
+    """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
+
+    layout is one flat sequence: each circle's chord labels (ints >= 0, each
+    twice) followed by -1; the library's _position looks it up in the
+    degree's drawing table.
+    """
+    n_circles = layout.count(-1)
+    return _position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], tuple(layout))
 
 
 def _check_rotations_share_one_position(diagram, n_drawings):

@@ -36,7 +36,6 @@ from kzbraid.transport import (
     transport,
 )
 from kzbraid.words import (
-    HorizontalWord,
     _blocks,
     basis_size,
     basis_words,
@@ -44,14 +43,11 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
+from reference_orders import word
 from test_braids import segment_at
 
 # the module, which the package's `transport` function shadows as an attribute
 transport_module = importlib.import_module("kzbraid.transport")
-
-def word(n, *chords):
-    return HorizontalWord(n, tuple(chords))
-
 
 def position(n, *chords):
     """Index of a word in basis_words."""
@@ -73,7 +69,7 @@ def omega_at(loop, t):
     pairs, ii, jj = _pair_indices(loop.n_strands)
     segment, s, duration = segment_at(loop, t)
     values = _segment_omega(segment, s, ii, jj) / duration
-    return {pair.as_tuple(): complex(v) for pair, v in zip(pairs, values)}
+    return {pair: complex(v) for pair, v in zip(pairs, values)}
 
 
 def test_omega_identity_loop_vanishes():
@@ -132,11 +128,11 @@ def test_oracle_sigma1_values():
 def test_oracle_agrees_with_transport():
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
-        series = transport(loop, 2).coefficients
-        for degree in (1, 2):
+        series = transport(loop, 3).coefficients
+        for degree in (1, 2, 3):
             for w in enumerate_words(strands, degree):
                 direct = simplex_oracle(loop, w, 512)
-                assert abs(series[position(strands, *(c.as_tuple() for c in w.chords))] - direct) < 1e-5
+                assert abs(series[position(strands, *w)] - direct) < 1e-5
 
 
 def test_oracle_rejects_large_degree_and_small_grid():
@@ -145,6 +141,14 @@ def test_oracle_rejects_large_degree_and_small_grid():
         simplex_oracle(loop, word(2, *([(1, 2)] * 4)), 64)
     with pytest.raises(ValueError):
         simplex_oracle(loop, word(2, (1, 2)), 8)
+
+
+def test_oracle_rejects_chord_off_the_loop_strands():
+    loop = realize(parse_braid_word("1", 2))
+    for bad in (((1, 3),), ((2, 1),), ((0, 1),), ((1, 2), (1, 1)), ([1, 2],)):
+        with pytest.raises(ValueError, match="of the loop's 2 strands") as info:
+            simplex_oracle(loop, bad, 64)
+        assert str(info.value) == f"chord {bad[-1]} is not a pair i < j of the loop's 2 strands"
 
 
 def test_flow_property_with_relabel():
