@@ -7,28 +7,33 @@ by -1, with labels numbered by first appearance.  A basis entry is the
 drawing of its diagram that the enumeration meets first, the one with the
 least chord tuple; its slot counts and chords (for the JSON form) and
 whether it has an isolated chord are read off it.  Each (circles, degree)
-has one table from every drawing to its basis position, filled by one walk
-over the raw matchings, so the 4T rows and the closure's projection find a
-layout's position by one dict lookup, renumbering its labels only when the
-layout as given is not a drawing (_position).  A series on q circles
-is a dense vector over circle_basis(q, M), the diagrams of each degree in
-turn.
+has one table from every drawing to its basis position.  The slot splits
+in which every circle has slots are filled by a walk over the raw
+matchings; a split with empty circles copies the entries of the split of
+its non-empty circles from the table of that many circles, with a -1 for
+each empty circle.  The 4T rows find a layout's position by one dict
+lookup, renumbering its labels only when the layout as given is not a
+drawing (_position); the closure's index renumbers its layouts in bulk
+before the lookup.  A series on q circles is a dense vector over
+circle_basis(q, M), the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 
 from .words import ZERO_THRESHOLD, _document_text
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
-# a circle basis walk; circle_relations(4, 4) walks 17,325 in its top degree.
-# The drawing tables keep one entry per matching walked, so this also bounds
-# the drawings held in memory.
+# a circle basis cover; circle_relations(4, 4) covers 17,325 in its top degree.
+# A drawing table keeps one entry per matching, and the tables of k < q
+# circles (k <= 2m) that a q-circle table copies splits from stay cached and
+# hold fewer entries than it, so at most twice this many drawings are held.
+# Fresh-process peak RSS (2-vCPU host): dims --circles 4 -m 4 20.6 MB
+# (19.2 MB when every split was walked), --circles 6 -m 4 74.6 MB (53.3 MB).
 MAX_CIRCLE_MATCHINGS = 2**18
 
 
@@ -138,7 +143,10 @@ def _orbit_table(n_circles: int, degree: int):
     the matchings of the degree are generated once.  A drawing not yet in
     the table starts a new basis diagram, the least drawing of its orbit,
     and every rotation of it is recorded under that diagram's position, so
-    the table holds each raw matching once.
+    the table holds each raw matching once and each split adds its (2m-1)!!
+    entries consecutively.  A split with empty circles draws what the split
+    of its k non-empty circles draws on k circles, with a -1 for each empty
+    circle, so its entries are copied from the k-circle table in order.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
@@ -147,8 +155,29 @@ def _orbit_table(n_circles: int, degree: int):
         return (drawing,), {drawing: 0}
     # one circle has one slot split, so its matchings are walked as generated
     matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
-    basis, drawings = [], {}
+    per_split = prod(range(1, 2 * degree, 2))
+    basis, drawings, sources = [], {}, {}
     for slots in _compositions(2 * degree, n_circles):
+        if 0 in slots:
+            shown = tuple(n for n in slots if n)
+            if len(shown) not in sources:
+                k_basis, k_drawings = _orbit_table(len(shown), degree)
+                first = {split: r * per_split for r, split in enumerate(_compositions(2 * degree, len(shown)))}
+                sources[len(shown)] = k_basis, list(k_drawings), list(k_drawings.values()), first
+            k_basis, keys, values, first = sources[len(shown)]
+            # a k-circle drawing with a -1 (its last entry) at each empty circle's flat index
+            picks = list(range(2 * degree + len(shown)))
+            for c, n in enumerate(slots):
+                if not n:
+                    picks.insert(sum(slots[:c]) + c, -1)
+            insert = itemgetter(*picks)
+            start = first[shown]
+            # the split's diagrams hold consecutive positions from its first entry's
+            positions = values[start:start + per_split]
+            shift = len(basis) - positions[0]
+            basis.extend(map(insert, k_basis[positions[0]:max(positions) + 1]))
+            drawings.update(zip(map(insert, keys[start:start + per_split]), map(shift.__add__, positions)))
+            continue
         starts = [sum(slots[:c]) for c in range(n_circles)]
         # per independent rotation of the circles, the matching's index read
         # at each slot of the drawing, and its closing -1 after each circle;
@@ -158,7 +187,7 @@ def _orbit_table(n_circles: int, degree: int):
                 k for start, n, r in zip(starts, slots, shift)
                 for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
             ])
-            for shift in product(*(range(max(n, 1)) for n in slots))
+            for shift in product(*(range(n) for n in slots))
         ]
         for matching in matchings:
             drawing = rotations[0](matching)
@@ -216,13 +245,21 @@ def circle_series_to_json_dict(
 
 @lru_cache(maxsize=16)
 def _json_heads(n_circles, max_degree, positions, level):
-    """Basis position -> the text of its JSON term up to the real part, for the listed positions."""
+    """Basis position -> the text of its JSON term up to the real part, for the listed positions.
+
+    slots and word are written in json.dumps(indent=2)'s layout directly.
+    """
     basis = circle_basis(n_circles, max_degree)
-    i2, i3 = "  " * (level + 2), "  " * (level + 3)
+    i2, i3, i4, i5, i6 = ("  " * (level + k) for k in range(2, 7))
+    foot = f"{i5}[\n{i6}%d,\n{i6}%d\n{i5}]"
+    chord = f"{i4}[\n{foot},\n{foot}\n{i4}]"
     heads = {}
     for k in range(len(basis)) if positions is None else positions:
-        slots, chords = (json.dumps(part, indent=2).replace("\n", "\n" + i3) for part in slots_and_chords(basis[k]))
-        heads[k] = f'{i2}{{\n{i3}"slots": {slots},\n{i3}"word": {chords},\n{i3}"re": '
+        slots, chords = slots_and_chords(basis[k])
+        slots = ",\n".join([f"{i4}{n}" for n in slots])
+        word = ",\n".join([chord % (f1 + f2) for f1, f2 in chords])
+        word = f"[\n{word}\n{i3}]" if word else "[]"
+        heads[k] = f'{i2}{{\n{i3}"slots": [\n{slots}\n{i3}],\n{i3}"word": {word},\n{i3}"re": '
     return heads
 
 

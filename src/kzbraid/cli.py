@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
+from itertools import product
 
 from ._lazy import np
 from .braids import BraidParseError, _warped, parse_braid_word, permutation_of, realize
@@ -34,8 +35,8 @@ from .transport import (
     transport,
 )
 from .words import (
+    all_pairs,
     basis_size,
-    basis_words,
     check_word_budget,
     enumerate_words,
     relabel_strands,
@@ -106,11 +107,12 @@ _TABLE_ROW = "%s%-22.16g  %.16g\n"
 
 @lru_cache(maxsize=16)
 def _table_prefixes(n_strands, max_degree):
-    """Per basis word, its table row up to the modulus column."""
-    return tuple(
-        f"{len(w):>3}  {''.join(f'({i},{j})' for i, j in w) or '1':<24}  "
-        for w in basis_words(n_strands, max_degree)
-    )
+    """Per basis word, its table row up to the modulus column, joined as words._json_heads is."""
+    chords = [f"({i},{j})" for i, j in all_pairs(n_strands)]
+    prefixes = [f"  0  {'1':<24}  "]
+    for m in range(1, max_degree + 1):
+        prefixes += map(f"{m:>3}  %-24s  ".__mod__, map("".join, product(chords, repeat=m)))
+    return tuple(prefixes)
 
 
 def _cmd_compute(args):
@@ -205,11 +207,13 @@ def _check_full_twist(max_degree):
 
 
 def _check_oracle(max_degree):
+    # the oracle is compared through degree 3, so nothing higher is transported
+    compared = min(3, max_degree)
     worst = 0.0
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = realize(parse_braid_word(text, strands))
-        coefficients = transport(loop, max_degree).coefficients
-        for degree in range(1, min(3, max_degree) + 1):
+        coefficients = transport(loop, compared).coefficients
+        for degree in range(1, compared + 1):
             start = basis_size(strands * (strands - 1) // 2, degree - 1)
             for g, word in enumerate(enumerate_words(strands, degree), start):
                 direct = simplex_oracle(loop, word, 512)

@@ -5,10 +5,10 @@ components are the cycles of the strand permutation.  A word's chords map to
 chords on the component circles: walk each component from its lowest strand,
 reading the feet on every strand bottom to top, then cross the closure arc to
 the next strand.  Chords among closure arcs and long chords contribute
-nothing and are never produced.  The word-to-diagram index fetches each
-degree's drawing table once and looks every word's layout up in it, the
-lookup the circle 4T rows use too; a layout is renumbered only when it is
-not a drawing as it stands.
+nothing and are never produced.  The word-to-diagram index is built in
+numpy for all words of a degree at once: their feet are sorted into circle
+layouts, the labels renumbered by first appearance, and every drawing is
+looked up in the degree's drawing table, the table the circle 4T rows use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .braids import BraidWord, permutation_of
-from .circles import _orbit_table, _position, circle_basis
+from .circles import _orbit_table, circle_basis
 from .relations import reduce
 from .transport import kontsevich_of_braid
 from .words import ZERO_THRESHOLD, all_pairs
@@ -49,30 +49,34 @@ class ClosureResult(namedtuple("ClosureResult", "skeleton series reduced")):
 def _tau_index(n_strands, max_degree, cycles):
     """Graded circle-basis position of tau of each word of basis_words, read-only.
 
-    Words are grown one top chord at a time in basis order; feet[s] lists
-    the heights of the chords with a foot on strand s + 1, bottom first.
+    A degree's words are handled at once: every foot, and a -1 closing each
+    circle, gets the key (place of its strand along the circles, height),
+    so sorting a word's keys lays its feet out circle by circle, labelled by
+    height; the labels are renumbered by first appearance and the drawing
+    is looked up in the degree's drawing table.
     """
-    pairs = [(i - 1, j - 1) for i, j in all_pairs(n_strands)]
-    level = [((),) * n_strands]
-    index = []
-    offset = 0
+    pairs = np.array(all_pairs(n_strands)) - 1
+    place = np.empty(n_strands, dtype=np.intp)
+    place[np.concatenate(cycles) - 1] = np.arange(n_strands)
+    ends = np.cumsum([len(cycle) for cycle in cycles])
+    chords = np.zeros((1, 0), dtype=np.intp)  # pair index of each word's chords, bottom first
+    index, offset = [], 0
     for height in range(max_degree + 1):
         basis, drawings = _orbit_table(len(cycles), height)
         if height:
-            grown = []
-            for feet in level:
-                for i, j in pairs:
-                    feet_up = list(feet)
-                    feet_up[i] += (height - 1,)
-                    feet_up[j] += (height - 1,)
-                    grown.append(feet_up)
-            level = grown
-        for feet in level:
-            layout = []
-            for cycle in cycles:
-                layout.extend(h for s in cycle for h in feet[s - 1])
-                layout.append(-1)
-            index.append(offset + _position(drawings, tuple(layout)))
+            top = np.tile(np.arange(len(pairs)), len(chords))
+            chords = np.column_stack([np.repeat(chords, len(pairs), axis=0), top])
+        # the feet of chord h are columns 2h and 2h + 1; a circle's -1 sorts
+        # after the feet of its last strand
+        feet = place[pairs[chords]] * (height + 1) + np.arange(height)[:, None]
+        closing = np.broadcast_to(ends * (height + 1) - 1, (len(chords), len(cycles)))
+        keys = np.hstack([feet.reshape(len(chords), -1), closing])
+        labels = np.append(np.repeat(np.arange(height), 2), [-1] * len(cycles))[keys.argsort(axis=1)]
+        # renumber[:, h] is the new label of label h, and -1 reads the last column
+        first = (labels[:, :, None] == np.arange(height)).argmax(axis=1)
+        renumber = np.column_stack([first.argsort(axis=1).argsort(axis=1), np.full(len(chords), -1)])
+        layouts = np.take_along_axis(renumber, labels, axis=1).tolist()
+        index += map(offset.__add__, map(drawings.__getitem__, map(tuple, layouts)))
         offset += len(basis)
     out = np.array(index, dtype=np.intp)
     out.flags.writeable = False

@@ -161,14 +161,17 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
 
 @lru_cache(maxsize=16)
 def _json_heads(n_strands, max_degree, level):
-    """Per basis word, the text of its JSON term up to the real part."""
+    """Per basis word, the text of its JSON term up to the real part.
+
+    Each degree's heads are joined from the chord texts over
+    itertools.product, which yields the words in basis order.
+    """
     i2, i3, i4 = ("  " * (level + k) for k in range(2, 5))
-    chord_text = {p: i4 + json.dumps(p, indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)}
-    heads = []
-    for word in basis_words(n_strands, max_degree):
-        chords = ",\n".join(chord_text[c] for c in word)
-        word_text = f"[\n{chords}\n{i3}]" if chords else "[]"
-        heads.append(f'{i2}{{\n{i3}"word": {word_text},\n{i3}"re": ')
+    chords = [i4 + json.dumps(p, indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)]
+    heads = [f'{i2}{{\n{i3}"word": [],\n{i3}"re": ']
+    head = f'{i2}{{\n{i3}"word": [\n%s\n{i3}],\n{i3}"re": '
+    for m in range(1, max_degree + 1):
+        heads += map(head.__mod__, map(",\n".join, product(chords, repeat=m)))
     return tuple(heads)
 
 

@@ -290,6 +290,23 @@ def test_verify_oracle_compares_through_degree_three(capsys, monkeypatch):
         assert sorted(degrees) == sorted(d for d in range(1, top + 1) for _ in range(2 + 3**d))
 
 
+def test_verify_oracle_transports_only_the_degrees_it_compares(capsys, monkeypatch):
+    # each of the three loops is transported to min(3, M), not to M
+    cli = importlib.import_module("kzbraid.cli")
+    transport, degrees = cli.transport, []
+
+    def recording(loop, max_degree):
+        degrees.append(max_degree)
+        return transport(loop, max_degree)
+
+    monkeypatch.setattr(cli, "transport", recording)
+    for max_degree in (0, 2, 3, 5):
+        degrees.clear()
+        code, out, _ = run(capsys, "verify", "oracle", "-m", str(max_degree))
+        assert code == 0 and out.endswith(" PASS\n"), out
+        assert degrees == [min(3, max_degree)] * 3
+
+
 def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("KZBRAID_STEPS", "abc")
     code, out, err = run(capsys, "dims", "--strands", "3")

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
-from kzbraid.circles import circle_basis
-from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
+from kzbraid.circles import _orbit_table, _position, circle_basis
+from kzbraid.closure import _tau_index, closure_skeleton, kontsevich_link, tau_project
 from kzbraid.transport import kontsevich_of_braid
-from kzbraid.words import basis_words
+from kzbraid.words import all_pairs, basis_words
 from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, word
 
 
@@ -137,6 +137,53 @@ def test_tau_index_matches_per_word_reference_on_every_permutation():
         projected = tau_project(coefficients, w)
         assert terms(projected, skeleton.n_components, 3) == _tau_reference(coefficients, w, 3), perm
     assert len(skeletons) == 24
+
+
+def _tau_index_reference(n_strands, max_degree, cycles):
+    """closure._tau_index word by word, as a reference.
+
+    Words are grown one top chord at a time in basis order; feet[s] lists
+    the heights of the chords with a foot on strand s + 1, bottom first,
+    and each layout is looked up with _position.
+    """
+    pairs = [(i - 1, j - 1) for i, j in all_pairs(n_strands)]
+    level = [((),) * n_strands]
+    index = []
+    offset = 0
+    for height in range(max_degree + 1):
+        basis, drawings = _orbit_table(len(cycles), height)
+        if height:
+            grown = []
+            for feet in level:
+                for i, j in pairs:
+                    feet_up = list(feet)
+                    feet_up[i] += (height - 1,)
+                    feet_up[j] += (height - 1,)
+                    grown.append(feet_up)
+            level = grown
+        for feet in level:
+            layout = []
+            for cycle in cycles:
+                layout.extend(h for s in cycle for h in feet[s - 1])
+                layout.append(-1)
+            index.append(offset + _position(drawings, tuple(layout)))
+        offset += len(basis)
+    return np.array(index, dtype=np.intp)
+
+
+def test_tau_index_equals_per_word_reference_on_every_closure():
+    # every permutation of 4 strands at M = 4 and of 5 strands at M = 3, so
+    # every cycle type, the 4- and 5-component closures included
+    components = set()
+    for n, max_degree in ((4, 4), (5, 3)):
+        for perm in permutations(range(1, n + 1)):
+            cycles = closure_skeleton(_braid_sorting(perm)).components
+            components.add(len(cycles))
+            index = _tau_index(n, max_degree, cycles)
+            expected = _tau_index_reference(n, max_degree, cycles)
+            assert index.dtype == expected.dtype and np.array_equal(index, expected), cycles
+            assert not index.flags.writeable
+    assert components == {1, 2, 3, 4, 5}
 
 
 def test_tau_sparse_series_and_dense_vector_agree():
