@@ -7,13 +7,12 @@ by -1, with labels numbered by first appearance.  A basis entry is the
 drawing of its diagram that the enumeration meets first, the one with the
 least chord tuple; its slot counts and chords (for the JSON form) and
 whether it has an isolated chord are read off it.  Each (circles, degree)
-has one table from every drawing to its basis position.  The slot splits
-in which every circle has slots are filled by a walk over the raw
-matchings; a split with empty circles copies the entries of the split of
-its non-empty circles from the table of that many circles, with a -1 for
-each empty circle.  The 4T rows find a layout's position by one dict
+has one table from every drawing to its basis position.  Each slot split
+takes the walk over the raw matchings of its non-empty circles, with a -1
+for each empty circle; splits that differ only in their empty circles
+share one walk.  The 4T rows find a layout's position by one dict
 lookup, renumbering its labels only when the layout as given is not a
-drawing (_position); the closure's index renumbers its layouts in bulk
+drawing (_position); the closure's index labels its layouts in bulk
 before the lookup.  A series on q circles is a dense vector over
 circle_basis(q, M), the diagrams of each degree in turn.
 """
@@ -22,18 +21,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import comb, prod
+from math import comb
 from operator import itemgetter
 
 from .words import ZERO_THRESHOLD, _document_text
 
 # Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
 # a circle basis cover; circle_relations(4, 4) covers 17,325 in its top degree.
-# A drawing table keeps one entry per matching, and the tables of k < q
-# circles (k <= 2m) that a q-circle table copies splits from stay cached and
-# hold fewer entries than it, so at most twice this many drawings are held.
-# Fresh-process peak RSS (2-vCPU host): dims --circles 4 -m 4 20.6 MB
-# (19.2 MB when every split was walked), --circles 6 -m 4 74.6 MB (53.3 MB).
+# A drawing table holds one entry per matching and nothing else stays cached.
+# Fresh-process peak RSS (2-vCPU host): dims --circles 4 -m 4 20.5 MB,
+# --circles 6 -m 4 57.4 MB.
 MAX_CIRCLE_MATCHINGS = 2**18
 
 
@@ -135,67 +132,70 @@ def check_circle_budget(n_circles: int, max_degree: int):
         )
 
 
+def _split_table(slots, degree, matchings):
+    """(basis drawings, drawing -> position from 0) of a slot split in which every circle has slots.
+
+    Matchings are walked in increasing order.  A drawing not yet in the
+    table starts a new basis diagram, the least drawing of its orbit, and
+    every rotation of it is filed under its position: (2m-1)!! entries.
+    """
+    starts = [sum(slots[:c]) for c in range(len(slots))]
+    # per independent rotation of the circles, the matching's index read
+    # at each slot of the drawing, and its closing -1 after each circle;
+    # the first, no circle rotated, draws the matching as it is
+    rotations = [
+        itemgetter(*[
+            k for start, n, r in zip(starts, slots, shift)
+            for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
+        ])
+        for shift in product(*(range(n) for n in slots))
+    ]
+    basis, drawings = [], {}
+    for matching in matchings:
+        drawing = rotations[0](matching)
+        if drawing not in drawings:
+            drawings[drawing] = len(basis)
+            for rotate in rotations[1:]:
+                drawings[_first_appearance(rotate(matching))] = len(basis)
+            basis.append(drawing)
+    return basis, drawings
+
+
 @lru_cache(maxsize=None)
 def _orbit_table(n_circles: int, degree: int):
     """(basis drawings, drawing -> basis position) of the degree-m diagrams on q circles.
 
-    Slot splits and, within one, matchings are walked in increasing order;
-    the matchings of the degree are generated once.  A drawing not yet in
-    the table starts a new basis diagram, the least drawing of its orbit,
-    and every rotation of it is recorded under that diagram's position, so
-    the table holds each raw matching once and each split adds its (2m-1)!!
-    entries consecutively.  A split with empty circles draws what the split
-    of its k non-empty circles draws on k circles, with a -1 for each empty
-    circle, so its entries are copied from the k-circle table in order.
+    Slot splits are filled in increasing order, each adding its (2m-1)!!
+    entries consecutively; the matchings of the degree are generated once.
+    A split takes the walk of its non-empty circles (_split_table), run
+    once per distinct non-empty split, with a -1 inserted at each empty
+    circle and positions shifted past the splits before it.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
-    if degree == 0:  # one drawing, all -1; on one circle itemgetter would not return a tuple
+    if degree == 0:  # one drawing, all -1, and no slot for a walk
         drawing = (-1,) * n_circles
         return (drawing,), {drawing: 0}
-    # one circle has one slot split, so its matchings are walked as generated
-    matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
-    per_split = prod(range(1, 2 * degree, 2))
-    basis, drawings, sources = [], {}, {}
+    if n_circles == 1:  # one slot split: its table as is, its matchings walked as generated
+        basis, drawings = _split_table((2 * degree,), degree, _matchings(degree))
+        return tuple(basis), drawings
+    matchings = tuple(_matchings(degree))
+    basis, drawings, walks = [], {}, {}
     for slots in _compositions(2 * degree, n_circles):
-        if 0 in slots:
-            shown = tuple(n for n in slots if n)
-            if len(shown) not in sources:
-                k_basis, k_drawings = _orbit_table(len(shown), degree)
-                first = {split: r * per_split for r, split in enumerate(_compositions(2 * degree, len(shown)))}
-                sources[len(shown)] = k_basis, list(k_drawings), list(k_drawings.values()), first
-            k_basis, keys, values, first = sources[len(shown)]
-            # a k-circle drawing with a -1 (its last entry) at each empty circle's flat index
-            picks = list(range(2 * degree + len(shown)))
-            for c, n in enumerate(slots):
-                if not n:
-                    picks.insert(sum(slots[:c]) + c, -1)
-            insert = itemgetter(*picks)
-            start = first[shown]
-            # the split's diagrams hold consecutive positions from its first entry's
-            positions = values[start:start + per_split]
-            shift = len(basis) - positions[0]
-            basis.extend(map(insert, k_basis[positions[0]:max(positions) + 1]))
-            drawings.update(zip(map(insert, keys[start:start + per_split]), map(shift.__add__, positions)))
-            continue
-        starts = [sum(slots[:c]) for c in range(n_circles)]
-        # per independent rotation of the circles, the matching's index read
-        # at each slot of the drawing, and its closing -1 after each circle;
-        # the first, no circle rotated, draws the matching as it is
-        rotations = [
-            itemgetter(*[
-                k for start, n, r in zip(starts, slots, shift)
-                for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
-            ])
-            for shift in product(*(range(n) for n in slots))
-        ]
-        for matching in matchings:
-            drawing = rotations[0](matching)
-            if drawing not in drawings:
-                drawings[drawing] = len(basis)
-                for rotate in rotations[1:]:
-                    drawings[_first_appearance(rotate(matching))] = len(basis)
-                basis.append(drawing)
+        shown = tuple(n for n in slots if n)
+        if shown not in walks:
+            walks[shown] = _split_table(shown, degree, matchings)
+        # a split with no empty circle is its walk's only taker, so the walk is not kept
+        walk_basis, walk = walks[shown] if 0 in slots else walks.pop(shown)
+        # the walk's drawing with a -1 (its last entry) at each empty circle's flat index
+        picks = list(range(2 * degree + len(shown)))
+        for c, n in enumerate(slots):
+            if not n:
+                picks.insert(sum(slots[:c]) + c, -1)
+        insert = itemgetter(*picks) if 0 in slots else tuple  # tuple returns a tuple as it is
+        shift = len(basis)
+        basis.extend(map(insert, walk_basis))
+        drawings.update(zip(map(insert, walk), map(shift.__add__, walk.values())))
     return tuple(basis), drawings
 
 

@@ -7,7 +7,7 @@ reading the feet on every strand bottom to top, then cross the closure arc to
 the next strand.  Chords among closure arcs and long chords contribute
 nothing and are never produced.  The word-to-diagram index is built in
 numpy for all words of a degree at once: their feet are sorted into circle
-layouts, the labels renumbered by first appearance, and every drawing is
+layouts, the labels numbered by first appearance, and every drawing is
 looked up in the degree's drawing table, the table the circle 4T rows use.
 """
 
@@ -51,9 +51,9 @@ def _tau_index(n_strands, max_degree, cycles):
 
     A degree's words are handled at once: every foot, and a -1 closing each
     circle, gets the key (place of its strand along the circles, height),
-    so sorting a word's keys lays its feet out circle by circle, labelled by
-    height; the labels are renumbered by first appearance and the drawing
-    is looked up in the degree's drawing table.
+    so sorting a word's keys lays its feet out circle by circle; each chord
+    is labelled by the rank of its lower foot, which numbers the labels by
+    first appearance, and the drawing is looked up in the degree's table.
     """
     pairs = np.array(all_pairs(n_strands)) - 1
     place = np.empty(n_strands, dtype=np.intp)
@@ -71,11 +71,10 @@ def _tau_index(n_strands, max_degree, cycles):
         feet = place[pairs[chords]] * (height + 1) + np.arange(height)[:, None]
         closing = np.broadcast_to(ends * (height + 1) - 1, (len(chords), len(cycles)))
         keys = np.hstack([feet.reshape(len(chords), -1), closing])
-        labels = np.append(np.repeat(np.arange(height), 2), [-1] * len(cycles))[keys.argsort(axis=1)]
-        # renumber[:, h] is the new label of label h, and -1 reads the last column
-        first = (labels[:, :, None] == np.arange(height)).argmax(axis=1)
-        renumber = np.column_stack([first.argsort(axis=1).argsort(axis=1), np.full(len(chords), -1)])
-        layouts = np.take_along_axis(renumber, labels, axis=1).tolist()
+        # by first appearance along the circles, chord h is labelled by the rank of its lower foot
+        rank = feet.min(axis=2).argsort(axis=1).argsort(axis=1)
+        labels = np.hstack([np.repeat(rank, 2, axis=1), np.full((len(chords), len(cycles)), -1)])
+        layouts = np.take_along_axis(labels, keys.argsort(axis=1), axis=1).tolist()
         index += map(offset.__add__, map(drawings.__getitem__, map(tuple, layouts)))
         offset += len(basis)
     out = np.array(index, dtype=np.intp)

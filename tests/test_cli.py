@@ -492,6 +492,16 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert report["compute"] == [code, out]
 
 
+def test_drawing_table_builds_no_table_of_fewer_circles():
+    # a fresh interpreter, so that no table cache the other tests share is cleared;
+    # the splits of _orbit_table(4, 3) with empty circles walk their non-empty circles
+    script = "from kzbraid.circles import _orbit_table as t; t(4, 3); print(t.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "1\n"
+
+
 def _cap_address_space():
     limit = 2 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

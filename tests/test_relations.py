@@ -573,14 +573,14 @@ def test_drawing_table_holds_each_matching_once():
     # one entry per raw matching of the degree, each filed under the basis
     # position of its brute-force least rotation: the drawings filed at a
     # position are the rotations of a diagram that is its own canonical
-    # drawing; at (5, 3) splits with empty circles are copied from the
-    # tables of one to four circles
-    for q, top in ((1, 6), (2, 4), (3, 4), (4, 3), (5, 3)):
+    # drawing; at (6, 3) splits with up to five empty circles take the walk
+    # of their non-empty circles
+    for q, top in ((1, 6), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
         for m in range(top + 1):
             basis, drawings = _orbit_table(q, m)
             assert len(drawings) == count_circle_matchings(q, m) - count_circle_matchings(q, m - 1)
-            # the copy relies on each slot split adding its (2m-1)!! entries
-            # consecutively, splits in increasing order
+            # each slot split adds its walk's (2m-1)!! entries consecutively,
+            # splits in increasing order
             splits = [slots_and_chords(drawing)[0] for drawing in drawings]
             per_split = math.prod(range(1, 2 * m, 2))
             runs = [splits[k:k + per_split] for k in range(0, len(splits), per_split)]
