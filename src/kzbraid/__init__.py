@@ -10,6 +10,7 @@ from .braids import (
     realize,
 )
 from .circles import (
+    MAX_CIRCLE_CELLS,
     MAX_CIRCLE_MATCHINGS,
     check_circle_budget,
     circle_basis,

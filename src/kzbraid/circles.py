@@ -5,42 +5,59 @@ preserving only, no reflections); circles are numbered, so they are never
 permuted.  A drawing is a flat tuple, each circle's chord labels followed
 by -1, with labels numbered by first appearance.  A basis entry is the
 drawing of its diagram that the enumeration meets first, the one with the
-least chord tuple; its slot counts and chords (for the JSON form) and
-whether it has an isolated chord are read off it.  Each (circles, degree)
-has one table from every drawing to its basis position.  Each slot split
-takes the walk over the raw matchings of its non-empty circles, with a -1
-for each empty circle; splits that differ only in their empty circles
-share one walk.  The 4T rows find a layout's position by one dict
-lookup, renumbering its labels only when the layout as given is not a
-drawing (_position); the closure's index labels its layouts in bulk
-before the lookup.  A series on q circles is a dense vector over
-circle_basis(q, M), the diagrams of each degree in turn.
+least chord tuple; its slot counts and chords (for the JSON form) and its
+isolated chords are read off it.  Each (circles, degree) has one table
+from every drawing to its basis position.  Each slot split takes the walk
+over the raw matchings of its non-empty circles, with a -1 for each empty
+circle; splits that differ only in their empty circles share one walk.
+Moving one foot of a chord changes only that chord's rank among first
+appearances, so the walk turns circles and the 4T rows move feet by
+relabelling that one chord (_rerank), and look each layout up in the
+table once; the closure's index labels its layouts in bulk before the
+lookup.  A series on q circles is a dense vector over circle_basis(q, M),
+the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate
 from math import comb
 from operator import itemgetter
 
 from .words import ZERO_THRESHOLD, _document_text
 
-# Most chord matchings (all slot splits, all degrees m <= M) that the CLI lets
-# a circle basis cover; circle_relations(4, 4) covers 17,325 in its top degree.
-# A drawing table holds one entry per matching and nothing else stays cached.
-# Fresh-process peak RSS (2-vCPU host): dims --circles 4 -m 4 20.5 MB,
-# --circles 6 -m 4 57.4 MB.
+# The circle budget, counted before anything is built.  Most chord matchings
+# (all slot splits, all degrees m <= M) a circle basis may cover:
+# circle_relations(4, 4) covers 17,325 in its top degree, and the 4T rows and
+# the echelon grow with them.  Most drawing-table cells, q + 2m per matching
+# of degree m: a table holds one drawing per matching and nothing else stays
+# cached, and with many circles a matching is cheap to count but costs its
+# q + 2m labels and -1s to build and hold.  dims --circles 1 -m 7 has
+# 2,173,624 cells; fresh-process peak RSS (2-vCPU host): --circles 4 -m 4
+# 20.2 MB, --circles 6 -m 4 (1,979,004 cells) 58.5 MB, --circles 200 -m 1
+# (4,060,400 cells) 80 MB.
 MAX_CIRCLE_MATCHINGS = 2**18
+MAX_CIRCLE_CELLS = 2**22
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Every tuple of parts non-negative ints summing to total, in increasing order.
+
+    Each step moves one unit from the last non-zero part to the part before
+    it and the rest of that part to the last part, so a split costs one
+    tuple of its parts.
+    """
+    split = [0] * (parts - 1) + [total]
+    last = parts - 1 if total else 0  # index of the last non-zero part
+    yield tuple(split)
+    while last:
+        amount = split[last]
+        split[last] = 0
+        split[last - 1] += 1
+        split[-1] = amount - 1
+        last = parts - 1 if amount > 1 else last - 1
+        yield tuple(split)
 
 
 def _matchings(degree):
@@ -59,16 +76,20 @@ def _matchings(degree):
             yield (0,) + sub[:k] + (0,) + sub[k:]
 
 
-def _first_appearance(layout):
-    """layout as a drawing: labels renumbered 0, 1, ... by first appearance, -1 kept."""
-    first = {-1: -1}
-    return tuple([first.setdefault(label, len(first) - 1) for label in layout])
+@lru_cache(maxsize=None)
+def _rerank(degree):
+    """rerank[e][r]: the label map that gives chord e the rank r among first appearances.
 
-
-def _position(drawings, layout):
-    """Basis position of a layout tuple in its degree's drawing table."""
-    position = drawings.get(layout)  # only drawings are keys, so a hit needs no renumbering
-    return drawings[_first_appearance(layout)] if position is None else position
+    The other labels keep their order, and the last entry maps -1 to -1.
+    Moving one foot of chord e in a drawing changes no other chord's order
+    of first appearance, so the moved layout mapped through the list for
+    e's new rank is a drawing again.
+    """
+    return [
+        [[r if label == e else label + (r <= label < e) - (e < label <= r) for label in range(degree)] + [-1]
+         for r in range(degree)]
+        for e in range(degree)
+    ]
 
 
 def slots_and_chords(drawing):
@@ -89,17 +110,18 @@ def slots_and_chords(drawing):
     return tuple(slots), tuple(map(tuple, chords))
 
 
-def has_isolated_chord(drawing):
-    """True when some chord's feet are cyclically adjacent on one circle (framing independence kills it)."""
+def isolated_chords(drawing):
+    """Labels of the chords whose feet are cyclically adjacent on one circle (framing independence kills them)."""
+    out = []
     start = 0
     for k, label in enumerate(drawing):
         if label < 0:
-            if k - start > 1 and drawing[start] == drawing[k - 1]:
-                return True
+            if k - start > 2 and drawing[start] == drawing[k - 1]:  # around a circle of three slots or more
+                out.append(drawing[start])
             start = k + 1
         elif drawing[k - 1] == label:  # the slot before a circle's first is a -1
-            return True
-    return False
+            out.append(label)
+    return tuple(out)
 
 
 def count_circle_matchings(n_circles: int, max_degree: int) -> int:
@@ -115,49 +137,90 @@ def count_circle_matchings(n_circles: int, max_degree: int) -> int:
     return total
 
 
+def count_circle_cells(n_circles: int, max_degree: int) -> int:
+    """Labels and -1s in the drawing tables to max_degree: q + 2m per raw matching of degree m."""
+    return sum(
+        (n_circles + 2 * m) * (count_circle_matchings(n_circles, m) - count_circle_matchings(n_circles, m - 1))
+        for m in range(max_degree + 1)
+    )
+
+
 def check_circle_budget(n_circles: int, max_degree: int):
-    """Raise ValueError when the circle bases to max_degree exceed MAX_CIRCLE_MATCHINGS.
+    """Raise ValueError when the circle bases to max_degree exceed MAX_CIRCLE_MATCHINGS or MAX_CIRCLE_CELLS.
 
     Counts without building anything.  Circle counts below 1 pass: building
     their basis reports the error.
     """
     if n_circles < 1:
         return
-    # 15!! > MAX_CIRCLE_MATCHINGS, so no degree past 8 needs counting
-    if count_circle_matchings(n_circles, min(max_degree, 8)) > MAX_CIRCLE_MATCHINGS:
+    degree = min(max_degree, 8)  # 15!! > MAX_CIRCLE_MATCHINGS, so no degree past 8 needs counting
+    if count_circle_matchings(n_circles, degree) > MAX_CIRCLE_MATCHINGS:
         raise ValueError(
             f"{n_circles} circles to degree {max_degree} need more than"
             f" {MAX_CIRCLE_MATCHINGS} chord matchings"
             f" (sum of C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
         )
+    if count_circle_cells(n_circles, degree) > MAX_CIRCLE_CELLS:
+        raise ValueError(
+            f"{n_circles} circles to degree {max_degree} need more than"
+            f" {MAX_CIRCLE_CELLS} drawing-table cells"
+            f" (sum of ({n_circles}+2m) C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
+        )
 
 
-def _split_table(slots, degree, matchings):
-    """(basis drawings, drawing -> position from 0) of a slot split in which every circle has slots.
+def _split_table(slots, degree, matchings, basis, drawings):
+    """Walk a slot split in which every circle has slots into basis and drawings; return both.
 
-    Matchings are walked in increasing order.  A drawing not yet in the
-    table starts a new basis diagram, the least drawing of its orbit, and
-    every rotation of it is filed under its position: (2m-1)!! entries.
+    Matchings are walked in increasing order.  A drawing not yet in
+    drawings starts a new basis diagram at position len(basis), the least
+    drawing of its orbit, and every rotation of it is filed under that
+    position: (2m-1)!! entries in all.
+    The rotations come in the order of product(*map(range, slots)), each
+    made from one already made by turning one circle a slot: its first foot
+    moves to its end, and only that foot's chord can change rank, to the
+    largest label read before its new first foot (_rerank).
     """
-    starts = [sum(slots[:c]) for c in range(len(slots))]
-    # per independent rotation of the circles, the matching's index read
-    # at each slot of the drawing, and its closing -1 after each circle;
-    # the first, no circle rotated, draws the matching as it is
-    rotations = [
-        itemgetter(*[
-            k for start, n, r in zip(starts, slots, shift)
-            for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
-        ])
-        for shift in product(*(range(n) for n in slots))
-    ]
-    basis, drawings = [], {}
+    rerank = _rerank(degree)
+    ends = list(accumulate(slots))
+    # the matching's labels, each circle's followed by the matching's closing -1
+    draw = itemgetter(*[k for start, end in zip([0] + ends, ends) for k in (*range(start, end), 2 * degree)])
+    # per circle of two slots or more: the flat indices of its first slot and
+    # of its -1, its slot count, and the drawing with that circle turned a slot
+    turns = []
+    for c, (n, end) in enumerate(zip(slots, ends)):
+        first = end - n + c
+        if n > 1:
+            picks = list(range(2 * degree + len(slots)))
+            picks[first:first + n] = picks[first + 1:first + n] + [first]
+            turns.append((first, first + n, n, itemgetter(*picks)))
     for matching in matchings:
-        drawing = rotations[0](matching)
-        if drawing not in drawings:
-            drawings[drawing] = len(basis)
-            for rotate in rotations[1:]:
-                drawings[_first_appearance(rotate(matching))] = len(basis)
-            basis.append(drawing)
+        drawing = draw(matching)
+        if drawing in drawings:
+            continue
+        orbit = [drawing]
+        for first, closing, n, turn in turns:
+            turned = []
+            for unturned in orbit:
+                layout = unturned
+                turned.append(layout)
+                for _ in range(n - 1):
+                    e = layout[first]
+                    moved = turn(layout)
+                    if layout.index(e) == first:  # e first appears at the foot that moves
+                        # e now first appears at its other foot if that is on
+                        # this circle, else at the circle's end; the other
+                        # chords met before there number the largest label
+                        rank = max(layout[:min(layout.index(e, first + 1), closing)])
+                        if rank != e:
+                            moved = tuple(map(rerank[e][rank].__getitem__, moved))
+                    if moved == unturned:  # a symmetric diagram: the turns repeat from here
+                        break
+                    layout = moved
+                    turned.append(layout)
+            orbit = turned
+        for layout in orbit:
+            drawings[layout] = len(basis)
+        basis.append(drawing)
     return basis, drawings
 
 
@@ -167,32 +230,37 @@ def _orbit_table(n_circles: int, degree: int):
 
     Slot splits are filled in increasing order, each adding its (2m-1)!!
     entries consecutively; the matchings of the degree are generated once.
-    A split takes the walk of its non-empty circles (_split_table), run
-    once per distinct non-empty split, with a -1 inserted at each empty
-    circle and positions shifted past the splits before it.
+    A split in which every circle has slots is walked straight into the
+    table (_split_table).  One with empty circles takes the walk of its
+    non-empty circles, run once per distinct non-empty split, with a -1
+    inserted at each empty circle and positions shifted past the splits
+    before it.
     """
     if n_circles < 1 or degree < 0:
         raise ValueError("need n_circles >= 1 and degree >= 0")
     if degree == 0:  # one drawing, all -1, and no slot for a walk
         drawing = (-1,) * n_circles
         return (drawing,), {drawing: 0}
-    if n_circles == 1:  # one slot split: its table as is, its matchings walked as generated
-        basis, drawings = _split_table((2 * degree,), degree, _matchings(degree))
-        return tuple(basis), drawings
-    matchings = tuple(_matchings(degree))
+    # one circle has one slot split, which walks the matchings as generated
+    matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
     basis, drawings, walks = [], {}, {}
     for slots in _compositions(2 * degree, n_circles):
+        if 0 not in slots:
+            _split_table(slots, degree, matchings, basis, drawings)
+            continue
         shown = tuple(n for n in slots if n)
         if shown not in walks:
-            walks[shown] = _split_table(shown, degree, matchings)
-        # a split with no empty circle is its walk's only taker, so the walk is not kept
-        walk_basis, walk = walks[shown] if 0 in slots else walks.pop(shown)
+            walks[shown] = _split_table(shown, degree, matchings, [], {})
+        walk_basis, walk = walks[shown]
         # the walk's drawing with a -1 (its last entry) at each empty circle's flat index
-        picks = list(range(2 * degree + len(shown)))
-        for c, n in enumerate(slots):
-            if not n:
-                picks.insert(sum(slots[:c]) + c, -1)
-        insert = itemgetter(*picks) if 0 in slots else tuple  # tuple returns a tuple as it is
+        picks, read = [], 0
+        for n in slots:
+            if n:
+                picks += range(read, read + n + 1)  # a circle's labels and its -1
+                read += n + 1
+            else:
+                picks.append(-1)
+        insert = itemgetter(*picks)
         shift = len(basis)
         basis.extend(map(insert, walk_basis))
         drawings.update(zip(map(insert, walk), map(shift.__add__, walk.values())))

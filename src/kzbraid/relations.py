@@ -13,11 +13,14 @@ it.
 
 On circles, framing independence sets every diagram with an isolated chord
 to zero outright: those positions are the relation set's killed columns,
-dropped from every 4T row, and they never enter the elimination.  Each 4T
-relation is built once, from the seed met first in basis order, with each
-term's basis index found in the drawing table the closure's tau index
-shares.  Relations are integral, so rows are kept as sparse integer vectors
-and eliminated without fractions: a row keeps a positive pivot and has its
+dropped from every 4T row, and they never enter the elimination.  A seed
+whose drawing has an isolated chord other than the sliding one builds no
+row, since all four of its terms are killed or cancel.  Each 4T relation
+is built once, from the seed met first in basis order; each term is placed
+from the seed's drawing, with only the moved chord relabelled, and found by
+one lookup in the drawing table the closure's tau index shares.
+Relations are integral, so rows are kept as sparse integer vectors and
+eliminated without fractions: a row keeps a positive pivot and has its
 content divided out after each combination.  A dense circle series is
 reduced by pushing its coefficients through the echelon rows, divided by
 their pivots into floats once; killed positions are pivots with empty rows.
@@ -28,11 +31,11 @@ circle count, degree) and are safe for concurrent reads once built.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from ._lazy import np
-from .circles import _orbit_table, _position, enumerate_circle_diagrams, has_isolated_chord
+from .circles import _orbit_table, _rerank, enumerate_circle_diagrams, isolated_chords
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
 
 
@@ -180,49 +183,78 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-def _circle_four_term_rows(drawing, parent, killed):
-    """4T rows seeded at the adjacent feet of distinct chords in one basis drawing.
+def _circle_four_term_rows(basis, killed, isolated):
+    """4T rows seeded at the adjacent feet of distinct chords in the basis drawings of one degree >= 2.
 
     With chord a = (x, y) fixed and the sliding foot u of another chord b,
     the relation reads D(u after x) - D(u before x) + D(u after y) - D(u
     before y), 'after' meaning forward along the circle orientation.  A seed
     is b's foot just before x: its term D(u before x) is the drawing itself,
-    at basis position parent.  The relation's other seed is the term D(u
-    before y), looked up first: when its position is below parent, the row
-    was built from that seed already and this one is skipped.  Terms at a
-    position k with killed[k] true (an isolated chord) are left out.
+    at its basis position parent.  The relation's other seed is the term
+    D(u before y), looked up first: when its position is below parent, the
+    row was built from that seed already and this one is skipped.  Terms at
+    a position k with killed[k] true (an isolated chord) are left out.
+
+    isolated[parent] holds the drawing's isolated chords, and a seed builds
+    no row when one of them is not b.  A chord other than a and b stays
+    isolated in all four terms, since only u moves, to a place next to a
+    foot of a.  When a is isolated, y is the slot after x, so D(u after x)
+    and D(u before y) are one diagram and cancel, and the other two keep a
+    isolated.  When y is on a later circle than x, D(u before y) has an
+    earlier slot split, so its position is below parent.
+
+    A term is the drawing with u moved, so only b can change rank among
+    first appearances: to the number of other chords that first appear
+    before its new first foot, read off the drawing's running largest
+    label, and the term is relabelled by _rerank only then.
     """
-    n_circles = drawing.count(-1)
-    drawings = _orbit_table(n_circles, (len(drawing) - n_circles) // 2)[1]
+    n_circles = basis[0].count(-1)
+    degree = (len(basis[0]) - n_circles) // 2
+    drawings = _orbit_table(n_circles, degree)[1]
+    rerank = _rerank(degree)
     rows = []
-    start = 0  # flat index of the circle's first slot
-    for i, b in enumerate(drawing):
-        if b < 0:
-            start = i + 1
+    for parent, drawing in enumerate(basis):
+        lone = isolated[parent]  # at most b may be isolated
+        if len(lone) > 1:
             continue
-        # a's foot that was adjacent, repositioned after dropping slot i
-        x, a = (i, drawing[i + 1]) if drawing[i + 1] >= 0 else (start, drawing[start])
-        if a == b:
-            continue
-        removed = drawing[:i] + drawing[i + 1:]
-        y = removed.index(a)
-        if y == x:
-            y = removed.index(a, x + 1)
-        other = _position(drawings, removed[:y] + (b,) + removed[y:])
-        if other < parent:
-            continue
-        row = {}
-        for k, sign in (
-            (_position(drawings, removed[:x + 1] + (b,) + removed[x + 1:]), 1),
-            (parent, -1),
-            (_position(drawings, removed[:y + 1] + (b,) + removed[y + 1:]), 1),
-            (other, -1),
-        ):
-            if not killed[k]:
-                row[k] = row.get(k, 0) + sign
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            rows.append(row)
+        largest = list(accumulate(drawing, max, initial=-1))  # largest[k]: the largest label in drawing[:k]
+        start, closing = 0, drawing.index(-1)  # flat indices of the first slot and the -1 of slot i's circle
+        for i, b in enumerate(drawing[:-1]):
+            if b < 0:
+                start, closing = i + 1, drawing.index(-1, i + 1)
+                continue
+            # a's foot that was adjacent, repositioned after dropping slot i
+            x, a = (i, drawing[i + 1]) if drawing[i + 1] >= 0 else (start, drawing[start])
+            if a == b or lone and b not in lone:
+                continue
+            removed = drawing[:i] + drawing[i + 1:]
+            y = removed.index(a)
+            if y == x:
+                y = removed.index(a, x + 1)
+            if y >= closing:  # on a later circle
+                continue
+            j = drawing.index(b)  # b's other foot, as an index into removed
+            j = drawing.index(b, i + 1) - 1 if j == i else j
+            terms = []
+            # D(u before y), D(u after x), D(u after y): b inserted at index p of removed
+            for p in (y, x + 1, y + 1):
+                layout = removed[:p] + (b,) + removed[p:]
+                before = j if j < p else p  # b's first foot, with removed[:before] before it
+                top = largest[before + (before >= i)]
+                rank = top if top >= b else top + 1
+                k = drawings[layout if rank == b else tuple(map(rerank[b][rank].__getitem__, layout))]
+                if not terms and k < parent:
+                    break
+                terms.append(k)
+            else:
+                other, after_x, after_y = terms
+                row = {}
+                for k, sign in ((after_x, 1), (parent, -1), (after_y, 1), (other, -1)):
+                    if not killed[k]:
+                        row[k] = row.get(k, 0) + sign
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -235,11 +267,9 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     left out of the 4T rows.
     """
     basis = enumerate_circle_diagrams(n_circles, degree)
-    killed = [has_isolated_chord(drawing) for drawing in basis]
-    rows = []
-    if degree >= 2:
-        for parent, drawing in enumerate(basis):
-            rows.extend(_circle_four_term_rows(drawing, parent, killed))
+    isolated = list(map(isolated_chords, basis))
+    killed = list(map(bool, isolated))
+    rows = _circle_four_term_rows(basis, killed, isolated) if degree >= 2 else []
     return RelationSet(degree, basis, _dedupe(rows), (k for k, flag in enumerate(killed) if flag))
 
 

@@ -69,15 +69,16 @@ class CircleDiagram(namedtuple("CircleDiagram", "slots chords")):
             layout[c2][s2] = idx
         return layout
 
+    def isolated_chords(self):
+        """Indices of the chords whose feet are cyclically adjacent on one circle."""
+        return {
+            k for k, ((c1, s1), (c2, s2)) in enumerate(self.chords)
+            if c1 == c2 and s2 in ((s1 + 1) % self.slots[c1], (s1 - 1) % self.slots[c1])
+        }
+
     def has_isolated_chord(self):
         """True when some chord's feet are cyclically adjacent on one circle."""
-        for (c1, s1), (c2, s2) in self.chords:
-            if c1 != c2:
-                continue
-            n = self.slots[c1]
-            if (s1 + 1) % n == s2 or (s2 + 1) % n == s1:
-                return True
-        return False
+        return bool(self.isolated_chords())
 
     def __repr__(self):
         return f"<circles {self.slots} chords {self.chords}>"
@@ -92,6 +93,17 @@ def diagram_of(drawing):
     """The CircleDiagram a flat drawing (or any flat layout) draws."""
     ends = [k for k, label in enumerate(drawing) if label < 0]
     return CircleDiagram.from_layout([drawing[start + 1:end] for start, end in zip([-1] + ends, ends)])
+
+
+def first_appearance(layout):
+    """A flat layout as a drawing: labels renumbered 0, 1, ... by first appearance, -1 kept."""
+    first = {-1: -1}
+    return tuple([first.setdefault(label, len(first) - 1) for label in layout])
+
+
+def position(drawings, layout):
+    """Basis position of a flat layout in a drawing table (drawing -> position), renumbered first."""
+    return drawings[first_appearance(layout)]
 
 
 def canonical(diagram):

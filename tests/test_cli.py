@@ -14,7 +14,13 @@ import pytest
 
 import kzbraid
 from kzbraid.cli import _CHECKS, _TABLE_ROW, MAX_STEPS, main
-from kzbraid.circles import MAX_CIRCLE_MATCHINGS, circle_series_to_json_dict, count_circle_matchings
+from kzbraid.circles import (
+    MAX_CIRCLE_CELLS,
+    MAX_CIRCLE_MATCHINGS,
+    circle_series_to_json_dict,
+    count_circle_cells,
+    count_circle_matchings,
+)
 from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_to_json_dict
@@ -464,7 +470,10 @@ def deferred():
 # after the import, then after each call in turn
 stdlib = [deferred()]
 exact = []
-for argv in (["dims", "--strands", "3", "-m", "3"], ["--help"], ["dims", "--circles", "2", "-m", "3"]):
+for argv in (
+    ["dims", "--strands", "3", "-m", "3"], ["--help"], ["dims", "--circles", "2", "-m", "3"],
+    ["dims", "--circles", "3", "-m", "4"],
+):
     exact.append(run(argv))
     stdlib.append(deferred())
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
@@ -482,10 +491,11 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     report = json.loads(done.stdout)
     assert report["numpy_loaded"] == []
     # records are named tuples, and the circle echelon divides integers
-    assert report["stdlib_loaded"] == [[], [], [], [], []]
-    dims_strands, usage, dims_circles = report["exact"]
+    assert report["stdlib_loaded"] == [[], [], [], [], [], []]
+    dims_strands, usage, dims_circles, dims_three_circles = report["exact"]
     assert dims_strands == [0, "0:1 1:3 2:7 3:15\n"]
     assert dims_circles == [0, run(capsys, "dims", "--circles", "2", "-m", "3")[1]]
+    assert dims_three_circles == [0, "0:1 1:3 2:9 3:25 4:67\n"]
     assert usage[0] == 0 and usage[1].startswith("usage: kzbraid")
     code, out, _ = run(capsys, *_FRESH_COMPUTE)
     assert code == 0
@@ -605,16 +615,24 @@ def test_oversized_steps_refused_before_allocating():
 
 
 def test_over_circle_budget_refused_quickly():
-    # two circles to degree 8 walk 17 * 15!! ~ 3.4e7 matchings in the top degree
+    # two circles to degree 8 walk 17 * 15!! ~ 3.4e7 matchings in the top degree;
+    # 723 circles to degree 1 have 261,727 matchings, under the matching bound,
+    # but 189,752,073 drawing-table cells, minutes of table building; a
+    # 300-strand identity closes into 300 circles (13,635,600 cells)
     assert count_circle_matchings(4, 4) <= MAX_CIRCLE_MATCHINGS  # four-component closures at M=4
-    for argv in (
-        ("dims", "--circles", "2", "-m", "8"),
-        ("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"),
+    assert count_circle_cells(1, 7) <= MAX_CIRCLE_CELLS and count_circle_cells(6, 4) <= MAX_CIRCLE_CELLS
+    assert count_circle_matchings(723, 1) <= MAX_CIRCLE_MATCHINGS < count_circle_matchings(724, 1)
+    assert (count_circle_cells(1, 7), count_circle_cells(723, 1)) == (2_173_624, 189_752_073)
+    for argv, bound in (
+        (("dims", "--circles", "2", "-m", "8"), "chord matchings"),
+        (("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"), "chord matchings"),
+        (("dims", "--circles", "723", "-m", "1"), "drawing-table cells"),
+        (("compute", "-n", "300", "-m", "1", "--close"), "drawing-table cells"),
     ):
         start = time.monotonic()
         done = _run_capped(*argv)
-        assert time.monotonic() - start < 5
+        assert time.monotonic() - start < 5, argv
         assert done.returncode == 1, done.stderr[-500:]
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert "chord matchings" in done.stderr
+        assert bound in done.stderr, argv

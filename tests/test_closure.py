@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
-from kzbraid.circles import _orbit_table, _position, circle_basis
+from kzbraid.circles import _orbit_table, circle_basis
 from kzbraid.closure import _tau_index, closure_skeleton, kontsevich_link, tau_project
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import all_pairs, basis_words
-from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, word
+from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, position, word
 
 
 def series(n, max_degree, terms):
@@ -144,7 +144,7 @@ def _tau_index_reference(n_strands, max_degree, cycles):
 
     Words are grown one top chord at a time in basis order; feet[s] lists
     the heights of the chords with a foot on strand s + 1, bottom first,
-    and each layout is looked up with _position.
+    and each layout is renumbered by first appearance and looked up.
     """
     pairs = [(i - 1, j - 1) for i, j in all_pairs(n_strands)]
     level = [((),) * n_strands]
@@ -166,7 +166,7 @@ def _tau_index_reference(n_strands, max_degree, cycles):
             for cycle in cycles:
                 layout.extend(h for s in cycle for h in feet[s - 1])
                 layout.append(-1)
-            index.append(offset + _position(drawings, tuple(layout)))
+            index.append(offset + position(drawings, layout))
         offset += len(basis)
     return np.array(index, dtype=np.intp)
 

@@ -4,17 +4,18 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from kzbraid.circles import (
+    _matchings,
     _orbit_table,
-    _position,
     circle_basis,
     count_circle_matchings,
     enumerate_circle_diagrams,
-    has_isolated_chord,
+    isolated_chords,
     slots_and_chords,
 )
 from kzbraid.relations import (
@@ -29,7 +30,17 @@ from kzbraid.relations import (
     reduce,
 )
 from kzbraid.words import all_pairs, basis_words, enumerate_words
-from reference_orders import CircleDiagram, canonical, diagram_of, diagram_sort_key, drawing_of, rotations, word
+from reference_orders import (
+    CircleDiagram,
+    canonical,
+    diagram_of,
+    diagram_sort_key,
+    drawing_of,
+    first_appearance,
+    position,
+    rotations,
+    word,
+)
 
 
 def series(n, max_degree, terms):
@@ -342,8 +353,8 @@ def test_circle_rows_equal_canonical_reference():
             assert built.killed == killed, (q, m)
             assert built.rows == RelationSet(m, basis, _dedupe(dropped)).rows, (q, m)
             flags = [k in killed for k in range(len(basis))]
-            seeded = sum(len(_circle_four_term_rows(drawing, k, flags)) for k, drawing in enumerate(basis))
-            assert 2 * seeded <= len(dropped), (q, m)
+            seeded = _circle_four_term_rows(basis, flags, list(map(isolated_chords, basis))) if m > 1 else []
+            assert 2 * len(seeded) <= len(dropped), (q, m)
 
 
 def test_circle_quotient_equals_full_reference():
@@ -381,7 +392,7 @@ def test_circle_dimensions():
 def test_circle_degree_two_structure():
     diagrams = enumerate_circle_diagrams(1, 2)
     assert diagrams == ((0, 0, 1, 1, -1), (0, 1, 0, 1, -1))
-    killed = [d for d in diagrams if has_isolated_chord(d)]
+    killed = [d for d in diagrams if isolated_chords(d)]
     assert killed == [(0, 0, 1, 1, -1)] and circle_relations(1, 2).killed == (0,)
 
 
@@ -405,11 +416,11 @@ def layout_position(layout):
     """Position of the diagram a layout draws in its degree's enumerate_circle_diagrams.
 
     layout is one flat sequence: each circle's chord labels (ints >= 0, each
-    twice) followed by -1; the library's _position looks it up in the
-    degree's drawing table.
+    twice) followed by -1, renumbered by first appearance and looked up in
+    the degree's drawing table.
     """
     n_circles = layout.count(-1)
-    return _position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], tuple(layout))
+    return position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], layout)
 
 
 def _check_rotations_share_one_position(diagram, n_drawings):
@@ -465,7 +476,7 @@ def test_circle_diagram_normalizes_validates_and_stays_frozen():
         diagram.slots = (4,)
     # the library's drawing of it: slots and chords read back, the isolated-chord test agrees
     assert drawing_of(diagram) == (0, 1, -1, 0, 1, -1) and diagram_of((1, 0, -1, 1, 0, -1)) == diagram
-    assert slots_and_chords(drawing_of(diagram)) == diagram and not has_isolated_chord(drawing_of(diagram))
+    assert slots_and_chords(drawing_of(diagram)) == diagram and not isolated_chords(drawing_of(diagram))
 
 
 def test_quotient_dimension_argument_check():
@@ -565,7 +576,7 @@ def test_drawing_table_basis_matches_brute_force():
             expected = sorted(found, key=diagram_sort_key)
             assert basis == tuple(map(drawing_of, expected))
             assert [slots_and_chords(drawing) for drawing in basis] == expected
-            assert [has_isolated_chord(d) for d in basis] == [d.has_isolated_chord() for d in expected]
+            assert [sorted(isolated_chords(d)) for d in basis] == [sorted(d.isolated_chords()) for d in expected]
         assert walked == count_circle_matchings(q, top)
 
 
@@ -592,3 +603,122 @@ def test_drawing_table_holds_each_matching_once():
             for drawing, drawn in zip(basis, filed):
                 diagram = diagram_of(drawing)
                 assert diagram == canonical(diagram) and drawn == rotations(diagram), (q, m, diagram)
+
+
+def _split_table_reference(slots, degree, matchings):
+    """A slot split's (basis, drawing -> position), every rotation renumbered by first appearance.
+
+    The reference for the library's _split_table, which turns one circle a
+    slot at a time instead: each rotation of a new basis drawing reads the
+    matching through its own index map, and its labels are then renumbered.
+    """
+    starts = [sum(slots[:c]) for c in range(len(slots))]
+    rotated = [
+        itemgetter(*[
+            k for start, n, r in zip(starts, slots, shift)
+            for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
+        ])
+        for shift in product(*(range(n) for n in slots))
+    ]
+    basis, drawings = [], {}
+    for matching in matchings:
+        drawing = rotated[0](matching)
+        if drawing not in drawings:
+            drawings[drawing] = len(basis)
+            for rotate in rotated[1:]:
+                drawings[first_appearance(rotate(matching))] = len(basis)
+            basis.append(drawing)
+    return basis, drawings
+
+
+def _orbit_table_reference(q, m):
+    """The reference for _orbit_table(q, m), built from the reference walks.
+
+    Every slot split, in increasing order among all (2m+1)^q tuples, takes
+    the walk of its non-empty circles with a -1 at each empty circle.
+    """
+    matchings = tuple(_matchings(m))
+    basis, drawings, walks = [], {}, {}
+    for slots in product(range(2 * m + 1), repeat=q):
+        if sum(slots) != 2 * m:
+            continue
+        shown = tuple(n for n in slots if n)
+        if shown not in walks:
+            walks[shown] = _split_table_reference(shown, m, matchings) if m else ([(-1,)], {(-1,): 0})
+
+        def insert(drawing):
+            ends = [k + 1 for k, label in enumerate(drawing) if label < 0]
+            circles = iter([drawing[start:end] for start, end in zip([0] + ends, ends)])
+            return tuple(label for n in slots for label in (next(circles) if n else (-1,)))
+
+        walk_basis, walk = walks[shown]
+        shift = len(basis)
+        basis += map(insert, walk_basis)
+        drawings.update((insert(drawing), shift + k) for drawing, k in walk.items())
+    return tuple(basis), drawings
+
+
+def _four_term_rows_reference(drawing, parent, killed):
+    """One basis drawing's 4T rows from every seed, the reference for _circle_four_term_rows.
+
+    No seed is skipped for an isolated chord or a later circle: every seed
+    looks up its other seed's term first and is skipped only when that
+    term's position is below parent; each term is renumbered by first
+    appearance before the lookup.
+    """
+    n_circles = drawing.count(-1)
+    drawings = _orbit_table(n_circles, (len(drawing) - n_circles) // 2)[1]
+    rows = []
+    start = 0
+    for i, b in enumerate(drawing):
+        if b < 0:
+            start = i + 1
+            continue
+        x, a = (i, drawing[i + 1]) if drawing[i + 1] >= 0 else (start, drawing[start])
+        if a == b:
+            continue
+        removed = drawing[:i] + drawing[i + 1:]
+        y = removed.index(a)
+        if y == x:
+            y = removed.index(a, x + 1)
+        other = position(drawings, removed[:y] + (b,) + removed[y:])
+        if other < parent:
+            continue
+        row = {}
+        for k, sign in (
+            (position(drawings, removed[:x + 1] + (b,) + removed[x + 1:]), 1),
+            (parent, -1),
+            (position(drawings, removed[:y + 1] + (b,) + removed[y + 1:]), 1),
+            (other, -1),
+        ):
+            if not killed[k]:
+                row[k] = row.get(k, 0) + sign
+        row = {k: v for k, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def test_circle_build_equals_renumbering_reference_beyond_brute_force():
+    # shapes past _CIRCLE_SHAPES: the drawing tables (basis, and entries in
+    # insertion order), the 4T rows with the seeds that have an isolated
+    # chord skipped and the terms placed from the parent's drawing, the
+    # killed positions and the float pivot rows, against the walk that
+    # renumbered every rotation and the rows built from every seed
+    for q, top in ((1, 7), (4, 4), (5, 3), (6, 3)):
+        for m in range(top + 1):
+            basis, drawings = _orbit_table(q, m)
+            reference_basis, reference_drawings = _orbit_table_reference(q, m)
+            assert basis == reference_basis, (q, m)
+            assert list(drawings.items()) == list(reference_drawings.items()), (q, m)
+            del reference_basis, reference_drawings
+            flags = [diagram_of(drawing).has_isolated_chord() for drawing in basis]
+            rows = [row for k, d in enumerate(basis) for row in _four_term_rows_reference(d, k, flags)] if m > 1 else []
+            reference = RelationSet(m, basis, _dedupe(rows), (k for k, flag in enumerate(flags) if flag))
+            built = circle_relations(q, m)
+            assert (built.rows, built.killed) == (reference.rows, reference.killed), (q, m)
+            # equal rows give equal echelons, so the built set's (cached) echelon stands in for the reference's
+            pivots = dict.fromkeys(reference.killed, ())
+            for p, row in built.echelon().items():
+                pivots[p] = tuple((c, v / row[p]) for c, v in row.items() if c != p)
+            assert _pivot_rows(q, m) == (len(basis), tuple(sorted(pivots.items()))), (q, m)
