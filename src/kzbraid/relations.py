@@ -183,7 +183,7 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, _dedupe(rows))
 
 
-def _circle_four_term_rows(basis, killed, isolated):
+def _circle_four_term_rows(basis, isolated):
     """4T rows seeded at the adjacent feet of distinct chords in the basis drawings of one degree >= 2.
 
     With chord a = (x, y) fixed and the sliding foot u of another chord b,
@@ -192,11 +192,11 @@ def _circle_four_term_rows(basis, killed, isolated):
     is b's foot just before x: its term D(u before x) is the drawing itself,
     at its basis position parent.  The relation's other seed is the term
     D(u before y), looked up first: when its position is below parent, the
-    row was built from that seed already and this one is skipped.  Terms at
-    a position k with killed[k] true (an isolated chord) are left out.
+    row was built from that seed already and this one is skipped.
 
-    isolated[parent] holds the drawing's isolated chords, and a seed builds
-    no row when one of them is not b.  A chord other than a and b stays
+    isolated[k] holds the isolated chords of basis drawing k: a term at a
+    position with one is killed and left out, and a seed builds no row when
+    its drawing has one that is not b.  A chord other than a and b stays
     isolated in all four terms, since only u moves, to a place next to a
     foot of a.  When a is isolated, y is the slot after x, so D(u after x)
     and D(u before y) are one diagram and cancel, and the other two keep a
@@ -250,7 +250,7 @@ def _circle_four_term_rows(basis, killed, isolated):
                 other, after_x, after_y = terms
                 row = {}
                 for k, sign in ((after_x, 1), (parent, -1), (after_y, 1), (other, -1)):
-                    if not killed[k]:
+                    if not isolated[k]:
                         row[k] = row.get(k, 0) + sign
                 row = {k: v for k, v in row.items() if v}
                 if row:
@@ -268,9 +268,8 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     """
     basis = enumerate_circle_diagrams(n_circles, degree)
     isolated = list(map(isolated_chords, basis))
-    killed = list(map(bool, isolated))
-    rows = _circle_four_term_rows(basis, killed, isolated) if degree >= 2 else []
-    return RelationSet(degree, basis, _dedupe(rows), (k for k, flag in enumerate(killed) if flag))
+    rows = _circle_four_term_rows(basis, isolated) if degree >= 2 else []
+    return RelationSet(degree, basis, _dedupe(rows), (k for k, chords in enumerate(isolated) if chords))
 
 
 @lru_cache(maxsize=None)

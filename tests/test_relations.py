@@ -352,8 +352,7 @@ def test_circle_rows_equal_canonical_reference():
             built = circle_relations(q, m)
             assert built.killed == killed, (q, m)
             assert built.rows == RelationSet(m, basis, _dedupe(dropped)).rows, (q, m)
-            flags = [k in killed for k in range(len(basis))]
-            seeded = _circle_four_term_rows(basis, flags, list(map(isolated_chords, basis))) if m > 1 else []
+            seeded = _circle_four_term_rows(basis, list(map(isolated_chords, basis))) if m > 1 else []
             assert 2 * len(seeded) <= len(dropped), (q, m)
 
 
