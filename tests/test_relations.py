@@ -570,6 +570,8 @@ def test_drawing_table_basis_matches_brute_force():
                             layout[c][s] = label
                     flat = [label for circle in layout for label in circle + [-1]]
                     assert diagram_of(basis[layout_position(flat)]) == diagram
+                    # every drawing of a diagram, not only its basis drawing, shows its isolated chords
+                    assert len(isolated_chords(flat)) == len(diagram.isolated_chords())
                     found.add(diagram)
             # each entry is its canonical diagram's drawing, read back by slots_and_chords
             expected = sorted(found, key=diagram_sort_key)
