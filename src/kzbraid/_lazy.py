@@ -1,8 +1,22 @@
-"""numpy, loaded on first attribute access.
+"""Modules loaded on first attribute access: numpy and the package's own.
 
-The exact side of the package (circle and word bases, relation rows, the
-integer echelon behind `dims`) never touches numpy, so a process that only
-runs it, or only prints `--help`, does not pay for importing numpy.  Every
+A fresh process compiles and runs only the modules its command uses, and
+never imports numpy for the exact side of the package (circle and word
+bases, relation rows, the integer echelon behind `dims`).  Importing
+`kzbraid` registers `braids`, `circles`, `closure`, `relations`,
+`transport` and `words` in `sys.modules` without running them; `cli` and
+`relations` look their callees up on those handles at call time.  By
+command, the modules that run besides `cli`:
+
+- `--help`: none;
+- `dims --strands`: `relations` and `words`;
+- `dims --circles`: `relations`, `words` and `circles`;
+- `verify` and `compute`: `braids`, `transport` and `words`, plus
+  `relations` for the checks that reduce;
+- `compute --close`: all of them.
+
+An import statement naming a lazy module (`from . import x`,
+`import kzbraid.x`) runs it at once, so handles are taken from here.  Every
 module takes `np` from here; none uses it at import time.  A missing numpy
 is still an ImportError when the package is imported.
 """

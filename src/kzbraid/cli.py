@@ -20,34 +20,20 @@ from contextlib import nullcontext
 from functools import lru_cache
 from itertools import product
 
-from ._lazy import np
-from .braids import BraidParseError, _warped, parse_braid_word, permutation_of, realize
-from .circles import check_circle_budget, circle_series_json_text
-from .closure import close_braid, closure_skeleton
-from .relations import free_positions, quotient_dimension, reduce
-from .transport import (
-    TransportError,
-    abelian_holonomy,
-    check_sample_budget,
-    kontsevich_of_braid,
-    simplex_oracle,
-    symmetrized,
-    transport,
-)
-from .words import (
-    all_pairs,
-    basis_size,
-    check_word_budget,
-    enumerate_words,
-    relabel_strands,
-    series_json_text,
-    series_product,
+from ._lazy import _lazy_module, np
+
+# handles that load each module on its first use (see _lazy): callees are
+# looked up on them at call time
+_braids, _circles, _closure, _relations, _transport, _words = (
+    _lazy_module(f"kzbraid.{name}")
+    for name in ("braids", "circles", "closure", "relations", "transport", "words")
 )
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 MAX_STEPS = 2**16  # largest --steps accepted, though steps change no result
+MAX_COUNT_STEPS = 2**22  # most integer steps `dims --strands` takes to count normal words
 _STEPS_HELP = "checked, 1 to 2^16, but changes no result (default KZBRAID_STEPS, else 512)"
 
 
@@ -108,7 +94,7 @@ _TABLE_ROW = "%s%-22.16g  %.16g\n"
 @lru_cache(maxsize=16)
 def _table_prefixes(n_strands, max_degree):
     """Per basis word, its table row up to the modulus column, joined as words._json_heads is."""
-    chords = [f"({i},{j})" for i, j in all_pairs(n_strands)]
+    chords = [f"({i},{j})" for i, j in _words.all_pairs(n_strands)]
     prefixes = [f"  0  {'1':<24}  "]
     for m in range(1, max_degree + 1):
         prefixes += map(f"{m:>3}  %-24s  ".__mod__, map("".join, product(chords, repeat=m)))
@@ -122,11 +108,11 @@ def _cmd_compute(args):
         raise ValidationError("need max-degree >= 0 and steps >= 1")
     if not args.zero_threshold >= 0:  # NaN fails every comparison
         raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
-    check_word_budget(args.strands, args.max_degree)
-    check_sample_budget(args.strands)
-    word = parse_braid_word(args.word, args.strands)
+    _words.check_word_budget(args.strands, args.max_degree)
+    _transport.check_sample_budget(args.strands)
+    word = _braids.parse_braid_word(args.word, args.strands)
     if args.close:
-        check_circle_budget(closure_skeleton(word).n_components, args.max_degree)
+        _circles.check_circle_budget(_closure.closure_skeleton(word).n_components, args.max_degree)
     _check_steps_limit(args.steps)
     # opened before any work or output, so an unwritable path prints nothing
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
@@ -136,7 +122,7 @@ def _cmd_compute(args):
 
 def _compute_json(args, word):
     """Write the term table to stdout and return the JSON text, in parts to write in turn."""
-    holonomy = kontsevich_of_braid(word, args.max_degree)
+    holonomy = _transport.kontsevich_of_braid(word, args.max_degree)
     # Python's abs, whose digits the table prints (np.abs can differ in the
     # last bit); kept terms stay in basis order
     moduli = list(map(abs, holonomy.tolist()))
@@ -148,20 +134,20 @@ def _compute_json(args, word):
     rows[2::3] = map(math.atan2, holonomy.imag.take(kept).tolist(), holonomy.real.take(kept).tolist())
     sys.stdout.write((_TABLE_HEADER + _TABLE_ROW * len(kept)) % tuple(rows))
     if not args.close:
-        return [series_json_text(holonomy, args.strands, args.max_degree, kept), "\n"]
+        return [_words.series_json_text(holonomy, args.strands, args.max_degree, kept), "\n"]
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
     projected[kept] = holonomy[kept]
-    result = close_braid(projected, word, args.zero_threshold)
+    result = _closure.close_braid(projected, word, args.zero_threshold)
     q = result.skeleton.n_components
-    free = free_positions(("circles", q), args.max_degree)
+    free = _relations.free_positions(("circles", q), args.max_degree)
     # the layout json.dumps(indent=2) gives {"braid": ..., "link": {...}}
     return [
         '{\n  "braid": ',
-        series_json_text(holonomy, args.strands, args.max_degree, kept, level=1),
+        _words.series_json_text(holonomy, args.strands, args.max_degree, kept, level=1),
         f',\n  "link": {{\n    "components": {q},\n    "cycles": ',
         json.dumps(result.skeleton.components, indent=2).replace("\n", "\n    "),
         ',\n    "series": ',
-        circle_series_json_text(result.reduced, q, args.max_degree, args.zero_threshold, free, level=2),
+        _circles.circle_series_json_text(result.reduced, q, args.max_degree, args.zero_threshold, free, level=2),
         "\n  }\n}\n",
     ]
 
@@ -178,12 +164,12 @@ def _reduced_difference(za, zb, strands, max_degree):
     threshold on one side only would reach the normal-form coordinates
     times their integer coefficients, which grow with the degree.
     """
-    ra, rb = (reduce(z, ("strands", strands), max_degree, 0.0) for z in (za, zb))
+    ra, rb = (_relations.reduce(z, ("strands", strands), max_degree, 0.0) for z in (za, zb))
     return np.abs(ra - rb).max()
 
 
 def _braid_series(texts, strands, max_degree):
-    return [kontsevich_of_braid(parse_braid_word(text, strands), max_degree) for text in texts]
+    return [_transport.kontsevich_of_braid(_braids.parse_braid_word(text, strands), max_degree) for text in texts]
 
 
 def _check_braid_relation(max_degree):
@@ -199,7 +185,7 @@ def _check_full_twist(max_degree):
     # which the connection is sum t_ij dtheta / 2 pi; sum t_ij is central
     # modulo the relations, so Z = exp(sum t_ij): every degree-m word with
     # coefficient 1/m!
-    twist = kontsevich_of_braid(parse_braid_word(" ".join(["1 2 3"] * 4), 4), max_degree)
+    twist = _transport.kontsevich_of_braid(_braids.parse_braid_word(" ".join(["1 2 3"] * 4), 4), max_degree)
     exponential = np.concatenate(
         [np.full(6**m, 1.0 / math.factorial(m), dtype=complex) for m in range(max_degree + 1)]
     )
@@ -211,12 +197,12 @@ def _check_oracle(max_degree):
     compared = min(3, max_degree)
     worst = 0.0
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
-        loop = realize(parse_braid_word(text, strands))
-        coefficients = transport(loop, compared).coefficients
+        loop = _braids.realize(_braids.parse_braid_word(text, strands))
+        coefficients = _transport.transport(loop, compared).coefficients
         for degree in range(1, compared + 1):
-            start = basis_size(strands * (strands - 1) // 2, degree - 1)
-            for g, word in enumerate(enumerate_words(strands, degree), start):
-                direct = simplex_oracle(loop, word, 512)
+            start = _words.basis_size(strands * (strands - 1) // 2, degree - 1)
+            for g, word in enumerate(_words.enumerate_words(strands, degree), start):
+                direct = _transport.simplex_oracle(loop, word, 512)
                 worst = max(worst, abs(coefficients[g] - direct))
     return worst, 1e-5
 
@@ -228,41 +214,41 @@ def _check_multiplicativity(max_degree):
     # kontsevich_of_braid is itself such a product, so the concatenation is
     # integrated directly as one loop, by spectral segments composed as
     # kontsevich_of_braid composes its letters.
-    words = [parse_braid_word(text, 3) for text in ("1", "2", "-1")]
+    words = [_braids.parse_braid_word(text, 3) for text in ("1", "2", "-1")]
     worst = 0.0
     for upper in words:
         for lower in words:
             combined = type(upper)(3, lower.letters + upper.letters)
-            z_upper = relabel_strands(
-                kontsevich_of_braid(upper, max_degree),
+            z_upper = _words.relabel_strands(
+                _transport.kontsevich_of_braid(upper, max_degree),
                 3,
                 max_degree,
-                permutation_of(lower).inverse().images,
+                _braids.permutation_of(lower).inverse().images,
             )
-            z_lower = kontsevich_of_braid(lower, max_degree)
-            zc = transport(realize(combined), max_degree).coefficients
-            worst = max(worst, np.abs(series_product(z_upper, z_lower, 3, max_degree) - zc).max())
+            z_lower = _transport.kontsevich_of_braid(lower, max_degree)
+            zc = _transport.transport(_braids.realize(combined), max_degree).coefficients
+            worst = max(worst, np.abs(_words.series_product(z_upper, z_lower, 3, max_degree) - zc).max())
     return worst, 1e-12
 
 
 def _check_abelian(max_degree):
     worst = 0.0
     for text in ("1 2", "1 1 -2"):
-        loop = realize(parse_braid_word(text, 3))
-        sym = symmetrized(transport(loop, max_degree).coefficients, 3, max_degree)
-        worst = max(worst, np.abs(sym - abelian_holonomy(loop, max_degree)).max())
+        loop = _braids.realize(_braids.parse_braid_word(text, 3))
+        sym = _transport.symmetrized(_transport.transport(loop, max_degree).coefficients, 3, max_degree)
+        worst = max(worst, np.abs(sym - _transport.abelian_holonomy(loop, max_degree)).max())
     return worst, 1e-12
 
 
 def _check_reparam(max_degree):
     # the same loop at uneven speed inside every segment; a velocity that
     # missed the factor phi' would be off by 0.04 to 0.2
-    word = parse_braid_word("1 2", 3)
-    even = transport(realize(word), max_degree).coefficients
+    word = _braids.parse_braid_word("1 2", 3)
+    even = _transport.transport(_braids.realize(word), max_degree).coefficients
     worst = 0.0
     for rate in (1.0, 2.0, 4.0):
-        warped = _warped(realize(word, durations=(2.0, 1.0)), rate)
-        worst = max(worst, np.abs(transport(warped, max_degree).coefficients - even).max())
+        warped = _braids._warped(_braids.realize(word, durations=(2.0, 1.0)), rate)
+        worst = max(worst, np.abs(_transport.transport(warped, max_degree).coefficients - even).max())
     return worst, 1e-12
 
 
@@ -286,7 +272,7 @@ def _cmd_verify(args):
     if args.check not in _CHECKS:
         raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
     check, strands, top_degree = _CHECKS[args.check]
-    check_word_budget(strands, args.max_degree)
+    _words.check_word_budget(strands, args.max_degree)
     if args.max_degree < 0 or args.steps < 1:
         raise ValidationError("need max_degree >= 0 and steps >= 1")
     _check_steps_limit(args.steps)
@@ -300,19 +286,34 @@ def _cmd_verify(args):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _check_count_steps(n_strands, max_degree):
+    """Refuse a `dims --strands` request whose normal-word counts take over MAX_COUNT_STEPS steps.
+
+    quotient_dimension at degree m takes (N - 1)(m + 1) integer steps, so
+    degrees 0..M take (N - 1)(M + 1)(M + 2) / 2; no word is built.  Strand
+    counts below 2 pass: counting reports them.
+    """
+    steps = (n_strands - 1) * (max_degree + 1) * (max_degree + 2) // 2
+    if steps > MAX_COUNT_STEPS:
+        raise ValidationError(
+            f"{n_strands} strands to degree {max_degree} need more than {MAX_COUNT_STEPS}"
+            f" counting steps ({steps})"
+        )
+
+
 def _cmd_dims(args):
     if args.max_degree < 0:
         raise ValidationError("need max-degree >= 0")
     if args.strands is not None:
-        check_word_budget(args.strands, args.max_degree)
+        _check_count_steps(args.strands, args.max_degree)
     else:
-        check_circle_budget(args.circles, args.max_degree)
+        _circles.check_circle_budget(args.circles, args.max_degree)
     entries = []
     for degree in range(args.max_degree + 1):
         if args.circles is not None:
-            dim = quotient_dimension(degree, circles=args.circles)
+            dim = _relations.quotient_dimension(degree, circles=args.circles)
         else:
-            dim = quotient_dimension(degree, strands=args.strands)
+            dim = _relations.quotient_dimension(degree, strands=args.strands)
         entries.append(f"{degree}:{dim}")
     print(" ".join(entries))
     return EXIT_OK
@@ -329,10 +330,15 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_dims(args)
-    except (ValidationError, BraidParseError, ValueError, OSError) as exc:
+    # the except clauses are evaluated for every exception, --help's
+    # SystemExit included, so they name no lazy module's class: a
+    # BraidParseError is a ValueError and a TransportError a RuntimeError
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TransportError as exc:
+    except RuntimeError as exc:
+        if not isinstance(exc, _transport.TransportError):
+            raise
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

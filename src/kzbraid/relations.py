@@ -34,9 +34,11 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import gcd
 
-from ._lazy import np
-from .circles import _orbit_table, _rerank, enumerate_circle_diagrams, isolated_chords
+from ._lazy import _lazy_module, np
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
+
+# loaded on first use, so that counting strand dimensions never runs it
+_circles = _lazy_module("kzbraid.circles")
 
 
 class RelationSet:
@@ -210,8 +212,8 @@ def _circle_four_term_rows(basis, isolated):
     """
     n_circles = basis[0].count(-1)
     degree = (len(basis[0]) - n_circles) // 2
-    drawings = _orbit_table(n_circles, degree)[1]
-    rerank = _rerank(degree)
+    drawings = _circles._orbit_table(n_circles, degree)[1]
+    rerank = _circles._rerank(degree)
     rows = []
     for parent, drawing in enumerate(basis):
         lone = isolated[parent]  # at most b may be isolated
@@ -266,8 +268,8 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     other foot between them) is set to zero: its position is killed and
     left out of the 4T rows.
     """
-    basis = enumerate_circle_diagrams(n_circles, degree)
-    isolated = list(map(isolated_chords, basis))
+    basis = _circles.enumerate_circle_diagrams(n_circles, degree)
+    isolated = list(map(_circles.isolated_chords, basis))
     rows = _circle_four_term_rows(basis, isolated) if degree >= 2 else []
     return RelationSet(degree, basis, _dedupe(rows), (k for k, chords in enumerate(isolated) if chords))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kzbraid
-from kzbraid.cli import _CHECKS, _TABLE_ROW, MAX_STEPS, main
+from kzbraid.cli import _CHECKS, _TABLE_ROW, MAX_STEPS, ValidationError, _check_count_steps, main
 from kzbraid.circles import (
     MAX_CIRCLE_CELLS,
     MAX_CIRCLE_MATCHINGS,
@@ -199,7 +199,7 @@ def _kohno_dims(n_strands, top):
 
 
 def test_dims_match_kohno_bar_natan_and_pinned_values(capsys):
-    expected = {("--strands", n): _kohno_dims(n, top) for n, top in ((3, 5), (4, 4), (5, 3))}
+    expected = {("--strands", n): _kohno_dims(n, top) for n, top in ((3, 5), (4, 4), (5, 3), (10, 7))}
     expected[("--circles", 1)] = [1, 0, 1, 1, 3, 4, 9]  # Bar-Natan, Topology 34 (1995)
     expected[("--circles", 2)] = [1, 1, 3, 6, 14]
     expected[("--circles", 3)] = [1, 3, 9, 25, 67]
@@ -281,14 +281,15 @@ def test_verify_lines_do_not_depend_on_steps(capsys):
 def test_verify_oracle_compares_through_degree_three(capsys, monkeypatch):
     # every word of degree 1..min(3, M) of the braids "1" and "1 1" on 2
     # strands (one word per degree) and "1 2" on 3 strands (3**d words)
-    cli = importlib.import_module("kzbraid.cli")
-    oracle, degrees = cli.simplex_oracle, []
+    # cli looks the oracle up on the transport module at call time
+    transport_module = importlib.import_module("kzbraid.transport")
+    oracle, degrees = transport_module.simplex_oracle, []
 
     def recording(loop, word, grid):
         degrees.append(len(word))
         return oracle(loop, word, grid)
 
-    monkeypatch.setattr(cli, "simplex_oracle", recording)
+    monkeypatch.setattr(transport_module, "simplex_oracle", recording)
     for max_degree, top in ((1, 1), (2, 2), (3, 3), (4, 3)):
         degrees.clear()
         code, out, _ = run(capsys, "verify", "oracle", "-m", str(max_degree))
@@ -298,14 +299,14 @@ def test_verify_oracle_compares_through_degree_three(capsys, monkeypatch):
 
 def test_verify_oracle_transports_only_the_degrees_it_compares(capsys, monkeypatch):
     # each of the three loops is transported to min(3, M), not to M
-    cli = importlib.import_module("kzbraid.cli")
-    transport, degrees = cli.transport, []
+    transport_module = importlib.import_module("kzbraid.transport")
+    transport, degrees = transport_module.transport, []
 
     def recording(loop, max_degree):
         degrees.append(max_degree)
         return transport(loop, max_degree)
 
-    monkeypatch.setattr(cli, "transport", recording)
+    monkeypatch.setattr(transport_module, "transport", recording)
     for max_degree in (0, 2, 3, 5):
         degrees.clear()
         code, out, _ = run(capsys, "verify", "oracle", "-m", str(max_degree))
@@ -450,9 +451,9 @@ def _child_env():
     return env
 
 
-_FRESH_COMPUTE = ["compute", "-n", "3", "-w", "1 -2 1", "-m", "3", "--steps", "64", "--close"]
+_FRESH_COMPUTE = ["compute", "-n", "3", "-w", "1 -2 1", "-m", "3", "--steps", "64"]
 _FRESH_SCRIPT = f"""
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from kzbraid.cli import main
 
 def run(argv):
@@ -467,39 +468,96 @@ def run(argv):
 def deferred():
     return sorted({{"dataclasses", "fractions"}} & set(sys.modules))
 
+def executed():
+    # a module not yet run is still a lazy module; type() does not run it
+    return sorted(name for name, module in list(sys.modules.items())
+                  if name.startswith("kzbraid.") and type(module) is types.ModuleType)
+
 # after the import, then after each call in turn
-stdlib = [deferred()]
+registered = sorted(name for name in sys.modules if name.startswith("kzbraid."))
+stdlib, ran = [deferred()], [executed()]
 exact = []
 for argv in (
-    ["dims", "--strands", "3", "-m", "3"], ["--help"], ["dims", "--circles", "2", "-m", "3"],
+    ["--help"], ["dims", "--strands", "3", "-m", "3"], ["dims", "--circles", "2", "-m", "3"],
     ["dims", "--circles", "3", "-m", "4"],
 ):
     exact.append(run(argv))
     stdlib.append(deferred())
+    ran.append(executed())
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
-compute = run({_FRESH_COMPUTE!r})
-stdlib.append(deferred())
-json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": compute, "stdlib_loaded": stdlib}}, sys.stdout)
+compute = []
+for argv in ({_FRESH_COMPUTE!r}, {_FRESH_COMPUTE + ["--close"]!r}):
+    compute.append(run(argv))
+    stdlib.append(deferred())
+    ran.append(executed())
+json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": compute, "stdlib_loaded": stdlib,
+           "registered": registered, "executed": ran}}, sys.stdout)
 """
 
 
 def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
-    # pytest has numpy loaded already, so only a fresh process shows the deferral
+    # pytest has numpy and every kzbraid module loaded already, so only a
+    # fresh process shows the deferral
     done = subprocess.run([sys.executable, "-c", _FRESH_SCRIPT], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr[-500:]
     report = json.loads(done.stdout)
     assert report["numpy_loaded"] == []
     # records are named tuples, and the circle echelon divides integers
-    assert report["stdlib_loaded"] == [[], [], [], [], [], []]
-    dims_strands, usage, dims_circles, dims_three_circles = report["exact"]
+    assert report["stdlib_loaded"] == [[]] * 7
+    # every module is registered by the import, for lookups at call time,
+    # and runs on the first command that uses it
+    modules = ["_lazy", "braids", "circles", "cli", "closure", "relations", "transport", "words"]
+    assert report["registered"] == [f"kzbraid.{name}" for name in modules]
+    # the modules run by the import (cli), then added by --help, dims
+    # --strands, dims --circles twice, compute and compute --close
+    added = [["_lazy", "cli"], [], ["relations", "words"], ["circles"], [], ["braids", "transport"], ["closure"]]
+    assert len(report["executed"]) == len(added)
+    ran = []
+    for names, executed in zip(added, report["executed"]):
+        ran = sorted(ran + names)
+        assert executed == [f"kzbraid.{name}" for name in ran]
+    assert ran == modules
+    usage, dims_strands, dims_circles, dims_three_circles = report["exact"]
+    assert usage[0] == 0 and usage[1].startswith("usage: kzbraid")
     assert dims_strands == [0, "0:1 1:3 2:7 3:15\n"]
     assert dims_circles == [0, run(capsys, "dims", "--circles", "2", "-m", "3")[1]]
     assert dims_three_circles == [0, "0:1 1:3 2:9 3:25 4:67\n"]
-    assert usage[0] == 0 and usage[1].startswith("usage: kzbraid")
-    code, out, _ = run(capsys, *_FRESH_COMPUTE)
-    assert code == 0
-    assert report["compute"] == [code, out]
+    for argv, fresh in zip((_FRESH_COMPUTE, _FRESH_COMPUTE + ["--close"]), report["compute"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert fresh == [code, out]
+
+
+# the package's public names, by the module that defines each
+_PUBLIC_NAMES = {
+    "braids": "BraidParseError BraidWord ConfigLoop Permutation parse_braid_word permutation_of realize",
+    "circles": "MAX_CIRCLE_CELLS MAX_CIRCLE_MATCHINGS check_circle_budget circle_basis circle_series_json_text"
+               " circle_series_to_json_dict enumerate_circle_diagrams",
+    "closure": "ClosureResult LinkSkeleton close_braid closure_skeleton kontsevich_link tau_project",
+    "relations": "RelationSet circle_relations free_positions horizontal_relations quotient_dimension reduce",
+    "transport": "TransportError TransportResult abelian_holonomy kontsevich_of_braid simplex_oracle symmetrized"
+                 " transport",
+    "words": "MAX_BASIS_WORDS ZERO_THRESHOLD all_pairs basis_words check_word_budget enumerate_words relabel_strands"
+             " series_json_text series_product series_to_json_dict",
+}
+
+
+def test_public_names_resolve_to_their_modules():
+    names = []
+    for module_name, listed in _PUBLIC_NAMES.items():
+        module = sys.modules[f"kzbraid.{module_name}"]
+        for name in listed.split():
+            namespace = {}
+            exec(f"from kzbraid import {name}", namespace)
+            assert namespace[name] is getattr(module, name), name
+            names.append(name)
+    assert len(names) == 43
+    assert sorted(kzbraid.__all__) == sorted(names)
+    # the function, not its module
+    assert kzbraid.transport is sys.modules["kzbraid.transport"].transport
+    with pytest.raises(AttributeError):
+        kzbraid.no_such_name
 
 
 def test_drawing_table_builds_no_table_of_fewer_circles():
@@ -530,20 +588,19 @@ def _run_capped(*argv):
 
 
 def test_over_word_budget_refused_before_allocating():
-    # 45**6 ~ 8.3e9 words for compute; dims at degree 7 would build 45**7;
-    # verify at degree 14 needs 3**14 words on 3 strands, far-commutation at
-    # degree 8 counts its 4 strands (6**8 words).  Two strands have one word
-    # per degree but M (M + 1) / 2 chords in all, and degree 0 still samples
-    # and indexes all N (N - 1) / 2 pairs, so the budget counts both
-    for argv in (
-        ("compute", "-n", "10", "-m", "6"),
-        ("dims", "--strands", "10", "-m", "7"),
-        ("verify", "braid-relation", "-m", "14"),
-        ("verify", "far-commutation", "-m", "8"),
-        ("compute", "-n", "2", "-m", "2000", "-w", "1"),
-        ("dims", "--strands", "2", "-m", "4000"),
-        ("compute", "-n", "2000", "-m", "0", "-w", "1"),
-        ("dims", "--strands", "20000", "-m", "0"),
+    # 45**6 ~ 8.3e9 words for compute; verify at degree 14 needs 3**14 words
+    # on 3 strands, far-commutation at degree 8 counts its 4 strands (6**8
+    # words).  Two strands have one word per degree but M (M + 1) / 2 chords
+    # in all, and degree 0 still samples and indexes all N (N - 1) / 2
+    # pairs, so the budget counts both.  dims --strands builds no word: it
+    # is refused by its (N - 1)(M + 1)(M + 2) / 2 counting steps instead
+    for argv, message in (
+        (("compute", "-n", "10", "-m", "6"), "basis words"),
+        (("verify", "braid-relation", "-m", "14"), "basis words"),
+        (("verify", "far-commutation", "-m", "8"), "basis words"),
+        (("compute", "-n", "2", "-m", "2000", "-w", "1"), "basis words"),
+        (("compute", "-n", "2000", "-m", "0", "-w", "1"), "basis words"),
+        (("dims", "--strands", "2", "-m", "2895"), "counting steps"),
     ):
         start = time.monotonic()
         done = _run_capped(*argv)
@@ -551,7 +608,13 @@ def test_over_word_budget_refused_before_allocating():
         assert done.returncode == 1, done.stderr[-500:]
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert "basis words" in done.stderr
+        assert message in done.stderr
+    # at the bound: 2 strands to degree 2894, 4,194,305 strands at degree 0
+    _check_count_steps(2, 2894)
+    _check_count_steps(4194305, 0)
+    for n_strands, max_degree in ((2, 2895), (4194306, 0)):
+        with pytest.raises(ValidationError, match="counting steps"):
+            _check_count_steps(n_strands, max_degree)
 
 
 def test_over_sample_budget_refused_before_sampling():
