@@ -124,43 +124,50 @@ def isolated_chords(drawing):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _circle_counts(n_circles, max_degree):
+    """(count_circle_matchings, count_circle_cells) of (q, M), counted in one pass over the degrees."""
+    matchings = cells = 0
+    pairings = 1
+    for m in range(max_degree + 1):
+        if m:
+            pairings *= 2 * m - 1
+        count = comb(2 * m + n_circles - 1, n_circles - 1) * pairings
+        matchings += count
+        cells += (n_circles + 2 * m) * count
+    return matchings, cells
+
+
 def count_circle_matchings(n_circles: int, max_degree: int) -> int:
     """Raw matchings enumerate_circle_diagrams walks over the degrees m <= max_degree.
 
     The sum of C(2m+q-1, q-1) slot splits times (2m-1)!! matchings each.
     """
-    total, pairings = 0, 1
-    for m in range(max_degree + 1):
-        if m:
-            pairings *= 2 * m - 1
-        total += comb(2 * m + n_circles - 1, n_circles - 1) * pairings
-    return total
+    return _circle_counts(n_circles, max_degree)[0]
 
 
 def count_circle_cells(n_circles: int, max_degree: int) -> int:
     """Labels and -1s in the drawing tables to max_degree: q + 2m per raw matching of degree m."""
-    return sum(
-        (n_circles + 2 * m) * (count_circle_matchings(n_circles, m) - count_circle_matchings(n_circles, m - 1))
-        for m in range(max_degree + 1)
-    )
+    return _circle_counts(n_circles, max_degree)[1]
 
 
 def check_circle_budget(n_circles: int, max_degree: int):
     """Raise ValueError when the circle bases to max_degree exceed MAX_CIRCLE_MATCHINGS or MAX_CIRCLE_CELLS.
 
-    Counts without building anything.  Circle counts below 1 pass: building
-    their basis reports the error.
+    Counts without building anything, once per (q, M) a process asks for.
+    Circle counts below 1 pass: building their basis reports the error.
     """
     if n_circles < 1:
         return
     degree = min(max_degree, 8)  # 15!! > MAX_CIRCLE_MATCHINGS, so no degree past 8 needs counting
-    if count_circle_matchings(n_circles, degree) > MAX_CIRCLE_MATCHINGS:
+    matchings, cells = _circle_counts(n_circles, degree)
+    if matchings > MAX_CIRCLE_MATCHINGS:
         raise ValueError(
             f"{n_circles} circles to degree {max_degree} need more than"
             f" {MAX_CIRCLE_MATCHINGS} chord matchings"
             f" (sum of C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
         )
-    if count_circle_cells(n_circles, degree) > MAX_CIRCLE_CELLS:
+    if cells > MAX_CIRCLE_CELLS:
         raise ValueError(
             f"{n_circles} circles to degree {max_degree} need more than"
             f" {MAX_CIRCLE_CELLS} drawing-table cells"
@@ -343,5 +350,6 @@ def circle_series_json_text(
     heads = _json_heads(n_circles, max_degree, positions, level)
     values = coefficients.tolist()
     listed = [k for k in heads if abs(values[k]) >= zero_threshold]
+    terms = [values[k] for k in listed]
     fields = (("circles", n_circles), ("max_degree", max_degree))
-    return _document_text(fields, heads, coefficients, listed, level)
+    return _document_text(fields, heads, listed, [c.real for c in terms], [c.imag for c in terms], level)

@@ -12,7 +12,6 @@ before any file is opened, and passed nowhere.
 from __future__ import annotations
 
 import argparse
-import json  # perfbench/tracing.py wraps cli.json.dumps
 import math
 import os
 import sys
@@ -28,6 +27,9 @@ _braids, _circles, _closure, _relations, _transport, _words = (
     _lazy_module(f"kzbraid.{name}")
     for name in ("braids", "circles", "closure", "relations", "transport", "words")
 )
+# no command runs json, whose import takes about 2.5 ms; perfbench/tracing.py
+# wraps cli.json.dumps, which loads it
+json = _lazy_module("json")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -111,41 +113,56 @@ def _cmd_compute(args):
     _words.check_word_budget(args.strands, args.max_degree)
     _transport.check_sample_budget(args.strands)
     word = _braids.parse_braid_word(args.word, args.strands)
+    skeleton = None
     if args.close:
-        _circles.check_circle_budget(_closure.closure_skeleton(word).n_components, args.max_degree)
+        skeleton = _closure.closure_skeleton(word)
+        _circles.check_circle_budget(skeleton.n_components, args.max_degree)
     _check_steps_limit(args.steps)
     # opened before any work or output, so an unwritable path prints nothing
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
-        sink.writelines(_compute_json(args, word))
+        sink.writelines(_compute_json(args, word, skeleton))
     return EXIT_OK
 
 
-def _compute_json(args, word):
-    """Write the term table to stdout and return the JSON text, in parts to write in turn."""
+def _cycles_text(cycles, level):
+    """json.dumps(cycles, indent=2) of non-empty lists of ints, level deep in an indent=2 document."""
+    i0, i1, i2 = ("  " * (level + k) for k in range(3))
+    items = [f"{i1}[\n{i2}" + f",\n{i2}".join(map(str, cycle)) + f"\n{i1}]" for cycle in cycles]
+    return "[\n" + ",\n".join(items) + f"\n{i0}]"
+
+
+def _compute_json(args, word, skeleton):
+    """Write the term table to stdout and return the JSON text, in parts to write in turn.
+
+    skeleton is the closure's, given with --close and None without.
+    """
     holonomy = _transport.kontsevich_of_braid(word, args.max_degree)
     # Python's abs, whose digits the table prints (np.abs can differ in the
-    # last bit); kept terms stay in basis order
+    # last bit), decides the threshold; kept terms stay in basis order
     moduli = list(map(abs, holonomy.tolist()))
-    kept = [g for g, modulus in enumerate(moduli) if modulus >= args.zero_threshold]
+    kept = np.flatnonzero(np.array(moduli) >= args.zero_threshold)
+    positions = kept.tolist()
+    listed = holonomy[kept]  # read once for the table, the JSON and the projection
+    real, imag = listed.real.tolist(), listed.imag.tolist()
     prefixes = _table_prefixes(args.strands, args.max_degree)
-    rows = [None] * (3 * len(kept))
-    rows[0::3] = [prefixes[g] for g in kept]
-    rows[1::3] = [moduli[g] for g in kept]
-    rows[2::3] = map(math.atan2, holonomy.imag.take(kept).tolist(), holonomy.real.take(kept).tolist())
-    sys.stdout.write((_TABLE_HEADER + _TABLE_ROW * len(kept)) % tuple(rows))
+    rows = [None] * (3 * len(positions))
+    rows[0::3] = [prefixes[g] for g in positions]
+    rows[1::3] = [moduli[g] for g in positions]
+    rows[2::3] = map(math.atan2, imag, real)
+    sys.stdout.write((_TABLE_HEADER + _TABLE_ROW * len(positions)) % tuple(rows))
     if not args.close:
-        return [_words.series_json_text(holonomy, args.strands, args.max_degree, kept), "\n"]
+        return [_words._series_text(args.strands, args.max_degree, positions, real, imag), "\n"]
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
-    projected[kept] = holonomy[kept]
-    result = _closure.close_braid(projected, word, args.zero_threshold)
-    q = result.skeleton.n_components
+    projected[kept] = listed
+    result = _closure.close_braid(projected, skeleton, args.zero_threshold)
+    q = skeleton.n_components
     free = _relations.free_positions(("circles", q), args.max_degree)
     # the layout json.dumps(indent=2) gives {"braid": ..., "link": {...}}
     return [
         '{\n  "braid": ',
-        _words.series_json_text(holonomy, args.strands, args.max_degree, kept, level=1),
+        _words._series_text(args.strands, args.max_degree, positions, real, imag, level=1),
         f',\n  "link": {{\n    "components": {q},\n    "cycles": ',
-        json.dumps(result.skeleton.components, indent=2).replace("\n", "\n    "),
+        _cycles_text(skeleton.components, 2),
         ',\n    "series": ',
         _circles.circle_series_json_text(result.reduced, q, args.max_degree, args.zero_threshold, free, level=2),
         "\n  }\n}\n",
@@ -289,9 +306,10 @@ def _cmd_verify(args):
 def _check_count_steps(n_strands, max_degree):
     """Refuse a `dims --strands` request whose normal-word counts take over MAX_COUNT_STEPS steps.
 
-    quotient_dimension at degree m takes (N - 1)(m + 1) integer steps, so
-    degrees 0..M take (N - 1)(M + 1)(M + 2) / 2; no word is built.  Strand
-    counts below 2 pass: counting reports them.
+    The steps counted are those of quotient_dimension at each degree m,
+    (N - 1)(m + 1), so (N - 1)(M + 1)(M + 2) / 2 for degrees 0..M; dims
+    counts every degree in one pass of (N - 1) M of them, and no word is
+    built.  Strand counts below 2 pass: counting reports them.
     """
     steps = (n_strands - 1) * (max_degree + 1) * (max_degree + 2) // 2
     if steps > MAX_COUNT_STEPS:
@@ -306,16 +324,11 @@ def _cmd_dims(args):
         raise ValidationError("need max-degree >= 0")
     if args.strands is not None:
         _check_count_steps(args.strands, args.max_degree)
+        dims = _relations._normal_word_counts(args.strands, args.max_degree)
     else:
         _circles.check_circle_budget(args.circles, args.max_degree)
-    entries = []
-    for degree in range(args.max_degree + 1):
-        if args.circles is not None:
-            dim = _relations.quotient_dimension(degree, circles=args.circles)
-        else:
-            dim = _relations.quotient_dimension(degree, strands=args.strands)
-        entries.append(f"{degree}:{dim}")
-    print(" ".join(entries))
+        dims = [_relations.quotient_dimension(m, circles=args.circles) for m in range(args.max_degree + 1)]
+    print(" ".join(f"{degree}:{dim}" for degree, dim in enumerate(dims)))
     return EXIT_OK
 
 

@@ -95,7 +95,11 @@ def _degree_of(n_strands, size):
     return degree
 
 
-def tau_project(coefficients, word: BraidWord) -> np.ndarray:
+def _skeleton_of(word):
+    return word if isinstance(word, LinkSkeleton) else closure_skeleton(word)
+
+
+def tau_project(coefficients, word: BraidWord | LinkSkeleton) -> np.ndarray:
     """Send braid words to diagrams on the closure's component circles.
 
     The k-th chord of a word (in height order) puts one foot on the circle of
@@ -107,11 +111,12 @@ def tau_project(coefficients, word: BraidWord) -> np.ndarray:
     returns it), projected as given, so zero the terms a threshold drops
     first.  Every basis word goes to one diagram through an index cached
     per (N, M, cycles), and coefficients are summed per diagram in basis
-    order into a dense series over circle_basis(components, M).
+    order into a dense series over circle_basis(components, M).  word may
+    be given as its closure_skeleton, which is all the projection reads.
     """
-    max_degree = _degree_of(word.n_strands, len(coefficients))
-    skeleton = closure_skeleton(word)
-    index = _tau_index(word.n_strands, max_degree, skeleton.components)
+    skeleton = _skeleton_of(word)
+    max_degree = _degree_of(skeleton.n_strands, len(coefficients))
+    index = _tau_index(skeleton.n_strands, max_degree, skeleton.components)
     size = len(circle_basis(skeleton.n_components, max_degree))
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(index, coefficients.real, size)
@@ -119,15 +124,16 @@ def tau_project(coefficients, word: BraidWord) -> np.ndarray:
     return out
 
 
-def close_braid(coefficients, word: BraidWord, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
+def close_braid(coefficients, word: BraidWord | LinkSkeleton, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
     """Project a braid's dense series onto its closure's circles, raw and reduced.
 
-    Zero the braid terms a threshold drops first, as for tau_project;
-    zero_threshold applies to the circle series reduce takes and returns.
+    Zero the braid terms a threshold drops first, as for tau_project, which
+    also takes word as its closure_skeleton; zero_threshold applies to the
+    circle series reduce takes and returns.
     """
-    skeleton = closure_skeleton(word)
-    circle_series = tau_project(coefficients, word)
-    max_degree = _degree_of(word.n_strands, len(coefficients))
+    skeleton = _skeleton_of(word)
+    circle_series = tau_project(coefficients, skeleton)
+    max_degree = _degree_of(skeleton.n_strands, len(coefficients))
     reduced = reduce(circle_series, ("circles", skeleton.n_components), max_degree, zero_threshold)
     return ClosureResult(skeleton, circle_series, reduced)
 

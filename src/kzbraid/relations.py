@@ -395,10 +395,15 @@ def quotient_dimension(degree: int, *, strands: int | None = None, circles: int 
     if circles is not None:
         rs = circle_relations(circles, degree)
         return len(rs.basis) - rs.rank
-    if strands < 2 or degree < 0:
+    return _normal_word_counts(strands, degree)[degree]
+
+
+def _normal_word_counts(n_strands, max_degree):
+    """Normal words on n_strands of each degree 0..max_degree, in (N - 1) M integer steps."""
+    if n_strands < 2 or max_degree < 0:
         raise ValueError("need n_strands >= 2 and degree >= 0")
-    counts = [1] + [0] * degree  # normal words whose chords' top strands are at most k + 1
-    for k in range(1, strands):
-        for m in range(1, degree + 1):
+    counts = [1] + [0] * max_degree  # normal words whose chords' top strands are at most k + 1
+    for k in range(1, n_strands):
+        for m in range(1, max_degree + 1):
             counts[m] += k * counts[m - 1]
-    return counts[degree]
+    return counts

@@ -10,7 +10,6 @@ and printed in this form.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import product
 
@@ -163,11 +162,12 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
 def _json_heads(n_strands, max_degree, level):
     """Per basis word, the text of its JSON term up to the real part.
 
-    Each degree's heads are joined from the chord texts over
-    itertools.product, which yields the words in basis order.
+    Each degree's heads are joined from the chord texts, written in
+    json.dumps(indent=2)'s layout directly, over itertools.product, which
+    yields the words in basis order.
     """
-    i2, i3, i4 = ("  " * (level + k) for k in range(2, 5))
-    chords = [i4 + json.dumps(p, indent=2).replace("\n", "\n" + i4) for p in all_pairs(n_strands)]
+    i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
+    chords = [f"{i4}[\n{i5}{i},\n{i5}{j}\n{i4}]" for i, j in all_pairs(n_strands)]
     heads = [f'{i2}{{\n{i3}"word": [],\n{i3}"re": ']
     head = f'{i2}{{\n{i3}"word": [\n%s\n{i3}],\n{i3}"re": '
     for m in range(1, max_degree + 1):
@@ -175,12 +175,13 @@ def _json_heads(n_strands, max_degree, level):
     return tuple(heads)
 
 
-def _document_text(fields, heads, coefficients, positions, level) -> str:
+def _document_text(fields, heads, positions, real, imag, level) -> str:
     """json.dumps(indent=2) text of a series document, its terms listed at positions.
 
     fields are the (key, int) entries before "terms"; heads[g] is the text
     of the term of basis position g up to its real part, as the _json_heads
-    caches hold it; positions increase.  level is the depth at which the document
+    caches hold it; positions increase, and real and imag hold the listed
+    terms' parts in their order.  level is the depth at which the document
     sits inside an enclosing indent=2 document.  The text is one %-format
     of cached heads and the floats' repr, as json prints finite floats.
     """
@@ -191,8 +192,8 @@ def _document_text(fields, heads, coefficients, positions, level) -> str:
     # per term: head, real part, imaginary part; fields hold no %
     values = [None] * (3 * len(positions))
     values[0::3] = [heads[g] for g in positions]
-    values[1::3] = coefficients.real.take(positions).tolist()
-    values[2::3] = coefficients.imag.take(positions).tolist()
+    values[1::3] = real
+    values[2::3] = imag
     terms = ",\n".join([f'%s%r,\n{i3}"im": %r\n{i2}}}'] * len(positions))
     return f'{opening}{i1}"terms": [\n{terms}\n{i1}]\n{i0}}}' % tuple(values)
 
@@ -204,6 +205,11 @@ def series_json_text(coefficients, n_strands, max_degree, positions, level=0) ->
     example those whose modulus reaches the threshold; level is the depth at
     which the document sits inside an enclosing indent=2 document.
     """
-    heads = _json_heads(n_strands, max_degree, level)
+    listed = coefficients.take(positions)
+    return _series_text(n_strands, max_degree, positions, listed.real.tolist(), listed.imag.tolist(), level)
+
+
+def _series_text(n_strands, max_degree, positions, real, imag, level=0) -> str:
+    """series_json_text of the terms at positions, given their real and imaginary parts in order."""
     fields = (("n_strands", n_strands), ("max_degree", max_degree))
-    return _document_text(fields, heads, coefficients, positions, level)
+    return _document_text(fields, _json_heads(n_strands, max_degree, level), positions, real, imag, level)

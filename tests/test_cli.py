@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import kzbraid
-from kzbraid.cli import _CHECKS, _TABLE_ROW, MAX_STEPS, ValidationError, _check_count_steps, main
+from kzbraid.cli import (
+    _CHECKS, _TABLE_ROW, MAX_STEPS, ValidationError, _check_count_steps, _cycles_text, main,
+)
 from kzbraid.circles import (
     MAX_CIRCLE_CELLS,
     MAX_CIRCLE_MATCHINGS,
@@ -105,6 +107,37 @@ def test_compute_close_hopf(capsys, tmp_path):
     ]
     assert len(inter) == 1
     assert abs(inter[0]["re"] - 1.0) < 1e-6
+
+
+def test_cycles_text_matches_json_dumps():
+    # closures of 1 to 5 components whose cycles hold 1 to 4 strands each
+    rng = random.Random(24)
+    for components in range(1, 6):
+        for _ in range(20):
+            sizes = [rng.randint(1, 4) for _ in range(components)]
+            strands = rng.sample(range(1, sum(sizes) + 1), sum(sizes))
+            cycles = tuple(tuple(strands[sum(sizes[:c]):sum(sizes[:c + 1])]) for c in range(components))
+            for level in range(3):
+                expected = json.dumps(cycles, indent=2).replace("\n", "\n" + "  " * level)
+                assert _cycles_text(cycles, level) == expected, (cycles, level)
+
+
+def test_close_builds_the_closure_permutation_once(capsys, monkeypatch):
+    # the budget check, the projection and the "cycles" text share one skeleton
+    braids_module, closure_module = (importlib.import_module(f"kzbraid.{name}") for name in ("braids", "closure"))
+    permutation_of, calls = braids_module.permutation_of, []
+
+    def counting(word):
+        calls.append(word)
+        return permutation_of(word)
+
+    for module in (braids_module, closure_module):
+        monkeypatch.setattr(module, "permutation_of", counting)
+    for strands, letters in ((2, "1 1"), (3, "1 -2"), (4, "1 2 -3")):
+        calls.clear()
+        code, out, _ = run(capsys, "compute", "-n", str(strands), "-w", letters, "-m", "2", "--close")
+        assert code == 0 and '"cycles"' in out
+        assert calls == [parse_braid_word(letters, strands)]
 
 
 def _link_terms(capsys, tmp_path, *extra):
@@ -453,7 +486,7 @@ def _child_env():
 
 _FRESH_COMPUTE = ["compute", "-n", "3", "-w", "1 -2 1", "-m", "3", "--steps", "64"]
 _FRESH_SCRIPT = f"""
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 from kzbraid.cli import main
 
 def run(argv):
@@ -466,7 +499,9 @@ def run(argv):
     return code, out.getvalue()
 
 def deferred():
-    return sorted({{"dataclasses", "fractions"}} & set(sys.modules))
+    # json may sit in sys.modules as a lazy module that has not run
+    return sorted(name for name in ("dataclasses", "fractions", "json")
+                  if type(sys.modules.get(name)) is types.ModuleType)
 
 def executed():
     # a module not yet run is still a lazy module; type() does not run it
@@ -490,6 +525,7 @@ for argv in ({_FRESH_COMPUTE!r}, {_FRESH_COMPUTE + ["--close"]!r}):
     compute.append(run(argv))
     stdlib.append(deferred())
     ran.append(executed())
+import json  # only now, to write the report
 json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": compute, "stdlib_loaded": stdlib,
            "registered": registered, "executed": ran}}, sys.stdout)
 """
@@ -503,7 +539,8 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert done.returncode == 0, done.stderr[-500:]
     report = json.loads(done.stdout)
     assert report["numpy_loaded"] == []
-    # records are named tuples, and the circle echelon divides integers
+    # records are named tuples, the circle echelon divides integers, and
+    # every JSON text is written without json
     assert report["stdlib_loaded"] == [[]] * 7
     # every module is registered by the import, for lookups at call time,
     # and runs on the first command that uses it
