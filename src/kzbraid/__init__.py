@@ -6,7 +6,8 @@ but runs none of them.  `kzbraid.transport` is the function, as the name
 table says, not the module.  A CLI command runs only the modules it uses:
 `--help` none besides `cli`, `dims` `relations`, `words` (and `circles` on
 circles), `compute` and `verify` `braids`, `transport`, `words` (and
-`relations` to reduce), `compute --close` all; `_lazy` lists them.
+`relations` to reduce; `compute` also `_floattext`), `compute --close`
+all; `_lazy` lists them.
 """
 
 from ._lazy import _lazy_module

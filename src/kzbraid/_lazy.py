@@ -4,15 +4,18 @@ A fresh process compiles and runs only the modules its command uses, and
 never imports numpy for the exact side of the package (circle and word
 bases, relation rows, the integer echelon behind `dims`).  Importing
 `kzbraid` registers `braids`, `circles`, `closure`, `relations`,
-`transport` and `words` in `sys.modules` without running them; `cli` and
-`relations` look their callees up on those handles at call time.  By
-command, the modules that run besides `cli`:
+`transport` and `words` in `sys.modules` without running them, and
+importing `cli` adds `_floattext`; `cli`, `relations` and `words` look
+their callees up on those handles at call time.  By command, the modules
+that run besides `cli`:
 
 - `--help`: none;
 - `dims --strands`: `relations` and `words`;
 - `dims --circles`: `relations`, `words` and `circles`;
-- `verify` and `compute`: `braids`, `transport` and `words`, plus
-  `relations` for the checks that reduce;
+- `verify`: `braids`, `transport` and `words`, plus `relations` for the
+  checks that reduce;
+- `compute`: `braids`, `transport`, `words` and `_floattext`, which writes
+  its floats;
 - `compute --close`: all of them.
 
 An import statement naming a lazy module (`from . import x`,

@@ -345,11 +345,12 @@ def circle_series_json_text(
 
     level is the depth at which the document sits inside an enclosing
     indent=2 document.  Term heads are built once per (n_circles,
-    max_degree, positions, level), for the given positions only.
+    max_degree, positions, level), for the given positions only, and only
+    the coefficients at those positions are read.
     """
     heads = _json_heads(n_circles, max_degree, positions, level)
-    values = coefficients.tolist()
-    listed = [k for k in heads if abs(values[k]) >= zero_threshold]
-    terms = [values[k] for k in listed]
+    candidates = list(heads)
+    values = coefficients.take(candidates)
+    kept = [i for i, c in enumerate(values.tolist()) if abs(c) >= zero_threshold]
     fields = (("circles", n_circles), ("max_degree", max_degree))
-    return _document_text(fields, heads, listed, [c.real for c in terms], [c.imag for c in terms], level)
+    return _document_text(fields, heads, [candidates[i] for i in kept], values[kept], level)

@@ -3,10 +3,14 @@
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Output is
 deterministic: terms are emitted in graded-lexicographic order; the table
 prints floats with 16 significant digits (%.16g) and the JSON in their
-shortest round-trip form (repr).  Every loop is integrated spectrally,
-so --steps (default KZBRAID_STEPS when set, read on every call) changes no
-result: it is checked here, 1 to MAX_STEPS, with the other arguments and
-before any file is opened, and passed nowhere.
+shortest round-trip form (repr).  Both are written by _floattext: with
+enough floats, from digits computed in numpy and certified value by value,
+any value it cannot certify written by Python's own conversion; with fewer
+floats than a size set above its measured break-even, all of them that
+way.  Every loop is integrated spectrally, so --steps (default
+KZBRAID_STEPS when set, read on every call) changes no result: it is
+checked here, 1 to MAX_STEPS, with the other arguments and before any file
+is opened, and passed nowhere.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ _braids, _circles, _closure, _relations, _transport, _words = (
     _lazy_module(f"kzbraid.{name}")
     for name in ("braids", "circles", "closure", "relations", "transport", "words")
 )
+_floattext = _lazy_module("kzbraid._floattext")
 # no command runs json, whose import takes about 2.5 ms; perfbench/tracing.py
 # wraps cli.json.dumps, which loads it
 json = _lazy_module("json")
@@ -88,9 +93,19 @@ def _build_parser():
 
 
 _TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
-# a table row: its cached prefix, modulus, then argument; the same text as
-# "{:<22.16g}  {:.16g}" gives for every float
-_TABLE_ROW = "%s%-22.16g  %.16g\n"
+
+
+def _table_text(prefixes, column):
+    """The term table: per row its prefix, its modulus as "{:<22.16g}" and its argument as "{:.16g}".
+
+    column alternates the rows' moduli and arguments; prefixes hold no %.
+    """
+    texts, numbers = _floattext.pieces(column, ("%s%-22.16g  ", "%.16g\n"))
+    rows = [None] * (3 * len(prefixes))
+    rows[0::3] = prefixes
+    rows[1::3] = numbers[0::2]
+    rows[2::3] = numbers[1::2]
+    return (_TABLE_HEADER + "".join(texts)) % tuple(rows)
 
 
 @lru_cache(maxsize=16)
@@ -143,15 +158,13 @@ def _compute_json(args, word, skeleton):
     kept = np.flatnonzero(np.array(moduli) >= args.zero_threshold)
     positions = kept.tolist()
     listed = holonomy[kept]  # read once for the table, the JSON and the projection
-    real, imag = listed.real.tolist(), listed.imag.tolist()
     prefixes = _table_prefixes(args.strands, args.max_degree)
-    rows = [None] * (3 * len(positions))
-    rows[0::3] = [prefixes[g] for g in positions]
-    rows[1::3] = [moduli[g] for g in positions]
-    rows[2::3] = map(math.atan2, imag, real)
-    sys.stdout.write((_TABLE_HEADER + _TABLE_ROW * len(positions)) % tuple(rows))
+    column = [None] * (2 * len(positions))
+    column[0::2] = [moduli[g] for g in positions]
+    column[1::2] = map(math.atan2, listed.imag.tolist(), listed.real.tolist())
+    sys.stdout.write(_table_text([prefixes[g] for g in positions], column))
     if not args.close:
-        return [_words._series_text(args.strands, args.max_degree, positions, real, imag), "\n"]
+        return [_words._series_text(args.strands, args.max_degree, positions, listed), "\n"]
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
     projected[kept] = listed
     result = _closure.close_braid(projected, skeleton, args.zero_threshold)
@@ -160,7 +173,7 @@ def _compute_json(args, word, skeleton):
     # the layout json.dumps(indent=2) gives {"braid": ..., "link": {...}}
     return [
         '{\n  "braid": ',
-        _words._series_text(args.strands, args.max_degree, positions, real, imag, level=1),
+        _words._series_text(args.strands, args.max_degree, positions, listed, level=1),
         f',\n  "link": {{\n    "components": {q},\n    "cycles": ',
         _cycles_text(skeleton.components, 2),
         ',\n    "series": ',

@@ -13,7 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from ._lazy import np
+from ._lazy import _lazy_module, np
+
+_floattext = _lazy_module("kzbraid._floattext")
 
 ZERO_THRESHOLD = 1e-12
 # Largest word basis sum_{m<=M} P**m a request may build.  A compute request
@@ -175,27 +177,30 @@ def _json_heads(n_strands, max_degree, level):
     return tuple(heads)
 
 
-def _document_text(fields, heads, positions, real, imag, level) -> str:
+def _document_text(fields, heads, positions, listed, level) -> str:
     """json.dumps(indent=2) text of a series document, its terms listed at positions.
 
     fields are the (key, int) entries before "terms"; heads[g] is the text
     of the term of basis position g up to its real part, as the _json_heads
-    caches hold it; positions increase, and real and imag hold the listed
-    terms' parts in their order.  level is the depth at which the document
-    sits inside an enclosing indent=2 document.  The text is one %-format
-    of cached heads and the floats' repr, as json prints finite floats.
+    caches hold it; positions increase, and listed holds the listed terms'
+    complex coefficients in their order.  level is the depth at which the
+    document sits inside an enclosing indent=2 document.  The text is one
+    %-format of cached heads and the floats' repr, as json prints finite
+    floats, each written by _floattext.
     """
     i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
     opening = "{\n" + "".join(f'{i1}"{key}": {value},\n' for key, value in fields)
     if not positions:
         return f'{opening}{i1}"terms": []\n{i0}}}'
     # per term: head, real part, imaginary part; fields hold no %
+    parts = np.ascontiguousarray(listed, dtype=complex).view(np.float64)  # re, im, re, ...
+    texts, numbers = _floattext.pieces(parts, (f',\n%s%r,\n{i3}"im": ', f"%r\n{i2}}}"))
+    texts[0] = texts[0][2:]  # no comma before the first term
     values = [None] * (3 * len(positions))
     values[0::3] = [heads[g] for g in positions]
-    values[1::3] = real
-    values[2::3] = imag
-    terms = ",\n".join([f'%s%r,\n{i3}"im": %r\n{i2}}}'] * len(positions))
-    return f'{opening}{i1}"terms": [\n{terms}\n{i1}]\n{i0}}}' % tuple(values)
+    values[1::3] = numbers[0::2]
+    values[2::3] = numbers[1::2]
+    return (f'{opening}{i1}"terms": [\n' + "".join(texts) + f"\n{i1}]\n{i0}}}") % tuple(values)
 
 
 def series_json_text(coefficients, n_strands, max_degree, positions, level=0) -> str:
@@ -205,11 +210,10 @@ def series_json_text(coefficients, n_strands, max_degree, positions, level=0) ->
     example those whose modulus reaches the threshold; level is the depth at
     which the document sits inside an enclosing indent=2 document.
     """
-    listed = coefficients.take(positions)
-    return _series_text(n_strands, max_degree, positions, listed.real.tolist(), listed.imag.tolist(), level)
+    return _series_text(n_strands, max_degree, positions, coefficients.take(positions), level)
 
 
-def _series_text(n_strands, max_degree, positions, real, imag, level=0) -> str:
-    """series_json_text of the terms at positions, given their real and imaginary parts in order."""
+def _series_text(n_strands, max_degree, positions, listed, level=0) -> str:
+    """series_json_text of the terms at positions, given their coefficients in order."""
     fields = (("n_strands", n_strands), ("max_degree", max_degree))
-    return _document_text(fields, _json_heads(n_strands, max_degree, level), positions, real, imag, level)
+    return _document_text(fields, _json_heads(n_strands, max_degree, level), positions, listed, level)

@@ -14,7 +14,7 @@ import pytest
 
 import kzbraid
 from kzbraid.cli import (
-    _CHECKS, _TABLE_ROW, MAX_STEPS, ValidationError, _check_count_steps, _cycles_text, main,
+    _CHECKS, MAX_STEPS, ValidationError, _check_count_steps, _cycles_text, _table_text, main,
 )
 from kzbraid.circles import (
     MAX_CIRCLE_CELLS,
@@ -429,20 +429,30 @@ def test_close_output_bytes_match_series_path_at_degree_four(capsys):
 
 
 def test_compute_table_matches_per_row_format(capsys):
-    # the table is one %-format per block; the reference formats each row
-    # with str.format.  Threshold 0 lists the exact zero coefficients, whose
-    # arguments atan2 gives as 0 or pi, signed zeros included.  Which
-    # cancellations come out exactly 0 depends on rounding: "1 1 -1 -1" has
-    # one, at degree 2
-    for strands, letters in ((2, ""), (2, "1 1 -1 -1"), (4, "1 3")):
-        assert 0j in kontsevich_of_braid(parse_braid_word(letters, strands), 3).tolist()
-        code, out, _ = run(capsys, "compute", "-n", str(strands), "-m", "3", "-w", letters, "--zero-threshold", "0")
-        assert code == 0
-        assert out == _reference_stdout(strands, letters, 3, False, 0.0), (strands, letters)
+    # the reference formats each row with str.format.  Threshold 0 lists the
+    # exact zero coefficients, whose arguments atan2 gives as 0 or pi, signed
+    # zeros included.  Which cancellations come out exactly 0 depends on
+    # rounding: "1 1 -1 -1" has one, at degree 2.  N=4, M=4 prints 1,555
+    # rows, so its floats take the certified digit kernel
+    for strands, letters, max_degree in ((2, "", 3), (2, "1 1 -1 -1", 3), (4, "1 3", 3), (4, "1 -2 3 2 -1", 4)):
+        if max_degree == 3:
+            assert 0j in kontsevich_of_braid(parse_braid_word(letters, strands), 3).tolist()
+        for threshold in ("0", "1e-12"):
+            code, out, _ = run(capsys, "compute", "-n", str(strands), "-m", str(max_degree), "-w", letters,
+                               "--zero-threshold", threshold)
+            assert code == 0
+            assert out == _reference_stdout(strands, letters, max_degree, False, float(threshold)), (strands, letters)
+    # every pair of specials, alone and among enough rows for the kernel
     specials = (0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, math.inf, math.nan, 1e16, 0.1)
-    for modulus in specials:
-        for arg in specials:
-            assert _TABLE_ROW % ("", modulus, arg) == f"{modulus:<22.16g}  {arg:.16g}\n"
+    pairs = [(modulus, arg) for modulus in specials for arg in specials]
+    rng = random.Random(4)
+    filler = [(rng.random() * 10.0 ** rng.randint(-13, 1), rng.uniform(-math.pi, math.pi)) for _ in range(1000)]
+    for rows in (pairs, pairs + filler, filler + pairs):
+        column = [value for pair in rows for value in pair]
+        text = _table_text([f"{k}|" for k in range(len(rows))], column)
+        assert text.split("\n", 1)[1] == "".join(
+            f"{k}|{modulus:<22.16g}  {arg:.16g}\n" for k, (modulus, arg) in enumerate(rows)
+        )
 
 
 def test_compute_memory_at_n4_m6():
@@ -520,13 +530,16 @@ for argv in (
     stdlib.append(deferred())
     ran.append(executed())
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+verify = run(["verify", "abelian", "-m", "2"])
+stdlib.append(deferred())
+ran.append(executed())
 compute = []
 for argv in ({_FRESH_COMPUTE!r}, {_FRESH_COMPUTE + ["--close"]!r}):
     compute.append(run(argv))
     stdlib.append(deferred())
     ran.append(executed())
 import json  # only now, to write the report
-json.dump({{"exact": exact, "numpy_loaded": loaded, "compute": compute, "stdlib_loaded": stdlib,
+json.dump({{"exact": exact, "numpy_loaded": loaded, "verify": verify, "compute": compute, "stdlib_loaded": stdlib,
            "registered": registered, "executed": ran}}, sys.stdout)
 """
 
@@ -541,14 +554,18 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert report["numpy_loaded"] == []
     # records are named tuples, the circle echelon divides integers, and
     # every JSON text is written without json
-    assert report["stdlib_loaded"] == [[]] * 7
+    assert report["stdlib_loaded"] == [[]] * 8
     # every module is registered by the import, for lookups at call time,
     # and runs on the first command that uses it
-    modules = ["_lazy", "braids", "circles", "cli", "closure", "relations", "transport", "words"]
+    modules = ["_floattext", "_lazy", "braids", "circles", "cli", "closure", "relations", "transport", "words"]
     assert report["registered"] == [f"kzbraid.{name}" for name in modules]
     # the modules run by the import (cli), then added by --help, dims
-    # --strands, dims --circles twice, compute and compute --close
-    added = [["_lazy", "cli"], [], ["relations", "words"], ["circles"], [], ["braids", "transport"], ["closure"]]
+    # --strands, dims --circles twice, verify, compute and compute --close:
+    # only compute writes floats through _floattext
+    added = [
+        ["_lazy", "cli"], [], ["relations", "words"], ["circles"], [], ["braids", "transport"], ["_floattext"],
+        ["closure"],
+    ]
     assert len(report["executed"]) == len(added)
     ran = []
     for names, executed in zip(added, report["executed"]):
@@ -560,6 +577,7 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert dims_strands == [0, "0:1 1:3 2:7 3:15\n"]
     assert dims_circles == [0, run(capsys, "dims", "--circles", "2", "-m", "3")[1]]
     assert dims_three_circles == [0, "0:1 1:3 2:9 3:25 4:67\n"]
+    assert report["verify"][0] == 0 and report["verify"][1].startswith("abelian: residual=")
     for argv, fresh in zip((_FRESH_COMPUTE, _FRESH_COMPUTE + ["--close"]), report["compute"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0

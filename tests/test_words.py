@@ -158,7 +158,8 @@ def test_json_text_matches_json_dumps():
     rng = np.random.default_rng(1010)
     for level in (0, 1, 2):
         indent = "\n" + "  " * level
-        for n, max_degree in ((2, 0), (3, 2), (4, 2)):
+        # (4, 4) and (5, 3) list enough terms for the certified digit kernel
+        for n, max_degree in ((2, 0), (3, 2), (4, 2), (4, 4), (5, 3)):
             size = len(basis_words(n, max_degree))
             s = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size) + 1j * rng.normal(size=size)
             for threshold in (0.0, 1.0, np.inf):
