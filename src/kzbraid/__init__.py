@@ -6,8 +6,8 @@ but runs none of them.  `kzbraid.transport` is the function, as the name
 table says, not the module.  A CLI command runs only the modules it uses:
 `--help` none besides `cli`, `dims` `relations`, `words` (and `circles` on
 circles), `compute` and `verify` `braids`, `transport`, `words` (and
-`relations` to reduce; `compute` also `_floattext`), `compute --close`
-all; `_lazy` lists them.
+`relations` to reduce; `compute` also `_text`, which writes its output),
+`compute --close` all; `_lazy` lists them.
 """
 
 from ._lazy import _lazy_module
@@ -27,7 +27,6 @@ _EXPORTS = {
         "MAX_CIRCLE_MATCHINGS",
         "check_circle_budget",
         "circle_basis",
-        "circle_series_json_text",
         "circle_series_to_json_dict",
         "enumerate_circle_diagrams",
     ),
@@ -64,7 +63,6 @@ _EXPORTS = {
         "check_word_budget",
         "enumerate_words",
         "relabel_strands",
-        "series_json_text",
         "series_product",
         "series_to_json_dict",
     ),

@@ -5,8 +5,8 @@ never imports numpy for the exact side of the package (circle and word
 bases, relation rows, the integer echelon behind `dims`).  Importing
 `kzbraid` registers `braids`, `circles`, `closure`, `relations`,
 `transport` and `words` in `sys.modules` without running them, and
-importing `cli` adds `_floattext`; `cli`, `relations` and `words` look
-their callees up on those handles at call time.  By command, the modules
+importing `cli` adds `_text`; `cli`, `relations` and `_text` look their
+callees up on those handles at call time.  By command, the modules
 that run besides `cli`:
 
 - `--help`: none;
@@ -14,8 +14,8 @@ that run besides `cli`:
 - `dims --circles`: `relations`, `words` and `circles`;
 - `verify`: `braids`, `transport` and `words`, plus `relations` for the
   checks that reduce;
-- `compute`: `braids`, `transport`, `words` and `_floattext`, which writes
-  its floats;
+- `compute`: `braids`, `transport`, `words` and `_text`, which writes its
+  table and JSON;
 - `compute --close`: all of them.
 
 An import statement naming a lazy module (`from . import x`,

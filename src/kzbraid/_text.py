@@ -1,5 +1,11 @@
-"""How a float becomes text: repr for the JSON, %.16g and %-22.16g for the table.
+"""Everything `compute` prints: the term table, the JSON text and the floats in both.
 
+`table`, `braid_json` and `link_json` write the term table, the braid's
+JSON document and that of a braid and its closure, byte for byte what
+str.format and json.dumps(indent=2) give, each as one %-format of the
+cached text of its rows up to their floats and the floats' own (_rows).
+
+A float becomes text as repr in the JSON, %.16g and %-22.16g in the table.
 `pieces(values, formats)` turns floats into %-format text and one
 argument per value.  Each format holds one float conversion (%r, %.16g or
 %-22.16g) and any literal text or other conversions around it, and
@@ -47,17 +53,20 @@ error of y.  A value goes to the exact per-value conversion when:
 - its fixed layout has two or more integer digits and a fraction, whose
   integer part would take too many distinct texts.
 
-Every call with fewer values than MIN_VALUES gives for its conversion
-formats each value alone: the kernel's fixed cost is larger than what it
-saves on so few.
+Calls with fewer values than MIN_VALUES format each value alone.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from functools import lru_cache
 
-from ._lazy import np
+from ._lazy import _lazy_module, np
+
+# handles that load each module on its first use (see _lazy)
+_circles, _words = (_lazy_module(f"kzbraid.{name}") for name in ("circles", "words"))
 
 # Calls with fewer values format each value alone.  Measured on fresh N=4,
 # M=4 coefficients with the caches disturbed between calls (medians of
@@ -271,3 +280,121 @@ def _tail(formats, i):
         k = tail - 17 + _KMIN
         text = f"e{'-' if k < 0 else '+'}{abs(k):02d}"
     return text + " " * pad + after
+
+
+# The layout: a listed row or term is its cached head, ending where its
+# first float begins, and two floats.  A JSON head starts with the ",\n"
+# that ends the term before it, which the first term drops.
+_TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
+_TABLE_ROW = ("%s%-22.16g  ", "%.16g\n")
+
+
+def _rows(heads, values, formats, opening="", closing=""):
+    """opening, per head the head and its two values by formats in turn, then closing.
+
+    formats[0] takes the head by a %s; opening, closing and heads hold no %.
+    """
+    texts, numbers = pieces(values, formats)
+    args = [None] * (3 * len(heads))
+    args[0::3], args[1::3], args[2::3] = heads, numbers[0::2], numbers[1::2]
+    return "".join([opening, *texts, closing]) % tuple(args)
+
+
+@lru_cache(maxsize=16)
+def _table_prefixes(n_strands, max_degree):
+    """Per basis word, its table row up to the modulus."""
+    chords = [f"({i},{j})" for i, j in _words.all_pairs(n_strands)]
+    prefixes = [f"  0  {'1':<24}  "]
+    for m in range(1, max_degree + 1):  # the product yields the words in basis order
+        prefixes += map(f"{m:>3}  %-24s  ".__mod__, map("".join, itertools.product(chords, repeat=m)))
+    return tuple(prefixes)
+
+
+def table(n_strands, max_degree, positions, moduli, listed):
+    """The term table of the terms at positions, given every word's modulus and the listed coefficients."""
+    prefixes = _table_prefixes(n_strands, max_degree)
+    column = [None] * (2 * len(positions))
+    column[0::2] = [moduli[g] for g in positions]
+    column[1::2] = map(math.atan2, listed.imag.tolist(), listed.real.tolist())
+    return _rows([prefixes[g] for g in positions], column, _TABLE_ROW, _TABLE_HEADER)
+
+
+@lru_cache(maxsize=16)
+def _word_heads(n_strands, max_degree, level):
+    """Per basis word, its JSON term up to the real part, level deep."""
+    i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
+    chords = [f"{i4}[\n{i5}{i},\n{i5}{j}\n{i4}]" for i, j in _words.all_pairs(n_strands)]
+    heads = [f',\n{i2}{{\n{i3}"word": [],\n{i3}"re": ']
+    head = f',\n{i2}{{\n{i3}"word": [\n%s\n{i3}],\n{i3}"re": '
+    for m in range(1, max_degree + 1):
+        heads += map(head.__mod__, map(",\n".join, itertools.product(chords, repeat=m)))
+    return tuple(heads)
+
+
+@lru_cache(maxsize=16)
+def _diagram_heads(n_circles, max_degree, positions):
+    """Per basis position in positions, its circle JSON term up to the real part, two levels deep."""
+    basis = _circles.circle_basis(n_circles, max_degree)
+    i2, i3, i4, i5, i6 = ("  " * k for k in range(4, 9))
+    foot = f"{i5}[\n{i6}%d,\n{i6}%d\n{i5}]"
+    chord = f"{i4}[\n{foot},\n{foot}\n{i4}]"
+    heads = []
+    for k in positions:
+        slots, chords = _circles.slots_and_chords(basis[k])
+        slots = ",\n".join([f"{i4}{n}" for n in slots])
+        word = ",\n".join([chord % (f1 + f2) for f1, f2 in chords])
+        word = f"[\n{word}\n{i3}]" if word else "[]"
+        heads.append(f',\n{i2}{{\n{i3}"slots": [\n{slots}\n{i3}],\n{i3}"word": {word},\n{i3}"re": ')
+    return tuple(heads)
+
+
+def _document(heads, listed, level, **fields):
+    """json.dumps(indent=2) of a series document, level deep: the int fields, then its terms."""
+    i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
+    opening = "{\n" + "".join(f'{i1}"{key}": {value},\n' for key, value in fields.items())
+    if not heads:
+        return f'{opening}{i1}"terms": []\n{i0}}}'
+    heads[0] = heads[0][2:]
+    parts = np.ascontiguousarray(listed, dtype=complex).view(np.float64)  # re, im, re, ...
+    formats = (f'%s%r,\n{i3}"im": ', f"%r\n{i2}}}")
+    return _rows(heads, parts, formats, f'{opening}{i1}"terms": [\n', f"\n{i1}]\n{i0}}}")
+
+
+def _braid_text(n_strands, max_degree, positions, listed, level):
+    """json.dumps(series_to_json_dict(...), indent=2), level deep, of the terms at positions."""
+    heads = _word_heads(n_strands, max_degree, level)
+    return _document([heads[g] for g in positions], listed, level, n_strands=n_strands, max_degree=max_degree)
+
+
+def _circle_text(coefficients, n_circles, max_degree, zero_threshold, positions):
+    """json.dumps(circle_series_to_json_dict(...), indent=2), two levels deep; reads only positions."""
+    heads = _diagram_heads(n_circles, max_degree, positions)
+    values = coefficients.take(positions)
+    kept = [i for i, c in enumerate(values.tolist()) if abs(c) >= zero_threshold]
+    return _document([heads[i] for i in kept], values[kept], 2, circles=n_circles, max_degree=max_degree)
+
+
+def _cycles_text(cycles, level):
+    """json.dumps(cycles, indent=2) of non-empty lists of ints, level deep."""
+    i0, i1, i2 = ("  " * (level + k) for k in range(3))
+    items = [f"{i1}[\n{i2}" + f",\n{i2}".join(map(str, cycle)) + f"\n{i1}]" for cycle in cycles]
+    return "[\n" + ",\n".join(items) + f"\n{i0}]"
+
+
+def braid_json(n_strands, max_degree, positions, listed):
+    """The braid's JSON of the terms at positions, listed holding their coefficients, in parts to write."""
+    return [_braid_text(n_strands, max_degree, positions, listed, 0), "\n"]
+
+
+def link_json(n_strands, max_degree, positions, listed, closure, free, zero_threshold):
+    """{"braid": braid_json's document, "link": the closure's}, in parts to write.
+
+    closure is the braid's ClosureResult; its reduced terms are listed at
+    the free positions where their modulus reaches zero_threshold.
+    """
+    q = closure.skeleton.n_components
+    return [
+        '{\n  "braid": ', _braid_text(n_strands, max_degree, positions, listed, 1),
+        f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(closure.skeleton.components, 2),
+        ',\n    "series": ', _circle_text(closure.reduced, q, max_degree, zero_threshold, free), "\n  }\n}\n",
+    ]

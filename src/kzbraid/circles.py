@@ -25,7 +25,7 @@ from itertools import accumulate
 from math import comb
 from operator import itemgetter
 
-from .words import ZERO_THRESHOLD, _document_text
+from .words import ZERO_THRESHOLD
 
 # The circle budget, counted before anything is built.  Most chord matchings
 # (all slot splits, all degrees m <= M) a circle basis may cover:
@@ -126,7 +126,8 @@ def isolated_chords(drawing):
 
 @lru_cache(maxsize=64)
 def _circle_counts(n_circles, max_degree):
-    """(count_circle_matchings, count_circle_cells) of (q, M), counted in one pass over the degrees."""
+    """(raw matchings, drawing-table cells) to degree M, in one pass: degree m has
+    C(2m+q-1, q-1) slot splits of (2m-1)!! matchings, each of q + 2m cells."""
     matchings = cells = 0
     pairings = 1
     for m in range(max_degree + 1):
@@ -136,19 +137,6 @@ def _circle_counts(n_circles, max_degree):
         matchings += count
         cells += (n_circles + 2 * m) * count
     return matchings, cells
-
-
-def count_circle_matchings(n_circles: int, max_degree: int) -> int:
-    """Raw matchings enumerate_circle_diagrams walks over the degrees m <= max_degree.
-
-    The sum of C(2m+q-1, q-1) slot splits times (2m-1)!! matchings each.
-    """
-    return _circle_counts(n_circles, max_degree)[0]
-
-
-def count_circle_cells(n_circles: int, max_degree: int) -> int:
-    """Labels and -1s in the drawing tables to max_degree: q + 2m per raw matching of degree m."""
-    return _circle_counts(n_circles, max_degree)[1]
 
 
 def check_circle_budget(n_circles: int, max_degree: int):
@@ -292,65 +280,16 @@ def circle_series_to_json_dict(
 
     Lists every term whose modulus reaches zero_threshold among positions,
     increasing basis positions, by default all of them; a reduced series
-    passes its free positions.  compute writes circle_series_json_text;
-    this is the tests' reference for it, kept here because the benchmark
-    tracer wraps it.
+    passes its free positions.  compute writes this document's text
+    through _text; this is the tests' reference for it, kept here because
+    the benchmark tracer wraps it.
     """
     basis = circle_basis(n_circles, max_degree)
     values = coefficients.tolist()
     terms = []
     for k in range(len(basis)) if positions is None else positions:
-        coeff = values[k]
-        if abs(coeff) >= zero_threshold:
+        if abs(values[k]) >= zero_threshold:
             slots, chords = slots_and_chords(basis[k])
-            terms.append(
-                {
-                    "slots": list(slots),
-                    "word": [[list(f1), list(f2)] for f1, f2 in chords],
-                    "re": coeff.real,
-                    "im": coeff.imag,
-                }
-            )
-    return {
-        "circles": n_circles,
-        "max_degree": max_degree,
-        "terms": terms,
-    }
-
-
-@lru_cache(maxsize=16)
-def _json_heads(n_circles, max_degree, positions, level):
-    """Basis position -> the text of its JSON term up to the real part, for the listed positions.
-
-    slots and word are written in json.dumps(indent=2)'s layout directly.
-    """
-    basis = circle_basis(n_circles, max_degree)
-    i2, i3, i4, i5, i6 = ("  " * (level + k) for k in range(2, 7))
-    foot = f"{i5}[\n{i6}%d,\n{i6}%d\n{i5}]"
-    chord = f"{i4}[\n{foot},\n{foot}\n{i4}]"
-    heads = {}
-    for k in range(len(basis)) if positions is None else positions:
-        slots, chords = slots_and_chords(basis[k])
-        slots = ",\n".join([f"{i4}{n}" for n in slots])
-        word = ",\n".join([chord % (f1 + f2) for f1, f2 in chords])
-        word = f"[\n{word}\n{i3}]" if word else "[]"
-        heads[k] = f'{i2}{{\n{i3}"slots": [\n{slots}\n{i3}],\n{i3}"word": {word},\n{i3}"re": '
-    return heads
-
-
-def circle_series_json_text(
-    coefficients, n_circles, max_degree, zero_threshold=ZERO_THRESHOLD, positions=None, level=0
-) -> str:
-    """json.dumps(circle_series_to_json_dict(...), indent=2) with the same arguments.
-
-    level is the depth at which the document sits inside an enclosing
-    indent=2 document.  Term heads are built once per (n_circles,
-    max_degree, positions, level), for the given positions only, and only
-    the coefficients at those positions are read.
-    """
-    heads = _json_heads(n_circles, max_degree, positions, level)
-    candidates = list(heads)
-    values = coefficients.take(candidates)
-    kept = [i for i, c in enumerate(values.tolist()) if abs(c) >= zero_threshold]
-    fields = (("circles", n_circles), ("max_degree", max_degree))
-    return _document_text(fields, heads, [candidates[i] for i in kept], values[kept], level)
+            word = [[list(f1), list(f2)] for f1, f2 in chords]
+            terms.append({"slots": list(slots), "word": word, "re": values[k].real, "im": values[k].imag})
+    return {"circles": n_circles, "max_degree": max_degree, "terms": terms}

@@ -3,12 +3,9 @@
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Output is
 deterministic: terms are emitted in graded-lexicographic order; the table
 prints floats with 16 significant digits (%.16g) and the JSON in their
-shortest round-trip form (repr).  Both are written by _floattext: with
-enough floats, from digits computed in numpy and certified value by value,
-any value it cannot certify written by Python's own conversion; with fewer
-floats than a size set above its measured break-even, all of them that
-way.  Every loop is integrated spectrally, so --steps (default
-KZBRAID_STEPS when set, read on every call) changes no result: it is
+shortest round-trip form (repr), both byte for byte as Python writes
+them; _text lays out and writes all of compute's output.  Every loop is
+integrated spectrally, so --steps (default 512) changes no result: it is
 checked here, 1 to MAX_STEPS, with the other arguments and before any file
 is opened, and passed nowhere.
 """
@@ -17,21 +14,18 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-from itertools import product
 
 from ._lazy import _lazy_module, np
 
 # handles that load each module on its first use (see _lazy): callees are
 # looked up on them at call time
-_braids, _circles, _closure, _relations, _transport, _words = (
+_braids, _circles, _closure, _relations, _transport, _words, _text = (
     _lazy_module(f"kzbraid.{name}")
-    for name in ("braids", "circles", "closure", "relations", "transport", "words")
+    for name in ("braids", "circles", "closure", "relations", "transport", "words", "_text")
 )
-_floattext = _lazy_module("kzbraid._floattext")
 # no command runs json, whose import takes about 2.5 ms; perfbench/tracing.py
 # wraps cli.json.dumps, which loads it
 json = _lazy_module("json")
@@ -41,7 +35,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 MAX_STEPS = 2**16  # largest --steps accepted, though steps change no result
 MAX_COUNT_STEPS = 2**22  # most integer steps `dims --strands` takes to count normal words
-_STEPS_HELP = "checked, 1 to 2^16, but changes no result (default KZBRAID_STEPS, else 512)"
+_STEPS_HELP = "checked, 1 to 2^16, but changes no result (default 512)"
 
 
 class ValidationError(Exception):
@@ -53,17 +47,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _default_steps():
-    text = os.environ.get("KZBRAID_STEPS", "512")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"KZBRAID_STEPS must be an integer, got {text!r}") from None
-
-
 @lru_cache(maxsize=1)
 def _build_parser():
-    """The argument parser, built once per process; --steps defaults to None."""
+    """The argument parser, built once per process."""
     parser = _Parser(prog="kzbraid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,7 +57,7 @@ def _build_parser():
     compute.add_argument("-n", "--strands", type=int, required=True)
     compute.add_argument("-w", "--word", default="", help="signed generator indices")
     compute.add_argument("-m", "--max-degree", type=int, default=3)
-    compute.add_argument("--steps", type=int, help=_STEPS_HELP)
+    compute.add_argument("--steps", type=int, default=512, help=_STEPS_HELP)
     compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
     compute.add_argument("--close", action="store_true", help="also reduce the closure")
     compute.add_argument(
@@ -82,7 +68,7 @@ def _build_parser():
     verify = sub.add_parser("verify", help="run one consistency check")
     verify.add_argument("check", help="|".join(sorted(_CHECKS)))
     verify.add_argument("-m", "--max-degree", type=int, default=3)
-    verify.add_argument("--steps", type=int, help=_STEPS_HELP)
+    verify.add_argument("--steps", type=int, default=512, help=_STEPS_HELP)
 
     dims = sub.add_parser("dims", help="quotient dimensions per degree")
     group = dims.add_mutually_exclusive_group(required=True)
@@ -90,32 +76,6 @@ def _build_parser():
     group.add_argument("--strands", type=int)
     dims.add_argument("-m", "--max-degree", type=int, default=3)
     return parser
-
-
-_TABLE_HEADER = f"{'deg':>3}  {'word':<24}  {'|coeff|':<22}  arg\n"
-
-
-def _table_text(prefixes, column):
-    """The term table: per row its prefix, its modulus as "{:<22.16g}" and its argument as "{:.16g}".
-
-    column alternates the rows' moduli and arguments; prefixes hold no %.
-    """
-    texts, numbers = _floattext.pieces(column, ("%s%-22.16g  ", "%.16g\n"))
-    rows = [None] * (3 * len(prefixes))
-    rows[0::3] = prefixes
-    rows[1::3] = numbers[0::2]
-    rows[2::3] = numbers[1::2]
-    return (_TABLE_HEADER + "".join(texts)) % tuple(rows)
-
-
-@lru_cache(maxsize=16)
-def _table_prefixes(n_strands, max_degree):
-    """Per basis word, its table row up to the modulus column, joined as words._json_heads is."""
-    chords = [f"({i},{j})" for i, j in _words.all_pairs(n_strands)]
-    prefixes = [f"  0  {'1':<24}  "]
-    for m in range(1, max_degree + 1):
-        prefixes += map(f"{m:>3}  %-24s  ".__mod__, map("".join, product(chords, repeat=m)))
-    return tuple(prefixes)
 
 
 def _cmd_compute(args):
@@ -139,13 +99,6 @@ def _cmd_compute(args):
     return EXIT_OK
 
 
-def _cycles_text(cycles, level):
-    """json.dumps(cycles, indent=2) of non-empty lists of ints, level deep in an indent=2 document."""
-    i0, i1, i2 = ("  " * (level + k) for k in range(3))
-    items = [f"{i1}[\n{i2}" + f",\n{i2}".join(map(str, cycle)) + f"\n{i1}]" for cycle in cycles]
-    return "[\n" + ",\n".join(items) + f"\n{i0}]"
-
-
 def _compute_json(args, word, skeleton):
     """Write the term table to stdout and return the JSON text, in parts to write in turn.
 
@@ -158,28 +111,14 @@ def _compute_json(args, word, skeleton):
     kept = np.flatnonzero(np.array(moduli) >= args.zero_threshold)
     positions = kept.tolist()
     listed = holonomy[kept]  # read once for the table, the JSON and the projection
-    prefixes = _table_prefixes(args.strands, args.max_degree)
-    column = [None] * (2 * len(positions))
-    column[0::2] = [moduli[g] for g in positions]
-    column[1::2] = map(math.atan2, listed.imag.tolist(), listed.real.tolist())
-    sys.stdout.write(_table_text([prefixes[g] for g in positions], column))
+    sys.stdout.write(_text.table(args.strands, args.max_degree, positions, moduli, listed))
     if not args.close:
-        return [_words._series_text(args.strands, args.max_degree, positions, listed), "\n"]
+        return _text.braid_json(args.strands, args.max_degree, positions, listed)
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
     projected[kept] = listed
-    result = _closure.close_braid(projected, skeleton, args.zero_threshold)
-    q = skeleton.n_components
-    free = _relations.free_positions(("circles", q), args.max_degree)
-    # the layout json.dumps(indent=2) gives {"braid": ..., "link": {...}}
-    return [
-        '{\n  "braid": ',
-        _words._series_text(args.strands, args.max_degree, positions, listed, level=1),
-        f',\n  "link": {{\n    "components": {q},\n    "cycles": ',
-        _cycles_text(skeleton.components, 2),
-        ',\n    "series": ',
-        _circles.circle_series_json_text(result.reduced, q, args.max_degree, args.zero_threshold, free, level=2),
-        "\n  }\n}\n",
-    ]
+    closure = _closure.close_braid(projected, skeleton, args.zero_threshold)
+    free = _relations.free_positions(("circles", skeleton.n_components), args.max_degree)
+    return _text.link_json(args.strands, args.max_degree, positions, listed, closure, free, args.zero_threshold)
 
 
 def _check_steps_limit(steps):
@@ -347,10 +286,7 @@ def _cmd_dims(args):
 
 def main(argv=None) -> int:
     try:
-        steps = _default_steps()  # checked before parsing, for every command
         args = _build_parser().parse_args(argv)
-        if args.command != "dims" and args.steps is None:
-            args.steps = steps
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "verify":

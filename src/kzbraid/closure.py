@@ -95,11 +95,7 @@ def _degree_of(n_strands, size):
     return degree
 
 
-def _skeleton_of(word):
-    return word if isinstance(word, LinkSkeleton) else closure_skeleton(word)
-
-
-def tau_project(coefficients, word: BraidWord | LinkSkeleton) -> np.ndarray:
+def tau_project(coefficients, skeleton: LinkSkeleton) -> np.ndarray:
     """Send braid words to diagrams on the closure's component circles.
 
     The k-th chord of a word (in height order) puts one foot on the circle of
@@ -111,10 +107,9 @@ def tau_project(coefficients, word: BraidWord | LinkSkeleton) -> np.ndarray:
     returns it), projected as given, so zero the terms a threshold drops
     first.  Every basis word goes to one diagram through an index cached
     per (N, M, cycles), and coefficients are summed per diagram in basis
-    order into a dense series over circle_basis(components, M).  word may
-    be given as its closure_skeleton, which is all the projection reads.
+    order into a dense series over circle_basis(components, M).  skeleton
+    is the braid's closure_skeleton.
     """
-    skeleton = _skeleton_of(word)
     max_degree = _degree_of(skeleton.n_strands, len(coefficients))
     index = _tau_index(skeleton.n_strands, max_degree, skeleton.components)
     size = len(circle_basis(skeleton.n_components, max_degree))
@@ -124,14 +119,13 @@ def tau_project(coefficients, word: BraidWord | LinkSkeleton) -> np.ndarray:
     return out
 
 
-def close_braid(coefficients, word: BraidWord | LinkSkeleton, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
+def close_braid(coefficients, skeleton: LinkSkeleton, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
     """Project a braid's dense series onto its closure's circles, raw and reduced.
 
-    Zero the braid terms a threshold drops first, as for tau_project, which
-    also takes word as its closure_skeleton; zero_threshold applies to the
-    circle series reduce takes and returns.
+    skeleton is the braid's closure_skeleton.  Zero the braid terms a
+    threshold drops first, as for tau_project; zero_threshold applies to
+    the circle series reduce takes and returns.
     """
-    skeleton = _skeleton_of(word)
     circle_series = tau_project(coefficients, skeleton)
     max_degree = _degree_of(skeleton.n_strands, len(coefficients))
     reduced = reduce(circle_series, ("circles", skeleton.n_components), max_degree, zero_threshold)
@@ -149,4 +143,4 @@ def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
     """
     holonomy = kontsevich_of_braid(word, max_degree).tolist()
     kept = np.array([c if abs(c) >= ZERO_THRESHOLD else 0j for c in holonomy])
-    return close_braid(kept, word)
+    return close_braid(kept, closure_skeleton(word))

@@ -13,9 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from ._lazy import _lazy_module, np
-
-_floattext = _lazy_module("kzbraid._floattext")
+from ._lazy import np
 
 ZERO_THRESHOLD = 1e-12
 # Largest word basis sum_{m<=M} P**m a request may build.  A compute request
@@ -149,8 +147,8 @@ def relabel_strands(coefficients, n_strands, max_degree, images):
 def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO_THRESHOLD) -> dict:
     """JSON document of a dense series: every term whose modulus reaches zero_threshold.
 
-    compute writes series_json_text; this is the tests' reference for it,
-    kept here because the benchmark tracer wraps it.
+    compute writes this document's text through _text; this is the tests'
+    reference for it, kept here because the benchmark tracer wraps it.
     """
     terms = [
         {"word": [list(p) for p in w], "re": c.real, "im": c.imag}
@@ -158,62 +156,3 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
         if abs(c) >= zero_threshold
     ]
     return {"n_strands": n_strands, "max_degree": max_degree, "terms": terms}
-
-
-@lru_cache(maxsize=16)
-def _json_heads(n_strands, max_degree, level):
-    """Per basis word, the text of its JSON term up to the real part.
-
-    Each degree's heads are joined from the chord texts, written in
-    json.dumps(indent=2)'s layout directly, over itertools.product, which
-    yields the words in basis order.
-    """
-    i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
-    chords = [f"{i4}[\n{i5}{i},\n{i5}{j}\n{i4}]" for i, j in all_pairs(n_strands)]
-    heads = [f'{i2}{{\n{i3}"word": [],\n{i3}"re": ']
-    head = f'{i2}{{\n{i3}"word": [\n%s\n{i3}],\n{i3}"re": '
-    for m in range(1, max_degree + 1):
-        heads += map(head.__mod__, map(",\n".join, product(chords, repeat=m)))
-    return tuple(heads)
-
-
-def _document_text(fields, heads, positions, listed, level) -> str:
-    """json.dumps(indent=2) text of a series document, its terms listed at positions.
-
-    fields are the (key, int) entries before "terms"; heads[g] is the text
-    of the term of basis position g up to its real part, as the _json_heads
-    caches hold it; positions increase, and listed holds the listed terms'
-    complex coefficients in their order.  level is the depth at which the
-    document sits inside an enclosing indent=2 document.  The text is one
-    %-format of cached heads and the floats' repr, as json prints finite
-    floats, each written by _floattext.
-    """
-    i0, i1, i2, i3 = ("  " * (level + k) for k in range(4))
-    opening = "{\n" + "".join(f'{i1}"{key}": {value},\n' for key, value in fields)
-    if not positions:
-        return f'{opening}{i1}"terms": []\n{i0}}}'
-    # per term: head, real part, imaginary part; fields hold no %
-    parts = np.ascontiguousarray(listed, dtype=complex).view(np.float64)  # re, im, re, ...
-    texts, numbers = _floattext.pieces(parts, (f',\n%s%r,\n{i3}"im": ', f"%r\n{i2}}}"))
-    texts[0] = texts[0][2:]  # no comma before the first term
-    values = [None] * (3 * len(positions))
-    values[0::3] = [heads[g] for g in positions]
-    values[1::3] = numbers[0::2]
-    values[2::3] = numbers[1::2]
-    return (f'{opening}{i1}"terms": [\n' + "".join(texts) + f"\n{i1}]\n{i0}}}") % tuple(values)
-
-
-def series_json_text(coefficients, n_strands, max_degree, positions, level=0) -> str:
-    """json.dumps(series_to_json_dict(...), indent=2) of the terms of a dense series at positions.
-
-    positions are the listed basis positions in increasing order, for
-    example those whose modulus reaches the threshold; level is the depth at
-    which the document sits inside an enclosing indent=2 document.
-    """
-    return _series_text(n_strands, max_degree, positions, coefficients.take(positions), level)
-
-
-def _series_text(n_strands, max_degree, positions, listed, level=0) -> str:
-    """series_json_text of the terms at positions, given their coefficients in order."""
-    fields = (("n_strands", n_strands), ("max_degree", max_degree))
-    return _document_text(fields, _json_heads(n_strands, max_degree, level), positions, listed, level)

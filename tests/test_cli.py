@@ -13,16 +13,9 @@ import numpy as np
 import pytest
 
 import kzbraid
-from kzbraid.cli import (
-    _CHECKS, MAX_STEPS, ValidationError, _check_count_steps, _cycles_text, _table_text, main,
-)
-from kzbraid.circles import (
-    MAX_CIRCLE_CELLS,
-    MAX_CIRCLE_MATCHINGS,
-    circle_series_to_json_dict,
-    count_circle_cells,
-    count_circle_matchings,
-)
+from kzbraid._text import _TABLE_ROW, _cycles_text, _rows
+from kzbraid.cli import _CHECKS, MAX_STEPS, ValidationError, _check_count_steps, main
+from kzbraid.circles import MAX_CIRCLE_CELLS, MAX_CIRCLE_MATCHINGS, _circle_counts, circle_series_to_json_dict
 from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
 from kzbraid.relations import free_positions
 from kzbraid.words import basis_words, series_to_json_dict
@@ -248,19 +241,8 @@ def test_dims_circles_degree_zero(capsys):
     assert out.strip() == "0:1"
 
 
-def test_steps_env_override(capsys, monkeypatch):
-    # every loop is integrated spectrally: the step count, from the
-    # environment or the flag, is checked but changes no output
-    for argv in (("compute", "-n", "3", "-w", "1 -2", "-m", "2"), ("verify", "abelian", "-m", "2")):
-        monkeypatch.setenv("KZBRAID_STEPS", "32")
-        from_env = run(capsys, *argv)
-        monkeypatch.delenv("KZBRAID_STEPS")
-        assert from_env[0] == 0
-        assert from_env == run(capsys, *argv, "--steps", "32") == run(capsys, *argv)
-
-
-def test_steps_env_read_on_every_call(capsys, monkeypatch):
-    # the value, from the environment or the flag, is still read and
+def test_steps_flag_checked_on_every_call(capsys):
+    # every loop is integrated spectrally: the step count is still read and
     # validated on every call of compute and verify, though a valid one
     # changes nothing
     limit = f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n"
@@ -271,17 +253,13 @@ def test_steps_env_read_on_every_call(capsys, monkeypatch):
         valid = run(capsys, *argv)
         assert valid[0] == 0
         for steps in ("32", "0", "64", "-3", "70000", "abc", "1.5"):
-            monkeypatch.setenv("KZBRAID_STEPS", steps)
-            from_env = run(capsys, *argv)
-            monkeypatch.delenv("KZBRAID_STEPS")
             from_flag = run(capsys, *argv, "--steps", steps)
             if steps in ("32", "64"):
-                assert from_env == from_flag == valid
+                assert from_flag == valid
             elif steps in ("abc", "1.5"):
-                assert from_env == (1, "", f"error: KZBRAID_STEPS must be an integer, got {steps!r}\n")
                 assert from_flag == (1, "", f"error: argument --steps: invalid int value: {steps!r}\n")
             else:
-                assert from_env == from_flag == (1, "", limit if steps == "70000" else low), steps
+                assert from_flag == (1, "", limit if steps == "70000" else low), steps
     from kzbraid import cli
 
     assert cli._build_parser() is cli._build_parser()
@@ -347,15 +325,6 @@ def test_verify_oracle_transports_only_the_degrees_it_compares(capsys, monkeypat
         assert degrees == [min(3, max_degree)] * 3
 
 
-def test_bad_steps_env_is_validation_error(capsys, monkeypatch):
-    monkeypatch.setenv("KZBRAID_STEPS", "abc")
-    code, out, err = run(capsys, "dims", "--strands", "3")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "KZBRAID_STEPS" in err
-
-
 def _reference_stdout(strands, letters, max_degree, close, threshold):
     """Stdout of compute as the word-dict series path printed it."""
     word = parse_braid_word(letters, strands)
@@ -379,7 +348,7 @@ def _reference_stdout(strands, letters, max_degree, close, threshold):
     }
     if close:
         kept = np.array([terms.get(w, 0j) for w in basis_words(strands, max_degree)])
-        result = close_braid(kept, word, threshold)
+        result = close_braid(kept, closure_skeleton(word), threshold)
         q = result.skeleton.n_components
         document = {
             "braid": document,
@@ -449,8 +418,8 @@ def test_compute_table_matches_per_row_format(capsys):
     filler = [(rng.random() * 10.0 ** rng.randint(-13, 1), rng.uniform(-math.pi, math.pi)) for _ in range(1000)]
     for rows in (pairs, pairs + filler, filler + pairs):
         column = [value for pair in rows for value in pair]
-        text = _table_text([f"{k}|" for k in range(len(rows))], column)
-        assert text.split("\n", 1)[1] == "".join(
+        text = _rows([f"{k}|" for k in range(len(rows))], column, _TABLE_ROW)
+        assert text == "".join(
             f"{k}|{modulus:<22.16g}  {arg:.16g}\n" for k, (modulus, arg) in enumerate(rows)
         )
 
@@ -557,13 +526,13 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
     assert report["stdlib_loaded"] == [[]] * 8
     # every module is registered by the import, for lookups at call time,
     # and runs on the first command that uses it
-    modules = ["_floattext", "_lazy", "braids", "circles", "cli", "closure", "relations", "transport", "words"]
+    modules = ["_lazy", "_text", "braids", "circles", "cli", "closure", "relations", "transport", "words"]
     assert report["registered"] == [f"kzbraid.{name}" for name in modules]
     # the modules run by the import (cli), then added by --help, dims
     # --strands, dims --circles twice, verify, compute and compute --close:
-    # only compute writes floats through _floattext
+    # only compute writes its table and JSON through _text
     added = [
-        ["_lazy", "cli"], [], ["relations", "words"], ["circles"], [], ["braids", "transport"], ["_floattext"],
+        ["_lazy", "cli"], [], ["relations", "words"], ["circles"], [], ["braids", "transport"], ["_text"],
         ["closure"],
     ]
     assert len(report["executed"]) == len(added)
@@ -587,14 +556,14 @@ def test_exact_paths_leave_numpy_unloaded_in_fresh_interpreter(capsys):
 # the package's public names, by the module that defines each
 _PUBLIC_NAMES = {
     "braids": "BraidParseError BraidWord ConfigLoop Permutation parse_braid_word permutation_of realize",
-    "circles": "MAX_CIRCLE_CELLS MAX_CIRCLE_MATCHINGS check_circle_budget circle_basis circle_series_json_text"
-               " circle_series_to_json_dict enumerate_circle_diagrams",
+    "circles": "MAX_CIRCLE_CELLS MAX_CIRCLE_MATCHINGS check_circle_budget circle_basis circle_series_to_json_dict"
+               " enumerate_circle_diagrams",
     "closure": "ClosureResult LinkSkeleton close_braid closure_skeleton kontsevich_link tau_project",
     "relations": "RelationSet circle_relations free_positions horizontal_relations quotient_dimension reduce",
     "transport": "TransportError TransportResult abelian_holonomy kontsevich_of_braid simplex_oracle symmetrized"
                  " transport",
     "words": "MAX_BASIS_WORDS ZERO_THRESHOLD all_pairs basis_words check_word_budget enumerate_words relabel_strands"
-             " series_json_text series_product series_to_json_dict",
+             " series_product series_to_json_dict",
 }
 
 
@@ -607,7 +576,7 @@ def test_public_names_resolve_to_their_modules():
             exec(f"from kzbraid import {name}", namespace)
             assert namespace[name] is getattr(module, name), name
             names.append(name)
-    assert len(names) == 43
+    assert len(names) == 41
     assert sorted(kzbraid.__all__) == sorted(names)
     # the function, not its module
     assert kzbraid.transport is sys.modules["kzbraid.transport"].transport
@@ -737,10 +706,11 @@ def test_over_circle_budget_refused_quickly():
     # 723 circles to degree 1 have 261,727 matchings, under the matching bound,
     # but 189,752,073 drawing-table cells, minutes of table building; a
     # 300-strand identity closes into 300 circles (13,635,600 cells)
-    assert count_circle_matchings(4, 4) <= MAX_CIRCLE_MATCHINGS  # four-component closures at M=4
-    assert count_circle_cells(1, 7) <= MAX_CIRCLE_CELLS and count_circle_cells(6, 4) <= MAX_CIRCLE_CELLS
-    assert count_circle_matchings(723, 1) <= MAX_CIRCLE_MATCHINGS < count_circle_matchings(724, 1)
-    assert (count_circle_cells(1, 7), count_circle_cells(723, 1)) == (2_173_624, 189_752_073)
+    # (matchings, cells) = _circle_counts(q, M)
+    assert _circle_counts(4, 4)[0] <= MAX_CIRCLE_MATCHINGS  # four-component closures at M=4
+    assert _circle_counts(1, 7)[1] <= MAX_CIRCLE_CELLS and _circle_counts(6, 4)[1] <= MAX_CIRCLE_CELLS
+    assert _circle_counts(723, 1)[0] <= MAX_CIRCLE_MATCHINGS < _circle_counts(724, 1)[0]
+    assert (_circle_counts(1, 7)[1], _circle_counts(723, 1)[1]) == (2_173_624, 189_752_073)
     for argv, bound in (
         (("dims", "--circles", "2", "-m", "8"), "chord matchings"),
         (("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"), "chord matchings"),

@@ -55,15 +55,15 @@ def test_component_count_matches_cycles_random():
 
 
 def test_tau_inter_component_chord():
-    w = parse_braid_word("1 1", 2)
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), w)
+    skeleton = closure_skeleton(parse_braid_word("1 1", 2))
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton)
     expected = CircleDiagram((1, 1), (((0, 0), (1, 0)),))
     assert terms(projected, 2, 1) == {expected: 1.0}
 
 
 def test_tau_single_component_isolated():
-    w = parse_braid_word("1", 2)
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), w)
+    skeleton = closure_skeleton(parse_braid_word("1", 2))
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton)
     (diagram, coeff), = terms(projected, 1, 1).items()
     assert coeff == 1.0
     assert diagram.slots == (2,)
@@ -71,30 +71,30 @@ def test_tau_single_component_isolated():
 
 
 def test_tau_two_chord_hopf_pattern():
-    w = parse_braid_word("1 1", 2)
-    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), w)
+    skeleton = closure_skeleton(parse_braid_word("1 1", 2))
+    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), skeleton)
     expected = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
     assert terms(projected, 2, 2) == {expected: 1.0}
 
 
 def test_tau_linear_and_degree_preserving():
-    w = parse_braid_word("1 2", 3)
+    skeleton = closure_skeleton(parse_braid_word("1 2", 3))
     a = series(3, 2, {((1, 2),): 1.0, ((1, 3), (2, 3)): 2.0})
     b = series(3, 2, {((1, 2),): -0.5j, ((2, 3),): 4.0})
     lam = 1.5 - 2j
-    combo = tau_project(a + lam * b, w)
-    split = tau_project(a, w) + lam * tau_project(b, w)
+    combo = tau_project(a + lam * b, skeleton)
+    split = tau_project(a, skeleton) + lam * tau_project(b, skeleton)
     assert np.abs(combo - split).max() < 1e-12
     for g, hword in enumerate(basis_words(3, 2)):
         if a[g]:
-            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), w)
+            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), skeleton)
             assert [d.degree for d in terms(image, 1, 2)] == [len(hword)]
 
 
 def test_tau_rejects_mismatched_skeleton():
-    w = parse_braid_word("1", 3)
+    skeleton = closure_skeleton(parse_braid_word("1", 3))
     with pytest.raises(ValueError):
-        tau_project(series(4, 1, {((1, 2),): 1.0}), w)
+        tau_project(series(4, 1, {((1, 2),): 1.0}), skeleton)
 
 
 def _tau_reference(coefficients, w, max_degree):
@@ -134,7 +134,7 @@ def test_tau_index_matches_per_word_reference_on_every_permutation():
         skeleton = closure_skeleton(w)
         skeletons.add(skeleton.components)
         # both sum each diagram's terms in basis order, so the floats agree exactly
-        projected = tau_project(coefficients, w)
+        projected = tau_project(coefficients, skeleton)
         assert terms(projected, skeleton.n_components, 3) == _tau_reference(coefficients, w, 3), perm
     assert len(skeletons) == 24
 
@@ -193,10 +193,10 @@ def test_tau_sparse_series_and_dense_vector_agree():
     threshold = 1e-3
     kept = np.array([c if abs(c) >= threshold else 0j for c in dense.tolist()])
     assert 0 < np.count_nonzero(kept) < len(dense)
-    projected = tau_project(kept, w)
+    projected = tau_project(kept, closure_skeleton(w))
     assert terms(projected, closure_skeleton(w).n_components, 3) == _tau_reference(kept, w, 3)
     with pytest.raises(ValueError):
-        tau_project(dense[:-1], w)
+        tau_project(dense[:-1], closure_skeleton(w))
 
 
 def test_trivial_braid_closure_two_unknots():
@@ -257,3 +257,17 @@ def test_linking_numbers_match_crossing_count():
             got = result.reduced[circle_basis(skeleton.n_components, 1).index(drawing_of(diagram))]
             want = expected.get(frozenset(pair), 0.0)
             assert abs(got - want) < 1e-6
+
+
+def test_mirror_image_flips_odd_degrees():
+    # flipping every letter's sign mirrors the closure, which multiplies the
+    # degree-m block of the reduced closure by (-1)^m
+    rng = random.Random(26)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        letters = tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 7)))
+        result = kontsevich_link(BraidWord(n, letters), 4)
+        mirrored = kontsevich_link(BraidWord(n, tuple((k, -sign) for k, sign in letters)), 4).reduced
+        q = result.skeleton.n_components
+        signs = np.concatenate([np.full(len(_orbit_table(q, m)[0]), (-1.0) ** m) for m in range(5)])
+        assert np.abs(mirrored - signs * result.reduced).max() < 1e-12, (n, letters)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from kzbraid.circles import (
+    _circle_counts,
     _matchings,
     _orbit_table,
     circle_basis,
-    count_circle_matchings,
     enumerate_circle_diagrams,
     isolated_chords,
     slots_and_chords,
@@ -578,7 +578,7 @@ def test_drawing_table_basis_matches_brute_force():
             assert basis == tuple(map(drawing_of, expected))
             assert [slots_and_chords(drawing) for drawing in basis] == expected
             assert [sorted(isolated_chords(d)) for d in basis] == [sorted(d.isolated_chords()) for d in expected]
-        assert walked == count_circle_matchings(q, top)
+        assert walked == _circle_counts(q, top)[0]
 
 
 def test_drawing_table_holds_each_matching_once():
@@ -590,7 +590,7 @@ def test_drawing_table_holds_each_matching_once():
     for q, top in ((1, 6), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
         for m in range(top + 1):
             basis, drawings = _orbit_table(q, m)
-            assert len(drawings) == count_circle_matchings(q, m) - count_circle_matchings(q, m - 1)
+            assert len(drawings) == _circle_counts(q, m)[0] - _circle_counts(q, m - 1)[0]
             # each slot split adds its walk's (2m-1)!! entries consecutively,
             # splits in increasing order
             splits = [slots_and_chords(drawing)[0] for drawing in drawings]

@@ -7,18 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzbraid import _floattext
+from kzbraid import _text
 
 CONVERSIONS = ("%r", "%.16g", "%-22.16g")
 # enough values for the vector path of every conversion
-VECTOR = max(_floattext.MIN_VALUES.values())
+VECTOR = max(_text.MIN_VALUES.values())
 
 
 def _mismatches(values, conversion):
     """(value, kernel text, reference text) for each value the kernel writes differently."""
     values = np.asarray(values, dtype=np.float64)
     line = conversion + "\n"  # no text holds a newline, so equal joins mean equal values
-    texts, numbers = _floattext.pieces(values, (line,))
+    texts, numbers = _text.pieces(values, (line,))
     assert len(numbers) == len(values)
     if "".join(texts) % tuple(numbers) == (line * len(values)) % tuple(values.tolist()):
         return []
@@ -31,7 +31,7 @@ def _mismatches(values, conversion):
 
 
 def _fallback_share(values, conversion):
-    numbers = _floattext.pieces(np.asarray(values, dtype=np.float64), (conversion,))[1]
+    numbers = _text.pieces(np.asarray(values, dtype=np.float64), (conversion,))[1]
     return sum(isinstance(number, float) for number in numbers) / len(numbers)
 
 
@@ -146,7 +146,7 @@ def test_fallback_share_stays_small():
     assert _fallback_share(values, "%.16g") < 0.001
     # so few values that the fixed cost does not pay: each alone
     for conversion in CONVERSIONS:
-        few = values[: _floattext.MIN_VALUES["%r" if conversion == "%r" else "%.16g"] - 1]
+        few = values[: _text.MIN_VALUES["%r" if conversion == "%r" else "%.16g"] - 1]
         assert _fallback_share(few, conversion) == 1.0
         assert _mismatches(few, conversion) == []
 
@@ -156,8 +156,8 @@ def test_pieces_keep_the_text_around_each_conversion():
     values = rng.normal(size=2 * VECTOR) * 10.0 ** rng.integers(-8, 3, 2 * VECTOR)
     values[::7] = 0.0
     for formats in (("[%s|%r, ", "%r]\n"), ("%s%-22.16g  ", "%.16g\n"), ("<%.16g>",)):
-        for size in (len(values), 2 * (min(_floattext.MIN_VALUES.values()) // 2 - 1)):
-            texts, numbers = _floattext.pieces(values[:size], formats)
+        for size in (len(values), 2 * (min(_text.MIN_VALUES.values()) // 2 - 1)):
+            texts, numbers = _text.pieces(values[:size], formats)
             args = []
             for i, number in enumerate(numbers):
                 args += ["x", number] if "%s" in formats[i % len(formats)] else [number]

@@ -4,19 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from kzbraid.circles import (
-    circle_basis,
-    circle_series_json_text,
-    circle_series_to_json_dict,
-)
-from kzbraid.words import (
-    basis_words,
-    enumerate_words,
-    relabel_strands,
-    series_json_text,
-    series_product,
-    series_to_json_dict,
-)
+from kzbraid._text import _braid_text, _circle_text
+from kzbraid.circles import circle_basis, circle_series_to_json_dict
+from kzbraid.words import basis_words, enumerate_words, relabel_strands, series_product, series_to_json_dict
 from reference_orders import CircleDiagram, diagram_of, drawing_of, word, word_sort_key
 
 
@@ -154,7 +144,8 @@ def test_circle_json_round_trip():
 
 def test_json_text_matches_json_dumps():
     # the cached-text writers against json.dumps(indent=2), nested `level`
-    # deep in an enclosing indent=2 document
+    # deep in an enclosing indent=2 document; compute's link series sits
+    # two levels deep
     rng = np.random.default_rng(1010)
     for level in (0, 1, 2):
         indent = "\n" + "  " * level
@@ -165,14 +156,12 @@ def test_json_text_matches_json_dumps():
             for threshold in (0.0, 1.0, np.inf):
                 kept = [g for g, c in enumerate(s.tolist()) if abs(c) >= threshold]
                 expected = json.dumps(series_to_json_dict(s, n, max_degree, threshold), indent=2)
-                assert series_json_text(s, n, max_degree, kept, level) == expected.replace("\n", indent)
-        for q, max_degree in ((1, 3), (2, 2), (3, 1)):
-            size = len(circle_basis(q, max_degree))
-            s = rng.normal(size=size) + 1j * rng.normal(size=size)
-            for threshold in (0.0, 1.0, np.inf):
-                for positions in (None, tuple(range(0, size, 2)), ()):
-                    expected = json.dumps(
-                        circle_series_to_json_dict(s, q, max_degree, threshold, positions), indent=2
-                    )
-                    text = circle_series_json_text(s, q, max_degree, threshold, positions, level)
-                    assert text == expected.replace("\n", indent)
+                assert _braid_text(n, max_degree, kept, s[kept], level) == expected.replace("\n", indent)
+    for q, max_degree in ((1, 3), (2, 2), (3, 1)):
+        size = len(circle_basis(q, max_degree))
+        s = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for threshold in (0.0, 1.0, np.inf):
+            for positions in (tuple(range(size)), tuple(range(0, size, 2)), ()):
+                expected = json.dumps(circle_series_to_json_dict(s, q, max_degree, threshold, positions), indent=2)
+                text = _circle_text(s, q, max_degree, threshold, positions)
+                assert text == expected.replace("\n", "\n    ")
