@@ -33,7 +33,6 @@ _EXPORTS = {
     "closure": (
         "ClosureResult",
         "LinkSkeleton",
-        "close_braid",
         "closure_skeleton",
         "kontsevich_link",
         "tau_project",

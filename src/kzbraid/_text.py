@@ -386,15 +386,15 @@ def braid_json(n_strands, max_degree, positions, listed):
     return [_braid_text(n_strands, max_degree, positions, listed, 0), "\n"]
 
 
-def link_json(n_strands, max_degree, positions, listed, closure, free, zero_threshold):
+def link_json(n_strands, max_degree, positions, listed, skeleton, reduced, free, zero_threshold):
     """{"braid": braid_json's document, "link": the closure's}, in parts to write.
 
-    closure is the braid's ClosureResult; its reduced terms are listed at
-    the free positions where their modulus reaches zero_threshold.
+    skeleton is the braid's LinkSkeleton and reduced its reduced circle series,
+    listed at the free positions where a term's modulus reaches zero_threshold.
     """
-    q = closure.skeleton.n_components
+    q = skeleton.n_components
     return [
         '{\n  "braid": ', _braid_text(n_strands, max_degree, positions, listed, 1),
-        f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(closure.skeleton.components, 2),
-        ',\n    "series": ', _circle_text(closure.reduced, q, max_degree, zero_threshold, free), "\n  }\n}\n",
+        f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(skeleton.components, 2),
+        ',\n    "series": ', _circle_text(reduced, q, max_degree, zero_threshold, free), "\n  }\n}\n",
     ]

@@ -202,20 +202,18 @@ def realize(word: BraidWord, durations=None) -> ConfigLoop:
         raise ValueError("need one positive duration per letter")
     total = sum(durations)
     strand_at = list(range(1, n + 1))  # position (0-based slot) -> strand
-    slot_of = {strand: slot for slot, strand in enumerate(strand_at)}
     segments = []
     breaks = []
     acc = 0.0
     for (k, sign), dur in zip(word.letters, durations):
         start = [0j] * n
-        for strand, slot in slot_of.items():
+        for slot, strand in enumerate(strand_at):
             start[strand - 1] = complex(slot)
         a = strand_at[k - 1]
         b = strand_at[k]
         center = (2 * k - 1) / 2.0  # midpoint of slots k-1 and k
         segments.append(_Arc(tuple(start), (a, b), center, sign))
         strand_at[k - 1], strand_at[k] = b, a
-        slot_of[a], slot_of[b] = slot_of[b], slot_of[a]
         acc += dur / total
         breaks.append(acc)
     breaks[-1] = 1.0

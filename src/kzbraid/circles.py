@@ -21,7 +21,7 @@ the diagrams of each degree in turn.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 from operator import itemgetter
 
@@ -44,20 +44,11 @@ MAX_CIRCLE_CELLS = 2**22
 def _compositions(total, parts):
     """Every tuple of parts non-negative ints summing to total, in increasing order.
 
-    Each step moves one unit from the last non-zero part to the part before
-    it and the rest of that part to the last part, so a split costs one
-    tuple of its parts.
+    Stars and bars: the parts are the gaps around parts - 1 bars among
+    total + parts - 1 places, taken in lexicographic order.
     """
-    split = [0] * (parts - 1) + [total]
-    last = parts - 1 if total else 0  # index of the last non-zero part
-    yield tuple(split)
-    while last:
-        amount = split[last]
-        split[last] = 0
-        split[last - 1] += 1
-        split[-1] = amount - 1
-        last = parts - 1 if amount > 1 else last - 1
-        yield tuple(split)
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
 
 
 def _matchings(degree):

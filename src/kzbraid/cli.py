@@ -50,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 @lru_cache(maxsize=1)
 def _build_parser():
     """The argument parser, built once per process."""
-    parser = _Parser(prog="kzbraid", description=__doc__)
+    parser = _Parser(prog="kzbraid", description="Kontsevich integrals of braid words and their closures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="Kontsevich integral of a braid word")
@@ -116,9 +116,13 @@ def _compute_json(args, word, skeleton):
         return _text.braid_json(args.strands, args.max_degree, positions, listed)
     projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
     projected[kept] = listed
-    closure = _closure.close_braid(projected, skeleton, args.zero_threshold)
-    free = _relations.free_positions(("circles", skeleton.n_components), args.max_degree)
-    return _text.link_json(args.strands, args.max_degree, positions, listed, closure, free, args.zero_threshold)
+    circles = ("circles", skeleton.n_components)
+    series = _closure.tau_project(projected, skeleton, args.max_degree)
+    reduced = _relations.reduce(series, circles, args.max_degree, args.zero_threshold)
+    free = _relations.free_positions(circles, args.max_degree)
+    return _text.link_json(
+        args.strands, args.max_degree, positions, listed, skeleton, reduced, free, args.zero_threshold
+    )
 
 
 def _check_steps_limit(steps):
@@ -168,11 +172,9 @@ def _check_oracle(max_degree):
     for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
         loop = _braids.realize(_braids.parse_braid_word(text, strands))
         coefficients = _transport.transport(loop, compared).coefficients
-        for degree in range(1, compared + 1):
-            start = _words.basis_size(strands * (strands - 1) // 2, degree - 1)
-            for g, word in enumerate(_words.enumerate_words(strands, degree), start):
-                direct = _transport.simplex_oracle(loop, word, 512)
-                worst = max(worst, abs(coefficients[g] - direct))
+        for g, word in enumerate(_words.basis_words(strands, compared)):
+            if word:  # degree 0 holds 1 in every holonomy
+                worst = max(worst, abs(coefficients[g] - _transport.simplex_oracle(loop, word, 512)))
     return worst, 1e-5
 
 
@@ -243,7 +245,7 @@ def _cmd_verify(args):
     check, strands, top_degree = _CHECKS[args.check]
     _words.check_word_budget(strands, args.max_degree)
     if args.max_degree < 0 or args.steps < 1:
-        raise ValidationError("need max_degree >= 0 and steps >= 1")
+        raise ValidationError("need max-degree >= 0 and steps >= 1")
     _check_steps_limit(args.steps)
     if args.max_degree > top_degree:
         raise ValidationError(

@@ -21,7 +21,7 @@ from .braids import BraidWord, permutation_of
 from .circles import _orbit_table, circle_basis
 from .relations import reduce
 from .transport import kontsevich_of_braid
-from .words import ZERO_THRESHOLD, all_pairs
+from .words import ZERO_THRESHOLD, all_pairs, basis_size
 
 
 class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
@@ -82,20 +82,7 @@ def _tau_index(n_strands, max_degree, cycles):
     return out
 
 
-def _degree_of(n_strands, size):
-    """max_degree of a dense vector of this size over basis_words(n_strands, .)."""
-    n_pairs = n_strands * (n_strands - 1) // 2
-    total, block, degree = 1, 1, 0
-    while total < size:
-        block *= n_pairs
-        total += block
-        degree += 1
-    if total != size:
-        raise ValueError(f"{size} coefficients do not fill a word basis on {n_strands} strands")
-    return degree
-
-
-def tau_project(coefficients, skeleton: LinkSkeleton) -> np.ndarray:
+def tau_project(coefficients, skeleton: LinkSkeleton, max_degree: int) -> np.ndarray:
     """Send braid words to diagrams on the closure's component circles.
 
     The k-th chord of a word (in height order) puts one foot on the circle of
@@ -103,33 +90,21 @@ def tau_project(coefficients, skeleton: LinkSkeleton) -> np.ndarray:
     traversal and, within a strand, increasing height.  Linear in the
     coefficients; rotated drawings of one diagram share its basis position.
 
-    coefficients is a dense series over basis_words (as kontsevich_of_braid
-    returns it), projected as given, so zero the terms a threshold drops
-    first.  Every basis word goes to one diagram through an index cached
-    per (N, M, cycles), and coefficients are summed per diagram in basis
-    order into a dense series over circle_basis(components, M).  skeleton
-    is the braid's closure_skeleton.
+    coefficients is a dense series over basis_words(N, max_degree) (as
+    kontsevich_of_braid returns it), projected as given, so zero the terms
+    a threshold drops first.  Every basis word goes to one diagram through
+    an index cached per (N, M, cycles), and coefficients are summed per
+    diagram in basis order into a dense series over circle_basis(q, M).
+    skeleton is the braid's closure_skeleton.
     """
-    max_degree = _degree_of(skeleton.n_strands, len(coefficients))
+    if len(coefficients) != basis_size(len(all_pairs(skeleton.n_strands)), max_degree):
+        raise ValueError(f"{len(coefficients)} coefficients do not fill the word basis to degree {max_degree}")
     index = _tau_index(skeleton.n_strands, max_degree, skeleton.components)
     size = len(circle_basis(skeleton.n_components, max_degree))
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(index, coefficients.real, size)
     out.imag = np.bincount(index, coefficients.imag, size)
     return out
-
-
-def close_braid(coefficients, skeleton: LinkSkeleton, zero_threshold=ZERO_THRESHOLD) -> ClosureResult:
-    """Project a braid's dense series onto its closure's circles, raw and reduced.
-
-    skeleton is the braid's closure_skeleton.  Zero the braid terms a
-    threshold drops first, as for tau_project; zero_threshold applies to
-    the circle series reduce takes and returns.
-    """
-    circle_series = tau_project(coefficients, skeleton)
-    max_degree = _degree_of(skeleton.n_strands, len(coefficients))
-    reduced = reduce(circle_series, ("circles", skeleton.n_components), max_degree, zero_threshold)
-    return ClosureResult(skeleton, circle_series, reduced)
 
 
 def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
@@ -143,4 +118,6 @@ def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
     """
     holonomy = kontsevich_of_braid(word, max_degree).tolist()
     kept = np.array([c if abs(c) >= ZERO_THRESHOLD else 0j for c in holonomy])
-    return close_braid(kept, closure_skeleton(word))
+    skeleton = closure_skeleton(word)
+    series = tau_project(kept, skeleton, max_degree)
+    return ClosureResult(skeleton, series, reduce(series, ("circles", skeleton.n_components), max_degree))

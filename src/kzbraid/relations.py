@@ -44,14 +44,19 @@ _circles = _lazy_module("kzbraid.circles")
 class RelationSet:
     """Sparse relations over a fixed basis of one degree.
 
-    rows are sorted (column, entry) tuples, entries ints.  killed lists the
-    columns set to zero outright (unit relations), which no row holds.
+    rows are sorted (column, entry) tuples, entries ints, each kept once up
+    to sign in the order given.  killed lists the columns set to zero
+    outright (unit relations), which no row holds.
     """
 
     def __init__(self, degree, basis, rows, killed=()):
         self.degree = degree
         self.basis = tuple(basis)
-        self.rows = tuple(tuple(sorted(row.items())) for row in rows)
+        kept = {}  # the rows' sorted items, each once up to sign, as an ordered set
+        for items in (tuple(sorted(row.items())) for row in rows):
+            if items not in kept and tuple((c, -v) for c, v in items) not in kept:
+                kept[items] = None
+        self.rows = tuple(kept)
         self.killed = tuple(killed)
         self._echelon = None
 
@@ -116,19 +121,6 @@ def _eliminate(row, pivot_row, col):
     return out
 
 
-def _dedupe(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        items = tuple(sorted(row.items()))
-        neg = tuple(sorted((c, -v) for c, v in row.items()))
-        sig = min(items, neg)
-        if sig not in seen:
-            seen.add(sig)
-            out.append(row)
-    return out
-
-
 @lru_cache(maxsize=None)
 def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     """4T and disjoint-commutation rows among degree-m braid words.
@@ -182,7 +174,7 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
                     row = {c: v for c, v in row.items() if v}
                     if row:
                         rows.append(row)
-    return RelationSet(degree, basis, _dedupe(rows))
+    return RelationSet(degree, basis, rows)
 
 
 def _circle_four_term_rows(basis, isolated):
@@ -271,7 +263,7 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
     basis = _circles.enumerate_circle_diagrams(n_circles, degree)
     isolated = list(map(_circles.isolated_chords, basis))
     rows = _circle_four_term_rows(basis, isolated) if degree >= 2 else []
-    return RelationSet(degree, basis, _dedupe(rows), (k for k, chords in enumerate(isolated) if chords))
+    return RelationSet(degree, basis, rows, (k for k, chords in enumerate(isolated) if chords))
 
 
 @lru_cache(maxsize=None)

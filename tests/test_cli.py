@@ -16,8 +16,8 @@ import kzbraid
 from kzbraid._text import _TABLE_ROW, _cycles_text, _rows
 from kzbraid.cli import _CHECKS, MAX_STEPS, ValidationError, _check_count_steps, main
 from kzbraid.circles import MAX_CIRCLE_CELLS, MAX_CIRCLE_MATCHINGS, _circle_counts, circle_series_to_json_dict
-from kzbraid.closure import close_braid, closure_skeleton, kontsevich_link
-from kzbraid.relations import free_positions
+from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
+from kzbraid.relations import free_positions, reduce
 from kzbraid.words import basis_words, series_to_json_dict
 from kzbraid.transport import _letter_holonomy, check_sample_budget, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
@@ -185,6 +185,16 @@ def test_compute_rejects_bad_generator(capsys):
     assert "generator index out of range" in err
 
 
+def test_help_prints_one_line_description(capsys):
+    # the cli docstring holds notes for readers of the code, which the help leaves out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.split("\n\n")[1] == "Kontsevich integrals of braid words and their closures."
+    assert "_text" not in out and "MAX_STEPS" not in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 1
@@ -248,7 +258,7 @@ def test_steps_flag_checked_on_every_call(capsys):
     limit = f"error: steps 70000 exceeds the limit of {MAX_STEPS} per segment\n"
     for argv, low in (
         (("compute", "-n", "3", "-w", "1 -2", "-m", "2"), "error: need max-degree >= 0 and steps >= 1\n"),
-        (("verify", "abelian", "-m", "2"), "error: need max_degree >= 0 and steps >= 1\n"),
+        (("verify", "abelian", "-m", "2"), "error: need max-degree >= 0 and steps >= 1\n"),
     ):
         valid = run(capsys, *argv)
         assert valid[0] == 0
@@ -348,15 +358,16 @@ def _reference_stdout(strands, letters, max_degree, close, threshold):
     }
     if close:
         kept = np.array([terms.get(w, 0j) for w in basis_words(strands, max_degree)])
-        result = close_braid(kept, closure_skeleton(word), threshold)
-        q = result.skeleton.n_components
+        skeleton = closure_skeleton(word)
+        q = skeleton.n_components
+        reduced = reduce(tau_project(kept, skeleton, max_degree), ("circles", q), max_degree, threshold)
         document = {
             "braid": document,
             "link": {
                 "components": q,
-                "cycles": [list(cycle) for cycle in result.skeleton.components],
+                "cycles": [list(cycle) for cycle in skeleton.components],
                 "series": circle_series_to_json_dict(
-                    result.reduced, q, max_degree, threshold, free_positions(("circles", q), max_degree)
+                    reduced, q, max_degree, threshold, free_positions(("circles", q), max_degree)
                 ),
             },
         }
@@ -558,7 +569,7 @@ _PUBLIC_NAMES = {
     "braids": "BraidParseError BraidWord ConfigLoop Permutation parse_braid_word permutation_of realize",
     "circles": "MAX_CIRCLE_CELLS MAX_CIRCLE_MATCHINGS check_circle_budget circle_basis circle_series_to_json_dict"
                " enumerate_circle_diagrams",
-    "closure": "ClosureResult LinkSkeleton close_braid closure_skeleton kontsevich_link tau_project",
+    "closure": "ClosureResult LinkSkeleton closure_skeleton kontsevich_link tau_project",
     "relations": "RelationSet circle_relations free_positions horizontal_relations quotient_dimension reduce",
     "transport": "TransportError TransportResult abelian_holonomy kontsevich_of_braid simplex_oracle symmetrized"
                  " transport",
@@ -576,7 +587,7 @@ def test_public_names_resolve_to_their_modules():
             exec(f"from kzbraid import {name}", namespace)
             assert namespace[name] is getattr(module, name), name
             names.append(name)
-    assert len(names) == 41
+    assert len(names) == 40
     assert sorted(kzbraid.__all__) == sorted(names)
     # the function, not its module
     assert kzbraid.transport is sys.modules["kzbraid.transport"].transport

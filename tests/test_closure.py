@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
 from kzbraid.circles import _orbit_table, circle_basis
 from kzbraid.closure import _tau_index, closure_skeleton, kontsevich_link, tau_project
+from kzbraid.relations import free_positions
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import all_pairs, basis_words
 from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, position, word
@@ -56,14 +58,14 @@ def test_component_count_matches_cycles_random():
 
 def test_tau_inter_component_chord():
     skeleton = closure_skeleton(parse_braid_word("1 1", 2))
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton)
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton, 1)
     expected = CircleDiagram((1, 1), (((0, 0), (1, 0)),))
     assert terms(projected, 2, 1) == {expected: 1.0}
 
 
 def test_tau_single_component_isolated():
     skeleton = closure_skeleton(parse_braid_word("1", 2))
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton)
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton, 1)
     (diagram, coeff), = terms(projected, 1, 1).items()
     assert coeff == 1.0
     assert diagram.slots == (2,)
@@ -72,7 +74,7 @@ def test_tau_single_component_isolated():
 
 def test_tau_two_chord_hopf_pattern():
     skeleton = closure_skeleton(parse_braid_word("1 1", 2))
-    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), skeleton)
+    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), skeleton, 2)
     expected = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
     assert terms(projected, 2, 2) == {expected: 1.0}
 
@@ -82,19 +84,19 @@ def test_tau_linear_and_degree_preserving():
     a = series(3, 2, {((1, 2),): 1.0, ((1, 3), (2, 3)): 2.0})
     b = series(3, 2, {((1, 2),): -0.5j, ((2, 3),): 4.0})
     lam = 1.5 - 2j
-    combo = tau_project(a + lam * b, skeleton)
-    split = tau_project(a, skeleton) + lam * tau_project(b, skeleton)
+    combo = tau_project(a + lam * b, skeleton, 2)
+    split = tau_project(a, skeleton, 2) + lam * tau_project(b, skeleton, 2)
     assert np.abs(combo - split).max() < 1e-12
     for g, hword in enumerate(basis_words(3, 2)):
         if a[g]:
-            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), skeleton)
+            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), skeleton, 2)
             assert [d.degree for d in terms(image, 1, 2)] == [len(hword)]
 
 
 def test_tau_rejects_mismatched_skeleton():
     skeleton = closure_skeleton(parse_braid_word("1", 3))
     with pytest.raises(ValueError):
-        tau_project(series(4, 1, {((1, 2),): 1.0}), skeleton)
+        tau_project(series(4, 1, {((1, 2),): 1.0}), skeleton, 1)
 
 
 def _tau_reference(coefficients, w, max_degree):
@@ -134,7 +136,7 @@ def test_tau_index_matches_per_word_reference_on_every_permutation():
         skeleton = closure_skeleton(w)
         skeletons.add(skeleton.components)
         # both sum each diagram's terms in basis order, so the floats agree exactly
-        projected = tau_project(coefficients, skeleton)
+        projected = tau_project(coefficients, skeleton, 3)
         assert terms(projected, skeleton.n_components, 3) == _tau_reference(coefficients, w, 3), perm
     assert len(skeletons) == 24
 
@@ -193,10 +195,10 @@ def test_tau_sparse_series_and_dense_vector_agree():
     threshold = 1e-3
     kept = np.array([c if abs(c) >= threshold else 0j for c in dense.tolist()])
     assert 0 < np.count_nonzero(kept) < len(dense)
-    projected = tau_project(kept, closure_skeleton(w))
+    projected = tau_project(kept, closure_skeleton(w), 3)
     assert terms(projected, closure_skeleton(w).n_components, 3) == _tau_reference(kept, w, 3)
     with pytest.raises(ValueError):
-        tau_project(dense[:-1], closure_skeleton(w))
+        tau_project(dense[:-1], closure_skeleton(w), 3)
 
 
 def test_trivial_braid_closure_two_unknots():
@@ -271,3 +273,114 @@ def test_mirror_image_flips_odd_degrees():
         q = result.skeleton.n_components
         signs = np.concatenate([np.full(len(_orbit_table(q, m)[0]), (-1.0) ** m) for m in range(5)])
         assert np.abs(mirrored - signs * result.reduced).max() < 1e-12, (n, letters)
+
+
+# Q[x]/(x^3): an element is its three Taylor coefficients, Fractions
+_ZERO, _ONE = (Fraction(0),) * 3, (Fraction(1), Fraction(0), Fraction(0))
+
+
+def _ring_mul(a, b):
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(3))
+
+
+def _ring_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ring_inverse(a):
+    return (1 / a[0], -a[1] / a[0] ** 2, (a[1] ** 2 - a[0] * a[2]) / a[0] ** 3)
+
+
+def _one_minus_power(m):
+    """(1 - t^m) / x at t = e^x."""
+    return (Fraction(-m), Fraction(-m * m, 2), Fraction(-(m**3), 6))
+
+
+def _burau_letter(n, k, sign):
+    """Reduced Burau matrix of sigma_k^sign at t = e^x, (N-1) x (N-1) over Q[x]/(x^3).
+
+    The block on basis vectors k-2, k-1, k (those in range) is
+    [[1, t, 0], [0, -t, 0], [0, 1, 1]] for sign +1 and its inverse
+    [[1, 1, 0], [0, -1/t, 0], [0, 1/t, 1]] for sign -1.
+    """
+    t = (Fraction(1), Fraction(1), Fraction(1, 2))
+    if sign > 0:
+        block = [[_ONE, t, _ZERO], [_ZERO, _ring_sub(_ZERO, t), _ZERO], [_ZERO, _ONE, _ONE]]
+    else:
+        inverse = _ring_inverse(t)
+        block = [[_ONE, _ONE, _ZERO], [_ZERO, _ring_sub(_ZERO, inverse), _ZERO], [_ZERO, inverse, _ONE]]
+    matrix = [[_ONE if r == c else _ZERO for c in range(n - 1)] for r in range(n - 1)]
+    for r in range(3):
+        for c in range(3):
+            if 0 <= k - 2 + r < n - 1 and 0 <= k - 2 + c < n - 1:
+                matrix[k - 2 + r][k - 2 + c] = block[r][c]
+    return matrix
+
+
+def _ring_det(a):
+    """Determinant by elimination; every pivot taken has a unit constant term."""
+    a, det = [list(row) for row in a], _ONE
+    for col in range(len(a)):
+        pivot = next(r for r in range(col, len(a)) if a[r][col][0])
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = _ring_sub(_ZERO, det)
+        det = _ring_mul(det, a[col][col])
+        inverse = _ring_inverse(a[col][col])
+        for r in range(col + 1, len(a)):
+            factor = _ring_mul(a[r][col], inverse)
+            a[r] = [_ring_sub(x, _ring_mul(factor, y)) for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _conway_c2(w):
+    """Conway c2 of a knot closure, exactly, from its reduced Burau matrix B.
+
+    Delta(t) = det(I - B) (1 - t) / (1 - t^N) up to a unit +-t^k (Birman,
+    1974).  At t = e^x that is F(x) = +-e^{kx} (1 + c2 x^2 + ...), so with
+    the sign that makes F(0) = 1, c2 = (F''(0) - F'(0)^2) / 2.  At x = 0, B
+    is an N-cycle in the standard representation of S_N, which has no
+    eigenvalue 1, so I - B has a pivot with a unit constant in every column.
+    """
+    size = w.n_strands - 1
+    product = [[_ONE if r == c else _ZERO for c in range(size)] for r in range(size)]
+    for k, sign in w.letters:
+        letter = _burau_letter(w.n_strands, k, sign)
+        product = [
+            [tuple(map(sum, zip(*(_ring_mul(row[j], letter[j][c]) for j in range(size))))) for c in range(size)]
+            for row in product
+        ]
+    minus = [[_ring_sub(_ONE if r == c else _ZERO, product[r][c]) for c in range(size)] for r in range(size)]
+    ratio = _ring_mul(_one_minus_power(1), _ring_inverse(_one_minus_power(w.n_strands)))
+    f = _ring_mul(_ring_det(minus), ratio)
+    f = tuple(v / f[0] for v in f)  # f[0] is +-1
+    return f[2] - f[1] ** 2 / 2  # F''(0) / 2 - F'(0)^2 / 2
+
+
+def test_conway_c2_reference_examples():
+    # trefoil, figure-eight, the (2, 5) torus knot, unknots, a stabilized trefoil
+    for text, n, c2 in (("1 1 1", 2, 1), ("1 -2 1 -2", 3, -1), ("1 1 1 1 1", 2, 3), ("1", 2, 0), ("1 2 3", 4, 0),
+                        ("1 1 1 2", 3, 1)):
+        assert _conway_c2(parse_braid_word(text, n)) == c2, text
+
+
+def test_degree_two_closure_is_conway_c2_plus_a_constant_per_strand_count():
+    # the reduced degree-2 coordinate of a knot closure minus c2 is one
+    # constant per strand count, today (N^2 - 1)/24: the closure adds no
+    # max/min-point normalization yet, so the constant still depends on N
+    free = free_positions(("circles", 1), 2)
+    (position,) = [p for p in free if p >= len(circle_basis(1, 1))]
+    rng = random.Random(27)
+    for n in (2, 3, 4, 5):
+        offsets, c2s = [], set()
+        while len(offsets) < 8 or len(c2s) < 2:  # knots, not only unknots
+            letters = tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 9)))
+            w = BraidWord(n, letters)
+            if closure_skeleton(w).n_components != 1:
+                continue
+            degree_two = kontsevich_link(w, 2).reduced[position]
+            assert abs(degree_two.imag) <= 1e-12, (n, letters)
+            c2 = _conway_c2(w)
+            c2s.add(c2)
+            offsets.append(degree_two.real - float(c2))
+        assert max(offsets) - min(offsets) <= 1e-12, (n, offsets)

@@ -21,7 +21,6 @@ from kzbraid.circles import (
 from kzbraid.relations import (
     RelationSet,
     _circle_four_term_rows,
-    _dedupe,
     _pivot_rows,
     circle_relations,
     free_positions,
@@ -63,6 +62,13 @@ def relation_sets(skeleton, max_degree):
     kind, size = skeleton
     build = horizontal_relations if kind == "strands" else circle_relations
     return [build(size, m) for m in range(max_degree + 1)]
+
+
+def test_relation_set_keeps_each_row_once_up_to_sign():
+    # the first of a row and its negatives is kept, as its sorted items, in the order given
+    rows = [{1: 1, 0: -1}, {2: 3}, {0: 1, 1: -1}, {1: 1, 0: -1}, {2: -3, 0: 1}]
+    kept = RelationSet(1, range(3), rows).rows
+    assert kept == (((0, -1), (1, 1)), ((2, 3),), ((0, 1), (2, -3)))
 
 
 def test_four_term_row_present_n3():
@@ -266,7 +272,7 @@ def _word_index_rows(n_strands, degree):
                     row = {c: v for c, v in row.items() if v}
                     if row:
                         rows.append(row)
-    return RelationSet(degree, basis, _dedupe(rows))
+    return RelationSet(degree, basis, rows)
 
 
 def test_horizontal_rows_equal_word_index_reference():
@@ -331,7 +337,7 @@ def _reference_echelon(kind, size, m):
     if kind == "strands":
         return _fraction_echelon(horizontal_relations(size, m))
     rows, killed = _reference_circle_rows(size, m)
-    full = RelationSet(m, enumerate_circle_diagrams(size, m), _dedupe([{k: 1} for k in killed] + rows))
+    full = RelationSet(m, enumerate_circle_diagrams(size, m), [{k: 1} for k in killed] + rows)
     return _fraction_echelon(full)
 
 
@@ -351,7 +357,7 @@ def test_circle_rows_equal_canonical_reference():
             basis = enumerate_circle_diagrams(q, m)
             built = circle_relations(q, m)
             assert built.killed == killed, (q, m)
-            assert built.rows == RelationSet(m, basis, _dedupe(dropped)).rows, (q, m)
+            assert built.rows == RelationSet(m, basis, dropped).rows, (q, m)
             seeded = _circle_four_term_rows(basis, list(map(isolated_chords, basis))) if m > 1 else []
             assert 2 * len(seeded) <= len(dropped), (q, m)
 
@@ -715,7 +721,7 @@ def test_circle_build_equals_renumbering_reference_beyond_brute_force():
             del reference_basis, reference_drawings
             flags = [diagram_of(drawing).has_isolated_chord() for drawing in basis]
             rows = [row for k, d in enumerate(basis) for row in _four_term_rows_reference(d, k, flags)] if m > 1 else []
-            reference = RelationSet(m, basis, _dedupe(rows), (k for k, flag in enumerate(flags) if flag))
+            reference = RelationSet(m, basis, rows, (k for k, flag in enumerate(flags) if flag))
             built = circle_relations(q, m)
             assert (built.rows, built.killed) == (reference.rows, reference.killed), (q, m)
             # equal rows give equal echelons, so the built set's (cached) echelon stands in for the reference's
