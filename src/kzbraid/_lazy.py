@@ -2,10 +2,10 @@
 
 A fresh process compiles and runs only the modules its command uses, and
 never imports numpy for the exact side of the package (circle and word
-bases, relation rows, the integer echelon behind `dims`).  Importing
-`kzbraid` registers `braids`, `circles`, `closure`, `relations`,
-`transport` and `words` in `sys.modules` without running them, and
-importing `cli` adds `_text`; `cli`, `relations` and `_text` look their
+bases, relation rows, the integer echelon behind `dims`).  The package
+re-exports nothing; importing `cli` registers `braids`, `circles`,
+`closure`, `relations`, `transport`, `words` and `_text` in `sys.modules`
+without running them, and `cli`, `relations` and `_text` look their
 callees up on those handles at call time.  By command, the modules
 that run besides `cli`:
 

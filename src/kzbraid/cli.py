@@ -223,27 +223,27 @@ def _check_reparam(max_degree):
     return worst, 1e-12
 
 
-# check -> (function, strands of its largest braid, highest degree accepted).
-# A cap is the word budget's degree or the highest degree at which a fresh
-# `verify` line took at most a third of 10 s on a 2-vCPU host (at most 3.2 s
-# over 3 runs), which leaves room for a host whose speed drifts by half, so
-# every accepted line ends within 10 s; the next degree took 4.1 to 8.5 s.
+# check -> (function, highest degree accepted).  A cap is the word budget's
+# degree or the highest degree at which a fresh `verify` line took at most a
+# third of 10 s on a 2-vCPU host (at most 3.2 s over 3 runs), which leaves
+# room for a host whose speed drifts by half, so every accepted line ends
+# within 10 s; the next degree took 4.1 to 8.5 s.  No cap exceeds the word
+# budget, so the cap alone refuses a degree.
 _CHECKS = {
-    "braid-relation": (_check_braid_relation, 3, 11),
-    "far-commutation": (_check_far_commutation, 4, 7),
-    "full-twist": (_check_full_twist, 4, 7),
-    "oracle": (_check_oracle, 3, 12),
-    "multiplicativity": (_check_multiplicativity, 3, 10),
-    "abelian": (_check_abelian, 3, 11),
-    "reparam": (_check_reparam, 3, 10),
+    "braid-relation": (_check_braid_relation, 11),
+    "far-commutation": (_check_far_commutation, 7),
+    "full-twist": (_check_full_twist, 7),
+    "oracle": (_check_oracle, 12),
+    "multiplicativity": (_check_multiplicativity, 10),
+    "abelian": (_check_abelian, 11),
+    "reparam": (_check_reparam, 10),
 }
 
 
 def _cmd_verify(args):
     if args.check not in _CHECKS:
         raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
-    check, strands, top_degree = _CHECKS[args.check]
-    _words.check_word_budget(strands, args.max_degree)
+    check, top_degree = _CHECKS[args.check]
     if args.max_degree < 0 or args.steps < 1:
         raise ValidationError("need max-degree >= 0 and steps >= 1")
     _check_steps_limit(args.steps)

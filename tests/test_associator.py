@@ -1,0 +1,102 @@
+"""The KZ associator from the package's own transport, through degree 3.
+
+Phi_KZ is the regularized holonomy of z1 = 0, z2 = s, z3 = 1 as s runs from
+eps to 1 - eps: only t12 (dz/z) and t23 (dz/(z - 1)) act, so every word
+holding t13 is exactly 0.  The path is cut into straight segments of
+geometric length, [x, min(2x, 1/2)] from x = eps, so each resolves at few
+Chebyshev nodes; the right half is the mirror image translated by -1
+(z1 = -1, z3 = 0), so that z3 - z2 keeps its digits near s = 1.  The
+divergent ends are removed by stacking exp(-log eps t23 / 2 pi i) on top
+and exp(+log eps t12 / 2 pi i) below.  Through degree 3, Drinfeld's formula
+gives Phi = 1 + zeta(2)/(2 pi i)^2 [A, B] + zeta(3)/(2 pi i)^3
+([A, [A, B]] - [[A, B], B]) + ..., A = t12 and B = t23, words read
+bottom chord first, with zeta(2)/(2 pi i)^2 = -1/24.
+"""
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from kzbraid.braids import ConfigLoop
+from kzbraid.transport import transport
+from kzbraid.words import basis_words, series_product
+
+MAX_DEGREE = 3
+ZETA3 = 1.2020569031595942
+A, B = (1, 2), (2, 3)
+WORDS = basis_words(3, MAX_DEGREE)
+INDEX = {word: g for g, word in enumerate(WORDS)}
+
+
+class _Line(namedtuple("_Line", "left a b")):
+    """z1 = left, z2 = a + (b - a) s, z3 = left + 1 over local time s in [0, 1]."""
+
+    __slots__ = ()
+
+    def positions(self, s):
+        s = np.asarray(s, dtype=float)
+        z = np.empty(s.shape + (3,), dtype=complex)
+        z[..., 0] = self.left
+        z[..., 1] = self.a + (self.b - self.a) * s
+        z[..., 2] = self.left + 1
+        return z
+
+    def velocities(self, s):
+        v = np.zeros(np.shape(s) + (3,), dtype=complex)
+        v[..., 1] = self.b - self.a
+        return v
+
+
+def _exp_chord(x, chord):
+    """exp(x t) for one chord t, as a dense series."""
+    out = np.zeros(len(WORDS), dtype=complex)
+    for m in range(MAX_DEGREE + 1):
+        out[INDEX[(chord,) * m]] = x**m / math.factorial(m)
+    return out
+
+
+def _associator(eps):
+    """(segments, error estimate, regularized holonomy) from s = eps to 1 - eps."""
+    ends = [eps]
+    while ends[-1] < 0.5:
+        ends.append(min(2 * ends[-1], 0.5))
+    halves = list(zip(ends, ends[1:]))
+    segments = [_Line(0.0, x, y) for x, y in halves] + [_Line(-1.0, -y, -x) for x, y in reversed(halves)]
+    breaks = tuple((k + 1) / len(segments) for k in range(len(segments)))
+    result = transport(ConfigLoop(3, tuple(segments), breaks), MAX_DEGREE)
+    log_eps = math.log(eps) / (2j * math.pi)
+    phi = series_product(_exp_chord(-log_eps, B), result.coefficients, 3, MAX_DEGREE)
+    phi = series_product(phi, _exp_chord(log_eps, A), 3, MAX_DEGREE)
+    return len(segments), result.richardson_error_estimate, phi
+
+
+def _drinfeld():
+    """Phi through degree 3 from Drinfeld's formula, by word, t13-free words only."""
+    c3 = -1j * ZETA3 / (2 * math.pi) ** 3
+    expected = {(): 1.0, (A, B): -1 / 24, (B, A): 1 / 24}
+    # [A, [A, B]] - [[A, B], B] = AAB - 2 ABA + BAA - ABB + 2 BAB - BBA
+    for word, weight in (("AAB", 1), ("ABA", -2), ("BAA", 1), ("ABB", -1), ("BAB", 2), ("BBA", -1)):
+        expected[tuple(A if letter == "A" else B for letter in word)] = weight * c3
+    return expected
+
+
+def _worst_miss(phi):
+    expected = _drinfeld()
+    return max(abs(phi[INDEX[word]] - expected.get(word, 0)) for word in WORDS if (1, 3) not in word)
+
+
+def test_associator_matches_drinfeld_through_degree_three():
+    # 106 segments at an error estimate of 1.4e-14; the worst miss seen is
+    # 3.6e-14 at degree 2 and 1.7e-13 at degree 3
+    n_segments, error, phi = _associator(1e-16)
+    assert n_segments == 106 and error < 1e-13
+    # degree 1 is 0, so _drinfeld lists no word of it
+    assert _worst_miss(phi) < 1e-12
+    assert all(phi[INDEX[word]] == 0 for word in WORDS if (1, 3) in word)
+
+
+def test_associator_gate_sees_a_coarse_regularization():
+    # the ends eps and 1 - eps leave terms of order eps (up to logs): at 1e-8 the
+    # same comparison misses by about 1.5e-8, so the gate above can fail
+    assert _worst_miss(_associator(1e-8)[2]) > 1e-9
