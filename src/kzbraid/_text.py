@@ -310,11 +310,11 @@ def _table_prefixes(n_strands, max_degree):
     return tuple(prefixes)
 
 
-def table(n_strands, max_degree, positions, moduli, listed):
-    """The term table of the terms at positions, given every word's modulus and the listed coefficients."""
+def table(n_strands, max_degree, positions, listed):
+    """The term table of the terms at positions, listed holding their coefficients."""
     prefixes = _table_prefixes(n_strands, max_degree)
     column = [None] * (2 * len(positions))
-    column[0::2] = [moduli[g] for g in positions]
+    column[0::2] = _words.moduli(listed).tolist()
     column[1::2] = map(math.atan2, listed.imag.tolist(), listed.real.tolist())
     return _rows([prefixes[g] for g in positions], column, _TABLE_ROW, _TABLE_HEADER)
 
@@ -370,8 +370,9 @@ def _circle_text(coefficients, n_circles, max_degree, zero_threshold, positions)
     """json.dumps(circle_series_to_json_dict(...), indent=2), two levels deep; reads only positions."""
     heads = _diagram_heads(n_circles, max_degree, positions)
     values = coefficients.take(positions)
-    kept = [i for i, c in enumerate(values.tolist()) if abs(c) >= zero_threshold]
-    return _document([heads[i] for i in kept], values[kept], 2, circles=n_circles, max_degree=max_degree)
+    kept = _words.moduli(values) >= zero_threshold
+    heads = list(itertools.compress(heads, kept.tolist()))
+    return _document(heads, values[kept], 2, circles=n_circles, max_degree=max_degree)
 
 
 def _cycles_text(cycles, level):

@@ -105,19 +105,14 @@ def _compute_json(args, word, skeleton):
     skeleton is the closure's, given with --close and None without.
     """
     holonomy = _transport.kontsevich_of_braid(word, args.max_degree)
-    # Python's abs, whose digits the table prints (np.abs can differ in the
-    # last bit), decides the threshold; kept terms stay in basis order
-    moduli = list(map(abs, holonomy.tolist()))
-    kept = np.flatnonzero(np.array(moduli) >= args.zero_threshold)
-    positions = kept.tolist()
-    listed = holonomy[kept]  # read once for the table, the JSON and the projection
-    sys.stdout.write(_text.table(args.strands, args.max_degree, positions, moduli, listed))
+    kept = _words.moduli(holonomy) >= args.zero_threshold
+    positions = np.flatnonzero(kept).tolist()
+    listed = holonomy[kept]  # in basis order, read once for the table and the JSON
+    sys.stdout.write(_text.table(args.strands, args.max_degree, positions, listed))
     if not args.close:
         return _text.braid_json(args.strands, args.max_degree, positions, listed)
-    projected = np.zeros_like(holonomy)  # the braid terms the threshold kept
-    projected[kept] = listed
     circles = ("circles", skeleton.n_components)
-    series = _closure.tau_project(projected, skeleton, args.max_degree)
+    series = _closure.tau_project(np.where(kept, holonomy, 0), skeleton, args.max_degree)  # the kept terms
     reduced = _relations.reduce(series, circles, args.max_degree, args.zero_threshold)
     free = _relations.free_positions(circles, args.max_degree)
     return _text.link_json(

@@ -21,7 +21,7 @@ from .braids import BraidWord, permutation_of
 from .circles import _orbit_table, circle_basis
 from .relations import reduce
 from .transport import kontsevich_of_braid
-from .words import ZERO_THRESHOLD, all_pairs, basis_size
+from .words import ZERO_THRESHOLD, all_pairs, basis_size, moduli
 
 
 class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
@@ -116,8 +116,7 @@ def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
     quantities insensitive to them (linking numbers, framing-killed terms,
     comparisons of closures of equal braids).
     """
-    holonomy = kontsevich_of_braid(word, max_degree).tolist()
-    kept = np.array([c if abs(c) >= ZERO_THRESHOLD else 0j for c in holonomy])
+    holonomy = kontsevich_of_braid(word, max_degree)
     skeleton = closure_skeleton(word)
-    series = tau_project(kept, skeleton, max_degree)
+    series = tau_project(np.where(moduli(holonomy) >= ZERO_THRESHOLD, holonomy, 0), skeleton, max_degree)
     return ClosureResult(skeleton, series, reduce(series, ("circles", skeleton.n_components), max_degree))

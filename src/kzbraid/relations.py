@@ -35,7 +35,7 @@ from itertools import accumulate, product
 from math import gcd
 
 from ._lazy import _lazy_module, np
-from .words import ZERO_THRESHOLD, all_pairs, enumerate_words
+from .words import ZERO_THRESHOLD, all_pairs, enumerate_words, moduli
 
 # loaded on first use, so that counting strand dimensions never runs it
 _circles = _lazy_module("kzbraid.circles")
@@ -346,20 +346,20 @@ def reduce(coefficients, skeleton, max_degree: int, zero_threshold=ZERO_THRESHOL
         raise ValueError(
             f"{len(coefficients)} coefficients do not fill the {skeleton} basis to degree {max_degree}"
         )
-    values = coefficients.tolist()
-    out = []
+    values = np.where(moduli(coefficients) >= zero_threshold, coefficients, 0).tolist()
     start = 0
     for size, rows in blocks:
-        vec = [c if abs(c) >= zero_threshold else 0j for c in values[start:start + size]]
+        vec = values[start:start + size]
         for p, row in rows:
             amount = vec[p]
             if amount:
                 vec[p] = 0j
                 for col, q in row:
                     vec[col] -= amount * q
-        out += [c if abs(c) >= zero_threshold else 0j for c in vec]
+        values[start:start + size] = vec
         start += size
-    return np.array(out, dtype=complex)
+    out = np.array(values, dtype=complex)
+    return np.where(moduli(out) >= zero_threshold, out, 0)  # NaN fails every comparison: zeroed
 
 
 @lru_cache(maxsize=None)

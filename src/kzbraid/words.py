@@ -144,6 +144,15 @@ def relabel_strands(coefficients, n_strands, max_degree, images):
     return coefficients[_relabel_index(n_strands, max_degree, tuple(images))]
 
 
+def moduli(series):
+    """abs of each entry of a complex array: the |c| that every threshold and the table read.
+
+    np.hypot and CPython's abs(complex) both call libm's hypot: this is abs bit for bit (np.abs can
+    differ in the last bit), and inf where abs raises OverflowError (both parts near the largest double).
+    """
+    return np.hypot(series.real, series.imag)
+
+
 def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO_THRESHOLD) -> dict:
     """JSON document of a dense series: every term whose modulus reaches zero_threshold.
 

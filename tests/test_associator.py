@@ -10,7 +10,8 @@ divergent ends are removed by stacking exp(-log eps t23 / 2 pi i) on top
 and exp(+log eps t12 / 2 pi i) below.  Through degree 3, Drinfeld's formula
 gives Phi = 1 + zeta(2)/(2 pi i)^2 [A, B] + zeta(3)/(2 pi i)^3
 ([A, [A, B]] - [[A, B], B]) + ..., A = t12 and B = t23, words read
-bottom chord first, with zeta(2)/(2 pi i)^2 = -1/24.
+bottom chord first, with zeta(2)/(2 pi i)^2 = -1/24.  Duality,
+Phi_321 = Phi^-1, is checked by relabelling strands 1 and 3.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from kzbraid.braids import ConfigLoop
 from kzbraid.transport import transport
-from kzbraid.words import basis_words, series_product
+from kzbraid.words import basis_words, relabel_strands, series_product
 
 MAX_DEGREE = 3
 ZETA3 = 1.2020569031595942
@@ -100,3 +101,17 @@ def test_associator_gate_sees_a_coarse_regularization():
     # the ends eps and 1 - eps leave terms of order eps (up to logs): at 1e-8 the
     # same comparison misses by about 1.5e-8, so the gate above can fail
     assert _worst_miss(_associator(1e-8)[2]) > 1e-9
+
+
+def test_associator_duality():
+    # Phi_321 = Phi^-1: Phi with strands 1 and 3 swapped, stacked on Phi in
+    # either order, is the unit (1.7e-13 seen); swapping strands 1 and 2
+    # instead misses by 1/24, the degree-2 coefficient, so the gate can fail
+    phi = _associator(1e-16)[2]
+    unit = np.zeros(len(WORDS), dtype=complex)
+    unit[INDEX[()]] = 1.0
+    for images, holds in (((3, 2, 1), True), ((2, 1, 3), False)):
+        dual = relabel_strands(phi, 3, MAX_DEGREE, images)
+        for upper, lower in ((dual, phi), (phi, dual)):
+            miss = np.abs(series_product(upper, lower, 3, MAX_DEGREE) - unit).max()
+            assert miss < 1e-12 if holds else miss > 1e-2, (images, miss)

@@ -179,6 +179,22 @@ def test_compute_table_on_stdout(capsys):
     assert "0.5" in out
 
 
+def test_zero_threshold_lists_a_term_whose_modulus_equals_it(capsys, tmp_path):
+    # the threshold is reached at equality: a term whose |c| is the threshold
+    # is in the table and the JSON, and at the next double above it in neither
+    out_file = tmp_path / "z.json"
+    argv = ("compute", "-n", "3", "-m", "2", "-w", "1 2", "-o", str(out_file))
+    assert run(capsys, *argv)[0] == 0
+    term = json.loads(out_file.read_text())["terms"][-1]  # a degree-2 term
+    name = "".join("(%d,%d)" % tuple(p) for p in term["word"])
+    t = abs(complex(term["re"], term["im"]))
+    for threshold, listed in ((t, True), (math.nextafter(t, math.inf), False)):
+        code, table, _ = run(capsys, *argv, "--zero-threshold", repr(threshold))
+        assert code == 0
+        assert (name in [row.split()[1] for row in table.splitlines()[1:]]) is listed
+        assert (term["word"] in [u["word"] for u in json.loads(out_file.read_text())["terms"]]) is listed
+
+
 def test_compute_rejects_bad_generator(capsys):
     code, _, err = run(capsys, "compute", "-n", "3", "-w", "1 4")
     assert code == 1

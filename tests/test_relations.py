@@ -729,3 +729,15 @@ def test_circle_build_equals_renumbering_reference_beyond_brute_force():
             for p, row in built.echelon().items():
                 pivots[p] = tuple((c, v / row[p]) for c, v in row.items() if c != p)
             assert _pivot_rows(q, m) == (len(basis), tuple(sorted(pivots.items()))), (q, m)
+
+
+def test_reduce_threshold_is_reached_at_equality():
+    # a free entry whose modulus equals the threshold survives the threshold
+    # before and after the rows; at the next double above it, it is dropped
+    c = complex(0.1, -0.7)
+    for skeleton in (("strands", 3), ("circles", 2)):
+        k = free_positions(skeleton, 1)[-1]  # a degree-1 entry no row touches
+        vec = np.zeros(graded_size(skeleton, 1), dtype=complex)
+        vec[k] = c
+        assert reduce(vec, skeleton, 1, abs(c))[k] == c
+        assert reduce(vec, skeleton, 1, math.nextafter(abs(c), math.inf))[k] == 0

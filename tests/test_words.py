@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 
 from kzbraid._text import _braid_text, _circle_text
 from kzbraid.circles import circle_basis, circle_series_to_json_dict
-from kzbraid.words import basis_words, enumerate_words, relabel_strands, series_product, series_to_json_dict
+from kzbraid.words import (
+    basis_words, enumerate_words, moduli, relabel_strands, series_product, series_to_json_dict,
+)
 from reference_orders import CircleDiagram, diagram_of, drawing_of, word, word_sort_key
 
 
@@ -165,3 +169,44 @@ def test_json_text_matches_json_dumps():
                 expected = json.dumps(circle_series_to_json_dict(s, q, max_degree, threshold, positions), indent=2)
                 text = _circle_text(s, q, max_degree, threshold, positions)
                 assert text == expected.replace("\n", "\n    ")
+
+
+def _same_bits(got, want):
+    """Per entry, got and want hold the same bits, so neither is above the other; a NaN matches any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+
+
+def _python_abs(values):
+    """abs of each complex, None where Python's abs raises OverflowError."""
+    out = []
+    for c in values:
+        try:
+            out.append(abs(c))
+        except OverflowError:
+            out.append(None)
+    return out
+
+
+def test_moduli_is_python_abs_bit_for_bit():
+    # np.hypot and abs(complex) both call libm's hypot; np.abs does not, and
+    # differs from abs in the last bit on many random values on some hosts
+    rng = np.random.default_rng(30)
+    n = 100_000
+    parts = rng.uniform(-10.0, 10.0, (2, n)) * 10.0 ** rng.integers(-300, 301, (2, n))
+    grid = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e-160, 1e-12, 0.1, 1.0, 3.0, 1e150, 1e300,
+            1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    pairs = np.array(list(itertools.product(grid, repeat=2))).T
+    overflows = 0
+    for real, imag in (parts, pairs):
+        z = np.empty(len(real), dtype=complex)
+        z.real, z.imag = real, imag  # set, not computed: 1j * inf would be nan
+        with np.errstate(over="ignore"):  # hypot's overflow to inf warns
+            got = moduli(z)
+        want = _python_abs(z.tolist())
+        raised = np.array([w is None for w in want])
+        overflows += int(raised.sum())
+        assert np.isposinf(got[raised]).all()
+        assert _same_bits(got[~raised], [w for w in want if w is not None]).all()
+    # only (largest double, largest double) overflows
+    assert overflows == 1
