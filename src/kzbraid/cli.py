@@ -86,7 +86,6 @@ def _cmd_compute(args):
     if not args.zero_threshold >= 0:  # NaN fails every comparison
         raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
     _words.check_word_budget(args.strands, args.max_degree)
-    _transport.check_sample_budget(args.strands)
     word = _braids.parse_braid_word(args.word, args.strands)
     skeleton = None
     if args.close:

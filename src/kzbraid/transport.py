@@ -20,11 +20,11 @@ after each factor is the prefix sum of outer products of the lower degrees
 before it with the factors, and the top degree, which feeds no other, is
 only summed, by matrix products.
 
-transport() sweeps the segments of any loop and estimates its error from
-the same loop at twice each segment's node count, chosen per segment, so
-no function here takes a step count.  A braid's integral scans its letters
-instead: each letter's holonomy is swept once per process and cached, and
-read through the strands at its slots when the letter starts.
+transport() sweeps any loop on every pair and estimates its error from the
+same loop at twice each segment's node count, so no function here takes a
+step count.  A braid's integral scans its letters instead: each letter's
+holonomy is swept once per process on the 2N - 3 pairs its two points move,
+cached, and placed on the strands at its slots when the letter starts.
 
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
@@ -43,19 +43,19 @@ from .words import (
     _block_slices,
     _blocks,
     _outer,
+    _word_index,
     all_pairs,
     basis_size,
-    relabel_strands,
 )
 
 _TWO_PI_I = 2j * math.pi
-# Most complex entries one temporary of the scan holds: a chunk of L factors
-# holds L rows of P**(M-1) entries per degree M-1 temporary, and the factors
-# themselves, about P times that.  A 400-letter word on 5 strands to degree
-# 5 then takes 6 letters per chunk: 0.75 s on one thread of a 2-vCPU host, at
-# a traced peak of 26 MB (one letter at a time: 1.3 s, 7 MB).  Unchunked it
-# held 1.57 GB; at 2**14, one letter per chunk, it took 1.9 s.
-_SCAN_ENTRIES = 2**16
+# Most complex entries of the scan's factor array, which holds at least one
+# factor; its other temporaries are smaller.  A warm 400-letter word on 5
+# strands to degree 5 (111,111 words) then takes 9 letters per chunk: 0.3-0.5
+# s on one thread of a 2-vCPU host at a traced peak of 43 MB, against 1.1-1.6
+# s and 27 MB one letter at a time, and 0.4 s and 62 MB at 2**21.  Words of
+# up to 16 letters on 4 strands to degree 4 take one chunk.
+_SCAN_ENTRIES = 2**20
 # A segment is integrated at n + 1 Chebyshev-Lobatto nodes, n = 8, 16, 32, ...
 # up to this cap: the first n at which the last two Chebyshev coefficients of
 # the sampled connection are at most _TAIL_TOLERANCE times its largest one.
@@ -64,11 +64,6 @@ _SCAN_ENTRIES = 2**16
 # at 8; a segment that does not resolve by the cap fails.
 _MAX_NODES = 128
 _TAIL_TOLERANCE = 1e-11
-# Most connection samples, pairs times nodes, a letter may take at the node
-# cap.  A sample held about 80 bytes at its peak (compute -n 600 -m 1: 505 MB
-# for 179,700 pairs at 33 nodes), so the cap bounds a letter's sampling near
-# 2.7 GB, as MAX_BASIS_WORDS bounds the basis; 721 strands pass it.
-MAX_CONNECTION_SAMPLES = 2**25
 
 
 class TransportError(RuntimeError):
@@ -91,20 +86,6 @@ def _pair_indices(n_strands):
     pairs = all_pairs(n_strands)
     ii, jj = np.array(pairs).T - 1
     return pairs, ii, jj
-
-
-def check_sample_budget(n_strands: int):
-    """Raise ValueError when a letter on n_strands could take more than MAX_CONNECTION_SAMPLES samples.
-
-    A letter samples the connection of every strand pair, at up to
-    _MAX_NODES + 1 nodes, whatever the degree, 0 included.
-    """
-    n_pairs = n_strands * (n_strands - 1) // 2
-    if n_pairs * (_MAX_NODES + 1) > MAX_CONNECTION_SAMPLES:
-        raise ValueError(
-            f"{n_strands} strands need more than {MAX_CONNECTION_SAMPLES} connection samples"
-            f" per letter ({n_pairs} pairs at up to {_MAX_NODES + 1} nodes)"
-        )
 
 
 def _segment_omega(segment, s, ii, jj):
@@ -209,9 +190,10 @@ def _scan(factors, count, n_pairs, max_degree):
     total = _unit(n_pairs, max_degree)
     blocks = _blocks(total, n_pairs, max_degree)
     slices = _block_slices(n_pairs, max_degree)
-    chunk = max(1, _SCAN_ENTRIES // n_pairs ** max(max_degree - 1, 0))
+    chunk = max(1, _SCAN_ENTRIES // len(total))
+    buffer = np.empty((min(chunk, count), len(total)), dtype=complex)
     for lo in range(0, count, chunk):
-        part = np.empty((min(chunk, count - lo), len(total)), dtype=complex)
+        part = buffer[: count - lo]
         for row, factor in zip(part, factors):
             row[:] = factor
         part_blocks = [part[:, block] for block in slices]
@@ -263,22 +245,38 @@ def transport(loop: ConfigLoop, max_degree: int) -> TransportResult:
     return TransportResult(nodes, float(np.abs(coefficients - finer).max()), coefficients)
 
 
+def _moved_pairs(n_strands, k):
+    """Slots (a, b), two arrays in all_pairs order, of the 2N - 3 pairs with an end at slot k or k + 1."""
+    return np.array(sorted({(min(e, s), max(e, s)) for e in (k, k + 1) for s in range(1, n_strands + 1) if s != e})).T
+
+
 @lru_cache(maxsize=64)
 def _letter_holonomy(n_strands, k, sign, max_degree):
-    """Dense holonomy of one letter in slot labels, integrated once, read-only."""
+    """Dense holonomy of one letter over its _moved_pairs, integrated once, read-only: every other word is 0."""
     segment = realize(BraidWord(n_strands, ((k, sign),))).segments[0]
-    _, ii, jj = _pair_indices(n_strands)
-    out = _sweeps(*_resolved_omega(segment, ii, jj), max_degree)
+    a, b = _moved_pairs(n_strands, k)
+    out = _sweeps(*_resolved_omega(segment, a - 1, b - 1), max_degree)
     out.flags.writeable = False
     return out
 
 
+@lru_cache(maxsize=64)
+def _letter_indices(n_strands, max_degree, strand_at):
+    """{k: where letter k's cached holonomy lies among all pairs} at strand order strand_at, filled as needed."""
+    return {}
+
+
 def _relabeled_letters(word, max_degree):
-    """Each letter's cached holonomy, read through the strands at its slots when it starts."""
+    """Each letter's cached holonomy, placed on the strands at its slots when it starts."""
     n = word.n_strands
-    strand_at = list(range(1, n + 1))
+    size, strand_at = basis_size(n * (n - 1) // 2, max_degree), list(range(1, n + 1))
     for k, sign in word.letters:
-        yield relabel_strands(_letter_holonomy(n, k, sign, max_degree), n, max_degree, strand_at)
+        indices = _letter_indices(n, max_degree, tuple(strand_at))
+        if k not in indices:
+            indices[k] = _word_index(n, max_degree, *np.array(strand_at)[_moved_pairs(n, k) - 1])
+        letter = np.zeros(size, dtype=complex)
+        letter[indices[k]] = _letter_holonomy(n, k, sign, max_degree)
+        yield letter
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
 
 

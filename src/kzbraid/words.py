@@ -53,9 +53,10 @@ def basis_size(n_pairs: int, max_degree: int) -> int:
 def check_word_budget(n_strands: int, max_degree: int):
     """Raise ValueError when a basis of degree <= max_degree stores more than MAX_BASIS_WORDS.
 
-    Counts without building: the words of degree <= max(M, 1), as degree 0
-    still samples all P pairs; on one pair, the M + 1 words and their
-    M (M + 1) / 2 chords.  Strand counts below 2 pass: building reports them.
+    Counts without building: the words of degree <= max(M, 1), as the output
+    labels all P pairs even at degree 0 (_text._table_prefixes, _word_heads);
+    on one pair, the M + 1 words and their M (M + 1) / 2 chords.  Strand
+    counts below 2 pass: building reports them.
     """
     if n_strands < 2:
         return
@@ -113,24 +114,25 @@ def series_product(upper, lower, n_strands, max_degree):
     return out
 
 
-@lru_cache(maxsize=64)
-def _relabel_index(n_strands, max_degree, images):
-    """Gather index renaming every strand s of a dense series to images[s - 1].
-
-    Entry g of the renamed series is read from entry index[g] of the series.
-    """
-    pairs = all_pairs(n_strands)
-    pair_index = {pair: q for q, pair in enumerate(pairs)}
-    source = {image: strand for strand, image in enumerate(images, start=1)}
-    first = np.array([pair_index[min(source[i], source[j]), max(source[i], source[j])] for i, j in pairs])
-    index = np.zeros(basis_size(len(pairs), max_degree), dtype=np.intp)
+def _word_index(n_strands, max_degree, a, b):
+    """Position in basis_words(n_strands, .) of each graded-lex word over the pairs (a[q], b[q]), read-only."""
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    pair_map, n_pairs = (i - 1) * (2 * n_strands - i) // 2 + j - i - 1, n_strands * (n_strands - 1) // 2
+    index = np.zeros(basis_size(len(pair_map), max_degree), dtype=np.intp)
     lo, hi = 0, 1
     for _ in range(max_degree):
-        block = (1 + len(pairs) * index[lo:hi, None] + first).ravel()
+        block = (1 + n_pairs * index[lo:hi, None] + pair_map).ravel()
         index[hi : hi + len(block)] = block
         lo, hi = hi, hi + len(block)
     index.flags.writeable = False
     return index
+
+
+@lru_cache(maxsize=64)
+def _relabel_index(n_strands, max_degree, images):
+    """Gather index renaming every strand s of a dense series to images[s - 1]: entry g reads entry index[g]."""
+    source = np.argsort(images)[np.array(all_pairs(n_strands)).T - 1] + 1  # the strands renamed to each pair
+    return _word_index(n_strands, max_degree, *source)
 
 
 def relabel_strands(coefficients, n_strands, max_degree, images):

@@ -13,11 +13,11 @@ satisfies the quadratic relation of its generators.
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
-from kzbraid.braids import parse_braid_word
+from kzbraid.braids import Permutation, parse_braid_word, permutation_of
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import basis_words
 
@@ -102,3 +102,123 @@ def test_braid_relation_in_group_algebra():
     assert np.abs(za - zb).max() > 0.1
     wa, wb = (_weight(z, n, max_degree) for z in (za, zb))
     assert np.abs(wa - wb).max() <= 1e-12
+
+
+# The quantum trace.  Under W the closed Kontsevich integral of a braid is
+# the gl(d) Reshetikhin-Turaev invariant of its closure (Bar-Natan, Topology
+# 34, 1995), the Jones polynomial at d = 2 (Jones, Ann. Math. 126, 1987;
+# Turaev, Invent. Math. 92, 1988).  T = W(Z(beta)) g, with g sending each
+# slot to the strand standing there after the braid, acts on (C^d)^N; its
+# quantum trace with K = q^{2 rho}, q = e^{hbar/2}, is the product over the
+# cycles c of each permutation of [d] at q^|c|, where [d]_x is the sum of
+# x^{d+1-2i} for i = 1..d.  Removing the writhe framing e^{d w hbar/2} and
+# one [d]_q gives J_d, invariant under Markov moves.
+
+
+def _exp_series(rate, max_degree):
+    """e^{rate hbar} to degree max_degree."""
+    return np.array([rate**m / math.factorial(m) for m in range(max_degree + 1)])
+
+
+def _series_times(a, b):
+    return np.convolve(a, b)[: len(a)]
+
+
+def _quantum_integer(d, power, max_degree):
+    """[d]_x at x = q^power = e^{power hbar / 2}."""
+    return sum(_exp_series((d + 1 - 2 * i) * power / 2, max_degree) for i in range(1, d + 1))
+
+
+def _closure_invariant(text, n, d, max_degree, quantum=True):
+    """J_d = e^{-d w hbar / 2} Tr_q(T) / [d]_q of the braid's closure; the classical trace when not quantum."""
+    word = parse_braid_word(text, n)
+    index = _group(n)[0]
+    g = np.zeros((max_degree + 1, math.factorial(n)), dtype=complex)
+    g[0, index[tuple(s - 1 for s in permutation_of(word).inverse().images)]] = 1
+    t = _times(_holonomy(text, n, max_degree), g, n)
+    scale = 1 if quantum else 0  # K = 1: every cycle weighs d
+    trace = np.zeros(max_degree + 1, dtype=complex)
+    for perm, k in index.items():
+        weight = _exp_series(0, max_degree)
+        for cycle in Permutation(tuple(p + 1 for p in perm)).cycles():
+            weight = _series_times(weight, _quantum_integer(d, scale * len(cycle), max_degree))
+        trace += _series_times(t[:, k], weight)
+    writhe = sum(sign for _, sign in word.letters)
+    trace = _series_times(trace, _exp_series(-d * writhe / 2, max_degree))
+    divisor, out = _quantum_integer(d, scale, max_degree), np.zeros_like(trace)
+    for m in range(max_degree + 1):
+        out[m] = (trace[m] - divisor[1 : m + 1] @ out[:m][::-1]) / divisor[0]
+    return out
+
+
+def _kauffman_bracket(text, n):
+    """<closure> as {exponent of A: integer coefficient}, the unknot 1, by the state sum.
+
+    <sigma_k^s> = A^s id + A^-s U_k, and each loop but one weighs -A^2 - A^-2.
+    """
+    word = parse_braid_word(text, n)
+    length = len(word.letters)
+    bracket = {}
+    for state in product((1, -1), repeat=length):  # 1: the id smoothing, -1: U
+        # point (level, slot) at level * n + slot - 1; the top level is the bottom one
+        parent = list(range(length * n))
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def join(x, y):
+            parent[root(x)] = root(y)
+
+        for level, ((k, _), smoothing) in enumerate(zip(word.letters, state)):
+            lower, upper = level * n, (level + 1) % length * n
+            for slot in range(n):
+                if smoothing == 1 or slot not in (k - 1, k):
+                    join(lower + slot, upper + slot)
+            if smoothing == -1:
+                join(lower + k - 1, lower + k)
+                join(upper + k - 1, upper + k)
+        loops = len({root(x) for x in range(length * n)}) - 1
+        exponent = sum(sign * smoothing for (_, sign), smoothing in zip(word.letters, state))
+        for i in range(loops + 1):  # (-A^2 - A^-2)^loops
+            term = exponent + 4 * i - 2 * loops
+            bracket[term] = bracket.get(term, 0) + (-1) ** loops * math.comb(loops, i)
+    return {e: c for e, c in bracket.items() if c}
+
+
+def _jones_reference(text, n, max_degree):
+    """(-1)^(components - 1) V(e^{-hbar}) of the braid's closure, V = (-A^3)^-w <closure> at t = A^-4."""
+    word = parse_braid_word(text, n)
+    writhe = sum(sign for _, sign in word.letters)
+    sign = (-1) ** (writhe + len(permutation_of(word).cycles()) - 1)
+    return sign * sum(c * _exp_series((e - 3 * writhe) / 4, max_degree) for e, c in _kauffman_bracket(text, n).items())
+
+
+def test_kauffman_bracket_of_the_trefoil():
+    # V = t + t^3 - t^4 for sigma1^3, with t = A^-4 and the framing (-A^3)^-3
+    bracket = _kauffman_bracket("1 1 1", 2)
+    jones = {(9 - e) // 4: (-1) ** 3 * c for e, c in bracket.items()}
+    assert all((9 - e) % 4 == 0 for e in bracket) and jones == {1: 1, 3: 1, 4: -1}
+
+
+def test_quantum_trace_is_the_jones_polynomial():
+    cases = [(text, 2, 8) for text in ("1", "1 1", "1 1 1", "-1 -1 -1 -1 -1")]
+    cases += [(text, 3, 6) for text in ("1 -2 1 -2", "1 1 1 2", "1 2", "1 1 2 2", "-1 2 2 2 -1 2")]
+    cases += [(text, 4, 5) for text in ("1 2 3", "1 1 3 3", "1 -2 3 -2 1", "1 1 2 -3 2")]
+    for text, n, max_degree in cases:
+        reference = _jones_reference(text, n, max_degree)
+        jones = _closure_invariant(text, n, 2, max_degree)
+        assert np.abs(jones - reference).max() <= 1e-12 * np.abs(reference).max(), (text, n)
+
+
+def test_quantum_trace_is_markov_invariant():
+    for text, n in (("1 1 1", 2), ("1 1", 2), ("1 -2 1 -2", 3), ("1 2 -1 2", 3)):
+        for d in (2, 3):
+            before = _closure_invariant(text, n, d, 5)
+            for stabilized in (f"{text} {n}", f"{text} -{n}"):
+                after = _closure_invariant(stabilized, n + 1, d, 5)
+                assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max(), (stabilized, d)
+    # the classical trace, K = 1, is not
+    before, after = (_closure_invariant(text, n, 2, 5, quantum=False) for text, n in (("1 1 1", 2), ("1 1 1 2", 3)))
+    assert np.abs(after - before).max() > 1

@@ -195,7 +195,8 @@ def _letter_fold(w, max_degree):
     total = identity(n, max_degree)
     strand_at = list(range(1, n + 1))
     for k, sign in w.letters:
-        letter = relabel_strands(_letter_holonomy(n, k, sign, max_degree), n, max_degree, strand_at)
+        alone = kontsevich_of_braid(BraidWord(n, ((k, sign),)), max_degree)
+        letter = relabel_strands(alone, n, max_degree, strand_at)
         total = series_product(letter, total, n, max_degree)
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
     return total
@@ -209,8 +210,8 @@ def _letter_fold(w, max_degree):
 def test_scan_matches_letter_fold(monkeypatch, n, max_degree, length, per_chunk):
     # per_chunk letters per chunk carry the product across chunk boundaries
     if per_chunk is not None:
-        n_pairs = n * (n - 1) // 2
-        monkeypatch.setattr(transport_module, "_SCAN_ENTRIES", per_chunk * n_pairs ** max(max_degree - 1, 0))
+        size = basis_size(n * (n - 1) // 2, max_degree)
+        monkeypatch.setattr(transport_module, "_SCAN_ENTRIES", per_chunk * size)
     w = _reduced_word(random.Random(f"{n}:{max_degree}:{length}"), n, length)
     reference = _letter_fold(w, max_degree)
     scanned = kontsevich_of_braid(w, max_degree)
@@ -219,11 +220,11 @@ def test_scan_matches_letter_fold(monkeypatch, n, max_degree, length, per_chunk)
 
 def test_scan_memory_stays_within_budget():
     # 400 letters on 5 strands to degree 5 (111,111 basis words): an
-    # unchunked scan holds the (400, 111111) complex array of its gathered
+    # unchunked scan holds the (400, 111111) complex array of its placed
     # letters alone, 711 MB, more than ten times the bound.  The word is a
     # product of squares, so its letters start from at most five strand
     # orders, and the warm-up on one square of each letter leaves no letter
-    # or relabel index for the traced run to allocate.
+    # or letter index for the traced run to allocate.
     n, max_degree, bound = 5, 5, 40e6
     assert 400 * basis_size(10, max_degree) * 16 > 10 * bound
     squares = _reduced_word(random.Random(400), n, 200).letters
@@ -250,6 +251,17 @@ def test_cached_letters_are_read_only():
     assert np.array_equal(kontsevich_of_braid(w, 3), before)
 
 
+def test_cached_letter_holds_only_its_moved_pairs():
+    # the 2N - 3 pairs with an end at slot k or k + 1; every other word of
+    # the letter's series is zero
+    for n, k, max_degree in ((2, 1, 6), (3, 2, 4), (5, 2, 5), (7, 6, 3), (40, 17, 2)):
+        cached = _letter_holonomy(n, k, -1, max_degree)
+        assert len(cached) == basis_size(2 * n - 3, max_degree)
+        letter = kontsevich_of_braid(BraidWord(n, ((k, -1),)), max_degree)
+        assert np.count_nonzero(letter) == np.count_nonzero(cached), (n, k)
+        assert np.array_equal(np.sort_complex(letter[letter != 0]), np.sort_complex(cached[cached != 0]))
+
+
 def test_letters_match_fine_rk4():
     # an independent integrator: 1024 classical fourth-order steps per letter,
     # whose own error is about 2e-14 here
@@ -258,13 +270,13 @@ def test_letters_match_fine_rk4():
             for sign in (1, -1):
                 fine = _reference_integrate(realize(BraidWord(n, ((k, sign),))), 4, 1024)
                 for max_degree in range(5):
-                    letter = _letter_holonomy(n, k, sign, max_degree)
+                    letter = kontsevich_of_braid(BraidWord(n, ((k, sign),)), max_degree)
                     assert np.abs(letter - fine[: len(letter)]).max() <= 1e-13, (n, k, sign)
 
 
 def test_top_letter_symmetrizes_to_abelian_holonomy():
     # N=5, M=5: the largest letter; the abelian closed form is an exact oracle
-    letter = _letter_holonomy(5, 2, 1, 5)
+    letter = kontsevich_of_braid(BraidWord(5, ((2, 1),)), 5)
     closed = abelian_holonomy(realize(BraidWord(5, ((2, 1),))), 5)
     assert sup_diff(symmetrized(letter, 5, 5), closed) <= 1e-13
 
