@@ -68,14 +68,15 @@ from ._lazy import _lazy_module, np
 # handles that load each module on its first use (see _lazy)
 _circles, _words = (_lazy_module(f"kzbraid.{name}") for name in ("circles", "words"))
 
-# Calls with fewer values format each value alone.  Measured on fresh N=4,
-# M=4 coefficients with the caches disturbed between calls (medians of
-# alternating runs, 2-vCPU host, Python 3.11, numpy 2.4), the kernel ran
-# 0.90x as fast as per-value repr at 384 values, 1.04x at 512, 1.27x at 768
-# and 2.0x at 3,072, and 0.85x as fast as the table's %-22.16g and %.16g
-# at 768, 0.98x at 1,024, 1.11x at 1,536 and 1.36x at 3,072.  In the
-# benchmark's worker, N=4, M=3 requests (518 JSON floats) ran as fast with
-# the kernel as without, so repr's threshold sits above that size.
+# Measured on fresh N=4, M=4 coefficients with the caches disturbed between
+# calls (medians of alternating runs, 2-vCPU host, Python 3.11, numpy 2.4),
+# the kernel ran 0.90x, 1.04x, 1.27x and 2.0x as fast as per-value repr at
+# 384, 512, 768 and 3,072 values, and 0.85x, 0.98x, 1.11x and 1.36x as fast
+# as the table's %-22.16g and %.16g at 768, 1,024, 1,536 and 3,072.  Tune
+# from timings like these, which match the benchmark's worker: warm and
+# alone, 512 JSON floats favour the kernel (244 vs 343 us) and 512 table
+# floats do not (292 vs 250 us), yet one rule of 512 for both made the
+# worker's N=4, M=3 requests (518 JSON floats) slower, 1.19 to 1.28 ms.
 MIN_VALUES = {"%r": 768, "%.16g": 1536}
 MARGIN = 1e-6
 _KMIN, _KMAX = -280, 280  # the decimal exponents the power table holds
@@ -216,48 +217,40 @@ def pieces(values, formats):
             + np.where(sci, np.where(np.abs(k) < 100, 4, 5), np.maximum(tail - 1, 0))
         )
         pad = np.where(padded[slot], np.clip(22 - shown, 0, _PADS - 1), 0)
+    texts, made, heads = _text_table(formats)
     head_id = ((slot * 2 + np.signbit(values)) * _HEADS + head) * _ZEROS + zeros
-    head_id = np.where(ok, head_id, period * 2 * _HEADS * _ZEROS + slot)
-    tail_id = np.where(ok, (slot * _TAILS + tail) * _PADS + pad, period * _TAILS * _PADS)
-    texts = [None] * (2 * n)
-    texts[0::2] = _texts(formats, 0, head_id)
-    texts[1::2] = _texts(formats, 1, tail_id)
+    ids = np.empty(2 * n, dtype=np.int64)  # each value's head, then its tail
+    ids[0::2] = np.where(ok, head_id, heads - period + slot)
+    ids[1::2] = heads + np.where(ok, (slot * _TAILS + tail) * _PADS + pad, period * _TAILS * _PADS)
+    for i in set(ids[~made.take(ids)].tolist()):
+        texts[i] = _head(formats, i) if i < heads else _tail(formats, i - heads)
+        made[i] = True
     numbers = arg.tolist()
     fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), values[fallback].tolist()):
         numbers[i] = value
-    return texts, numbers
+    return texts.take(ids).tolist(), numbers
 
 
-# A value's text is a head, ending in its argument's %d, then a tail.  Head
-# ids count (slot, sign, head, leading zeros), the heads being none, "0."
-# and "0." with 1 to 3 zeros, and "1." to "9."; tail ids count (slot, tail,
-# pad), the tails being none, an integer's 0 to 15 trailing zeros (and
-# repr's ".0"), and the exponents _KMIN to _KMAX.  One more head per slot
-# is its whole format, for a value left to Python, with an empty tail.
+# A value's text is a head, ending in its argument's %d, then a tail; one
+# table per formats holds both, heads first.  Head ids count (slot, sign,
+# head, leading zeros), the heads being none, "0." and "0." with 1 to 3
+# zeros, and "1." to "9.", then one whole format per slot for a value left
+# to Python.  Tail ids count on from there by (slot, tail, pad), the tails
+# being none, an integer's 0 to 15 trailing zeros (and repr's ".0"), and the
+# exponents _KMIN to _KMAX, then the empty tail of a value left to Python.
 _HEADS, _ZEROS = 14, 17
 _TAILS, _PADS = 17 + _KMAX - _KMIN + 1, 23
 
 
 @lru_cache(maxsize=16)
-def _text_tables(formats):
-    """((heads, made), (tails, made)) of formats: texts by id, and whether each is made yet."""
+def _text_table(formats):
+    """(texts, made, heads) of formats: texts by id, whether each is made yet, and the head count."""
     period = len(formats)
-    heads = np.empty(period * 2 * _HEADS * _ZEROS + period, dtype=object)
-    tails = np.empty(period * _TAILS * _PADS + 1, dtype=object)
-    heads[-period:], tails[-1] = formats, ""
-    made = [np.zeros(len(heads), dtype=bool), np.zeros(len(tails), dtype=bool)]
-    made[0][-period:] = made[1][-1] = True
-    return (heads, made[0]), (tails, made[1])
-
-
-def _texts(formats, part, ids):
-    """The texts of ids among the heads (part 0) or tails (part 1) of formats, made as needed."""
-    table, made = _text_tables(formats)[part]
-    for i in set(ids[~made.take(ids)].tolist()):
-        table[i] = (_head if part == 0 else _tail)(formats, i)
-        made[i] = True
-    return table.take(ids).tolist()
+    heads = period * (2 * _HEADS * _ZEROS + 1)
+    texts = np.empty(heads + period * _TAILS * _PADS + 1, dtype=object)
+    texts[heads - period : heads], texts[-1] = formats, ""
+    return texts, np.not_equal(texts, None), heads
 
 
 def _head(formats, i):

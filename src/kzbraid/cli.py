@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 MAX_STEPS = 2**16  # largest --steps accepted, though steps change no result
-MAX_COUNT_STEPS = 2**22  # most integer steps `dims --strands` takes to count normal words
+MAX_COUNT_STEPS = 2**22  # bound on `dims --strands`, which keeps its printed counts short
 _STEPS_HELP = "checked, 1 to 2^16, but changes no result (default 512)"
 
 
@@ -254,10 +254,11 @@ def _cmd_verify(args):
 def _check_count_steps(n_strands, max_degree):
     """Refuse a `dims --strands` request whose normal-word counts take over MAX_COUNT_STEPS steps.
 
-    The steps counted are those of quotient_dimension at each degree m,
-    (N - 1)(m + 1), so (N - 1)(M + 1)(M + 2) / 2 for degrees 0..M; dims
-    counts every degree in one pass of (N - 1) M of them, and no word is
-    built.  Strand counts below 2 pass: counting reports them.
+    The steps are quotient_dimension's, (N - 1)(m + 1) at each degree m <= M,
+    though dims counts all in one pass of (N - 1) M: the bound keeps the
+    printed counts short, at most 926 digits (8 strands to degree 1093),
+    under the 4,300 past which int-to-str raises ValueError (see
+    sys.int_info).  Strand counts below 2 pass: counting reports them.
     """
     steps = (n_strands - 1) * (max_degree + 1) * (max_degree + 2) // 2
     if steps > MAX_COUNT_STEPS:

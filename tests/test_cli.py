@@ -636,7 +636,8 @@ def test_over_word_budget_refused_before_allocating():
     # on 4).  Two strands have one word per degree but M (M + 1) / 2 chords
     # in all, and degree 0 still labels all N (N - 1) / 2 pairs for the
     # output, so the budget counts both.  dims --strands builds no word: it
-    # is refused by its (N - 1)(M + 1)(M + 2) / 2 counting steps instead
+    # is refused by its (N - 1)(M + 1)(M + 2) / 2 counting steps instead,
+    # which keeps every count it prints under int-to-str's 4,300 digits
     for argv, message in (
         (("compute", "-n", "10", "-m", "6"), "basis words"),
         (("verify", "braid-relation", "-m", "14"), "runs to degree 11 at most"),
@@ -644,6 +645,7 @@ def test_over_word_budget_refused_before_allocating():
         (("compute", "-n", "2", "-m", "2000", "-w", "1"), "basis words"),
         (("compute", "-n", "2000", "-m", "0", "-w", "1"), "basis words"),
         (("dims", "--strands", "2", "-m", "2895"), "counting steps"),
+        (("dims", "--strands", "8", "-m", "1094"), "counting steps"),
     ):
         start = time.monotonic()
         done = _run_capped(*argv)
@@ -652,6 +654,11 @@ def test_over_word_budget_refused_before_allocating():
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert message in done.stderr
+    # the longest count an admitted request prints
+    done = _run_capped("dims", "--strands", "8", "-m", "1093")
+    assert done.returncode == 0, done.stderr[-500:]
+    counts = [entry.split(":")[1] for entry in done.stdout.split()]
+    assert len(counts) == 1094 and max(map(len, counts)) == 926
     # at the bound: 2 strands to degree 2894, 4,194,305 strands at degree 0
     _check_count_steps(2, 2894)
     _check_count_steps(4194305, 0)
