@@ -110,12 +110,10 @@ def _compute_json(args, word, skeleton):
     sys.stdout.write(_text.table(args.strands, args.max_degree, positions, listed))
     if not args.close:
         return _text.braid_json(args.strands, args.max_degree, positions, listed)
-    circles = ("circles", skeleton.n_components)
-    series = _closure.tau_project(np.where(kept, holonomy, 0), skeleton, args.max_degree)  # the kept terms
-    reduced = _relations.reduce(series, circles, args.max_degree, args.zero_threshold)
-    free = _relations.free_positions(circles, args.max_degree)
+    link = _closure.kontsevich_link(holonomy, skeleton, args.max_degree, args.zero_threshold)
+    free = _relations.free_positions(("circles", skeleton.n_components), args.max_degree)
     return _text.link_json(
-        args.strands, args.max_degree, positions, listed, skeleton, reduced, free, args.zero_threshold
+        args.strands, args.max_degree, positions, listed, skeleton, link.reduced, free, args.zero_threshold
     )
 
 

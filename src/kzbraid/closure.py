@@ -20,8 +20,7 @@ from ._lazy import np
 from .braids import BraidWord, permutation_of
 from .circles import _orbit_table, circle_basis
 from .relations import reduce
-from .transport import kontsevich_of_braid
-from .words import ZERO_THRESHOLD, all_pairs, basis_size, moduli
+from .words import all_pairs, basis_size, moduli
 
 
 class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
@@ -97,7 +96,7 @@ def tau_project(coefficients, skeleton: LinkSkeleton, max_degree: int) -> np.nda
     diagram in basis order into a dense series over circle_basis(q, M).
     skeleton is the braid's closure_skeleton.
     """
-    if len(coefficients) != basis_size(len(all_pairs(skeleton.n_strands)), max_degree):
+    if len(coefficients) != basis_size(skeleton.n_strands * (skeleton.n_strands - 1) // 2, max_degree):
         raise ValueError(f"{len(coefficients)} coefficients do not fill the word basis to degree {max_degree}")
     index = _tau_index(skeleton.n_strands, max_degree, skeleton.components)
     size = len(circle_basis(skeleton.n_components, max_degree))
@@ -107,16 +106,16 @@ def tau_project(coefficients, skeleton: LinkSkeleton, max_degree: int) -> np.nda
     return out
 
 
-def kontsevich_link(word: BraidWord, max_degree: int) -> ClosureResult:
-    """Braid-holonomy part of the link integral, raw and reduced.
+def kontsevich_link(holonomy, skeleton: LinkSkeleton, max_degree: int, zero_threshold: float) -> ClosureResult:
+    """Braid-holonomy part of the link integral, raw and reduced: what compute --close writes.
 
-    The braid's series is kontsevich_of_braid(word, max_degree); its terms
-    below ZERO_THRESHOLD are dropped before the projection.  Top and bottom
-    closure-arc contributions are not grafted on, so use the result for
-    quantities insensitive to them (linking numbers, framing-killed terms,
-    comparisons of closures of equal braids).
+    holonomy is the braid's kontsevich_of_braid series and skeleton its
+    closure_skeleton.  Terms of modulus below zero_threshold are dropped
+    before the projection, and reduce thresholds the circle series at the
+    same.  Top and bottom closure-arc contributions are not grafted on, so
+    use the result for quantities insensitive to them (linking numbers,
+    framing-killed terms, comparisons of closures of equal braids).
     """
-    holonomy = kontsevich_of_braid(word, max_degree)
-    skeleton = closure_skeleton(word)
-    series = tau_project(np.where(moduli(holonomy) >= ZERO_THRESHOLD, holonomy, 0), skeleton, max_degree)
-    return ClosureResult(skeleton, series, reduce(series, ("circles", skeleton.n_components), max_degree))
+    series = tau_project(np.where(moduli(holonomy) >= zero_threshold, holonomy, 0), skeleton, max_degree)
+    circles = ("circles", skeleton.n_components)
+    return ClosureResult(skeleton, series, reduce(series, circles, max_degree, zero_threshold))

@@ -260,10 +260,10 @@ def _letter_holonomy(n_strands, k, sign, max_degree):
     return out
 
 
-@lru_cache(maxsize=64)
-def _letter_indices(n_strands, max_degree, strand_at):
-    """{k: where letter k's cached holonomy lies among all pairs} at strand order strand_at, filled as needed."""
-    return {}
+@lru_cache(maxsize=256)
+def _letter_index(n_strands, max_degree, strand_at, k):
+    """Where letter k's cached holonomy lies among all pairs at strand order strand_at, read-only."""
+    return _word_index(n_strands, max_degree, *np.array(strand_at)[_moved_pairs(n_strands, k) - 1])
 
 
 def _relabeled_letters(word, max_degree):
@@ -271,11 +271,8 @@ def _relabeled_letters(word, max_degree):
     n = word.n_strands
     size, strand_at = basis_size(n * (n - 1) // 2, max_degree), list(range(1, n + 1))
     for k, sign in word.letters:
-        indices = _letter_indices(n, max_degree, tuple(strand_at))
-        if k not in indices:
-            indices[k] = _word_index(n, max_degree, *np.array(strand_at)[_moved_pairs(n, k) - 1])
         letter = np.zeros(size, dtype=complex)
-        letter[indices[k]] = _letter_holonomy(n, k, sign, max_degree)
+        letter[_letter_index(n, max_degree, tuple(strand_at), k)] = _letter_holonomy(n, k, sign, max_degree)
         yield letter
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
 

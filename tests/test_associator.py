@@ -1,4 +1,4 @@
-"""The KZ associator from the package's own transport, through degree 3.
+"""The KZ associator from the package's own transport, through degree 3, and its hexagon at degree 4.
 
 Phi_KZ is the regularized holonomy of z1 = 0, z2 = s, z3 = 1 as s runs from
 eps to 1 - eps: only t12 (dz/z) and t23 (dz/(z - 1)) act, so every word
@@ -11,15 +11,20 @@ and exp(+log eps t12 / 2 pi i) below.  Through degree 3, Drinfeld's formula
 gives Phi = 1 + zeta(2)/(2 pi i)^2 [A, B] + zeta(3)/(2 pi i)^3
 ([A, [A, B]] - [[A, B], B]) + ..., A = t12 and B = t23, words read
 bottom chord first, with zeta(2)/(2 pi i)^2 = -1/24.  Duality,
-Phi_321 = Phi^-1, is checked by relabelling strands 1 and 3.
+Phi_321 = Phi^-1, is checked by relabelling strands 1 and 3.  The hexagon,
+exp(s (t13 + t23) / 2) = Phi_213^-1 exp(s t13 / 2) Phi_132^-1 exp(s t23 / 2)
+Phi for s = +1 and -1, with Phi_p = relabel_strands(Phi, p) and products
+left factor on top, holds in U(t_3), that is after reduce.
 """
 
+import functools
 import math
 from collections import namedtuple
 
 import numpy as np
 
 from kzbraid.braids import ConfigLoop
+from kzbraid.relations import reduce
 from kzbraid.transport import transport
 from kzbraid.words import basis_words, relabel_strands, series_product
 
@@ -49,15 +54,13 @@ class _Line(namedtuple("_Line", "left a b")):
         return v
 
 
-def _exp_chord(x, chord):
-    """exp(x t) for one chord t, as a dense series."""
-    out = np.zeros(len(WORDS), dtype=complex)
-    for m in range(MAX_DEGREE + 1):
-        out[INDEX[(chord,) * m]] = x**m / math.factorial(m)
-    return out
+def _exp(x, chords, max_degree):
+    """exp(x (sum of chords)) as a dense series: x^m / m! on each word of m of those chords."""
+    words = basis_words(3, max_degree)
+    return np.array([x ** len(w) / math.factorial(len(w)) if set(w) <= set(chords) else 0 for w in words], complex)
 
 
-def _associator(eps):
+def _associator(eps, max_degree):
     """(segments, error estimate, regularized holonomy) from s = eps to 1 - eps."""
     ends = [eps]
     while ends[-1] < 0.5:
@@ -65,10 +68,10 @@ def _associator(eps):
     halves = list(zip(ends, ends[1:]))
     segments = [_Line(0.0, x, y) for x, y in halves] + [_Line(-1.0, -y, -x) for x, y in reversed(halves)]
     breaks = tuple((k + 1) / len(segments) for k in range(len(segments)))
-    result = transport(ConfigLoop(3, tuple(segments), breaks), MAX_DEGREE)
+    result = transport(ConfigLoop(3, tuple(segments), breaks), max_degree)
     log_eps = math.log(eps) / (2j * math.pi)
-    phi = series_product(_exp_chord(-log_eps, B), result.coefficients, 3, MAX_DEGREE)
-    phi = series_product(phi, _exp_chord(log_eps, A), 3, MAX_DEGREE)
+    phi = series_product(_exp(-log_eps, (B,), max_degree), result.coefficients, 3, max_degree)
+    phi = series_product(phi, _exp(log_eps, (A,), max_degree), 3, max_degree)
     return len(segments), result.richardson_error_estimate, phi
 
 
@@ -90,7 +93,7 @@ def _worst_miss(phi):
 def test_associator_matches_drinfeld_through_degree_three():
     # 106 segments at an error estimate of 1.4e-14; the worst miss seen is
     # 3.6e-14 at degree 2 and 1.7e-13 at degree 3
-    n_segments, error, phi = _associator(1e-16)
+    n_segments, error, phi = _associator(1e-16, MAX_DEGREE)
     assert n_segments == 106 and error < 1e-13
     # degree 1 is 0, so _drinfeld lists no word of it
     assert _worst_miss(phi) < 1e-12
@@ -100,14 +103,14 @@ def test_associator_matches_drinfeld_through_degree_three():
 def test_associator_gate_sees_a_coarse_regularization():
     # the ends eps and 1 - eps leave terms of order eps (up to logs): at 1e-8 the
     # same comparison misses by about 1.5e-8, so the gate above can fail
-    assert _worst_miss(_associator(1e-8)[2]) > 1e-9
+    assert _worst_miss(_associator(1e-8, MAX_DEGREE)[2]) > 1e-9
 
 
 def test_associator_duality():
     # Phi_321 = Phi^-1: Phi with strands 1 and 3 swapped, stacked on Phi in
     # either order, is the unit (1.7e-13 seen); swapping strands 1 and 2
     # instead misses by 1/24, the degree-2 coefficient, so the gate can fail
-    phi = _associator(1e-16)[2]
+    phi = _associator(1e-16, MAX_DEGREE)[2]
     unit = np.zeros(len(WORDS), dtype=complex)
     unit[INDEX[()]] = 1.0
     for images, holds in (((3, 2, 1), True), ((2, 1, 3), False)):
@@ -115,3 +118,33 @@ def test_associator_duality():
         for upper, lower in ((dual, phi), (phi, dual)):
             miss = np.abs(series_product(upper, lower, 3, MAX_DEGREE) - unit).max()
             assert miss < 1e-12 if holds else miss > 1e-2, (images, miss)
+
+
+def _inverse(series, max_degree):
+    """Truncated inverse of a series with constant term 1: the sum of (1 - series)^k over k <= max_degree."""
+    unit = _exp(0, (), max_degree)
+    out = power = unit
+    for _ in range(max_degree):
+        power = series_product(power, unit - series, 3, max_degree)
+        out = out + power
+    return out
+
+
+def test_associator_hexagon_at_degree_four():
+    # 3.3e-13 seen for either sign (1.0e-12 at degree 5); Phi_213 in place of
+    # its inverse misses by 1/12 and dropping every associator by 1/8, so the
+    # gate can fail
+    m = 4
+    phi = _associator(1e-16, m)[2]
+    phi_213, phi_132 = (relabel_strands(phi, 3, m, images) for images in ((2, 1, 3), (1, 3, 2)))
+    for s in (1, -1):
+        half13, half23 = _exp(s / 2, ((1, 3),), m), _exp(s / 2, (B,), m)
+        expected = reduce(_exp(s / 2, ((1, 3), B), m), ("strands", 3), m, 0.0)
+        for factors, holds in (
+            ((_inverse(phi_213, m), half13, _inverse(phi_132, m), half23, phi), True),
+            ((phi_213, half13, _inverse(phi_132, m), half23, phi), False),
+            ((half13, half23), False),
+        ):
+            product = functools.reduce(lambda upper, lower: series_product(upper, lower, 3, m), factors)
+            miss = np.abs(reduce(product, ("strands", 3), m, 0.0) - expected).max()
+            assert miss < 1e-11 if holds else miss > 1e-2, (s, miss)

@@ -18,7 +18,7 @@ from kzbraid.cli import _CHECKS, MAX_STEPS, ValidationError, _check_count_steps,
 from kzbraid.circles import MAX_CIRCLE_CELLS, MAX_CIRCLE_MATCHINGS, _circle_counts, circle_series_to_json_dict
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.relations import free_positions, reduce
-from kzbraid.words import basis_words, series_to_json_dict
+from kzbraid.words import ZERO_THRESHOLD, basis_words, series_to_json_dict
 from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 from reference_orders import word_sort_key
@@ -145,11 +145,17 @@ def _link_terms(capsys, tmp_path, *extra):
 
 
 def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
-    link = _link_terms(capsys, tmp_path)
-    direct = kontsevich_link(parse_braid_word("1 1 2 2", 3), 3)
-    q = direct.skeleton.n_components
-    expected = circle_series_to_json_dict(direct.reduced, q, 3, positions=free_positions(("circles", q), 3))
-    assert json.dumps(link) == json.dumps(expected)
+    # --close writes kontsevich_link's reduced series at the free positions,
+    # thresholded at --zero-threshold before the projection and in reduce
+    braid = parse_braid_word("1 1 2 2", 3)
+    holonomy, skeleton = kontsevich_of_braid(braid, 3), closure_skeleton(braid)
+    free = free_positions(("circles", skeleton.n_components), 3)
+    cases = (((), ZERO_THRESHOLD), (("--zero-threshold", "0"), 0.0), (("--zero-threshold", "0.3"), 0.3))
+    for extra, threshold in cases:
+        link = _link_terms(capsys, tmp_path, *extra)
+        reduced = kontsevich_link(holonomy, skeleton, 3, threshold).reduced
+        expected = circle_series_to_json_dict(reduced, skeleton.n_components, 3, threshold, positions=free)
+        assert json.dumps(link) == json.dumps(expected), threshold
 
 
 def _moduli(series):

@@ -7,11 +7,11 @@ import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
 from kzbraid.circles import _orbit_table, circle_basis
-from kzbraid.closure import _tau_index, closure_skeleton, kontsevich_link, tau_project
+from kzbraid.closure import _tau_index, closure_skeleton, tau_project
 from kzbraid.relations import free_positions
 from kzbraid.transport import kontsevich_of_braid
 from kzbraid.words import all_pairs, basis_words
-from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, position, word
+from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, link_of, position, word
 
 
 def series(n, max_degree, terms):
@@ -36,7 +36,7 @@ def test_closure_skeleton_examples():
     skeleton = closure_skeleton(parse_braid_word("1", 3))
     assert repr(skeleton) == "LinkSkeleton(n_strands=3, components=((1, 2), (3,)))"
     assert hash(skeleton) == hash(closure_skeleton(parse_braid_word("-1", 3)))
-    result = kontsevich_link(parse_braid_word("1", 3), 1)
+    result = link_of(parse_braid_word("1", 3), 1)
     assert result.skeleton == skeleton and repr(result).startswith(
         "ClosureResult(skeleton=LinkSkeleton(n_strands=3, components=((1, 2), (3,))), series=array(["
     )
@@ -202,19 +202,19 @@ def test_tau_sparse_series_and_dense_vector_agree():
 
 
 def test_trivial_braid_closure_two_unknots():
-    result = kontsevich_link(parse_braid_word("", 2), 3)
+    result = link_of(parse_braid_word("", 2), 3)
     assert result.skeleton.n_components == 2
     assert np.abs(result.reduced[1:]).max() < 1e-12
 
 
 def test_hopf_link_linking_number():
-    result = kontsevich_link(parse_braid_word("1 1", 2), 1)
+    result = link_of(parse_braid_word("1 1", 2), 1)
     expected = circle_basis(2, 1).index(drawing_of(CircleDiagram((1, 1), (((0, 0), (1, 0)),))))
     assert abs(result.reduced[expected] - 1.0) < 1e-6
 
 
 def test_unknot_degree_one_vanishes_exactly():
-    result = kontsevich_link(parse_braid_word("1", 2), 1)
+    result = link_of(parse_braid_word("1", 2), 1)
     assert not result.reduced[1:].any()
 
 
@@ -249,7 +249,7 @@ def test_linking_numbers_match_crossing_count():
         if skeleton.n_components < 2:
             continue
         checked += 1
-        result = kontsevich_link(w, 1)
+        result = link_of(w, 1)
         expected = _combinatorial_linking(w, skeleton)
         for pair in [(i, j) for i in range(skeleton.n_components) for j in range(i + 1, skeleton.n_components)]:
             slots = [0] * skeleton.n_components
@@ -268,8 +268,8 @@ def test_mirror_image_flips_odd_degrees():
     for _ in range(30):
         n = rng.randint(2, 4)
         letters = tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 7)))
-        result = kontsevich_link(BraidWord(n, letters), 4)
-        mirrored = kontsevich_link(BraidWord(n, tuple((k, -sign) for k, sign in letters)), 4).reduced
+        result = link_of(BraidWord(n, letters), 4)
+        mirrored = link_of(BraidWord(n, tuple((k, -sign) for k, sign in letters)), 4).reduced
         q = result.skeleton.n_components
         signs = np.concatenate([np.full(len(_orbit_table(q, m)[0]), (-1.0) ** m) for m in range(5)])
         assert np.abs(mirrored - signs * result.reduced).max() < 1e-12, (n, letters)
@@ -378,7 +378,7 @@ def test_degree_two_closure_is_conway_c2_plus_a_constant_per_strand_count():
             w = BraidWord(n, letters)
             if closure_skeleton(w).n_components != 1:
                 continue
-            degree_two = kontsevich_link(w, 2).reduced[position]
+            degree_two = link_of(w, 2).reduced[position]
             assert abs(degree_two.imag) <= 1e-12, (n, letters)
             c2 = _conway_c2(w)
             c2s.add(c2)

