@@ -66,7 +66,7 @@ from functools import lru_cache
 from ._lazy import _lazy_module, np
 
 # handles that load each module on its first use (see _lazy)
-_circles, _words = (_lazy_module(f"kzbraid.{name}") for name in ("circles", "words"))
+_circles, _relations, _words = (_lazy_module(f"kzbraid.{name}") for name in ("circles", "relations", "words"))
 
 # Measured on fresh N=4, M=4 coefficients with the caches disturbed between
 # calls (medians of alternating runs, 2-vCPU host, Python 3.11, numpy 2.4),
@@ -296,7 +296,7 @@ def _rows(heads, values, formats, opening="", closing=""):
 @lru_cache(maxsize=16)
 def _table_prefixes(n_strands, max_degree):
     """Per basis word, its table row up to the modulus."""
-    chords = [f"({i},{j})" for i, j in _words.all_pairs(n_strands)]
+    chords = [f"({i},{j})" for i, j in _words.all_pairs(n_strands)] if max_degree else []
     prefixes = [f"  0  {'1':<24}  "]
     for m in range(1, max_degree + 1):  # the product yields the words in basis order
         prefixes += map(f"{m:>3}  %-24s  ".__mod__, map("".join, itertools.product(chords, repeat=m)))
@@ -316,7 +316,7 @@ def table(n_strands, max_degree, positions, listed):
 def _word_heads(n_strands, max_degree, level):
     """Per basis word, its JSON term up to the real part, level deep."""
     i2, i3, i4, i5 = ("  " * (level + k) for k in range(2, 6))
-    chords = [f"{i4}[\n{i5}{i},\n{i5}{j}\n{i4}]" for i, j in _words.all_pairs(n_strands)]
+    chords = [f"{i4}[\n{i5}{i},\n{i5}{j}\n{i4}]" for i, j in _words.all_pairs(n_strands)] if max_degree else []
     heads = [f',\n{i2}{{\n{i3}"word": [],\n{i3}"re": ']
     head = f',\n{i2}{{\n{i3}"word": [\n%s\n{i3}],\n{i3}"re": '
     for m in range(1, max_degree + 1):
@@ -325,9 +325,10 @@ def _word_heads(n_strands, max_degree, level):
 
 
 @lru_cache(maxsize=16)
-def _diagram_heads(n_circles, max_degree, positions):
-    """Per basis position in positions, its circle JSON term up to the real part, two levels deep."""
+def _diagram_heads(n_circles, max_degree):
+    """The free positions of the circle basis, and per position its JSON term up to the real part, two levels deep."""
     basis = _circles.circle_basis(n_circles, max_degree)
+    positions = _relations.free_positions(("circles", n_circles), max_degree)
     i2, i3, i4, i5, i6 = ("  " * k for k in range(4, 9))
     foot = f"{i5}[\n{i6}%d,\n{i6}%d\n{i5}]"
     chord = f"{i4}[\n{foot},\n{foot}\n{i4}]"
@@ -338,7 +339,7 @@ def _diagram_heads(n_circles, max_degree, positions):
         word = ",\n".join([chord % (f1 + f2) for f1, f2 in chords])
         word = f"[\n{word}\n{i3}]" if word else "[]"
         heads.append(f',\n{i2}{{\n{i3}"slots": [\n{slots}\n{i3}],\n{i3}"word": {word},\n{i3}"re": ')
-    return tuple(heads)
+    return positions, tuple(heads)
 
 
 def _document(heads, listed, level, **fields):
@@ -359,9 +360,9 @@ def _braid_text(n_strands, max_degree, positions, listed, level):
     return _document([heads[g] for g in positions], listed, level, n_strands=n_strands, max_degree=max_degree)
 
 
-def _circle_text(coefficients, n_circles, max_degree, zero_threshold, positions):
-    """json.dumps(circle_series_to_json_dict(...), indent=2), two levels deep; reads only positions."""
-    heads = _diagram_heads(n_circles, max_degree, positions)
+def _circle_text(coefficients, n_circles, max_degree, zero_threshold):
+    """json.dumps(circle_series_to_json_dict(...), indent=2), two levels deep; reads only the free positions."""
+    positions, heads = _diagram_heads(n_circles, max_degree)
     values = coefficients.take(positions)
     kept = _words.moduli(values) >= zero_threshold
     heads = list(itertools.compress(heads, kept.tolist()))
@@ -380,7 +381,7 @@ def braid_json(n_strands, max_degree, positions, listed):
     return [_braid_text(n_strands, max_degree, positions, listed, 0), "\n"]
 
 
-def link_json(n_strands, max_degree, positions, listed, skeleton, reduced, free, zero_threshold):
+def link_json(n_strands, max_degree, positions, listed, skeleton, reduced, zero_threshold):
     """{"braid": braid_json's document, "link": the closure's}, in parts to write.
 
     skeleton is the braid's LinkSkeleton and reduced its reduced circle series,
@@ -390,5 +391,5 @@ def link_json(n_strands, max_degree, positions, listed, skeleton, reduced, free,
     return [
         '{\n  "braid": ', _braid_text(n_strands, max_degree, positions, listed, 1),
         f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(skeleton.components, 2),
-        ',\n    "series": ', _circle_text(reduced, q, max_degree, zero_threshold, free), "\n  }\n}\n",
+        ',\n    "series": ', _circle_text(reduced, q, max_degree, zero_threshold), "\n  }\n}\n",
     ]

@@ -110,11 +110,8 @@ def _compute_json(args, word, skeleton):
     sys.stdout.write(_text.table(args.strands, args.max_degree, positions, listed))
     if not args.close:
         return _text.braid_json(args.strands, args.max_degree, positions, listed)
-    link = _closure.kontsevich_link(holonomy, skeleton, args.max_degree, args.zero_threshold)
-    free = _relations.free_positions(("circles", skeleton.n_components), args.max_degree)
-    return _text.link_json(
-        args.strands, args.max_degree, positions, listed, skeleton, link.reduced, free, args.zero_threshold
-    )
+    reduced = _closure.kontsevich_link(np.where(kept, holonomy, 0), skeleton, args.max_degree, args.zero_threshold)
+    return _text.link_json(args.strands, args.max_degree, positions, listed, skeleton, reduced, args.zero_threshold)
 
 
 def _check_steps_limit(steps):

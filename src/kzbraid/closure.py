@@ -9,6 +9,7 @@ nothing and are never produced.  The word-to-diagram index is built in
 numpy for all words of a degree at once: their feet are sorted into circle
 layouts, the labels numbered by first appearance, and every drawing is
 looked up in the degree's drawing table, the table the circle 4T rows use.
+kontsevich_link projects a thresholded braid series and returns the reduced link.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ._lazy import np
 from .braids import BraidWord, permutation_of
 from .circles import _orbit_table, circle_basis
 from .relations import reduce
-from .words import all_pairs, basis_size, moduli
+from .words import all_pairs, basis_size
 
 
 class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
@@ -38,12 +39,6 @@ def closure_skeleton(word: BraidWord) -> LinkSkeleton:
     return LinkSkeleton(word.n_strands, permutation_of(word).cycles())
 
 
-class ClosureResult(namedtuple("ClosureResult", "skeleton series reduced")):
-    """Dense series over circle_basis(components, max_degree), raw and reduced."""
-
-    __slots__ = ()
-
-
 @lru_cache(maxsize=64)
 def _tau_index(n_strands, max_degree, cycles):
     """Graded circle-basis position of tau of each word of basis_words, read-only.
@@ -54,7 +49,7 @@ def _tau_index(n_strands, max_degree, cycles):
     is labelled by the rank of its lower foot, which numbers the labels by
     first appearance, and the drawing is looked up in the degree's table.
     """
-    pairs = np.array(all_pairs(n_strands)) - 1
+    pairs = np.array(all_pairs(n_strands if max_degree else 2)) - 1  # degree 0 reads no pair
     place = np.empty(n_strands, dtype=np.intp)
     place[np.concatenate(cycles) - 1] = np.arange(n_strands)
     ends = np.cumsum([len(cycle) for cycle in cycles])
@@ -106,16 +101,15 @@ def tau_project(coefficients, skeleton: LinkSkeleton, max_degree: int) -> np.nda
     return out
 
 
-def kontsevich_link(holonomy, skeleton: LinkSkeleton, max_degree: int, zero_threshold: float) -> ClosureResult:
-    """Braid-holonomy part of the link integral, raw and reduced: what compute --close writes.
+def kontsevich_link(listed, skeleton: LinkSkeleton, max_degree: int, zero_threshold: float) -> np.ndarray:
+    """Braid-holonomy part of the link integral, reduced: what compute --close writes.
 
-    holonomy is the braid's kontsevich_of_braid series and skeleton its
-    closure_skeleton.  Terms of modulus below zero_threshold are dropped
-    before the projection, and reduce thresholds the circle series at the
-    same.  Top and bottom closure-arc contributions are not grafted on, so
-    use the result for quantities insensitive to them (linking numbers,
-    framing-killed terms, comparisons of closures of equal braids).
+    listed is the braid's kontsevich_of_braid series with every term of
+    modulus below zero_threshold set to 0, and skeleton its closure_skeleton;
+    reduce thresholds the circle series at the same.  Top and bottom
+    closure-arc contributions are not grafted on, so use the result for
+    quantities insensitive to them (linking numbers, framing-killed terms,
+    comparisons of closures of equal braids).
     """
-    series = tau_project(np.where(moduli(holonomy) >= zero_threshold, holonomy, 0), skeleton, max_degree)
-    circles = ("circles", skeleton.n_components)
-    return ClosureResult(skeleton, series, reduce(series, circles, max_degree, zero_threshold))
+    series = tau_project(listed, skeleton, max_degree)
+    return reduce(series, ("circles", skeleton.n_components), max_degree, zero_threshold)

@@ -53,8 +53,8 @@ def basis_size(n_pairs: int, max_degree: int) -> int:
 def check_word_budget(n_strands: int, max_degree: int):
     """Raise ValueError when a basis of degree <= max_degree stores more than MAX_BASIS_WORDS.
 
-    Counts without building: the words of degree <= max(M, 1), as the output
-    labels all P pairs even at degree 0 (_text._table_prefixes, _word_heads);
+    Counts without building: the words of degree <= max(M, 1), as this bounds
+    N at degree 0 (N <= 1,448), where every letter still samples its N points;
     on one pair, the M + 1 words and their M (M + 1) / 2 chords.  Strand
     counts below 2 pass: building reports them.
     """

@@ -6,16 +6,18 @@ helpers restate what that must equal: CircleDiagram is the validating
 (slots, chords) record, the canonical drawing has the least chord tuple
 over independent circle rotations, bases sort by (degree, slots, chords),
 words, tuples of strand pairs (i, j) with i < j, by (degree, chords).
-link_of is the one call into kzbraid: the tests' route to its closure
-pipeline, composed as compute --close composes it.
+link_of and projection_of are the calls into kzbraid: the tests' route to
+its closure pipeline, composed as compute --close composes it.
 """
 
 from collections import namedtuple
 from itertools import product
 
-from kzbraid.closure import closure_skeleton, kontsevich_link
+import numpy as np
+
+from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.transport import kontsevich_of_braid
-from kzbraid.words import ZERO_THRESHOLD
+from kzbraid.words import ZERO_THRESHOLD, moduli
 
 
 class CircleDiagram(namedtuple("CircleDiagram", "slots chords")):
@@ -159,7 +161,17 @@ def word_sort_key(word):
     return (len(word), word)
 
 
-def link_of(braid, max_degree):
-    """kontsevich_link of the braid's closure at the default threshold, as compute --close runs it."""
+def _listed(braid, max_degree):
+    """The braid's series with every term of modulus below the default threshold set to 0, as compute lists it."""
     holonomy = kontsevich_of_braid(braid, max_degree)
-    return kontsevich_link(holonomy, closure_skeleton(braid), max_degree, ZERO_THRESHOLD)
+    return np.where(moduli(holonomy) >= ZERO_THRESHOLD, holonomy, 0)
+
+
+def link_of(braid, max_degree):
+    """kontsevich_link of the braid's closure at the default threshold, as compute --close runs it: the reduced link."""
+    return kontsevich_link(_listed(braid, max_degree), closure_skeleton(braid), max_degree, ZERO_THRESHOLD)
+
+
+def projection_of(braid, max_degree):
+    """tau_project of the braid's closure at the default threshold: the link series before reduce."""
+    return tau_project(_listed(braid, max_degree), closure_skeleton(braid), max_degree)

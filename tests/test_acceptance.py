@@ -151,9 +151,9 @@ def test_08_reparametrization_invariance():
 def test_09_hopf_link_and_unknot():
     hopf = link_of(parse_braid_word("1 1", 2), 1)
     inter = circle_basis(2, 1).index((0, -1, 0, -1))  # one chord from circle 0 to circle 1
-    residual = abs(hopf.reduced[inter] - 1.0)
+    residual = abs(hopf[inter] - 1.0)
     unknot = link_of(parse_braid_word("1", 2), 1)
-    degree_one_exact = not unknot.reduced[1:].any()
+    degree_one_exact = not unknot[1:].any()
     _report(9, "hopf linking number", residual, 1e-12)
     _report_flag(9, "unknot degree-1 framed away", degree_one_exact)
 

@@ -1,4 +1,4 @@
-"""The KZ associator from the package's own transport, through degree 3, and its hexagon at degree 4.
+"""The KZ associator from the package's own transport, through degree 4, and its hexagon at degree 4.
 
 Phi_KZ is the regularized holonomy of z1 = 0, z2 = s, z3 = 1 as s runs from
 eps to 1 - eps: only t12 (dz/z) and t23 (dz/(z - 1)) act, so every word
@@ -7,10 +7,15 @@ geometric length, [x, min(2x, 1/2)] from x = eps, so each resolves at few
 Chebyshev nodes; the right half is the mirror image translated by -1
 (z1 = -1, z3 = 0), so that z3 - z2 keeps its digits near s = 1.  The
 divergent ends are removed by stacking exp(-log eps t23 / 2 pi i) on top
-and exp(+log eps t12 / 2 pi i) below.  Through degree 3, Drinfeld's formula
-gives Phi = 1 + zeta(2)/(2 pi i)^2 [A, B] + zeta(3)/(2 pi i)^3
-([A, [A, B]] - [[A, B], B]) + ..., A = t12 and B = t23, words read
-bottom chord first, with zeta(2)/(2 pi i)^2 = -1/24.  Duality,
+and exp(+log eps t12 / 2 pi i) below.  With A = t12 and B = t23, words read
+bottom chord first, the coefficient of a t13-free word w is
+zeta_reg(w) / (2 pi i)^|w| (Le & Murakami, Nagoya Math. J. 142, 1996):
+the iterated integral over 0 < t_1 < ... < t_|w| < 1 of A -> dt/t and
+B -> dt/(t - 1), shuffle-regularized so that zeta_reg(A) = zeta_reg(B) = 0.
+A convergent word starts with B and ends with A, and is (-1)^(its B count)
+times a multiple zeta value; through degree 3 this is Drinfeld's
+Phi = 1 + zeta(2)/(2 pi i)^2 [A, B] + zeta(3)/(2 pi i)^3
+([A, [A, B]] - [[A, B], B]) + ..., with zeta(2)/(2 pi i)^2 = -1/24.  Duality,
 Phi_321 = Phi^-1, is checked by relabelling strands 1 and 3.  The hexagon,
 exp(s (t13 + t23) / 2) = Phi_213^-1 exp(s t13 / 2) Phi_132^-1 exp(s t23 / 2)
 Phi for s = +1 and -1, with Phi_p = relabel_strands(Phi, p) and products
@@ -31,6 +36,13 @@ from kzbraid.words import basis_words, relabel_strands, series_product
 MAX_DEGREE = 3
 ZETA3 = 1.2020569031595942
 A, B = (1, 2), (2, 3)
+# the multiple zeta value of each convergent word through degree 4, bottom
+# letter first: zeta(2), zeta(3), zeta(2,1) = zeta(3), zeta(4), zeta(2,2),
+# zeta(3,1) and zeta(2,1,1) = zeta(4)
+ZETAS = {
+    "BA": math.pi**2 / 6, "BAA": ZETA3, "BBA": ZETA3,
+    "BAAA": math.pi**4 / 90, "BABA": math.pi**4 / 120, "BBAA": math.pi**4 / 360, "BBBA": math.pi**4 / 90,
+}
 WORDS = basis_words(3, MAX_DEGREE)
 INDEX = {word: g for g, word in enumerate(WORDS)}
 
@@ -75,19 +87,31 @@ def _associator(eps, max_degree):
     return len(segments), result.richardson_error_estimate, phi
 
 
-def _drinfeld():
-    """Phi through degree 3 from Drinfeld's formula, by word, t13-free words only."""
-    c3 = -1j * ZETA3 / (2 * math.pi) ** 3
-    expected = {(): 1.0, (A, B): -1 / 24, (B, A): 1 / 24}
-    # [A, [A, B]] - [[A, B], B] = AAB - 2 ABA + BAA - ABB + 2 BAB - BBA
-    for word, weight in (("AAB", 1), ("ABA", -2), ("BAA", 1), ("ABB", -1), ("BAB", 2), ("BBA", -1)):
-        expected[tuple(A if letter == "A" else B for letter in word)] = weight * c3
-    return expected
+def _zeta_reg(word, zetas):
+    """zeta_reg of a word over "AB", bottom letter first, from the convergent words' values in zetas.
+
+    zeta_reg is a shuffle homomorphism that is 0 on A and on B, so when the
+    word starts with A (or ends with B) the shuffle of that letter with the
+    rest of the word sums to 0, and the word is minus the other terms of
+    that shuffle over its own multiplicity; those start with fewer A's (end
+    with fewer B's).
+    """
+    if word[:1] == "A" or word[-1:] == "B":
+        letter, rest = ("A", word[1:]) if word[0] == "A" else ("B", word[:-1])
+        shuffle = [rest[:i] + letter + rest[i:] for i in range(len(rest) + 1)]
+        return -sum(_zeta_reg(w, zetas) for w in shuffle if w != word) / shuffle.count(word)
+    return (-1) ** word.count("B") * zetas[word] if word else 1.0
 
 
-def _worst_miss(phi):
-    expected = _drinfeld()
-    return max(abs(phi[INDEX[word]] - expected.get(word, 0)) for word in WORDS if (1, 3) not in word)
+def _expected(word, zetas=ZETAS):
+    """Phi's coefficient of a t13-free word: zeta_reg(word) / (2 pi i)^|word|."""
+    return _zeta_reg("".join("A" if chord == A else "B" for chord in word), zetas) / (2j * math.pi) ** len(word)
+
+
+def _worst_miss(phi, max_degree, zetas=ZETAS):
+    """Largest miss of phi from _expected over the t13-free words to max_degree."""
+    words = basis_words(3, max_degree)
+    return max(abs(phi[g] - _expected(w, zetas)) for g, w in enumerate(words) if (1, 3) not in w)
 
 
 def test_associator_matches_drinfeld_through_degree_three():
@@ -95,15 +119,14 @@ def test_associator_matches_drinfeld_through_degree_three():
     # 3.6e-14 at degree 2 and 1.7e-13 at degree 3
     n_segments, error, phi = _associator(1e-16, MAX_DEGREE)
     assert n_segments == 106 and error < 1e-13
-    # degree 1 is 0, so _drinfeld lists no word of it
-    assert _worst_miss(phi) < 1e-12
+    assert _worst_miss(phi, MAX_DEGREE) < 1e-12
     assert all(phi[INDEX[word]] == 0 for word in WORDS if (1, 3) in word)
 
 
 def test_associator_gate_sees_a_coarse_regularization():
     # the ends eps and 1 - eps leave terms of order eps (up to logs): at 1e-8 the
     # same comparison misses by about 1.5e-8, so the gate above can fail
-    assert _worst_miss(_associator(1e-8, MAX_DEGREE)[2]) > 1e-9
+    assert _worst_miss(_associator(1e-8, MAX_DEGREE)[2], MAX_DEGREE) > 1e-9
 
 
 def test_associator_duality():
@@ -148,3 +171,20 @@ def test_associator_hexagon_at_degree_four():
             product = functools.reduce(lambda upper, lower: series_product(upper, lower, 3, m), factors)
             miss = np.abs(reduce(product, ("strands", 3), m, 0.0) - expected).max()
             assert miss < 1e-11 if holds else miss > 1e-2, (s, miss)
+
+
+def test_associator_matches_multiple_zeta_values_at_degree_four():
+    # 106 segments at an error estimate of 5.7e-14; the worst miss seen over
+    # the 16 t13-free degree-4 words is 3.3e-13.  Each degree-4 coefficient is
+    # rational, BAAA = -1/1440 and BBAA = 1/5760 among them.  Swapping
+    # zeta(3,1) and zeta(2,2) moves BABA and BBAA by
+    # (zeta(2,2) - zeta(3,1)) / (2 pi)^4 = 1/2880 (1.0e-3 seen at the worst
+    # word, through the regularized ones), so the gate can fail
+    m = 4
+    n_segments, error, phi = _associator(1e-16, m)
+    assert n_segments == 106 and error < 1e-13
+    assert abs(_expected((B, A, A, A)) + 1 / 1440) < 1e-18 and abs(_expected((B, B, A, A)) - 1 / 5760) < 1e-18
+    assert _worst_miss(phi, m) < 1e-11
+    assert all(phi[g] == 0 for g, w in enumerate(basis_words(3, m)) if (1, 3) in w)
+    swapped = dict(ZETAS, BABA=ZETAS["BBAA"], BBAA=ZETAS["BABA"])
+    assert _worst_miss(phi, m, swapped) > 1e-4

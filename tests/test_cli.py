@@ -18,7 +18,7 @@ from kzbraid.cli import _CHECKS, MAX_STEPS, ValidationError, _check_count_steps,
 from kzbraid.circles import MAX_CIRCLE_CELLS, MAX_CIRCLE_MATCHINGS, _circle_counts, circle_series_to_json_dict
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.relations import free_positions, reduce
-from kzbraid.words import ZERO_THRESHOLD, basis_words, series_to_json_dict
+from kzbraid.words import ZERO_THRESHOLD, basis_words, moduli, series_to_json_dict
 from kzbraid.transport import _letter_holonomy, kontsevich_of_braid
 from kzbraid.braids import parse_braid_word
 from reference_orders import word_sort_key
@@ -146,14 +146,14 @@ def _link_terms(capsys, tmp_path, *extra):
 
 def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
     # --close writes kontsevich_link's reduced series at the free positions,
-    # thresholded at --zero-threshold before the projection and in reduce
+    # its input thresholded at --zero-threshold and reduce at the same
     braid = parse_braid_word("1 1 2 2", 3)
     holonomy, skeleton = kontsevich_of_braid(braid, 3), closure_skeleton(braid)
     free = free_positions(("circles", skeleton.n_components), 3)
     cases = (((), ZERO_THRESHOLD), (("--zero-threshold", "0"), 0.0), (("--zero-threshold", "0.3"), 0.3))
     for extra, threshold in cases:
         link = _link_terms(capsys, tmp_path, *extra)
-        reduced = kontsevich_link(holonomy, skeleton, 3, threshold).reduced
+        reduced = kontsevich_link(np.where(moduli(holonomy) >= threshold, holonomy, 0), skeleton, 3, threshold)
         expected = circle_series_to_json_dict(reduced, skeleton.n_components, 3, threshold, positions=free)
         assert json.dumps(link) == json.dumps(expected), threshold
 
@@ -693,19 +693,40 @@ def test_distinct_letters_memory_at_n30_m2():
     # while each cached letter and relabel index held all 435 pairs' 189,631
     # words, and at 157-173 MB once a letter holds its 57 moved pairs' 3,307
     word = " ".join(str(sign * k) for sign in (1, -1) for k in range(1, 30))
+    assert _fresh_peak_kb("compute", "-n", "30", "-m", "2", "-w", word) < 300 * 1024
+
+
+def test_degree_zero_memory_at_n1448():
+    # degree 0 prints the empty word alone: a fresh process peaked at 253 MB
+    # (255 with --close) while the table's row texts, the JSON heads and the
+    # closure's tau index were built over all 1,047,628 pairs, and at 38 MB
+    # once none is
+    for extra in ((), ("--close",)):
+        peak_kb = _fresh_peak_kb("compute", "-n", "1448", "-m", "0", "-w", "1", *extra)
+        assert peak_kb < 100 * 1024, (extra, peak_kb)
+
+
+def _fresh_peak_kb(*argv):
+    """Peak RSS in kB of a fresh process that runs main(argv) with stdout discarded, which must exit 0.
+
+    The peak is the child's VmHWM: Linux carries the forking process's
+    ru_maxrss over exec, so under a grown test process ru_maxrss read 112 to
+    222 MB for a child that peaks at 38 MB.
+    """
     script = (
-        "import contextlib, os, resource\n"
+        "import contextlib, os, sys\n"
         "from kzbraid.cli import main\n"
         "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-        f"    code = main(['compute', '-n', '30', '-m', '2', '-w', {word!r}])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "    code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr[-500:]
     code, peak_kb = map(int, done.stdout.split())
     assert code == 0
-    assert peak_kb < 300 * 1024
+    return peak_kb
 
 
 def test_verify_refuses_degrees_past_its_cap(capsys):

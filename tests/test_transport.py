@@ -42,7 +42,7 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
-from reference_orders import link_of, word
+from reference_orders import projection_of, word
 from test_braids import segment_at
 
 # the module, which the package's `transport` function shadows as an attribute
@@ -498,6 +498,6 @@ def test_closure_conjugation_invariance(w, data):
     k = data.draw(st.integers(1, w.n_strands - 1))
     sign = data.draw(st.sampled_from((1, -1)))
     conjugated = BraidWord(w.n_strands, ((k, sign),) + w.letters + ((k, -sign),))
-    z = link_of(w, 3).series
-    zc = link_of(conjugated, 3).series
+    z = projection_of(w, 3)
+    zc = projection_of(conjugated, 3)
     assert sup_diff(z, zc) <= 1e-9

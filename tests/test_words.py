@@ -8,6 +8,7 @@ import pytest
 
 from kzbraid._text import _braid_text, _circle_text
 from kzbraid.circles import circle_basis, circle_series_to_json_dict
+from kzbraid.relations import free_positions
 from kzbraid.words import (
     basis_words, enumerate_words, moduli, relabel_strands, series_product, series_to_json_dict,
 )
@@ -164,11 +165,10 @@ def test_json_text_matches_json_dumps():
     for q, max_degree in ((1, 3), (2, 2), (3, 1)):
         size = len(circle_basis(q, max_degree))
         s = rng.normal(size=size) + 1j * rng.normal(size=size)
+        free = free_positions(("circles", q), max_degree)
         for threshold in (0.0, 1.0, np.inf):
-            for positions in (tuple(range(size)), tuple(range(0, size, 2)), ()):
-                expected = json.dumps(circle_series_to_json_dict(s, q, max_degree, threshold, positions), indent=2)
-                text = _circle_text(s, q, max_degree, threshold, positions)
-                assert text == expected.replace("\n", "\n    ")
+            expected = json.dumps(circle_series_to_json_dict(s, q, max_degree, threshold, free), indent=2)
+            assert _circle_text(s, q, max_degree, threshold) == expected.replace("\n", "\n    ")
 
 
 def _same_bits(got, want):
