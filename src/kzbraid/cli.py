@@ -8,15 +8,23 @@ them; _text lays out and writes all of compute's output.  Every loop is
 integrated spectrally, so --steps (default 512) changes no result: it is
 checked here, 1 to MAX_STEPS, with the other arguments and before any file
 is opened, and passed nowhere.
+
+Each command's options are declared once, in _COMMANDS.  _read_argv reads
+a command line from that table by exact option strings, converting values
+with argparse's own int and float, and declines anything else (-h, an
+abbreviation, --opt=value, --, a malformed value, a missing or conflicting
+option).  Only then does main build the argparse parser from the same
+table, so argparse still writes every help text and error message with its
+exit code, while a well-formed command line never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
+from types import SimpleNamespace
 
 from ._lazy import _lazy_module, np
 
@@ -40,42 +48,6 @@ _STEPS_HELP = "checked, 1 to 2^16, but changes no result (default 512)"
 
 class ValidationError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValidationError(message)
-
-
-@lru_cache(maxsize=1)
-def _build_parser():
-    """The argument parser, built once per process."""
-    parser = _Parser(prog="kzbraid", description="Kontsevich integrals of braid words and their closures.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="Kontsevich integral of a braid word")
-    compute.add_argument("-n", "--strands", type=int, required=True)
-    compute.add_argument("-w", "--word", default="", help="signed generator indices")
-    compute.add_argument("-m", "--max-degree", type=int, default=3)
-    compute.add_argument("--steps", type=int, default=512, help=_STEPS_HELP)
-    compute.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    compute.add_argument("--close", action="store_true", help="also reduce the closure")
-    compute.add_argument(
-        "--zero-threshold", type=float, default=1e-12,
-        help="list terms of modulus at least this, a number >= 0 (default 1e-12)",
-    )
-
-    verify = sub.add_parser("verify", help="run one consistency check")
-    verify.add_argument("check", help="|".join(sorted(_CHECKS)))
-    verify.add_argument("-m", "--max-degree", type=int, default=3)
-    verify.add_argument("--steps", type=int, default=512, help=_STEPS_HELP)
-
-    dims = sub.add_parser("dims", help="quotient dimensions per degree")
-    group = dims.add_mutually_exclusive_group(required=True)
-    group.add_argument("--circles", type=int)
-    group.add_argument("--strands", type=int)
-    dims.add_argument("-m", "--max-degree", type=int, default=3)
-    return parser
 
 
 def _cmd_compute(args):
@@ -276,9 +248,138 @@ def _cmd_dims(args):
     return EXIT_OK
 
 
+# Every option of every command, the one declaration that both
+# _build_parser and _read_argv read: command -> (help, options), an option
+# being (option strings, dest, type, default, required, help).  No option
+# strings mark verify's positional and the type bool a store_true flag;
+# required is _ONE_OF for dims' --circles and --strands, of which exactly
+# one must be given.
+_ONE_OF = "one of"
+_MAX_DEGREE = (("-m", "--max-degree"), "max_degree", int, 3, False, None)
+_STEPS = (("--steps",), "steps", int, 512, False, _STEPS_HELP)
+_COMMANDS = {
+    "compute": ("Kontsevich integral of a braid word", (
+        (("-n", "--strands"), "strands", int, None, True, None),
+        (("-w", "--word"), "word", str, "", False, "signed generator indices"),
+        _MAX_DEGREE,
+        _STEPS,
+        (("-o", "--output"), "output", str, None, False, "write JSON here instead of stdout"),
+        (("--close",), "close", bool, False, False, "also reduce the closure"),
+        (("--zero-threshold",), "zero_threshold", float, 1e-12, False,
+         "list terms of modulus at least this, a number >= 0 (default 1e-12)"),
+    )),
+    "verify": ("run one consistency check", (
+        ((), "check", str, None, True, "|".join(sorted(_CHECKS))),
+        _MAX_DEGREE,
+        _STEPS,
+    )),
+    "dims": ("quotient dimensions per degree", (
+        (("--circles",), "circles", int, None, _ONE_OF, None),
+        (("--strands",), "strands", int, None, _ONE_OF, None),
+        _MAX_DEGREE,
+    )),
+}
+# command -> what _read_argv looks up: option string -> option, the
+# positional or None, the defaults, the required dests and dims' one-of pair
+_READER = {
+    command: (
+        {flag: option for option in options for flag in option[0]},
+        next((option for option in options if not option[0]), None),
+        {dest: default for _, dest, _, default, _, _ in options},
+        {dest for _, dest, _, _, required, _ in options if required is True},
+        {dest for _, dest, _, _, required, _ in options if required is _ONE_OF},
+    )
+    for command, (_, options) in _COMMANDS.items()
+}
+
+
+@lru_cache(maxsize=1)
+def _build_parser():
+    """The argparse parser of _COMMANDS, built once per process, for --help and the argv _read_argv declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise ValidationError(message)
+
+    parser = _Parser(prog="kzbraid", description="Kontsevich integrals of braid words and their closures.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (command_help, options) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=command_help)
+        one_of = None
+        for flags, dest, kind, default, required, text in options:
+            if required is _ONE_OF:
+                one_of = one_of or subparser.add_mutually_exclusive_group(required=True)
+            owner = one_of if required is _ONE_OF else subparser
+            if not flags:
+                owner.add_argument(dest, type=kind, help=text)
+            elif kind is bool:
+                owner.add_argument(*flags, dest=dest, action="store_true", help=text)
+            else:
+                owner.add_argument(*flags, dest=dest, type=kind, default=default, required=required is True,
+                                   help=text)
+    return parser
+
+
+def _is_value(token):
+    """Whether argparse reads token as an option's value or a positional, not as an option string.
+
+    It does when token does not start with "-" or is a negative number
+    (-\\d+ or -\\d*.\\d+); a token led by "-" and a digit that holds a space,
+    such as the braid word "-1 2", is one too.  Every other token led by
+    "-" is declined here, though argparse reads some of them as values.
+    """
+    if token[:1] != "-":
+        return True
+    body = token[1:]
+    whole, point, fraction = body.partition(".")
+    return (body.isdecimal() or (body[:1].isdecimal() and " " in body)
+            or bool(point and (not whole or whole.isdecimal()) and fraction.isdecimal()))
+
+
+def _read_argv(argv):
+    """argv read as _build_parser().parse_args reads it, without argparse, or None.
+
+    Reads the command, then exact option strings with their values, flags
+    and verify's positional, converting each value as argparse does.  It
+    returns None, leaving argparse to parse, print help or report the error,
+    on anything else: -h, abbreviations, --opt=value, -n3, --, an unknown
+    token, a missing or failed value, a second positional, a missing
+    required option, and both or neither of dims' --circles and --strands.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    named, positional, defaults, required, one_of = _READER[argv[0]]
+    values, given = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = named.get(token, positional)
+        if option is None:
+            return None
+        flags, dest, kind = option[:3]
+        if kind is bool:
+            values[dest] = True
+        else:
+            if flags:
+                token = next(tokens, "-")  # a missing value is declined like "-"
+            elif dest in given:
+                return None
+            if not _is_value(token):
+                return None
+            try:
+                values[dest] = kind(token)
+            except ValueError:
+                return None
+        given.add(dest)
+    if not required <= given or (one_of and len(one_of & given) != 1):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         if args.command == "compute":
             return _cmd_compute(args)
         if args.command == "verify":
