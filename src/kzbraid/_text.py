@@ -381,15 +381,15 @@ def braid_json(n_strands, max_degree, positions, listed):
     return [_braid_text(n_strands, max_degree, positions, listed, 0), "\n"]
 
 
-def link_json(n_strands, max_degree, positions, listed, skeleton, reduced, zero_threshold):
+def link_json(n_strands, max_degree, positions, listed, cycles, reduced, zero_threshold):
     """{"braid": braid_json's document, "link": the closure's}, in parts to write.
 
-    skeleton is the braid's LinkSkeleton and reduced its reduced circle series,
+    cycles is the braid's closure_skeleton and reduced its reduced circle series,
     listed at the free positions where a term's modulus reaches zero_threshold.
     """
-    q = skeleton.n_components
+    q = len(cycles)
     return [
         '{\n  "braid": ', _braid_text(n_strands, max_degree, positions, listed, 1),
-        f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(skeleton.components, 2),
+        f',\n  "link": {{\n    "components": {q},\n    "cycles": ', _cycles_text(cycles, 2),
         ',\n    "series": ', _circle_text(reduced, q, max_degree, zero_threshold), "\n  }\n}\n",
     ]

@@ -66,57 +66,15 @@ def parse_braid_word(text: str, n_strands: int) -> BraidWord:
     return BraidWord(n_strands, tuple(letters))
 
 
-class Permutation(namedtuple("Permutation", "images")):
-    """Images of 1..N, images[k-1] = pi(k)."""
-
-    __slots__ = ()
-
-    def __new__(cls, images):
-        images = tuple(int(v) for v in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a bijection on 1..N")
-        return super().__new__(cls, images)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace calls it too; namedtuple's own skips __new__
-        return cls(*iterable)
-
-    def __call__(self, k):
-        return self.images[k - 1]
-
-    def inverse(self):
-        images = [0] * len(self.images)
-        for k, v in enumerate(self.images, start=1):
-            images[v - 1] = k
-        return Permutation(tuple(images))
-
-    def cycles(self):
-        """Cycles sorted by smallest element, each starting at it."""
-        seen = set()
-        out = []
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cycle))
-        return tuple(out)
-
-
-def permutation_of(word: BraidWord) -> Permutation:
-    """Strand -> final position, composing the adjacent transpositions."""
+def permutation_of(word: BraidWord) -> tuple:
+    """Strand -> final position as the images tuple: images[k-1] is where strand k ends."""
     strand_at = list(range(1, word.n_strands + 1))  # position -> strand, 1-based
     for k, _sign in word.letters:
         strand_at[k - 1], strand_at[k] = strand_at[k], strand_at[k - 1]
     images = [0] * word.n_strands
     for position, strand in enumerate(strand_at, start=1):
         images[strand - 1] = position
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 class _Arc(namedtuple("_Arc", "start moving center sign")):

@@ -59,21 +59,21 @@ def _cmd_compute(args):
         raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
     _words.check_word_budget(args.strands, args.max_degree)
     word = _braids.parse_braid_word(args.word, args.strands)
-    skeleton = None
+    cycles = None
     if args.close:
-        skeleton = _closure.closure_skeleton(word)
-        _circles.check_circle_budget(skeleton.n_components, args.max_degree)
+        cycles = _closure.closure_skeleton(word)
+        _circles.check_circle_budget(len(cycles), args.max_degree)
     _check_steps_limit(args.steps)
     # opened before any work or output, so an unwritable path prints nothing
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as sink:
-        sink.writelines(_compute_json(args, word, skeleton))
+        sink.writelines(_compute_json(args, word, cycles))
     return EXIT_OK
 
 
-def _compute_json(args, word, skeleton):
+def _compute_json(args, word, cycles):
     """Write the term table to stdout and return the JSON text, in parts to write in turn.
 
-    skeleton is the closure's, given with --close and None without.
+    cycles are the closure's components, given with --close and None without.
     """
     holonomy = _transport.kontsevich_of_braid(word, args.max_degree)
     kept = _words.moduli(holonomy) >= args.zero_threshold
@@ -82,8 +82,8 @@ def _compute_json(args, word, skeleton):
     sys.stdout.write(_text.table(args.strands, args.max_degree, positions, listed))
     if not args.close:
         return _text.braid_json(args.strands, args.max_degree, positions, listed)
-    reduced = _closure.kontsevich_link(np.where(kept, holonomy, 0), skeleton, args.max_degree, args.zero_threshold)
-    return _text.link_json(args.strands, args.max_degree, positions, listed, skeleton, reduced, args.zero_threshold)
+    reduced = _closure.kontsevich_link(np.where(kept, holonomy, 0), cycles, args.max_degree, args.zero_threshold)
+    return _text.link_json(args.strands, args.max_degree, positions, listed, cycles, reduced, args.zero_threshold)
 
 
 def _check_steps_limit(steps):
@@ -155,7 +155,7 @@ def _check_multiplicativity(max_degree):
                 _transport.kontsevich_of_braid(upper, max_degree),
                 3,
                 max_degree,
-                _braids.permutation_of(lower).inverse().images,
+                np.argsort(_braids.permutation_of(lower)) + 1,
             )
             z_lower = _transport.kontsevich_of_braid(lower, max_degree)
             zc = _transport.transport(_braids.realize(combined), max_degree).coefficients

@@ -1,20 +1,21 @@
 """Braid closure, the moduli map onto circle diagrams, and link integrals.
 
 Closing a braid glues top position p to bottom position p, so the link
-components are the cycles of the strand permutation.  A word's chords map to
-chords on the component circles: walk each component from its lowest strand,
-reading the feet on every strand bottom to top, then cross the closure arc to
-the next strand.  Chords among closure arcs and long chords contribute
-nothing and are never produced.  The word-to-diagram index is built in
-numpy for all words of a degree at once: their feet are sorted into circle
-layouts, the labels numbered by first appearance, and every drawing is
-looked up in the degree's drawing table, the table the circle 4T rows use.
-kontsevich_link projects a thresholded braid series and returns the reduced link.
+components are the cycles of the strand permutation: closure_skeleton
+returns them as a tuple of strand tuples, the argument every function here
+takes.  A word's chords map to chords on the component circles: walk each
+component from its lowest strand, reading the feet on every strand bottom
+to top, then cross the closure arc to the next strand.  Chords among
+closure arcs and long chords contribute nothing and are never produced.
+The word-to-diagram index is built in numpy for all words of a degree at
+once: their feet are sorted into circle layouts, the labels numbered by
+first appearance, and every drawing is looked up in the degree's drawing
+table, the table the circle 4T rows use.  kontsevich_link projects a
+thresholded braid series and returns the reduced link.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from ._lazy import np
@@ -24,31 +25,32 @@ from .relations import reduce
 from .words import all_pairs, basis_size
 
 
-class LinkSkeleton(namedtuple("LinkSkeleton", "n_strands components")):
-    """Component circles of a braid closure, strands in traversal order."""
-
-    __slots__ = ()
-
-    @property
-    def n_components(self):
-        return len(self.components)
-
-
-def closure_skeleton(word: BraidWord) -> LinkSkeleton:
-    """Cycles of the braid permutation, each from its lowest strand."""
-    return LinkSkeleton(word.n_strands, permutation_of(word).cycles())
+def closure_skeleton(word: BraidWord) -> tuple:
+    """The closure's components: the cycles of permutation_of(word), sorted, each from its lowest strand."""
+    images, seen, cycles = permutation_of(word), set(), []
+    for start in range(1, len(images) + 1):
+        cycle, strand = [], start
+        while strand not in seen:
+            seen.add(strand)
+            cycle.append(strand)
+            strand = images[strand - 1]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 @lru_cache(maxsize=64)
-def _tau_index(n_strands, max_degree, cycles):
-    """Graded circle-basis position of tau of each word of basis_words, read-only.
+def _tau_index(max_degree, cycles):
+    """Graded circle-basis position of tau of each word of basis_words(N, max_degree), read-only.
 
-    A degree's words are handled at once: every foot, and a -1 closing each
-    circle, gets the key (place of its strand along the circles, height),
-    so sorting a word's keys lays its feet out circle by circle; each chord
-    is labelled by the rank of its lower foot, which numbers the labels by
-    first appearance, and the drawing is looked up in the degree's table.
+    N counts the strands in the cycles.  A degree's words are handled at
+    once: every foot, and a -1 closing each circle, gets the key (place of
+    its strand along the circles, height), so sorting a word's keys lays its
+    feet out circle by circle; each chord is labelled by the rank of its
+    lower foot, which numbers the labels by first appearance, and the
+    drawing is looked up in the degree's table.
     """
+    n_strands = sum(map(len, cycles))
     pairs = np.array(all_pairs(n_strands if max_degree else 2)) - 1  # degree 0 reads no pair
     place = np.empty(n_strands, dtype=np.intp)
     place[np.concatenate(cycles) - 1] = np.arange(n_strands)
@@ -76,40 +78,44 @@ def _tau_index(n_strands, max_degree, cycles):
     return out
 
 
-def tau_project(coefficients, skeleton: LinkSkeleton, max_degree: int) -> np.ndarray:
+def tau_project(coefficients, cycles, max_degree: int) -> np.ndarray:
     """Send braid words to diagrams on the closure's component circles.
 
-    The k-th chord of a word (in height order) puts one foot on the circle of
-    each strand it touches; feet along one circle follow the component
-    traversal and, within a strand, increasing height.  Linear in the
-    coefficients; rotated drawings of one diagram share its basis position.
+    cycles lists the components, each a tuple of strands in traversal order
+    (closure_skeleton(word)), and must partition the strands 1..N.  The k-th
+    chord of a word (in height order) puts one foot on the circle of each
+    strand it touches; feet along one circle follow the cycle and, within a
+    strand, increasing height.  Linear in the coefficients; rotated drawings
+    of one diagram share its basis position.
 
     coefficients is a dense series over basis_words(N, max_degree) (as
     kontsevich_of_braid returns it), projected as given, so zero the terms
     a threshold drops first.  Every basis word goes to one diagram through
-    an index cached per (N, M, cycles), and coefficients are summed per
-    diagram in basis order into a dense series over circle_basis(q, M).
-    skeleton is the braid's closure_skeleton.
+    an index cached per (M, cycles), and coefficients are summed per diagram
+    in basis order into a dense series over circle_basis(len(cycles), M).
     """
-    if len(coefficients) != basis_size(skeleton.n_strands * (skeleton.n_strands - 1) // 2, max_degree):
+    n_strands = sum(map(len, cycles))
+    if n_strands < 2 or sorted(strand for cycle in cycles for strand in cycle) != list(range(1, n_strands + 1)):
+        raise ValueError(f"cycles {cycles} do not partition the strands 1..N of a braid, N >= 2")
+    if len(coefficients) != basis_size(n_strands * (n_strands - 1) // 2, max_degree):
         raise ValueError(f"{len(coefficients)} coefficients do not fill the word basis to degree {max_degree}")
-    index = _tau_index(skeleton.n_strands, max_degree, skeleton.components)
-    size = len(circle_basis(skeleton.n_components, max_degree))
+    index = _tau_index(max_degree, cycles)
+    size = len(circle_basis(len(cycles), max_degree))
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(index, coefficients.real, size)
     out.imag = np.bincount(index, coefficients.imag, size)
     return out
 
 
-def kontsevich_link(listed, skeleton: LinkSkeleton, max_degree: int, zero_threshold: float) -> np.ndarray:
+def kontsevich_link(listed, cycles, max_degree: int, zero_threshold: float) -> np.ndarray:
     """Braid-holonomy part of the link integral, reduced: what compute --close writes.
 
     listed is the braid's kontsevich_of_braid series with every term of
-    modulus below zero_threshold set to 0, and skeleton its closure_skeleton;
+    modulus below zero_threshold set to 0, and cycles its closure_skeleton;
     reduce thresholds the circle series at the same.  Top and bottom
     closure-arc contributions are not grafted on, so use the result for
     quantities insensitive to them (linking numbers, framing-killed terms,
     comparisons of closures of equal braids).
     """
-    series = tau_project(listed, skeleton, max_degree)
-    return reduce(series, ("circles", skeleton.n_components), max_degree, zero_threshold)
+    series = tau_project(listed, cycles, max_degree)
+    return reduce(series, ("circles", len(cycles)), max_degree, zero_threshold)

@@ -323,6 +323,9 @@ def symmetrized(coefficients, n_strands: int, max_degree: int) -> np.ndarray:
     base-P digits sorted.
     """
     n_pairs = n_strands * (n_strands - 1) // 2
+    size = _block_slices(n_pairs, max_degree)[-1].stop
+    if len(coefficients) != size:
+        raise ValueError(f"symmetrized needs a vector of {size} coefficients")
     out = coefficients.copy()  # degree 0 has one ordering
     for m, (block, target) in enumerate(
         zip(_blocks(coefficients, n_pairs, max_degree), _blocks(out, n_pairs, max_degree))

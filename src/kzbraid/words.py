@@ -138,12 +138,19 @@ def _relabel_index(n_strands, max_degree, images):
 def relabel_strands(coefficients, n_strands, max_degree, images):
     """Rename the strands of every chord of a dense series, strand s to images[s - 1].
 
-    images is a permutation of 1..N.  Stacking one braid's transport on top
-    of another's requires reading the upper factor's labels through the
-    lower braid's permutation, since a strand keeps its bottom label across
-    the whole composed loop.
+    images must be a permutation of 1..N and coefficients fill
+    basis_words(N, M).  Stacking one braid's transport on top of another's
+    requires reading the upper factor's labels through the lower braid's
+    permutation, since a strand keeps its bottom label across the whole
+    composed loop.
     """
-    return coefficients[_relabel_index(n_strands, max_degree, tuple(images))]
+    images = tuple(images)
+    if sorted(images) != list(range(1, n_strands + 1)):
+        raise ValueError(f"relabelling needs a permutation of 1..{n_strands}")
+    index = _relabel_index(n_strands, max_degree, images)
+    if len(coefficients) != len(index):
+        raise ValueError(f"relabelling needs a vector of {len(index)} coefficients")
+    return coefficients[index]
 
 
 def moduli(series):

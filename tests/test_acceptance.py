@@ -123,7 +123,7 @@ def test_07_multiplicativity():
         for lower in factors:
             combined = BraidWord(3, lower.letters + upper.letters)
             z_upper = relabel_strands(
-                kontsevich_of_braid(upper, 3), 3, 3, permutation_of(lower).inverse().images
+                kontsevich_of_braid(upper, 3), 3, 3, np.argsort(permutation_of(lower)) + 1
             )
             z_lower = kontsevich_of_braid(lower, 3)
             zc = transport(realize(combined), 3).coefficients

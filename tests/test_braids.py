@@ -9,7 +9,6 @@ import pytest
 from kzbraid.braids import (
     BraidParseError,
     BraidWord,
-    Permutation,
     parse_braid_word,
     permutation_of,
     realize,
@@ -61,18 +60,19 @@ def test_parse_errors():
 
 
 def test_permutation_examples():
-    assert permutation_of(parse_braid_word("1", 2)).images == (2, 1)
-    three_cycle = permutation_of(parse_braid_word("1 2", 3))
-    assert len(three_cycle.cycles()) == 1
-    assert permutation_of(parse_braid_word("1 1", 2)).images == (1, 2)
-    assert len(permutation_of(parse_braid_word("1 1", 2)).cycles()) == 2
+    assert permutation_of(parse_braid_word("1", 2)) == (2, 1)
+    assert permutation_of(parse_braid_word("1 2", 3)) == (3, 1, 2)  # strand 1 ends at position 3
+    assert permutation_of(parse_braid_word("1 1", 2)) == (1, 2)
+    assert permutation_of(parse_braid_word("", 4)) == (1, 2, 3, 4)
 
 
 def test_permutation_inverse():
+    # the inverse word brings every strand back, and np.argsort(images) + 1 is its permutation
     p = permutation_of(parse_braid_word("1 2", 3))
-    q = p.inverse()
+    q = permutation_of(parse_braid_word("-2 -1", 3))
+    assert (np.argsort(p) + 1).tolist() == list(q)
     for k in (1, 2, 3):
-        assert q(p(k)) == k
+        assert q[p[k - 1] - 1] == k
 
 
 def test_braid_records_validate_and_stay_frozen():
@@ -87,18 +87,13 @@ def test_braid_records_validate_and_stay_frozen():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             BraidWord(*args)
-    perm = permutation_of(word)
-    assert perm == Permutation(["3", 1, 2.0]) and hash(perm) == hash(Permutation((3, 1, 2)))
-    assert repr(perm) == "Permutation(images=(3, 1, 2))"
-    with pytest.raises(ValueError, match=re.escape("not a bijection on 1..N")):
-        Permutation((1, 1))
     loop = realize(BraidWord(2, ((1, 1),)))
     assert repr(loop) == (
         "ConfigLoop(n_strands=2, segments=(_Arc(start=(0j, (1+0j)), moving=(1, 2), center=0.5, sign=1),),"
         " breaks=(1.0,))"
     )
     assert hash(loop) == hash(realize(BraidWord(2, ((1, 1),))))
-    for record, field in ((word, "letters"), (perm, "images"), (loop, "breaks"), (loop.segments[0], "sign")):
+    for record, field in ((word, "letters"), (loop, "breaks"), (loop.segments[0], "sign")):
         with pytest.raises(AttributeError):
             setattr(record, field, ())
         with pytest.raises(AttributeError):
@@ -118,14 +113,6 @@ def test_braid_word_make_and_replace_validate():
             bad()
     with pytest.raises(TypeError):
         BraidWord._make((2, (), ()))
-
-
-def test_permutation_make_and_replace_validate():
-    assert Permutation._make([["2", 1]]) == Permutation((2, 1))
-    assert Permutation((1, 2))._replace(images=(2, 3, 1)).cycles() == ((1, 2, 3),)
-    for bad in (lambda: Permutation((1, 2))._replace(images=(1, 1)), lambda: Permutation._make([(0, 1)])):
-        with pytest.raises(ValueError, match=re.escape("not a bijection on 1..N")):
-            bad()
 
 
 def test_identity_loop():
@@ -184,7 +171,7 @@ def test_loop_closure_and_permutation_consistency():
         pi = permutation_of(w)
         z, _ = sample(loop, 1.0)
         # strand s ends at base point images[s-1] - 1
-        assert np.allclose(z, [complex(p - 1) for p in pi.images], atol=1e-12)
+        assert np.allclose(z, [complex(p - 1) for p in pi], atol=1e-12)
 
 
 def test_sample_rejects_outside_interval():

@@ -116,7 +116,7 @@ def test_cycles_text_matches_json_dumps():
 
 
 def test_close_builds_the_closure_permutation_once(capsys, monkeypatch):
-    # the budget check, the projection and the "cycles" text share one skeleton
+    # the budget check, the projection and the "cycles" text share one closure_skeleton
     braids_module, closure_module = (importlib.import_module(f"kzbraid.{name}") for name in ("braids", "closure"))
     permutation_of, calls = braids_module.permutation_of, []
 
@@ -148,13 +148,13 @@ def test_compute_close_matches_kontsevich_link(capsys, tmp_path):
     # --close writes kontsevich_link's reduced series at the free positions,
     # its input thresholded at --zero-threshold and reduce at the same
     braid = parse_braid_word("1 1 2 2", 3)
-    holonomy, skeleton = kontsevich_of_braid(braid, 3), closure_skeleton(braid)
-    free = free_positions(("circles", skeleton.n_components), 3)
+    holonomy, cycles = kontsevich_of_braid(braid, 3), closure_skeleton(braid)
+    free = free_positions(("circles", len(cycles)), 3)
     cases = (((), ZERO_THRESHOLD), (("--zero-threshold", "0"), 0.0), (("--zero-threshold", "0.3"), 0.3))
     for extra, threshold in cases:
         link = _link_terms(capsys, tmp_path, *extra)
-        reduced = kontsevich_link(np.where(moduli(holonomy) >= threshold, holonomy, 0), skeleton, 3, threshold)
-        expected = circle_series_to_json_dict(reduced, skeleton.n_components, 3, threshold, positions=free)
+        reduced = kontsevich_link(np.where(moduli(holonomy) >= threshold, holonomy, 0), cycles, 3, threshold)
+        expected = circle_series_to_json_dict(reduced, len(cycles), 3, threshold, positions=free)
         assert json.dumps(link) == json.dumps(expected), threshold
 
 
@@ -489,14 +489,14 @@ def _reference_stdout(strands, letters, max_degree, close, threshold):
     }
     if close:
         kept = np.array([terms.get(w, 0j) for w in basis_words(strands, max_degree)])
-        skeleton = closure_skeleton(word)
-        q = skeleton.n_components
-        reduced = reduce(tau_project(kept, skeleton, max_degree), ("circles", q), max_degree, threshold)
+        cycles = closure_skeleton(word)
+        q = len(cycles)
+        reduced = reduce(tau_project(kept, cycles, max_degree), ("circles", q), max_degree, threshold)
         document = {
             "braid": document,
             "link": {
                 "components": q,
-                "cycles": [list(cycle) for cycle in skeleton.components],
+                "cycles": [list(cycle) for cycle in cycles],
                 "series": circle_series_to_json_dict(
                     reduced, q, max_degree, threshold, free_positions(("circles", q), max_degree)
                 ),
@@ -530,7 +530,7 @@ def test_close_output_bytes_match_series_path_at_degree_four(capsys):
     for strands, letters, components in (
         (3, "1 2 -1 2", 1), (2, "1 -1 1 1", 2), (3, "2 1 2 2 -1", 2), (3, "1 1 -2 -2", 3), (4, "1 2 -1", 3),
     ):
-        assert closure_skeleton(parse_braid_word(letters, strands)).n_components == components
+        assert len(closure_skeleton(parse_braid_word(letters, strands))) == components
         for threshold in ("1e-12", "0", "1e-3"):
             argv = ["compute", "-n", str(strands), "-m", "4", "-w", letters, "--close",
                     "--zero-threshold", threshold]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -30,14 +31,14 @@ def terms(coefficients, n_circles, max_degree):
 
 
 def test_closure_skeleton_examples():
-    assert closure_skeleton(parse_braid_word("1 1", 2)).components == ((1,), (2,))
-    assert closure_skeleton(parse_braid_word("1", 2)).components == ((1, 2),)
-    assert closure_skeleton(parse_braid_word("1 2", 3)).n_components == 1
-    skeleton = closure_skeleton(parse_braid_word("1", 3))
-    assert repr(skeleton) == "LinkSkeleton(n_strands=3, components=((1, 2), (3,)))"
-    assert hash(skeleton) == hash(closure_skeleton(parse_braid_word("-1", 3)))
-    with pytest.raises(AttributeError):
-        skeleton.components = ()
+    assert closure_skeleton(parse_braid_word("1 1", 2)) == ((1,), (2,))
+    assert closure_skeleton(parse_braid_word("1", 2)) == ((1, 2),)
+    assert closure_skeleton(parse_braid_word("1 2", 3)) == ((1, 3, 2),)
+    assert closure_skeleton(parse_braid_word("2", 3)) == ((1,), (2, 3))
+    assert closure_skeleton(parse_braid_word("-1", 3)) == closure_skeleton(parse_braid_word("1", 3)) == ((1, 2), (3,))
+    # one cycle through all 1,448 strands, walked once
+    long_cycle = closure_skeleton(BraidWord(1448, tuple((k, 1) for k in range(1, 1448))))
+    assert long_cycle == ((1,) + tuple(range(1448, 1, -1)),)
 
 
 def test_component_count_matches_cycles_random():
@@ -48,19 +49,24 @@ def test_component_count_matches_cycles_random():
             (rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(0, 8))
         )
         w = BraidWord(n, letters)
-        assert closure_skeleton(w).n_components == len(permutation_of(w).cycles())
+        images, cycles = permutation_of(w), closure_skeleton(w)
+        # the cycles partition the strands, each from its lowest, in order of it
+        assert sorted(s for cycle in cycles for s in cycle) == list(range(1, n + 1))
+        assert [cycle[0] for cycle in cycles] == sorted(min(cycle) for cycle in cycles)
+        for cycle in cycles:
+            assert [images[s - 1] for s in cycle] == list(cycle[1:] + cycle[:1]), (images, cycles)
 
 
 def test_tau_inter_component_chord():
-    skeleton = closure_skeleton(parse_braid_word("1 1", 2))
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton, 1)
+    cycles = closure_skeleton(parse_braid_word("1 1", 2))
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), cycles, 1)
     expected = CircleDiagram((1, 1), (((0, 0), (1, 0)),))
     assert terms(projected, 2, 1) == {expected: 1.0}
 
 
 def test_tau_single_component_isolated():
-    skeleton = closure_skeleton(parse_braid_word("1", 2))
-    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), skeleton, 1)
+    cycles = closure_skeleton(parse_braid_word("1", 2))
+    projected = tau_project(series(2, 1, {((1, 2),): 1.0}), cycles, 1)
     (diagram, coeff), = terms(projected, 1, 1).items()
     assert coeff == 1.0
     assert diagram.slots == (2,)
@@ -68,35 +74,45 @@ def test_tau_single_component_isolated():
 
 
 def test_tau_two_chord_hopf_pattern():
-    skeleton = closure_skeleton(parse_braid_word("1 1", 2))
-    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), skeleton, 2)
+    cycles = closure_skeleton(parse_braid_word("1 1", 2))
+    projected = tau_project(series(2, 2, {((1, 2), (1, 2)): 1.0}), cycles, 2)
     expected = CircleDiagram((2, 2), (((0, 0), (1, 0)), ((0, 1), (1, 1))))
     assert terms(projected, 2, 2) == {expected: 1.0}
 
 
 def test_tau_linear_and_degree_preserving():
-    skeleton = closure_skeleton(parse_braid_word("1 2", 3))
+    cycles = closure_skeleton(parse_braid_word("1 2", 3))
     a = series(3, 2, {((1, 2),): 1.0, ((1, 3), (2, 3)): 2.0})
     b = series(3, 2, {((1, 2),): -0.5j, ((2, 3),): 4.0})
     lam = 1.5 - 2j
-    combo = tau_project(a + lam * b, skeleton, 2)
-    split = tau_project(a, skeleton, 2) + lam * tau_project(b, skeleton, 2)
+    combo = tau_project(a + lam * b, cycles, 2)
+    split = tau_project(a, cycles, 2) + lam * tau_project(b, cycles, 2)
     assert np.abs(combo - split).max() < 1e-12
     for g, hword in enumerate(basis_words(3, 2)):
         if a[g]:
-            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), skeleton, 2)
+            image = tau_project(np.where(np.arange(len(a)) == g, a, 0), cycles, 2)
             assert [d.degree for d in terms(image, 1, 2)] == [len(hword)]
 
 
 def test_tau_rejects_mismatched_skeleton():
-    skeleton = closure_skeleton(parse_braid_word("1", 3))
+    cycles = closure_skeleton(parse_braid_word("1", 3))
     with pytest.raises(ValueError):
-        tau_project(series(4, 1, {((1, 2),): 1.0}), skeleton, 1)
+        tau_project(series(4, 1, {((1, 2),): 1.0}), cycles, 1)
+    # a repeated strand, a strand on two cycles, one strand, or cycles of 4 strands for a 3-strand series
+    s = series(3, 2, {((1, 2),): 1.0})
+    for cycles, message in (
+        (((1, 1), (2,)), "cycles ((1, 1), (2,)) do not partition the strands 1..N of a braid, N >= 2"),
+        (((1, 2), (2, 3)), "cycles ((1, 2), (2, 3)) do not partition the strands 1..N of a braid, N >= 2"),
+        (((1,),), "cycles ((1,),) do not partition the strands 1..N of a braid, N >= 2"),
+        (((1, 4), (2, 3)), "13 coefficients do not fill the word basis to degree 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tau_project(s, cycles, 2)
 
 
 def _tau_reference(coefficients, w, max_degree):
     """tau word by word: feet per strand, one canonical CircleDiagram each."""
-    skeleton = closure_skeleton(w)
+    cycles = closure_skeleton(w)
     out = {}
     for hword, coeff in zip(basis_words(w.n_strands, max_degree), coefficients.tolist()):
         if not coeff:
@@ -105,7 +121,7 @@ def _tau_reference(coefficients, w, max_degree):
         for height, (i, j) in enumerate(hword):
             feet[i].append(height)
             feet[j].append(height)
-        layout = [[h for strand in cycle for h in feet[strand]] for cycle in skeleton.components]
+        layout = [[h for strand in cycle for h in feet[strand]] for cycle in cycles]
         diagram = canonical(CircleDiagram.from_layout(layout))
         out[diagram] = out.get(diagram, 0j) + coeff
     return {d: c for d, c in out.items() if c}
@@ -125,15 +141,15 @@ def _braid_sorting(perm):
 def test_tau_index_matches_per_word_reference_on_every_permutation():
     rng = random.Random(5)
     coefficients = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in basis_words(4, 3)])
-    skeletons = set()
+    closures = set()
     for perm in permutations(range(1, 5)):
         w = _braid_sorting(perm)
-        skeleton = closure_skeleton(w)
-        skeletons.add(skeleton.components)
+        cycles = closure_skeleton(w)
+        closures.add(cycles)
         # both sum each diagram's terms in basis order, so the floats agree exactly
-        projected = tau_project(coefficients, skeleton, 3)
-        assert terms(projected, skeleton.n_components, 3) == _tau_reference(coefficients, w, 3), perm
-    assert len(skeletons) == 24
+        projected = tau_project(coefficients, cycles, 3)
+        assert terms(projected, len(cycles), 3) == _tau_reference(coefficients, w, 3), perm
+    assert len(closures) == 24
 
 
 def _tau_index_reference(n_strands, max_degree, cycles):
@@ -174,9 +190,9 @@ def test_tau_index_equals_per_word_reference_on_every_closure():
     components = set()
     for n, max_degree in ((4, 4), (5, 3)):
         for perm in permutations(range(1, n + 1)):
-            cycles = closure_skeleton(_braid_sorting(perm)).components
+            cycles = closure_skeleton(_braid_sorting(perm))
             components.add(len(cycles))
-            index = _tau_index(n, max_degree, cycles)
+            index = _tau_index(max_degree, cycles)
             expected = _tau_index_reference(n, max_degree, cycles)
             assert index.dtype == expected.dtype and np.array_equal(index, expected), cycles
             assert not index.flags.writeable
@@ -191,14 +207,14 @@ def test_tau_sparse_series_and_dense_vector_agree():
     kept = np.array([c if abs(c) >= threshold else 0j for c in dense.tolist()])
     assert 0 < np.count_nonzero(kept) < len(dense)
     projected = tau_project(kept, closure_skeleton(w), 3)
-    assert terms(projected, closure_skeleton(w).n_components, 3) == _tau_reference(kept, w, 3)
+    assert terms(projected, len(closure_skeleton(w)), 3) == _tau_reference(kept, w, 3)
     with pytest.raises(ValueError):
         tau_project(dense[:-1], closure_skeleton(w), 3)
 
 
 def test_trivial_braid_closure_two_unknots():
     braid = parse_braid_word("", 2)
-    assert closure_skeleton(braid).n_components == 2
+    assert len(closure_skeleton(braid)) == 2
     assert np.abs(link_of(braid, 3)[1:]).max() < 1e-12
 
 
@@ -212,10 +228,10 @@ def test_unknot_degree_one_vanishes_exactly():
     assert not link_of(parse_braid_word("1", 2), 1)[1:].any()
 
 
-def _combinatorial_linking(word_obj, skeleton):
+def _combinatorial_linking(word_obj, cycles):
     """Half the signed count of crossings between strands of two components."""
     component_of = {}
-    for index, cycle in enumerate(skeleton.components):
+    for index, cycle in enumerate(cycles):
         for strand in cycle:
             component_of[strand] = index
     totals = {}
@@ -239,18 +255,18 @@ def test_linking_numbers_match_crossing_count():
             (rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 6))
         )
         w = BraidWord(n, letters)
-        skeleton = closure_skeleton(w)
-        if skeleton.n_components < 2:
+        cycles = closure_skeleton(w)
+        if len(cycles) < 2:
             continue
         checked += 1
         reduced = link_of(w, 1)
-        expected = _combinatorial_linking(w, skeleton)
-        for pair in [(i, j) for i in range(skeleton.n_components) for j in range(i + 1, skeleton.n_components)]:
-            slots = [0] * skeleton.n_components
+        expected = _combinatorial_linking(w, cycles)
+        for pair in [(i, j) for i in range(len(cycles)) for j in range(i + 1, len(cycles))]:
+            slots = [0] * len(cycles)
             slots[pair[0]] = 1
             slots[pair[1]] = 1
             diagram = CircleDiagram(tuple(slots), (((pair[0], 0), (pair[1], 0)),))
-            got = reduced[circle_basis(skeleton.n_components, 1).index(drawing_of(diagram))]
+            got = reduced[circle_basis(len(cycles), 1).index(drawing_of(diagram))]
             want = expected.get(frozenset(pair), 0.0)
             assert abs(got - want) < 1e-6
 
@@ -265,7 +281,7 @@ def test_mirror_image_flips_odd_degrees():
         braid = BraidWord(n, letters)
         reduced = link_of(braid, 4)
         mirrored = link_of(BraidWord(n, tuple((k, -sign) for k, sign in letters)), 4)
-        q = closure_skeleton(braid).n_components
+        q = len(closure_skeleton(braid))
         signs = np.concatenate([np.full(len(_orbit_table(q, m)[0]), (-1.0) ** m) for m in range(5)])
         assert np.abs(mirrored - signs * reduced).max() < 1e-12, (n, letters)
 
@@ -371,7 +387,7 @@ def test_degree_two_closure_is_conway_c2_plus_a_constant_per_strand_count():
         while len(offsets) < 8 or len(c2s) < 2:  # knots, not only unknots
             letters = tuple((rng.randint(1, n - 1), rng.choice((-1, 1))) for _ in range(rng.randint(1, 9)))
             w = BraidWord(n, letters)
-            if closure_skeleton(w).n_components != 1:
+            if len(closure_skeleton(w)) != 1:
                 continue
             degree_two = link_of(w, 2)[position]
             assert abs(degree_two.imag) <= 1e-12, (n, letters)

@@ -17,7 +17,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from kzbraid.braids import Permutation, parse_braid_word, permutation_of
+from kzbraid.braids import parse_braid_word, permutation_of
 from kzbraid.circles import circle_basis, slots_and_chords
 from kzbraid.closure import closure_skeleton, tau_project
 from kzbraid.transport import kontsevich_of_braid
@@ -132,12 +132,25 @@ def _quantum_integer(d, power, max_degree):
 
 
 def _closed(text, n, max_degree, inverse=True):
-    """T = W(Z(beta)) g, g = permutation_of(word).inverse(), or permutation_of(word) when not inverse."""
-    g = permutation_of(parse_braid_word(text, n))
-    g = g.inverse() if inverse else g
+    """T = W(Z(beta)) g, g the inverse of permutation_of(word), or permutation_of(word) when not inverse."""
+    images = permutation_of(parse_braid_word(text, n))
+    g = np.argsort(images) if inverse else np.array(images) - 1  # images of 0..n-1
     step = np.zeros((max_degree + 1, math.factorial(n)), dtype=complex)
-    step[0, _group(n)[0][tuple(s - 1 for s in g.images)]] = 1
+    step[0, _group(n)[0][tuple(g.tolist())]] = 1
     return _times(_holonomy(text, n, max_degree), step, n)
+
+
+def _cycle_lengths(perm):
+    """Lengths of the cycles of the permutation k -> perm[k] of 0..n-1."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            length, k = length + 1, perm[k]
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def _closure_invariant(text, n, d, max_degree, quantum=True):
@@ -149,8 +162,8 @@ def _closure_invariant(text, n, d, max_degree, quantum=True):
     trace = np.zeros(max_degree + 1, dtype=complex)
     for perm, k in index.items():
         weight = _exp_series(0, max_degree)
-        for cycle in Permutation(tuple(p + 1 for p in perm)).cycles():
-            weight = _series_times(weight, _quantum_integer(d, scale * len(cycle), max_degree))
+        for length in _cycle_lengths(perm):
+            weight = _series_times(weight, _quantum_integer(d, scale * length, max_degree))
         trace += _series_times(t[:, k], weight)
     writhe = sum(sign for _, sign in word.letters)
     trace = _series_times(trace, _exp_series(-d * writhe / 2, max_degree))
@@ -200,7 +213,7 @@ def _jones_reference(text, n, max_degree):
     """(-1)^(components - 1) V(e^{-hbar}) of the braid's closure, V = (-A^3)^-w <closure> at t = A^-4."""
     word = parse_braid_word(text, n)
     writhe = sum(sign for _, sign in word.letters)
-    sign = (-1) ** (writhe + len(permutation_of(word).cycles()) - 1)
+    sign = (-1) ** (writhe + len(closure_skeleton(word)) - 1)
     return sign * sum(c * _exp_series((e - 3 * writhe) / 4, max_degree) for e, c in _kauffman_bracket(text, n).items())
 
 
@@ -259,17 +272,17 @@ def _faces(drawing):
 def _face_weight(text, n, d, max_degree):
     """Per degree, the sum over circle diagrams D of tau(Z)_D d^faces(D)."""
     word = parse_braid_word(text, n)
-    skeleton = closure_skeleton(word)
-    tau = tau_project(kontsevich_of_braid(word, max_degree), skeleton, max_degree)
+    cycles = closure_skeleton(word)
+    tau = tau_project(kontsevich_of_braid(word, max_degree), cycles, max_degree)
     out = np.zeros(max_degree + 1, dtype=complex)
-    for drawing, coefficient in zip(circle_basis(skeleton.n_components, max_degree), tau):
-        out[(len(drawing) - skeleton.n_components) // 2] += coefficient * d ** _faces(drawing)
+    for drawing, coefficient in zip(circle_basis(len(cycles), max_degree), tau):
+        out[(len(drawing) - len(cycles)) // 2] += coefficient * d ** _faces(drawing)
     return out
 
 
 def _classical_trace(text, n, d, max_degree, inverse=True):
     """Per degree, the sum over permutations g of T_g d^cycles(g)."""
-    weights = [d ** len(Permutation(tuple(p + 1 for p in perm)).cycles()) for perm in _group(n)[0]]
+    weights = [d ** len(_cycle_lengths(perm)) for perm in _group(n)[0]]
     return _closed(text, n, max_degree, inverse) @ np.array(weights)
 
 

@@ -120,6 +120,11 @@ def test_relabel_strands():
     swapped = relabel_strands(s, 3, 2, (2, 1, 3))
     assert np.array_equal(swapped, series(3, 2, {((1, 2),): 1.0, ((1, 3), (1, 2)): 2.0}))
     assert np.array_equal(relabel_strands(swapped, 3, 2, (2, 1, 3)), s)
+    for images in ((1, 1, 2), (0, 1, 2), (2, 1)):
+        with pytest.raises(ValueError, match=r"^relabelling needs a permutation of 1\.\.3$"):
+            relabel_strands(s, 3, 2, images)
+    with pytest.raises(ValueError, match=r"^relabelling needs a vector of 13 coefficients$"):
+        relabel_strands(s[:12], 3, 2, (2, 1, 3))
 
 
 def test_json_round_trip():
