@@ -1,11 +1,11 @@
 """Artin braid words and their realization as loops of plane configurations.
 
 A word realizes as a piecewise-analytic loop in the space of N distinct
-points: strand k starts at k-1 on the real axis, each letter swaps the two
-points at adjacent positions along half circles of radius 1/2, everything
-else stands still.  The swapping pair keeps constant unit distance and no
-other point comes closer than about 1/2, so the loop stays clear of the
-diagonal.
+points, one segment per letter (none for the empty word): strand k starts
+at k-1 on the real axis, each letter swaps the two points at adjacent
+positions along half circles of radius 1/2, everything else stands still.
+The swapping pair keeps constant unit distance and no other point comes
+closer than about 1/2, so the loop stays clear of the diagonal.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ def permutation_of(word: BraidWord) -> tuple:
 
 
 class _Arc(namedtuple("_Arc", "start moving center sign")):
-    """One analytic time segment; local parameter s runs over [0, 1].
+    """One letter's half turn; local parameter s runs over [0, 1].
 
     start is the complex start position per strand; moving is (strand at
-    left slot, strand at right slot), or None when no strand moves, and that
-    pair makes a half turn about center, counterclockwise for sign +1.
+    left slot, strand at right slot), and that pair makes a half turn about
+    center, counterclockwise for sign +1, while every other strand rests.
     """
 
     __slots__ = ()
@@ -92,22 +92,20 @@ class _Arc(namedtuple("_Arc", "start moving center sign")):
         s = np.asarray(s, dtype=float)
         z = np.empty(s.shape + (len(self.start),), dtype=complex)
         z[...] = self.start
-        if self.moving is not None:
-            a, b = self.moving
-            phase = 0.5 * np.exp(1j * self.sign * math.pi * s)
-            z[..., a - 1] = self.center - phase
-            z[..., b - 1] = self.center + phase
+        a, b = self.moving
+        phase = 0.5 * np.exp(1j * self.sign * math.pi * s)
+        z[..., a - 1] = self.center - phase
+        z[..., b - 1] = self.center + phase
         return z
 
     def velocities(self, s):
         """d/ds of positions(s), same shape."""
         s = np.asarray(s, dtype=float)
         v = np.zeros(s.shape + (len(self.start),), dtype=complex)
-        if self.moving is not None:
-            a, b = self.moving
-            dphase = 0.5j * self.sign * math.pi * np.exp(1j * self.sign * math.pi * s)
-            v[..., a - 1] = -dphase
-            v[..., b - 1] = dphase
+        a, b = self.moving
+        dphase = 0.5j * self.sign * math.pi * np.exp(1j * self.sign * math.pi * s)
+        v[..., a - 1] = -dphase
+        v[..., b - 1] = dphase
         return v
 
 
@@ -129,50 +127,26 @@ class _Warped(namedtuple("_Warped", "segment rate")):
 
 def _warped(loop, rate):
     """The loop with every segment warped by _Warped(segment, rate)."""
-    return ConfigLoop(loop.n_strands, tuple(_Warped(s, rate) for s in loop.segments), loop.breaks)
+    return ConfigLoop(loop.n_strands, tuple(_Warped(s, rate) for s in loop.segments))
 
 
-class ConfigLoop(namedtuple("ConfigLoop", "n_strands segments breaks")):
-    """Piecewise-analytic loop of N distinct points over [0, 1].
-
-    breaks are the cumulative segment end times, the last equal to 1.0.
-    """
+class ConfigLoop(namedtuple("ConfigLoop", "n_strands segments")):
+    """Loop of N distinct points as its segments in order, each over its own local time [0, 1]."""
 
     __slots__ = ()
 
 
-def realize(word: BraidWord, durations=None) -> ConfigLoop:
-    """Geometric realization of a braid word, base points at 0..N-1.
-
-    durations, when given, weights the time sub-interval of each letter; the
-    default splits [0, 1] equally.  Transport coefficients do not depend on
-    this choice.
-    """
+def realize(word: BraidWord) -> ConfigLoop:
+    """Geometric realization of a braid word, base points at 0..N-1: one _Arc per letter."""
     n = word.n_strands
-    if not word.letters:
-        start = tuple(complex(k) for k in range(n))
-        arc = _Arc(start, None, 0.0, 1)
-        return ConfigLoop(n, (arc,), (1.0,))
-    if durations is None:
-        durations = [1.0] * len(word.letters)
-    durations = [float(d) for d in durations]
-    if len(durations) != len(word.letters) or min(durations) <= 0:
-        raise ValueError("need one positive duration per letter")
-    total = sum(durations)
     strand_at = list(range(1, n + 1))  # position (0-based slot) -> strand
     segments = []
-    breaks = []
-    acc = 0.0
-    for (k, sign), dur in zip(word.letters, durations):
+    for k, sign in word.letters:
         start = [0j] * n
         for slot, strand in enumerate(strand_at):
             start[strand - 1] = complex(slot)
-        a = strand_at[k - 1]
-        b = strand_at[k]
+        a, b = strand_at[k - 1], strand_at[k]
         center = (2 * k - 1) / 2.0  # midpoint of slots k-1 and k
         segments.append(_Arc(tuple(start), (a, b), center, sign))
         strand_at[k - 1], strand_at[k] = b, a
-        acc += dur / total
-        breaks.append(acc)
-    breaks[-1] = 1.0
-    return ConfigLoop(n, tuple(segments), tuple(breaks))
+    return ConfigLoop(n, tuple(segments))

@@ -276,6 +276,8 @@ def circle_series_to_json_dict(
     the benchmark tracer wraps it.
     """
     basis = circle_basis(n_circles, max_degree)
+    if len(coefficients) != len(basis):
+        raise ValueError(f"circle_series_to_json_dict needs a vector of {len(basis)} coefficients")
     values = coefficients.tolist()
     terms = []
     for k in range(len(basis)) if positions is None else positions:

@@ -173,13 +173,13 @@ def _check_abelian(max_degree):
 
 
 def _check_reparam(max_degree):
-    # the same loop at uneven speed inside every segment; a velocity that
-    # missed the factor phi' would be off by 0.04 to 0.2
-    word = _braids.parse_braid_word("1 2", 3)
-    even = _transport.transport(_braids.realize(word), max_degree).coefficients
+    # the same loop at uneven speed inside every segment, each over its own
+    # local time; a velocity that missed the factor phi' is off by 0.04 to 0.2
+    loop = _braids.realize(_braids.parse_braid_word("1 2", 3))
+    even = _transport.transport(loop, max_degree).coefficients
     worst = 0.0
     for rate in (1.0, 2.0, 4.0):
-        warped = _braids._warped(_braids.realize(word, durations=(2.0, 1.0)), rate)
+        warped = _braids._warped(loop, rate)
         worst = max(worst, np.abs(_transport.transport(warped, max_degree).coefficients - even).max())
     return worst, 1e-12
 

@@ -229,11 +229,8 @@ def transport(loop: ConfigLoop, max_degree: int) -> TransportResult:
     for index, segment in enumerate(loop.segments):
         n, omega = _resolved_omega(segment, ii, jj)
         if not np.isfinite(omega).all():
-            left = loop.breaks[index - 1] if index else 0.0
-            raise TransportError(
-                f"non-finite transport coefficients inside segment ending at t={loop.breaks[index]}"
-                f" (segment start t={left})"
-            )
+            where = f"segment {index + 1} of {len(loop.segments)}"
+            raise TransportError(f"non-finite transport coefficients inside {where}")
         resolved.append((n, omega))
         doubled.append((2 * n, _segment_omega(segment, _chebyshev(2 * n)[0], ii, jj)))
     coefficients, finer = (
@@ -300,6 +297,8 @@ def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:
     on each segment; the degree-m block is then the m-fold outer product of
     v divided by m!, which is what ordering-blind transport would give.
     """
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     _, ii, jj = _pair_indices(loop.n_strands)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes = 0.5 * (nodes + 1.0)
@@ -343,6 +342,8 @@ def simplex_oracle(loop: ConfigLoop, word: tuple, grid: int) -> complex:
     """Iterated integral of the word's chords over the ordered simplex.
 
     word is a tuple of strand pairs (i, j), i < j, bottom chord first.
+    Loop time t runs segment floor(tS) of the S segments at local time
+    tS - floor(tS), so a loop with no segments integrates to 0 above degree 0.
 
     Composite midpoint rule per axis: the integrand factors are frozen at
     cell midpoints and the resulting piecewise-constant product is integrated
@@ -372,15 +373,12 @@ def simplex_oracle(loop: ConfigLoop, word: tuple, grid: int) -> complex:
     columns = [pairs.index(chord) for chord in word]
     h = 1.0 / grid
     mids = (np.arange(grid) + 0.5) * h
-    # the segment holding each midpoint
-    owner = np.minimum(np.searchsorted(loop.breaks, mids, side="right"), len(loop.segments) - 1)
-    values = np.empty((grid, m), dtype=complex)
+    count = len(loop.segments)
+    owner, local = np.divmod(mids * count, 1.0)
+    values = np.zeros((grid, m), dtype=complex)
     for index, segment in enumerate(loop.segments):
         inside = owner == index
-        left = loop.breaks[index - 1] if index else 0.0
-        duration = loop.breaks[index] - left
-        omega = _segment_omega(segment, (mids[inside] - left) / duration, ii, jj) / duration
-        values[inside] = omega[:, columns]
+        values[inside] = count * _segment_omega(segment, local[inside], ii, jj)[:, columns]
     # boundary[k]: the degree-k partial integral up to the current cell's
     # left edge; inside a cell it grows as the polynomial poly in the offset
     boundary = [1.0 + 0.0j] + [0j] * m

@@ -168,9 +168,12 @@ def series_to_json_dict(coefficients, n_strands, max_degree, zero_threshold=ZERO
     compute writes this document's text through _text; this is the tests'
     reference for it, kept here because the benchmark tracer wraps it.
     """
+    words = basis_words(n_strands, max_degree)
+    if len(coefficients) != len(words):
+        raise ValueError(f"series_to_json_dict needs a vector of {len(words)} coefficients")
     terms = [
         {"word": [list(p) for p in w], "re": c.real, "im": c.imag}
-        for w, c in zip(basis_words(n_strands, max_degree), coefficients.tolist())
+        for w, c in zip(words, coefficients.tolist())
         if abs(c) >= zero_threshold
     ]
     return {"n_strands": n_strands, "max_degree": max_degree, "terms": terms}

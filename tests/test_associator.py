@@ -79,8 +79,7 @@ def _associator(eps, max_degree):
         ends.append(min(2 * ends[-1], 0.5))
     halves = list(zip(ends, ends[1:]))
     segments = [_Line(0.0, x, y) for x, y in halves] + [_Line(-1.0, -y, -x) for x, y in reversed(halves)]
-    breaks = tuple((k + 1) / len(segments) for k in range(len(segments)))
-    result = transport(ConfigLoop(3, tuple(segments), breaks), max_degree)
+    result = transport(ConfigLoop(3, tuple(segments)), max_degree)
     log_eps = math.log(eps) / (2j * math.pi)
     phi = series_product(_exp(-log_eps, (B,), max_degree), result.coefficients, 3, max_degree)
     phi = series_product(phi, _exp(log_eps, (A,), max_degree), 3, max_degree)

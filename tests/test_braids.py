@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from kzbraid.braids import (
     BraidParseError,
     BraidWord,
+    ConfigLoop,
     parse_braid_word,
     permutation_of,
     realize,
@@ -16,13 +17,33 @@ from kzbraid.braids import (
 
 
 def segment_at(loop, t):
-    """(segment, local s, duration) covering global time t."""
+    """(segment, local s, duration) covering loop time t, the S segments taking equal shares 1/S."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
-    idx = min(bisect_right(loop.breaks, t), len(loop.segments) - 1)
-    left = loop.breaks[idx - 1] if idx else 0.0
-    duration = loop.breaks[idx] - left
-    return loop.segments[idx], (t - left) / duration, duration
+    count = len(loop.segments)
+    idx = min(int(t * count), count - 1)
+    return loop.segments[idx], t * count - idx, 1.0 / count
+
+
+class _Piece(namedtuple("_Piece", "segment lo hi")):
+    """A segment's local times [lo, hi] as a segment of its own, velocity scaled by hi - lo."""
+
+    __slots__ = ()
+
+    def _local(self, s):
+        return self.lo + (self.hi - self.lo) * np.asarray(s, dtype=float)
+
+    def positions(self, s):
+        return self.segment.positions(self._local(s))
+
+    def velocities(self, s):
+        return (self.hi - self.lo) * self.segment.velocities(self._local(s))
+
+
+def cut_loop(loop, piece=_Piece):
+    """The loop with every segment cut at local time 0.3 into two pieces of unequal length."""
+    pieces = (piece(s, lo, hi) for s in loop.segments for lo, hi in ((0.0, 0.3), (0.3, 1.0)))
+    return ConfigLoop(loop.n_strands, tuple(pieces))
 
 
 def sample(loop, t):
@@ -89,11 +110,10 @@ def test_braid_records_validate_and_stay_frozen():
             BraidWord(*args)
     loop = realize(BraidWord(2, ((1, 1),)))
     assert repr(loop) == (
-        "ConfigLoop(n_strands=2, segments=(_Arc(start=(0j, (1+0j)), moving=(1, 2), center=0.5, sign=1),),"
-        " breaks=(1.0,))"
+        "ConfigLoop(n_strands=2, segments=(_Arc(start=(0j, (1+0j)), moving=(1, 2), center=0.5, sign=1),))"
     )
     assert hash(loop) == hash(realize(BraidWord(2, ((1, 1),))))
-    for record, field in ((word, "letters"), (loop, "breaks"), (loop.segments[0], "sign")):
+    for record, field in ((word, "letters"), (loop, "segments"), (loop.segments[0], "sign")):
         with pytest.raises(AttributeError):
             setattr(record, field, ())
         with pytest.raises(AttributeError):
@@ -116,12 +136,9 @@ def test_braid_word_make_and_replace_validate():
 
 
 def test_identity_loop():
+    # the empty word moves no strand, so its loop has no segments
     loop = realize(parse_braid_word("", 3))
-    for t in (0.0, 0.3, 1.0):
-        z, v = sample(loop, t)
-        assert np.allclose(z, [0.0, 1.0, 2.0])
-        assert np.allclose(v, 0.0)
-    assert min_separation(loop, 100) == pytest.approx(1.0)
+    assert loop == ConfigLoop(3, ()) and repr(loop) == "ConfigLoop(n_strands=3, segments=())"
 
 
 def test_sigma1_arc_values():
@@ -169,7 +186,8 @@ def test_loop_closure_and_permutation_consistency():
         w = BraidWord(n, letters)
         loop = realize(w)
         pi = permutation_of(w)
-        z, _ = sample(loop, 1.0)
+        # the empty word's loop has no segments: every strand stays at its base point
+        z = sample(loop, 1.0)[0] if loop.segments else np.arange(n, dtype=complex)
         # strand s ends at base point images[s-1] - 1
         assert np.allclose(z, [complex(p - 1) for p in pi], atol=1e-12)
 
@@ -180,13 +198,3 @@ def test_sample_rejects_outside_interval():
         sample(loop, 1.5)
     with pytest.raises(ValueError):
         sample(loop, -0.1)
-
-
-def test_durations_validated():
-    w = parse_braid_word("1 2", 3)
-    with pytest.raises(ValueError):
-        realize(w, durations=(1.0,))
-    with pytest.raises(ValueError):
-        realize(w, durations=(1.0, 0.0))
-    loop = realize(w, durations=(3.0, 1.0))
-    assert loop.breaks == (0.75, 1.0)

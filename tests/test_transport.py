@@ -44,7 +44,7 @@ from kzbraid.words import (
     series_product,
 )
 from reference_orders import projection_of, word
-from test_braids import segment_at
+from test_braids import _Piece, cut_loop, segment_at
 
 # the module, which the package's `transport` function shadows as an attribute
 transport_module = importlib.import_module("kzbraid.transport")
@@ -65,7 +65,7 @@ def identity(n, max_degree):
 
 
 def omega_at(loop, t):
-    """Connection on the loop velocity at global time t, per chord pair."""
+    """Connection on the loop velocity at loop time t, per chord pair."""
     pairs, ii, jj = _pair_indices(loop.n_strands)
     segment, s, duration = segment_at(loop, t)
     values = _segment_omega(segment, s, ii, jj) / duration
@@ -73,9 +73,14 @@ def omega_at(loop, t):
 
 
 def test_omega_identity_loop_vanishes():
+    # the identity loop has no segments, so every iterated integral of
+    # positive degree is 0 and the oracle's integrand is never filled
     loop = realize(parse_braid_word("", 3))
-    sample = omega_at(loop, 0.4)
-    assert all(abs(v) == 0.0 for v in sample.values())
+    assert loop.segments == ()
+    assert simplex_oracle(loop, word(3), 64) == 1.0
+    for degree in (1, 2, 3):
+        for w in enumerate_words(3, degree):
+            assert simplex_oracle(loop, w, 64) == 0.0
 
 
 def test_omega_sigma1_half():
@@ -89,6 +94,7 @@ def test_omega_sigma1_half():
 def test_transport_identity_braid():
     res = transport(realize(parse_braid_word("", 4)), 4)
     assert np.array_equal(res.coefficients, identity(4, 4))
+    assert res.steps_used == 0 and res.richardson_error_estimate == 0.0
 
 
 def test_transport_empty_word_coefficient_exact():
@@ -126,8 +132,11 @@ def test_oracle_sigma1_values():
 
 
 def test_oracle_agrees_with_transport():
-    for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3)):
-        loop = realize(parse_braid_word(text, strands))
+    # the oracle gives each segment an equal share of loop time, so the cut
+    # loop's pieces, of local length 0.3 and 0.7, run at unequal speeds
+    loops = [realize(parse_braid_word(text, strands)) for text, strands in (("1", 2), ("1 1", 2), ("1 2", 3))]
+    for loop in loops + [cut_loop(loops[-1])]:
+        strands = loop.n_strands
         series = transport(loop, 3).coefficients
         for degree in (1, 2, 3):
             for w in enumerate_words(strands, degree):
@@ -299,16 +308,18 @@ def test_far_commutation_flatness():
     assert sup_diff(za, zb) < 1e-6
 
 
-REPARAM_CASES = (("1 2", 3, (2.0, 1.0)), ("1 1 -2", 3, (1.0, 3.0, 2.0)), ("1 -2 3", 4, (1.0, 2.0, 3.0)))
+REPARAM_CASES = (("1 2", 3), ("1 1 -2", 3), ("1 -2 3", 4))
 
 
 def test_reparametrization_invariance():
-    # uneven durations between segments and uneven speed inside each one
-    for text, n, durations in REPARAM_CASES:
-        w = parse_braid_word(text, n)
-        even = transport(realize(w), 3).coefficients
+    # every segment cut at local time 0.3 into two pieces, and uneven speed
+    # inside each segment
+    for text, n in REPARAM_CASES:
+        loop = realize(parse_braid_word(text, n))
+        even = transport(loop, 3).coefficients
+        assert sup_diff(even, transport(cut_loop(loop), 3).coefficients) < 1e-12, text
         for rate in (1.0, 2.0, 4.0):
-            warped = transport(_warped(realize(w, durations=durations), rate), 3)
+            warped = transport(_warped(loop, rate), 3)
             assert sup_diff(even, warped.coefficients) < 1e-12, (text, rate)
 
 
@@ -319,14 +330,25 @@ class _WarpedWithoutSpeed(_Warped):
         return self.segment.velocities(self._phi(s))
 
 
+class _PieceWithoutSpeed(_Piece):
+    """The piece with the velocity not scaled by hi - lo: a wrong cut."""
+
+    def velocities(self, s):
+        return self.segment.velocities(self._local(s))
+
+
 def test_reparametrization_gate_fails_without_speed_factor():
-    for text, n, durations in REPARAM_CASES:
-        w = parse_braid_word(text, n)
-        even = transport(realize(w), 3).coefficients
-        loop = realize(w, durations=durations)
+    for text, n in REPARAM_CASES:
+        loop = realize(parse_braid_word(text, n))
+        even = transport(loop, 3).coefficients
+        wrong = transport(cut_loop(loop, _PieceWithoutSpeed), 3).coefficients
+        assert sup_diff(even, wrong) > 0.01, text
         for rate in (1.0, 2.0, 4.0):
-            wrong = ConfigLoop(n, tuple(_WarpedWithoutSpeed(s, rate) for s in loop.segments), loop.breaks)
+            wrong = ConfigLoop(n, tuple(_WarpedWithoutSpeed(s, rate) for s in loop.segments))
             assert sup_diff(even, transport(wrong, 3).coefficients) > 0.01, (text, rate)
+    # each piece of sigma1 then runs the whole half turn's winding: 0.5 becomes 1.0
+    wrong = transport(cut_loop(realize(parse_braid_word("1", 2)), _PieceWithoutSpeed), 1).coefficients
+    assert wrong[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def _at_nodes(loop, n, max_degree):
@@ -337,7 +359,7 @@ def _at_nodes(loop, n, max_degree):
 
 
 def test_transport_converges_geometrically_in_nodes():
-    loop = realize(parse_braid_word("1 -2 1", 3), durations=(1.0, 2.0, 1.5))
+    loop = realize(parse_braid_word("1 -2 1", 3))
     reference = _at_nodes(loop, 128, 3)
     errors = [sup_diff(_at_nodes(loop, n, 3), reference) for n in (4, 8, 16, 32)]
     assert errors[0] >= 100 * errors[1] and errors[1] >= 100 * errors[2], errors
@@ -399,6 +421,12 @@ def test_abelian_identity_braid():
     assert sup_diff(closed, identity(3, 3)) < 1e-14
 
 
+def test_abelian_holonomy_refuses_negative_degree():
+    loop = realize(parse_braid_word("1", 2))
+    with pytest.raises(ValueError, match=r"^need max_degree >= 0$"):
+        abelian_holonomy(loop, -1)
+
+
 def test_abelian_single_generator_exact_match():
     loop = realize(parse_braid_word("1", 2))
     direct = transport(loop, 4).coefficients
@@ -407,17 +435,19 @@ def test_abelian_single_generator_exact_match():
 
 
 def test_transport_error_on_collision():
-    arc = _Arc((0j, 0j), None, 0.0, 1)
-    broken = ConfigLoop(2, (arc,), (1.0,))
+    # strand 2's half turn meets strand 3, resting where strand 2 stands at
+    # the middle node of the first nodes sampled, s = 1/2 up to rounding
+    nodes = _chebyshev(8)[0]
+    meeting = _Arc((0j, 1 + 0j, 0j), (1, 2), 0.5, 1).positions(nodes)[4, 1]
+    collided = _Arc((0j, 1 + 0j, meeting), (1, 2), 0.5, 1)
     # in the two-segment loop the first segment passes the finiteness check
     # and the message names the second
     good = realize(parse_braid_word("1", 3)).segments[0]
-    collided = _Arc((0j, 0j, 2 + 0j), None, 0.0, 1)
-    second = ConfigLoop(3, (good, collided), (0.25, 1.0))
+    second = ConfigLoop(3, (good, collided))
     cases = (
-        (broken, 1, "segment ending at t=1.0 (segment start t=0.0)"),
-        (second, 1, "segment ending at t=1.0 (segment start t=0.25)"),
-        (second, 4, "segment ending at t=1.0 (segment start t=0.25)"),
+        (ConfigLoop(3, (collided,)), 1, "segment 1 of 1"),
+        (second, 1, "segment 2 of 2"),
+        (second, 4, "segment 2 of 2"),
     )
     with np.errstate(all="ignore"):
         for loop, max_degree, where in cases:

@@ -152,6 +152,18 @@ def test_circle_json_round_trip():
     assert complex(term["re"], term["im"]) == s[k]
 
 
+def test_json_documents_refuse_a_vector_that_does_not_fill_the_basis():
+    # N=3, M=2 holds 13 words and 2 circles at M=2 hold 12 diagrams: a short
+    # vector must not list fewer terms, nor a long one drop its extra entries
+    assert len(basis_words(3, 2)) == 13 and len(circle_basis(2, 2)) == 12
+    for length in (12, 14):
+        with pytest.raises(ValueError, match=r"^series_to_json_dict needs a vector of 13 coefficients$"):
+            series_to_json_dict(np.ones(length, dtype=complex), 3, 2)
+    for length in (11, 13):
+        with pytest.raises(ValueError, match=r"^circle_series_to_json_dict needs a vector of 12 coefficients$"):
+            circle_series_to_json_dict(np.ones(length, dtype=complex), 2, 2)
+
+
 def test_json_text_matches_json_dumps():
     # the cached-text writers against json.dumps(indent=2), nested `level`
     # deep in an enclosing indent=2 document; compute's link series sits
