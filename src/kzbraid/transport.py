@@ -20,11 +20,11 @@ after each factor is the prefix sum of outer products of the lower degrees
 before it with the factors, and the top degree, which feeds no other, is
 only summed, by matrix products.
 
-transport() sweeps any loop on every pair and estimates its error from the
-same loop at twice each segment's node count, so no function here takes a
-step count.  A braid's integral scans its letters instead: each letter's
-holonomy is swept once per process on the 2N - 3 pairs its two points move,
-cached, and placed on the strands at its slots when the letter starts.
+transport() sweeps each segment of any loop once, on every pair, at its
+resolving n, so no function here takes a step count.  A braid's integral
+scans its letters instead: each letter's holonomy is swept once per process
+on the 2N - 3 pairs its two points move, cached, and placed on the strands
+at its slots when the letter starts.
 
 A direct simplex quadrature of the same iterated integrals is provided as an
 independent oracle, along with the closed-form holonomy of the abelianized
@@ -70,11 +70,11 @@ class TransportError(RuntimeError):
     """Non-finite values met while integrating."""
 
 
-class TransportResult(namedtuple("TransportResult", "steps_used richardson_error_estimate coefficients")):
-    """A loop's transport and its error estimate.
+class TransportResult(namedtuple("TransportResult", "steps_used coefficients")):
+    """A loop's transport.
 
-    steps_used is the nodes of each segment's 2n-node comparison run, summed
-    over segments; coefficients is read-only, one entry per basis word in
+    steps_used is the n + 1 nodes each segment was swept at, summed over
+    segments; coefficients is read-only, one entry per basis word in
     graded-lex order.
     """
 
@@ -218,28 +218,22 @@ def transport(loop: ConfigLoop, max_degree: int) -> TransportResult:
 
     Each segment is swept at the fewest Chebyshev nodes n that resolve its
     connection, and the segments are composed by the scan kontsevich_of_braid
-    uses.  The error estimate is the largest difference from the same loop
-    at 2n nodes per segment; steps_used counts the 2n + 1 nodes of each
-    segment.
+    uses.
     """
     if max_degree < 0:
         raise ValueError("need max_degree >= 0")
     _, ii, jj = _pair_indices(loop.n_strands)
-    resolved, doubled = [], []  # (n, omega at the nodes of _chebyshev(n)) per segment
+    resolved = []  # (n, omega at the nodes of _chebyshev(n)) per segment
     for index, segment in enumerate(loop.segments):
         n, omega = _resolved_omega(segment, ii, jj)
         if not np.isfinite(omega).all():
             where = f"segment {index + 1} of {len(loop.segments)}"
             raise TransportError(f"non-finite transport coefficients inside {where}")
         resolved.append((n, omega))
-        doubled.append((2 * n, _segment_omega(segment, _chebyshev(2 * n)[0], ii, jj)))
-    coefficients, finer = (
-        _scan((_sweeps(n, omega, max_degree) for n, omega in samples), len(samples), len(ii), max_degree)
-        for samples in (resolved, doubled)
-    )
+    factors = (_sweeps(n, omega, max_degree) for n, omega in resolved)
+    coefficients = _scan(factors, len(resolved), len(ii), max_degree)
     coefficients.flags.writeable = False
-    nodes = sum(n + 1 for n, _ in doubled)
-    return TransportResult(nodes, float(np.abs(coefficients - finer).max()), coefficients)
+    return TransportResult(sum(n + 1 for n, _ in resolved), coefficients)
 
 
 def _moved_pairs(n_strands, k):
@@ -321,6 +315,8 @@ def symmetrized(coefficients, n_strands: int, max_degree: int) -> np.ndarray:
     block is averaged per multiset, keyed by the index of the word with its
     base-P digits sorted.
     """
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     n_pairs = n_strands * (n_strands - 1) // 2
     size = _block_slices(n_pairs, max_degree)[-1].stop
     if len(coefficients) != size:

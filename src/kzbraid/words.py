@@ -102,6 +102,8 @@ def _outer(a, b):
 
 def series_product(upper, lower, n_strands, max_degree):
     """Stacking product of two dense series, upper's chords above lower's, truncated."""
+    if max_degree < 0:
+        raise ValueError("need max_degree >= 0")
     n_pairs = n_strands * (n_strands - 1) // 2
     size = _block_slices(n_pairs, max_degree)[-1].stop
     if len(upper) != size or len(lower) != size:

@@ -32,6 +32,7 @@ from kzbraid.braids import ConfigLoop
 from kzbraid.relations import reduce
 from kzbraid.transport import transport
 from kzbraid.words import basis_words, relabel_strands, series_product
+from test_transport import group_like_defect
 
 MAX_DEGREE = 3
 ZETA3 = 1.2020569031595942
@@ -73,7 +74,7 @@ def _exp(x, chords, max_degree):
 
 
 def _associator(eps, max_degree):
-    """(segments, error estimate, regularized holonomy) from s = eps to 1 - eps."""
+    """(segments, regularized holonomy) from s = eps to 1 - eps."""
     ends = [eps]
     while ends[-1] < 0.5:
         ends.append(min(2 * ends[-1], 0.5))
@@ -83,7 +84,7 @@ def _associator(eps, max_degree):
     log_eps = math.log(eps) / (2j * math.pi)
     phi = series_product(_exp(-log_eps, (B,), max_degree), result.coefficients, 3, max_degree)
     phi = series_product(phi, _exp(log_eps, (A,), max_degree), 3, max_degree)
-    return len(segments), result.richardson_error_estimate, phi
+    return len(segments), phi
 
 
 def _zeta_reg(word, zetas):
@@ -114,10 +115,10 @@ def _worst_miss(phi, max_degree, zetas=ZETAS):
 
 
 def test_associator_matches_drinfeld_through_degree_three():
-    # 106 segments at an error estimate of 1.4e-14; the worst miss seen is
-    # 3.6e-14 at degree 2 and 1.7e-13 at degree 3
-    n_segments, error, phi = _associator(1e-16, MAX_DEGREE)
-    assert n_segments == 106 and error < 1e-13
+    # 106 segments at a group-like defect of 3.3e-13; the worst miss seen
+    # is 3.6e-14 at degree 2 and 1.7e-13 at degree 3
+    n_segments, phi = _associator(1e-16, MAX_DEGREE)
+    assert n_segments == 106 and group_like_defect(phi, 3, MAX_DEGREE) <= 1e-12
     assert _worst_miss(phi, MAX_DEGREE) < 1e-12
     assert all(phi[INDEX[word]] == 0 for word in WORDS if (1, 3) in word)
 
@@ -125,14 +126,14 @@ def test_associator_matches_drinfeld_through_degree_three():
 def test_associator_gate_sees_a_coarse_regularization():
     # the ends eps and 1 - eps leave terms of order eps (up to logs): at 1e-8 the
     # same comparison misses by about 1.5e-8, so the gate above can fail
-    assert _worst_miss(_associator(1e-8, MAX_DEGREE)[2], MAX_DEGREE) > 1e-9
+    assert _worst_miss(_associator(1e-8, MAX_DEGREE)[1], MAX_DEGREE) > 1e-9
 
 
 def test_associator_duality():
     # Phi_321 = Phi^-1: Phi with strands 1 and 3 swapped, stacked on Phi in
     # either order, is the unit (1.7e-13 seen); swapping strands 1 and 2
     # instead misses by 1/24, the degree-2 coefficient, so the gate can fail
-    phi = _associator(1e-16, MAX_DEGREE)[2]
+    phi = _associator(1e-16, MAX_DEGREE)[1]
     unit = np.zeros(len(WORDS), dtype=complex)
     unit[INDEX[()]] = 1.0
     for images, holds in (((3, 2, 1), True), ((2, 1, 3), False)):
@@ -157,7 +158,7 @@ def test_associator_hexagon_at_degree_four():
     # its inverse misses by 1/12 and dropping every associator by 1/8, so the
     # gate can fail
     m = 4
-    phi = _associator(1e-16, m)[2]
+    phi = _associator(1e-16, m)[1]
     phi_213, phi_132 = (relabel_strands(phi, 3, m, images) for images in ((2, 1, 3), (1, 3, 2)))
     for s in (1, -1):
         half13, half23 = _exp(s / 2, ((1, 3),), m), _exp(s / 2, (B,), m)
@@ -173,15 +174,15 @@ def test_associator_hexagon_at_degree_four():
 
 
 def test_associator_matches_multiple_zeta_values_at_degree_four():
-    # 106 segments at an error estimate of 5.7e-14; the worst miss seen over
-    # the 16 t13-free degree-4 words is 3.3e-13.  Each degree-4 coefficient is
-    # rational, BAAA = -1/1440 and BBAA = 1/5760 among them.  Swapping
-    # zeta(3,1) and zeta(2,2) moves BABA and BBAA by
+    # 106 segments at a group-like defect of 1.3e-12; the worst miss seen
+    # over the 16 t13-free degree-4 words is 3.3e-13.  Each degree-4
+    # coefficient is rational, BAAA = -1/1440 and BBAA = 1/5760 among them.
+    # Swapping zeta(3,1) and zeta(2,2) moves BABA and BBAA by
     # (zeta(2,2) - zeta(3,1)) / (2 pi)^4 = 1/2880 (1.0e-3 seen at the worst
     # word, through the regularized ones), so the gate can fail
     m = 4
-    n_segments, error, phi = _associator(1e-16, m)
-    assert n_segments == 106 and error < 1e-13
+    n_segments, phi = _associator(1e-16, m)
+    assert n_segments == 106 and group_like_defect(phi, 3, m) <= 1e-11
     assert abs(_expected((B, A, A, A)) + 1 / 1440) < 1e-18 and abs(_expected((B, B, A, A)) - 1 / 5760) < 1e-18
     assert _worst_miss(phi, m) < 1e-11
     assert all(phi[g] == 0 for g, w in enumerate(basis_words(3, m)) if (1, 3) in w)

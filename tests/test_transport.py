@@ -94,7 +94,7 @@ def test_omega_sigma1_half():
 def test_transport_identity_braid():
     res = transport(realize(parse_braid_word("", 4)), 4)
     assert np.array_equal(res.coefficients, identity(4, 4))
-    assert res.steps_used == 0 and res.richardson_error_estimate == 0.0
+    assert res.steps_used == 0
 
 
 def test_transport_empty_word_coefficient_exact():
@@ -366,18 +366,75 @@ def test_transport_converges_geometrically_in_nodes():
     assert errors[3] <= 1e-15, errors
     result = transport(loop, 3)
     assert sup_diff(result.coefficients, reference) <= 1e-15
-    assert result.richardson_error_estimate <= 1e-15
+    assert group_like_defect(result.coefficients, 3, 3) <= 1e-15
 
 
 def test_transport_reports_steps():
-    # "1 2" on 3 strands: both letters resolve at n = 32, compared at 64
+    # "1 2" on 3 strands: both letters resolve at n = 32
     loop = realize(parse_braid_word("1 2", 3))
     res, single = transport(loop, 2), transport(loop, 1)
-    assert res.steps_used == single.steps_used == 2 * (2 * 32 + 1)
-    assert 0.0 <= single.richardson_error_estimate <= 1e-15
-    assert repr(single).startswith(f"TransportResult(steps_used=130, richardson_error_estimate={single.richardson_error_estimate!r}, ")
+    assert res.steps_used == single.steps_used == 2 * (32 + 1)
+    assert group_like_defect(res.coefficients, 3, 2) <= 1e-15
+    assert repr(single).startswith("TransportResult(steps_used=66, coefficients=array(")
     with pytest.raises(AttributeError):
         single.steps_used = 0
+
+
+def _left_normed(x, n_pairs, degree):
+    """theta(w1 ... wm) = [[...[w1, w2], ...], wm] on the degree-m words along the last axis.
+
+    Viewed as (lower word u, top chord a), theta(u a) = theta(u) a - a theta(u):
+    with y[..., a, :] = theta of the words under a, the first term is y with
+    a on top and the second y with a at the bottom.
+    """
+    if degree == 1:
+        return x
+    lead = x.shape[:-1]
+    y = _left_normed(np.swapaxes(x.reshape(lead + (-1, n_pairs)), -1, -2), n_pairs, degree - 1)
+    return np.swapaxes(y, -1, -2).reshape(lead + (-1,)) - y.reshape(lead + (-1,))
+
+
+def group_like_defect(series, n_strands, max_degree):
+    """Largest |theta(L_m) - m L_m| over degrees m, L the truncated log of a series with constant term 1.
+
+    A holonomy in the free algebra is group-like (Chen; Ree), so L is a Lie
+    series, and a degree-m element x is Lie exactly when theta(x) = m x
+    (Dynkin-Specht-Wever): the defect measures the integration error.
+    """
+    n_pairs = n_strands * (n_strands - 1) // 2
+    unit = np.zeros_like(series)
+    unit[0] = 1.0
+    log, power = np.zeros_like(series), unit
+    for k in range(1, max_degree + 1):
+        power = series_product(power, series - unit, n_strands, max_degree)
+        log += (-1) ** (k + 1) / k * power
+    blocks = _blocks(log, n_pairs, max_degree)
+    misses = (sup_diff(_left_normed(blocks[m], n_pairs, m), m * blocks[m]) for m in range(1, max_degree + 1))
+    return max(misses, default=0.0)
+
+
+@pytest.mark.parametrize(
+    "text, n, max_degree", [("1 2", 3, 6), ("1 -2 1 2 2", 3, 8), ("1 -2 3", 4, 7), ("1 -2 3 -4 2", 5, 5)]
+)
+def test_braid_series_is_group_like(text, n, max_degree):
+    # 5.7e-17, 4.6e-14, 8.4e-17 and 9.9e-17 seen
+    series = kontsevich_of_braid(parse_braid_word(text, n), max_degree)
+    assert group_like_defect(series, n, max_degree) <= 1e-12
+
+
+def test_group_like_defect_tracks_the_integration_error():
+    # every segment swept at n + 1 nodes: the defect against the distance from
+    # the resolved transport was 0.49 to 1.48 of it, from about 1e-6 at n = 8
+    # down to 4e-14 at n = 24
+    for text, n, max_degree in (("1 2", 3, 6), ("1 -2 3", 4, 5), ("1 -2 1 2 2", 3, 7)):
+        loop = realize(parse_braid_word(text, n))
+        resolved = transport(loop, max_degree).coefficients
+        for nodes in (8, 12, 16, 24):
+            coarse = _at_nodes(loop, nodes, max_degree)
+            defect, error = group_like_defect(coarse, n, max_degree), sup_diff(coarse, resolved)
+            assert error / 4 <= defect <= 4 * error, (text, nodes, defect, error)
+            if nodes == 8:  # the negative control: an unresolved sweep is seen
+                assert defect > 1e-7, (text, defect)
 
 
 def _symmetrized_by_permutations(coefficients, n_strands, max_degree):
@@ -422,9 +479,17 @@ def test_abelian_identity_braid():
 
 
 def test_abelian_holonomy_refuses_negative_degree():
-    loop = realize(parse_braid_word("1", 2))
-    with pytest.raises(ValueError, match=r"^need max_degree >= 0$"):
-        abelian_holonomy(loop, -1)
+    # and so do the series product and symmetrization, which read the blocks
+    # of a basis that has none below degree 0
+    one = np.ones(1, dtype=complex)
+    refusals = (
+        lambda: abelian_holonomy(realize(parse_braid_word("1", 2)), -1),
+        lambda: series_product(one, one, 2, -1),
+        lambda: symmetrized(one, 2, -1),
+    )
+    for refusal in refusals:
+        with pytest.raises(ValueError, match=r"^need max_degree >= 0$"):
+            refusal()
 
 
 def test_abelian_single_generator_exact_match():
