@@ -44,10 +44,6 @@ class BraidWord(namedtuple("BraidWord", "n_strands letters")):
         return f"BraidWord({self.n_strands}; {body})"
 
 
-class BraidParseError(ValueError):
-    pass
-
-
 def parse_braid_word(text: str, n_strands: int) -> BraidWord:
     """Whitespace-separated signed integers; k means the k-th generator."""
     letters = []
@@ -55,11 +51,11 @@ def parse_braid_word(text: str, n_strands: int) -> BraidWord:
         try:
             value = int(token)
         except ValueError:
-            raise BraidParseError(f"non-integer token {token!r}") from None
+            raise ValueError(f"non-integer token {token!r}") from None
         if value == 0:
-            raise BraidParseError("zero token is not a generator")
+            raise ValueError("zero token is not a generator")
         if abs(value) > n_strands - 1:
-            raise BraidParseError(
+            raise ValueError(
                 f"generator index out of range: {token!r} on {n_strands} strands"
             )
         letters.append((abs(value), 1 if value > 0 else -1))

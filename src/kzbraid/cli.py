@@ -46,17 +46,13 @@ MAX_COUNT_STEPS = 2**22  # bound on `dims --strands`, which keeps its printed co
 _STEPS_HELP = "checked, 1 to 2^16, but changes no result (default 512)"
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _cmd_compute(args):
     if args.strands < 2:
-        raise ValidationError("need at least 2 strands")
+        raise ValueError("need at least 2 strands")
     if args.max_degree < 0 or args.steps < 1:
-        raise ValidationError("need max-degree >= 0 and steps >= 1")
+        raise ValueError("need max-degree >= 0 and steps >= 1")
     if not args.zero_threshold >= 0:  # NaN fails every comparison
-        raise ValidationError(f"need zero-threshold >= 0, got {args.zero_threshold}")
+        raise ValueError(f"need zero-threshold >= 0, got {args.zero_threshold}")
     _words.check_word_budget(args.strands, args.max_degree)
     word = _braids.parse_braid_word(args.word, args.strands)
     cycles = None
@@ -88,7 +84,7 @@ def _compute_json(args, word, cycles):
 
 def _check_steps_limit(steps):
     if steps > MAX_STEPS:
-        raise ValidationError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
+        raise ValueError(f"steps {steps} exceeds the limit of {MAX_STEPS} per segment")
 
 
 def _reduced_difference(za, zb, strands, max_degree):
@@ -203,13 +199,13 @@ _CHECKS = {
 
 def _cmd_verify(args):
     if args.check not in _CHECKS:
-        raise ValidationError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
+        raise ValueError(f"unknown check {args.check!r}, expected one of {sorted(_CHECKS)}")
     check, top_degree = _CHECKS[args.check]
     if args.max_degree < 0 or args.steps < 1:
-        raise ValidationError("need max-degree >= 0 and steps >= 1")
+        raise ValueError("need max-degree >= 0 and steps >= 1")
     _check_steps_limit(args.steps)
     if args.max_degree > top_degree:
-        raise ValidationError(
+        raise ValueError(
             f"verify {args.check} runs to degree {top_degree} at most, got {args.max_degree}"
         )
     residual, tolerance = check(args.max_degree)
@@ -229,7 +225,7 @@ def _check_count_steps(n_strands, max_degree):
     """
     steps = (n_strands - 1) * (max_degree + 1) * (max_degree + 2) // 2
     if steps > MAX_COUNT_STEPS:
-        raise ValidationError(
+        raise ValueError(
             f"{n_strands} strands to degree {max_degree} need more than {MAX_COUNT_STEPS}"
             f" counting steps ({steps})"
         )
@@ -237,13 +233,13 @@ def _check_count_steps(n_strands, max_degree):
 
 def _cmd_dims(args):
     if args.max_degree < 0:
-        raise ValidationError("need max-degree >= 0")
+        raise ValueError("need max-degree >= 0")
     if args.strands is not None:
         _check_count_steps(args.strands, args.max_degree)
         dims = _relations._normal_word_counts(args.strands, args.max_degree)
     else:
         _circles.check_circle_budget(args.circles, args.max_degree)
-        dims = [_relations.quotient_dimension(m, circles=args.circles) for m in range(args.max_degree + 1)]
+        dims = [_relations.quotient_dimension(m, ("circles", args.circles)) for m in range(args.max_degree + 1)]
     print(" ".join(f"{degree}:{dim}" for degree, dim in enumerate(dims)))
     return EXIT_OK
 
@@ -300,7 +296,7 @@ def _build_parser():
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
-            raise ValidationError(message)
+            raise ValueError(message)
 
     parser = _Parser(prog="kzbraid", description="Kontsevich integrals of braid words and their closures.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -387,8 +383,8 @@ def main(argv=None) -> int:
         return _cmd_dims(args)
     # the except clauses are evaluated for every exception, --help's
     # SystemExit included, so they name no lazy module's class: a
-    # BraidParseError is a ValueError and a TransportError a RuntimeError
-    except (ValidationError, ValueError, OSError) as exc:
+    # TransportError is a RuntimeError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:

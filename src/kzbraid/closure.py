@@ -22,7 +22,7 @@ from ._lazy import np
 from .braids import BraidWord, permutation_of
 from .circles import _orbit_table, circle_basis
 from .relations import reduce
-from .words import all_pairs, basis_size
+from .words import basis_size, pair_ends
 
 
 def closure_skeleton(word: BraidWord) -> tuple:
@@ -51,7 +51,7 @@ def _tau_index(max_degree, cycles):
     drawing is looked up in the degree's table.
     """
     n_strands = sum(map(len, cycles))
-    pairs = np.array(all_pairs(n_strands if max_degree else 2)) - 1  # degree 0 reads no pair
+    pairs = pair_ends(n_strands if max_degree else 2).T  # degree 0 reads no pair
     place = np.empty(n_strands, dtype=np.intp)
     place[np.concatenate(cycles) - 1] = np.arange(n_strands)
     ends = np.cumsum([len(cycle) for cycle in cycles])

@@ -1,5 +1,8 @@
 """Exact relation sets and quotient reduction.
 
+reduce, free_positions and quotient_dimension take a skeleton, ("strands",
+N) or ("circles", q), and refuse any other kind.
+
 On strands the quotient by 4T and disjoint commutation is U(t_N), the
 enveloping algebra of the Drinfeld-Kohno Lie algebra, with Kohno's basis of
 normal words: words whose chords' top strands never decrease from bottom to
@@ -24,8 +27,10 @@ eliminated without fractions: a row keeps a positive pivot and has its
 content divided out after each combination.  A dense circle series is
 reduced by pushing its coefficients through the echelon rows, divided by
 their pivots into floats once; killed positions are pivots with empty rows.
-Rewrite rows, echelon forms and their float rows are cached per (strand or
-circle count, degree) and are safe for concurrent reads once built.
+quotient_dimension counts the diagrams less the killed positions and the
+echelon's pivots, and builds no float row.  Rewrite rows, echelon forms and
+their float rows are cached per (strand or circle count, degree) and are
+safe for concurrent reads once built.
 """
 
 from __future__ import annotations
@@ -88,10 +93,6 @@ class RelationSet:
                     break
             self._echelon = pivots
         return self._echelon
-
-    @property
-    def rank(self):
-        return len(self.killed) + len(self.echelon())
 
     def __repr__(self):
         return f"RelationSet(degree={self.degree}, basis={len(self.basis)}, rows={len(self.rows)})"
@@ -324,9 +325,17 @@ def _rewrite_rows(n_strands, degree):
     return n_pairs**degree, tuple(rows)
 
 
+def _skeleton(skeleton):
+    """(kind, size) of a skeleton, ("strands", N) or ("circles", q); any other kind is refused."""
+    kind, size = skeleton
+    if kind not in ("strands", "circles"):
+        raise ValueError(f"unknown skeleton kind {kind!r}, expected 'strands' or 'circles'")
+    return kind, size
+
+
 def _quotient_rows(skeleton, degree):
     """(basis size, clearing rows) of one degree: rewrite rows on strands, echelon rows on circles."""
-    kind, size = skeleton
+    kind, size = _skeleton(skeleton)
     return (_rewrite_rows if kind == "strands" else _pivot_rows)(size, degree)
 
 
@@ -362,7 +371,6 @@ def reduce(coefficients, skeleton, max_degree: int, zero_threshold=ZERO_THRESHOL
     return np.where(moduli(out) >= zero_threshold, out, 0)  # NaN fails every comparison: zeroed
 
 
-@lru_cache(maxsize=None)
 def free_positions(skeleton, max_degree: int):
     """Basis positions, to max_degree, where reduce leaves coordinates: normal words or non-pivots."""
     out, offset = [], 0
@@ -374,20 +382,19 @@ def free_positions(skeleton, max_degree: int):
     return tuple(out)
 
 
-def quotient_dimension(degree: int, *, strands: int | None = None, circles: int | None = None) -> int:
-    """Dimension of the quotient at one degree.
+def quotient_dimension(degree: int, skeleton) -> int:
+    """Dimension of the quotient at one degree, on the skeleton ("strands", N) or ("circles", q).
 
     On strands it is the number of normal words, the coefficient of t^m in
     prod_{k=1}^{N-1} 1 / (1 - k t) (Kohno), counted without building a word;
-    on circles, the diagram count minus the killed (framing) count and the
-    exact rank of the 4T rows, which is the relation set's rank.
+    on circles, the diagram count minus the killed (framing) positions and
+    the pivots of the 4T rows' exact echelon form.
     """
-    if (strands is None) == (circles is None):
-        raise ValueError("give exactly one of strands= or circles=")
-    if circles is not None:
-        rs = circle_relations(circles, degree)
-        return len(rs.basis) - rs.rank
-    return _normal_word_counts(strands, degree)[degree]
+    kind, size = _skeleton(skeleton)
+    if kind == "strands":
+        return _normal_word_counts(size, degree)[degree]
+    relations = circle_relations(size, degree)
+    return len(relations.basis) - len(relations.killed) - len(relations.echelon())
 
 
 def _normal_word_counts(n_strands, max_degree):

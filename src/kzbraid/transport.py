@@ -46,6 +46,7 @@ from .words import (
     _word_index,
     all_pairs,
     basis_size,
+    pair_ends,
 )
 
 _TWO_PI_I = 2j * math.pi
@@ -79,13 +80,6 @@ class TransportResult(namedtuple("TransportResult", "steps_used coefficients")):
     """
 
     __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(n_strands):
-    pairs = all_pairs(n_strands)
-    ii, jj = np.array(pairs).T - 1
-    return pairs, ii, jj
 
 
 def _segment_omega(segment, s, ii, jj):
@@ -222,7 +216,7 @@ def transport(loop: ConfigLoop, max_degree: int) -> TransportResult:
     """
     if max_degree < 0:
         raise ValueError("need max_degree >= 0")
-    _, ii, jj = _pair_indices(loop.n_strands)
+    ii, jj = pair_ends(loop.n_strands)
     resolved = []  # (n, omega at the nodes of _chebyshev(n)) per segment
     for index, segment in enumerate(loop.segments):
         n, omega = _resolved_omega(segment, ii, jj)
@@ -293,7 +287,7 @@ def abelian_holonomy(loop: ConfigLoop, max_degree: int) -> np.ndarray:
     """
     if max_degree < 0:
         raise ValueError("need max_degree >= 0")
-    _, ii, jj = _pair_indices(loop.n_strands)
+    ii, jj = pair_ends(loop.n_strands)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
@@ -360,7 +354,7 @@ def simplex_oracle(loop: ConfigLoop, word: tuple, grid: int) -> complex:
         )
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    pairs, ii, jj = _pair_indices(loop.n_strands)
+    pairs, (ii, jj) = all_pairs(loop.n_strands), pair_ends(loop.n_strands)
     for chord in word:
         if chord not in pairs:
             raise ValueError(f"chord {chord} is not a pair i < j of the loop's {loop.n_strands} strands")

@@ -38,6 +38,13 @@ def all_pairs(n_strands: int):
     return tuple((i, j) for i in range(1, n_strands) for j in range(i + 1, n_strands + 1))
 
 
+def pair_ends(n_strands: int):
+    """all_pairs(n_strands) as two rows of 0-based strands, the i - 1 and the j - 1 of each pair."""
+    if n_strands < 2:
+        raise ValueError("need at least 2 strands")
+    return np.array(all_pairs(n_strands)).T - 1
+
+
 # Dense series: one complex entry per word of degree <= M in graded-lex order
 # (basis_words), chords bottom first, so with P pairs the degree-m words fill
 # one block of P**m entries.  Putting pair p on top of the word at index g
@@ -130,13 +137,6 @@ def _word_index(n_strands, max_degree, a, b):
     return index
 
 
-@lru_cache(maxsize=64)
-def _relabel_index(n_strands, max_degree, images):
-    """Gather index renaming every strand s of a dense series to images[s - 1]: entry g reads entry index[g]."""
-    source = np.argsort(images)[np.array(all_pairs(n_strands)).T - 1] + 1  # the strands renamed to each pair
-    return _word_index(n_strands, max_degree, *source)
-
-
 def relabel_strands(coefficients, n_strands, max_degree, images):
     """Rename the strands of every chord of a dense series, strand s to images[s - 1].
 
@@ -149,7 +149,9 @@ def relabel_strands(coefficients, n_strands, max_degree, images):
     images = tuple(images)
     if sorted(images) != list(range(1, n_strands + 1)):
         raise ValueError(f"relabelling needs a permutation of 1..{n_strands}")
-    index = _relabel_index(n_strands, max_degree, images)
+    renamed = np.argsort(images)  # renamed[s]: the strand images sends to s + 1, 0-based
+    # entry g reads the word whose chords' strands images renames to word g's
+    index = _word_index(n_strands, max_degree, *(renamed[end] + 1 for end in pair_ends(n_strands)))
     if len(coefficients) != len(index):
         raise ValueError(f"relabelling needs a vector of {len(index)} coefficients")
     return coefficients[index]

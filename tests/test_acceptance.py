@@ -279,7 +279,7 @@ def test_11_quotient_engine():
             vec[k] = 1.0
             assert np.array_equal(reduce(vec, skeleton, m), vec)
     # one-circle dimensions against the independent enumerator + exact rank
-    engine = [quotient_dimension(m, circles=1) for m in range(4)]
+    engine = [quotient_dimension(m, ("circles", 1)) for m in range(4)]
     oracle = [_oracle_dimension(m) for m in range(4)]
     frozen = [1, 0, 1, 1]
     _report_flag(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import (
-    BraidParseError,
     BraidWord,
     ConfigLoop,
     parse_braid_word,
@@ -72,12 +71,14 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    with pytest.raises(BraidParseError):
-        parse_braid_word("3", 3)
-    with pytest.raises(BraidParseError):
-        parse_braid_word("0", 3)
-    with pytest.raises(BraidParseError, match="xx"):
-        parse_braid_word("1 xx", 3)
+    for text, message in (
+        ("3", "generator index out of range: '3' on 3 strands"),
+        ("0", "zero token is not a generator"),
+        ("1 xx", "non-integer token 'xx'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_braid_word(text, 3)
+        assert str(info.value) == message
 
 
 def test_permutation_examples():

@@ -14,7 +14,7 @@ import pytest
 
 import kzbraid
 from kzbraid._text import _TABLE_ROW, _cycles_text, _rows
-from kzbraid.cli import _CHECKS, MAX_STEPS, ValidationError, _check_count_steps, main
+from kzbraid.cli import _CHECKS, MAX_STEPS, _check_count_steps, main
 from kzbraid.circles import MAX_CIRCLE_CELLS, MAX_CIRCLE_MATCHINGS, _circle_counts, circle_series_to_json_dict
 from kzbraid.closure import closure_skeleton, kontsevich_link, tau_project
 from kzbraid.relations import free_positions, reduce
@@ -771,7 +771,7 @@ def test_over_word_budget_refused_before_allocating():
     _check_count_steps(2, 2894)
     _check_count_steps(4194305, 0)
     for n_strands, max_degree in ((2, 2895), (4194306, 0)):
-        with pytest.raises(ValidationError, match="counting steps"):
+        with pytest.raises(ValueError, match="counting steps"):
             _check_count_steps(n_strands, max_degree)
 
 

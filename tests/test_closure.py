@@ -398,9 +398,9 @@ def test_degree_two_closure_is_conway_c2_plus_a_constant_per_strand_count():
 
 
 # a common denominator of the reduced closure's coordinates at each degree
-# 0-5, from Fraction.limit_denominator over random braids on 2-5 strands;
+# 0-6, from Fraction.limit_denominator over random braids on 2-5 strands;
 # every factor is 2, 3 or 5
-DENOMINATORS = (1, 1, 24, 48, 5760, 11520)
+DENOMINATORS = (1, 1, 24, 48, 5760, 11520, 414720)
 RATIONAL_BRAIDS = (
     ("1", 2), ("1 1", 2), ("1 1 1", 2), ("-1 -1 -1 -1", 2), ("1 1 1 1 1", 2),
     ("1 2", 3), ("1 -2", 3), ("1 1 1 2", 3), ("1 -2 1 -2", 3), ("1 1 2", 3), ("2 1 1 2 1", 3), ("1 2 1 2", 3),
@@ -418,11 +418,12 @@ def _scaled_free_coordinates(reduced, skeleton, sizes):
 
 def test_reduced_closure_is_rational():
     # a link's Kontsevich integral is rational (Le & Murakami, Compositio
-    # Math. 102, 1996): 663 coordinates through degree 5 (4 on 5 strands),
-    # whose worst |D c - nearest integer| seen is 2.9e-11, imaginary parts
-    # included; at most 2 components, as 3 or more at degree 6 build slow tables
+    # Math. 102, 1996): 1,338 coordinates through degree 6 (4 on 5 strands),
+    # whose worst |D c - nearest integer| seen is 3.2e-8 at degree 6 and
+    # 2.9e-11 at degree 5, imaginary parts included; at most 2 components, as
+    # 3 or more at degree 6 build slow tables (2 circles take about 3 s)
     for text, n in RATIONAL_BRAIDS:
-        w, max_degree = parse_braid_word(text, n), 5 if n <= 4 else 4
+        w, max_degree = parse_braid_word(text, n), 6 if n <= 4 else 4
         cycles = closure_skeleton(w)
         assert len(cycles) <= 2, text
         link = kontsevich_link(kontsevich_of_braid(w, max_degree), cycles, max_degree, 0.0)

@@ -64,6 +64,11 @@ def relation_sets(skeleton, max_degree):
     return [build(size, m) for m in range(max_degree + 1)]
 
 
+def rank(relation_set):
+    """Exact rank of a relation set: its killed columns and its echelon's pivots."""
+    return len(relation_set.killed) + len(relation_set.echelon())
+
+
 def test_relation_set_keeps_each_row_once_up_to_sign():
     # the first of a row and its negatives is kept, as its sorted items, in the order given
     rows = [{1: 1, 0: -1}, {2: 3}, {0: 1, 1: -1}, {1: 1, 0: -1}, {2: -3, 0: 1}]
@@ -128,11 +133,11 @@ def check_reduce_kernel(skeleton, max_degree):
             vec[offset + col] = coeff
         assert not reduce(vec, skeleton, max_degree).any(), (skeleton, max_degree, row)
     free = free_positions(skeleton, max_degree)
-    assert len(free) == sum(len(rs.basis) - rs.rank for rs in relation_sets(skeleton, max_degree))
+    assert len(free) == sum(len(rs.basis) - rank(rs) for rs in relation_sets(skeleton, max_degree))
     if skeleton[0] == "strands":
         assert free == normal_positions(skeleton[1], max_degree)
         top = relation_sets(skeleton, max_degree)[-1]
-        assert quotient_dimension(max_degree, strands=skeleton[1]) == len(top.basis) - top.rank
+        assert quotient_dimension(max_degree, skeleton) == len(top.basis) - rank(top)
     for k in free:
         vec = np.zeros(size, dtype=complex)
         vec[k] = 1.0
@@ -371,7 +376,7 @@ def test_circle_quotient_equals_full_reference():
         for m in range(top + 1):
             full = _reference_echelon("circles", q, m)
             built = circle_relations(q, m)
-            assert len(built.basis) - built.rank == len(built.basis) - len(full) == quotient_dimension(m, circles=q)
+            assert len(built.basis) - rank(built) == len(built.basis) - len(full) == quotient_dimension(m, ("circles", q))
             size, rows = _pivot_rows(q, m)
             assert size == len(built.basis) and [p for p, _ in rows] == sorted(full), (q, m)
             killed = set(built.killed)
@@ -388,10 +393,7 @@ def test_circle_quotient_equals_full_reference():
 
 
 def test_circle_dimensions():
-    assert quotient_dimension(0, circles=1) == 1
-    assert quotient_dimension(1, circles=1) == 0
-    assert quotient_dimension(2, circles=1) == 1
-    assert quotient_dimension(3, circles=1) == 1
+    assert [quotient_dimension(m, ("circles", 1)) for m in range(4)] == [1, 0, 1, 1]
 
 
 def test_circle_degree_two_structure():
@@ -409,12 +411,12 @@ def test_horizontal_dimensions_match_sympy_rank():
         for r, row in enumerate(rs.rows):
             for col, coeff in row:
                 dense[r][col] = coeff
-        assert rs.rank == sympy.Matrix(dense).rank()
-        assert quotient_dimension(m, strands=n) == len(rs.basis) - rs.rank
+        assert rank(rs) == sympy.Matrix(dense).rank()
+        assert quotient_dimension(m, ("strands", n)) == len(rs.basis) - rank(rs)
 
 
 def test_prequotient_two_strand_dims():
-    assert [quotient_dimension(m, strands=2) for m in range(4)] == [1, 1, 1, 1]
+    assert [quotient_dimension(m, ("strands", 2)) for m in range(4)] == [1, 1, 1, 1]
 
 
 def layout_position(layout):
@@ -485,10 +487,17 @@ def test_circle_diagram_normalizes_validates_and_stays_frozen():
 
 
 def test_quotient_dimension_argument_check():
-    with pytest.raises(ValueError):
-        quotient_dimension(2)
-    with pytest.raises(ValueError):
-        quotient_dimension(2, strands=3, circles=1)
+    # an unknown skeleton kind is refused in one line where reduce,
+    # free_positions and quotient_dimension all read the skeleton
+    for refusal, kind in (
+        (lambda: free_positions(("foo", 3), 1), "foo"),
+        (lambda: free_positions(("Strands", 3), 1), "Strands"),
+        (lambda: reduce(np.ones(7), ("strand", 3), 1), "strand"),
+        (lambda: quotient_dimension(2, ("circle", 1)), "circle"),
+    ):
+        with pytest.raises(ValueError) as info:
+            refusal()
+        assert str(info.value) == f"unknown skeleton kind {kind!r}, expected 'strands' or 'circles'"
 
 
 def _fraction_echelon(relation_set):

@@ -25,7 +25,6 @@ from kzbraid.transport import (
     TransportError,
     _chebyshev,
     _letter_holonomy,
-    _pair_indices,
     _scan,
     _segment_omega,
     _sweeps,
@@ -37,9 +36,11 @@ from kzbraid.transport import (
 )
 from kzbraid.words import (
     _blocks,
+    all_pairs,
     basis_size,
     basis_words,
     enumerate_words,
+    pair_ends,
     relabel_strands,
     series_product,
 )
@@ -66,7 +67,7 @@ def identity(n, max_degree):
 
 def omega_at(loop, t):
     """Connection on the loop velocity at loop time t, per chord pair."""
-    pairs, ii, jj = _pair_indices(loop.n_strands)
+    pairs, (ii, jj) = all_pairs(loop.n_strands), pair_ends(loop.n_strands)
     segment, s, duration = segment_at(loop, t)
     values = _segment_omega(segment, s, ii, jj) / duration
     return {pair: complex(v) for pair, v in zip(pairs, values)}
@@ -353,7 +354,7 @@ def test_reparametrization_gate_fails_without_speed_factor():
 
 def _at_nodes(loop, n, max_degree):
     """The loop's holonomy with every segment swept at n + 1 nodes."""
-    _, ii, jj = _pair_indices(loop.n_strands)
+    ii, jj = pair_ends(loop.n_strands)
     factors = (_sweeps(n, _segment_omega(s, _chebyshev(n)[0], ii, jj), max_degree) for s in loop.segments)
     return _scan(factors, len(loop.segments), len(ii), max_degree)
 
@@ -480,16 +481,22 @@ def test_abelian_identity_braid():
 
 def test_abelian_holonomy_refuses_negative_degree():
     # and so do the series product and symmetrization, which read the blocks
-    # of a basis that has none below degree 0
+    # of a basis that has none below degree 0.  A loop on one strand has no
+    # pair to sample: each integrator refuses it in one line
     one = np.ones(1, dtype=complex)
+    lone = ConfigLoop(1, ())
     refusals = (
-        lambda: abelian_holonomy(realize(parse_braid_word("1", 2)), -1),
-        lambda: series_product(one, one, 2, -1),
-        lambda: symmetrized(one, 2, -1),
+        (lambda: abelian_holonomy(realize(parse_braid_word("1", 2)), -1), "need max_degree >= 0"),
+        (lambda: series_product(one, one, 2, -1), "need max_degree >= 0"),
+        (lambda: symmetrized(one, 2, -1), "need max_degree >= 0"),
+        (lambda: transport(lone, 2), "need at least 2 strands"),
+        (lambda: abelian_holonomy(lone, 2), "need at least 2 strands"),
+        (lambda: simplex_oracle(lone, (), 16), "need at least 2 strands"),
     )
-    for refusal in refusals:
-        with pytest.raises(ValueError, match=r"^need max_degree >= 0$"):
+    for refusal, message in refusals:
+        with pytest.raises(ValueError) as info:
             refusal()
+        assert str(info.value) == message
 
 
 def test_abelian_single_generator_exact_match():
@@ -523,7 +530,7 @@ def test_transport_error_on_collision():
 
 def _reference_integrate(loop, max_degree, steps):
     """End state of `steps` classical RK4 steps per segment, taken one at a time."""
-    _, ii, jj = _pair_indices(loop.n_strands)
+    ii, jj = pair_ends(loop.n_strands)
     n_pairs = len(ii)
     n_low = basis_size(n_pairs, max_degree - 1)
 

@@ -125,6 +125,9 @@ def test_relabel_strands():
             relabel_strands(s, 3, 2, images)
     with pytest.raises(ValueError, match=r"^relabelling needs a vector of 13 coefficients$"):
         relabel_strands(s[:12], 3, 2, (2, 1, 3))
+    # one strand has no chord to rename
+    with pytest.raises(ValueError, match=r"^need at least 2 strands$"):
+        relabel_strands(np.ones(1), 1, 0, (1,))
 
 
 def test_json_round_trip():
