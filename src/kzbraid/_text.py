@@ -306,9 +306,10 @@ def _table_prefixes(n_strands, max_degree):
 def table(n_strands, max_degree, positions, listed):
     """The term table of the terms at positions, listed holding their coefficients."""
     prefixes = _table_prefixes(n_strands, max_degree)
-    column = [None] * (2 * len(positions))
-    column[0::2] = _words.moduli(listed).tolist()
-    column[1::2] = map(math.atan2, listed.imag.tolist(), listed.real.tolist())
+    column = np.empty(2 * len(positions))
+    column[0::2] = _words.moduli(listed)
+    # math.atan2, not np.arctan2, which may differ from it in the last bit
+    column[1::2] = np.fromiter(map(math.atan2, listed.imag.tolist(), listed.real.tolist()), float, len(positions))
     return _rows([prefixes[g] for g in positions], column, _TABLE_ROW, _TABLE_HEADER)
 
 

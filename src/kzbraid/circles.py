@@ -6,37 +6,41 @@ permuted.  A drawing is a flat tuple, each circle's chord labels followed
 by -1, with labels numbered by first appearance.  A basis entry is the
 drawing of its diagram that the enumeration meets first, the one with the
 least chord tuple; its slot counts and chords (for the JSON form) and its
-isolated chords are read off it.  Each (circles, degree) has one table
-from every drawing to its basis position.  Each slot split takes the walk
-over the raw matchings of its non-empty circles, with a -1 for each empty
-circle; splits that differ only in their empty circles share one walk.
-Moving one foot of a chord changes only that chord's rank among first
-appearances, so the walk turns circles and the 4T rows move feet by
-relabelling that one chord (_rerank), and look each layout up in the
-table once; the closure's index labels its layouts in bulk before the
-lookup.  A series on q circles is a dense vector over circle_basis(q, M),
+isolated chords are read off it.  The block of k circles at a degree
+holds the diagrams in which every circle carries a foot, with one table
+from every drawing to its basis position: each of its slot splits is a
+walk over the raw matchings.  The table of q circles takes each slot
+split from the block of its non-empty circles, with a -1 for each empty
+circle, so no split is walked twice.  Moving one foot of a chord changes
+only that chord's rank among first appearances, so the walk turns
+circles and the 4T rows move feet by relabelling that one chord
+(_rerank), and look each layout up in the block's table once; the
+closure's index labels its layouts in bulk before the lookup in the
+q-circle table.  A series on q circles is a dense vector over circle_basis(q, M),
 the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb
 from operator import itemgetter
 
 from .words import ZERO_THRESHOLD
 
-# The circle budget, counted before anything is built.  Most chord matchings
-# (all slot splits, all degrees m <= M) a circle basis may cover:
-# circle_relations(4, 4) covers 17,325 in its top degree, and the 4T rows and
-# the echelon grow with them.  Most drawing-table cells, q + 2m per matching
-# of degree m: a table holds one drawing per matching and nothing else stays
-# cached, and with many circles a matching is cheap to count but costs its
-# q + 2m labels and -1s to build and hold.  dims --circles 1 -m 7 has
-# 2,173,624 cells; fresh-process peak RSS (2-vCPU host): --circles 4 -m 4
-# 20.2 MB, --circles 6 -m 4 (1,979,004 cells) 58.5 MB, --circles 200 -m 1
-# (4,060,400 cells) 80 MB.
+# The circle budget, counted before anything is built, on the q-circle table
+# that compute --close builds.  Most chord matchings (all slot splits, all
+# degrees m <= M) a circle basis may cover: _orbit_table(4, 4) covers 17,325
+# in its top degree, and the 4T rows and the echelon grow with the blocks.
+# Most drawing-table cells, q + 2m per matching of degree m: a table holds
+# one drawing per matching, the blocks of fewer circles at most as many
+# again, and with many circles a matching is cheap to count but costs its
+# q + 2m labels and -1s to build and hold.  dims builds the blocks alone.
+# One circle to degree 7 has 2,173,624 cells.  Fresh-process peak RSS
+# (2-vCPU host) of the tables and clearing rows (_pivot_rows) --close builds:
+# 4 circles to degree 4, 19.4 MB; 6 circles to degree 4 (1,979,004 cells),
+# 54.4 MB; 200 circles to degree 1 (4,060,400 cells), 96 MB.
 MAX_CIRCLE_MATCHINGS = 2**18
 MAX_CIRCLE_CELLS = 2**22
 
@@ -210,47 +214,102 @@ def _split_table(slots, degree, matchings, basis, drawings):
     return basis, drawings
 
 
+def _check_shape(n_circles, degree):
+    """Refuse a circle count below 1 or a negative degree."""
+    if n_circles < 1:
+        raise ValueError("need at least 1 circle")
+    if degree < 0:
+        raise ValueError("need degree >= 0")
+
+
+@lru_cache(maxsize=None)
+def _block_table(n_circles: int, degree: int):
+    """(basis drawings, drawing -> basis position, slots -> split) of the degree-m block on k circles.
+
+    The block holds the diagrams in which every circle carries a foot: the
+    slot splits with no empty circle, walked in increasing order
+    (_split_table), the degree's matchings generated once.  A split is
+    (its first basis position, its basis count); its (2m-1)!! drawings
+    follow the previous split's in the table.
+    """
+    _check_shape(n_circles, degree)
+    # one circle has one slot split, which walks the matchings as generated
+    matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
+    basis, drawings, splits = [], {}, {}
+    for slots in _compositions(2 * degree, n_circles):
+        if 0 not in slots:
+            start = len(basis)
+            _split_table(slots, degree, matchings, basis, drawings)
+            splits[slots] = start, len(basis) - start
+    return tuple(basis), drawings, splits
+
+
+def _inserter(slots):
+    """The map from a drawing of the circles of slots that carry feet to its drawing on all of them.
+
+    It inserts a -1, the drawing's last entry, at each empty circle's flat index.
+    """
+    picks, read = [], 0
+    for n in slots:
+        if n:
+            picks += range(read, read + n + 1)  # a circle's labels and its -1
+            read += n + 1
+        else:
+            picks.append(-1)
+    return itemgetter(*picks)
+
+
 @lru_cache(maxsize=None)
 def _orbit_table(n_circles: int, degree: int):
     """(basis drawings, drawing -> basis position) of the degree-m diagrams on q circles.
 
     Slot splits are filled in increasing order, each adding its (2m-1)!!
-    entries consecutively; the matchings of the degree are generated once.
-    A split in which every circle has slots is walked straight into the
-    table (_split_table).  One with empty circles takes the walk of its
-    non-empty circles, run once per distinct non-empty split, with a -1
-    inserted at each empty circle and positions shifted past the splits
-    before it.
+    entries consecutively.  A split takes the same split of its block, the
+    block of its circles that carry feet (_block_table), with a -1 inserted
+    at each empty circle and positions shifted past the splits before it.
+    No split is walked again, and a split with no empty circle shares the
+    block's drawings.
     """
-    if n_circles < 1 or degree < 0:
-        raise ValueError("need n_circles >= 1 and degree >= 0")
+    _check_shape(n_circles, degree)
     if degree == 0:  # one drawing, all -1, and no slot for a walk
         drawing = (-1,) * n_circles
         return (drawing,), {drawing: 0}
-    # one circle has one slot split, which walks the matchings as generated
-    matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
+    if n_circles == 1:  # no empty circle: the table is the block's
+        return _block_table(1, degree)[:2]
     basis, drawings, walks = [], {}, {}
     for slots in _compositions(2 * degree, n_circles):
-        if 0 not in slots:
-            _split_table(slots, degree, matchings, basis, drawings)
-            continue
         shown = tuple(n for n in slots if n)
-        if shown not in walks:
-            walks[shown] = _split_table(shown, degree, matchings, [], {})
-        walk_basis, walk = walks[shown]
-        # the walk's drawing with a -1 (its last entry) at each empty circle's flat index
-        picks, read = [], 0
-        for n in slots:
-            if n:
-                picks += range(read, read + n + 1)  # a circle's labels and its -1
-                read += n + 1
-            else:
-                picks.append(-1)
-        insert = itemgetter(*picks)
-        shift = len(basis)
-        basis.extend(map(insert, walk_basis))
-        drawings.update(zip(map(insert, walk), map(shift.__add__, walk.values())))
+        block_basis, block_drawings, splits = _block_table(len(shown), degree)
+        if shown not in walks:  # cut the block's entries into its splits', in split order
+            entries = iter(block_drawings.items())
+            walks.update((split, tuple(islice(entries, len(block_drawings) // len(splits)))) for split in splits)
+        start, count = splits[shown]
+        walk, positions = zip(*walks[shown])
+        split_basis = block_basis[start:start + count]
+        if len(shown) < n_circles:
+            insert = _inserter(slots)
+            split_basis, walk = map(insert, split_basis), map(insert, walk)
+        drawings.update(zip(walk, map((len(basis) - start).__add__, positions)))
+        basis.extend(split_basis)
     return tuple(basis), drawings
+
+
+def _block_positions(n_circles, degree, support):
+    """Position in _orbit_table(q, m) of each basis drawing of the block on the circles in support.
+
+    A block drawing is placed by a -1 at each circle not in support, and
+    looked up.  The positions increase: dropping the zeros of the slot
+    splits with the same empty circles keeps their order.
+    """
+    basis, _, splits = _block_table(len(support), degree)
+    drawings = _orbit_table(n_circles, degree)[1]
+    out = []
+    for shown, (start, count) in splits.items():
+        slots = [0] * n_circles
+        for c, n in zip(support, shown):
+            slots[c] = n
+        out += map(drawings.__getitem__, map(_inserter(slots), basis[start:start + count]))
+    return out
 
 
 def enumerate_circle_diagrams(n_circles: int, degree: int):

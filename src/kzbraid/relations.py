@@ -1,7 +1,7 @@
 """Exact relation sets and quotient reduction.
 
 reduce, free_positions and quotient_dimension take a skeleton, ("strands",
-N) or ("circles", q), and refuse any other kind.
+N) with N >= 2 or ("circles", q) with q >= 1, and refuse any other.
 
 On strands the quotient by 4T and disjoint commutation is U(t_N), the
 enveloping algebra of the Drinfeld-Kohno Lie algebra, with Kohno's basis of
@@ -14,30 +14,40 @@ horizontal_relations builds the 4T and commutation rows themselves: it is
 the reference the tests check the rewriting against, and nothing here calls
 it.
 
-On circles, framing independence sets every diagram with an isolated chord
-to zero outright: those positions are the relation set's killed columns,
-dropped from every 4T row, and they never enter the elimination.  A seed
-whose drawing has an isolated chord other than the sliding one builds no
-row, since all four of its terms are killed or cancel.  Each 4T relation
-is built once, from the seed met first in basis order; each term is placed
+On circles, neither 4T nor framing independence changes which circles
+carry feet: the terms of a 4T relation slide one foot between the two feet
+of another chord, and their circles keep those feet.  So the relations on
+q circles split into blocks, one per support, the set of circles that
+carry feet, and the block of a support S is the block of |S| circles that
+all carry feet, with a -1 at each empty circle.  circle_relations(k, m)
+builds that block once per (k, m).  quotient_dimension sums C(q, k) times
+each block's dimension, building no q-circle table, and _pivot_rows places
+each block's echelon rows on every support in the q-circle basis.
+
+Framing independence sets every diagram with an isolated chord to zero
+outright: those positions are the relation set's killed columns, dropped
+from every 4T row, and they never enter the elimination.  A seed whose
+drawing has an isolated chord other than the sliding one builds no row,
+since all four of its terms are killed or cancel.  Each 4T relation is
+built once, from the seed met first in basis order; each term is placed
 from the seed's drawing, with only the moved chord relabelled, and found by
-one lookup in the drawing table the closure's tau index shares.
-Relations are integral, so rows are kept as sparse integer vectors and
-eliminated without fractions: a row keeps a positive pivot and has its
-content divided out after each combination.  A dense circle series is
-reduced by pushing its coefficients through the echelon rows, divided by
-their pivots into floats once; killed positions are pivots with empty rows.
-quotient_dimension counts the diagrams less the killed positions and the
-echelon's pivots, and builds no float row.  Rewrite rows, echelon forms and
-their float rows are cached per (strand or circle count, degree) and are
-safe for concurrent reads once built.
+one lookup in the block's drawing table.  Relations are integral, so rows
+are kept as sparse integer vectors and eliminated without fractions: a row
+keeps a positive pivot and has its content divided out after each
+combination.  A dense circle series is reduced by pushing its coefficients
+through the echelon rows, divided by their pivots into floats once; killed
+positions are pivots with empty rows.  quotient_dimension counts each
+block's diagrams less its killed positions and its echelon's pivots, and
+builds no float row.  Rewrite rows are cached per (strand count, degree),
+echelon forms per block and float rows per (circle count, degree); all
+are safe for concurrent reads once built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product
-from math import gcd
+from itertools import accumulate, combinations, product
+from math import comb, gcd
 
 from ._lazy import _lazy_module, np
 from .words import ZERO_THRESHOLD, all_pairs, enumerate_words, moduli
@@ -178,8 +188,10 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     return RelationSet(degree, basis, rows)
 
 
-def _circle_four_term_rows(basis, isolated):
+def _circle_four_term_rows(degree, basis, drawings, isolated):
     """4T rows seeded at the adjacent feet of distinct chords in the basis drawings of one degree >= 2.
+
+    drawings files every drawing of the basis diagrams under its position.
 
     With chord a = (x, y) fixed and the sliding foot u of another chord b,
     the relation reads D(u after x) - D(u before x) + D(u after y) - D(u
@@ -203,9 +215,6 @@ def _circle_four_term_rows(basis, isolated):
     before its new first foot, read off the drawing's running largest
     label, and the term is relabelled by _rerank only then.
     """
-    n_circles = basis[0].count(-1)
-    degree = (len(basis[0]) - n_circles) // 2
-    drawings = _circles._orbit_table(n_circles, degree)[1]
     rerank = _circles._rerank(degree)
     rows = []
     for parent, drawing in enumerate(basis):
@@ -255,15 +264,16 @@ def _circle_four_term_rows(basis, isolated):
 
 @lru_cache(maxsize=None)
 def circle_relations(n_circles: int, degree: int) -> RelationSet:
-    """4T rows among degree-m circle diagrams, framing independence as killed columns.
+    """4T rows of the degree-m block on k circles, framing independence as killed columns.
 
-    Every diagram with an isolated chord (feet adjacent on its circle, no
-    other foot between them) is set to zero: its position is killed and
-    left out of the 4T rows.
+    The block holds the diagrams in which every one of the k circles
+    carries a foot.  Every diagram with an isolated chord (feet adjacent on
+    its circle, no other foot between them) is set to zero: its position is
+    killed and left out of the 4T rows.
     """
-    basis = _circles.enumerate_circle_diagrams(n_circles, degree)
+    basis, drawings, _ = _circles._block_table(n_circles, degree)
     isolated = list(map(_circles.isolated_chords, basis))
-    rows = _circle_four_term_rows(basis, isolated) if degree >= 2 else []
+    rows = _circle_four_term_rows(degree, basis, drawings, isolated) if degree >= 2 else []
     return RelationSet(degree, basis, rows, (k for k, chords in enumerate(isolated) if chords))
 
 
@@ -271,16 +281,24 @@ def circle_relations(n_circles: int, degree: int) -> RelationSet:
 def _pivot_rows(n_circles, degree):
     """(basis size, clearing rows in increasing pivot order) of one circle degree.
 
-    Killed positions clear with empty rows.  Echelon rows are divided by
-    their pivot, which they leave out: the integer quotient v / pivot is the
-    correctly rounded float of the rational entry.
+    The block of k circles (circle_relations) is placed in the q-circle
+    basis on each support, each set of k circles (_block_positions), unless
+    it has no relation.  Killed positions clear with empty rows.  Echelon
+    rows are divided by their pivot, which they leave out: the integer
+    quotient v / pivot is the correctly rounded float of the rational entry.
     """
-    relations = circle_relations(n_circles, degree)
-    rows = dict.fromkeys(relations.killed, ())
-    for p, row in relations.echelon().items():
-        pivot = row[p]
-        rows[p] = tuple((c, v / pivot) for c, v in row.items() if c != p)
-    return len(relations.basis), tuple(sorted(rows.items()))
+    rows = {}
+    for k in range(1, min(n_circles, 2 * degree) + 1):
+        relations = circle_relations(k, degree)
+        if not (relations.killed or relations.echelon()):
+            continue
+        for support in combinations(range(n_circles), k):
+            place = _circles._block_positions(n_circles, degree, support)
+            rows.update((place[j], ()) for j in relations.killed)
+            for p, row in relations.echelon().items():
+                pivot = row[p]
+                rows[place[p]] = tuple((place[c], v / pivot) for c, v in row.items() if c != p)
+    return len(_circles._orbit_table(n_circles, degree)[0]), tuple(sorted(rows.items()))
 
 
 @lru_cache(maxsize=None)
@@ -326,10 +344,14 @@ def _rewrite_rows(n_strands, degree):
 
 
 def _skeleton(skeleton):
-    """(kind, size) of a skeleton, ("strands", N) or ("circles", q); any other kind is refused."""
+    """(kind, size) of a skeleton, ("strands", N >= 2) or ("circles", q >= 1); any other is refused."""
     kind, size = skeleton
     if kind not in ("strands", "circles"):
         raise ValueError(f"unknown skeleton kind {kind!r}, expected 'strands' or 'circles'")
+    if kind == "strands" and size < 2:
+        raise ValueError("need at least 2 strands")
+    if kind == "circles" and size < 1:
+        raise ValueError("need at least 1 circle")
     return kind, size
 
 
@@ -387,20 +409,27 @@ def quotient_dimension(degree: int, skeleton) -> int:
 
     On strands it is the number of normal words, the coefficient of t^m in
     prod_{k=1}^{N-1} 1 / (1 - k t) (Kohno), counted without building a word;
-    on circles, the diagram count minus the killed (framing) positions and
-    the pivots of the 4T rows' exact echelon form.
+    on circles, the sum over the blocks of k circles of C(q, k) times the
+    block's diagram count less its killed (framing) positions and the
+    pivots of its 4T rows' exact echelon form, and 1 at degree 0.
     """
     kind, size = _skeleton(skeleton)
     if kind == "strands":
         return _normal_word_counts(size, degree)[degree]
-    relations = circle_relations(size, degree)
-    return len(relations.basis) - len(relations.killed) - len(relations.echelon())
+    _circles._check_shape(size, degree)
+    dimension = 0 if degree else 1  # the empty diagram has no foot
+    for k in range(1, min(size, 2 * degree) + 1):
+        relations = circle_relations(k, degree)
+        dimension += comb(size, k) * (len(relations.basis) - len(relations.killed) - len(relations.echelon()))
+    return dimension
 
 
 def _normal_word_counts(n_strands, max_degree):
     """Normal words on n_strands of each degree 0..max_degree, in (N - 1) M integer steps."""
-    if n_strands < 2 or max_degree < 0:
-        raise ValueError("need n_strands >= 2 and degree >= 0")
+    if n_strands < 2:
+        raise ValueError("need at least 2 strands")
+    if max_degree < 0:
+        raise ValueError("need degree >= 0")
     counts = [1] + [0] * max_degree  # normal words whose chords' top strands are at most k + 1
     for k in range(1, n_strands):
         for m in range(1, max_degree + 1):

@@ -28,8 +28,10 @@ def enumerate_words(n_strands: int, degree: int):
 
     There are (N(N-1)/2)**m of them.
     """
-    if n_strands < 2 or degree < 0:
-        raise ValueError("need n_strands >= 2 and degree >= 0")
+    if n_strands < 2:
+        raise ValueError("need at least 2 strands")
+    if degree < 0:
+        raise ValueError("need degree >= 0")
     return tuple(product(all_pairs(n_strands), repeat=degree))
 
 

@@ -103,6 +103,23 @@ def diagram_of(drawing):
     return CircleDiagram.from_layout([drawing[start + 1:end] for start, end in zip([-1] + ends, ends)])
 
 
+def _circles_of(drawing):
+    """Each circle of a flat drawing: its chord labels, then its -1."""
+    ends = [k for k, label in enumerate(drawing) if label < 0]
+    return [drawing[start + 1:end + 1] for start, end in zip([-1] + ends, ends)]
+
+
+def support_of(drawing):
+    """The circles of a flat drawing that carry feet."""
+    return tuple(c for c, circle in enumerate(_circles_of(drawing)) if len(circle) > 1)
+
+
+def on_circles(drawing, support, n_circles):
+    """A drawing of len(support) circles drawn on the circles in support of n_circles: -1 alone on each other circle."""
+    circles = dict(zip(support, _circles_of(drawing)))
+    return tuple(label for c in range(n_circles) for label in circles.get(c, (-1,)))
+
+
 def first_appearance(layout):
     """A flat layout as a drawing: labels renumbered 0, 1, ... by first appearance, -1 kept."""
     first = {-1: -1}

@@ -1,12 +1,13 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, _warped, parse_braid_word, permutation_of, realize
-from kzbraid.circles import circle_basis
+from kzbraid.circles import _orbit_table, circle_basis
 from kzbraid.relations import (
     circle_relations,
     free_positions,
@@ -27,7 +28,7 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
-from reference_orders import link_of, word
+from reference_orders import link_of, on_circles, word
 from test_braids import cut_loop
 from test_transport import _at_nodes
 
@@ -262,14 +263,21 @@ def _oracle_dimension(m):
 
 def test_11_quotient_engine():
     # every generated relation row is in the kernel of reduce, and every
-    # free unit vector is its own normal form
-    shapes = [(("strands", n), m, horizontal_relations(n, m), len(basis_words(n, m - 1)))
+    # free unit vector is its own normal form; the rows of the block of k
+    # circles are placed on every support of k circles, -1 alone on the others
+    shapes = [(("strands", n), m, horizontal_relations(n, m).rows, basis_words)
               for n, m in ((3, 2), (3, 3), (4, 2), (4, 3))]
-    shapes += [(("circles", q), m, circle_relations(q, m), len(circle_basis(q, m - 1)))
-               for q, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))]
-    for skeleton, m, rs, offset in shapes:
-        size = offset + len(rs.basis)
-        for row in rs.rows:
+    for q, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        drawings, rows = _orbit_table(q, m)[1], []
+        for k in range(1, q + 1):
+            block = circle_relations(k, m)
+            for support in combinations(range(q), k):
+                place = [drawings[on_circles(drawing, support, q)] for drawing in block.basis]
+                rows += [tuple((place[col], v) for col, v in row) for row in block.rows]
+        shapes.append((("circles", q), m, rows, circle_basis))
+    for skeleton, m, rows, basis in shapes:
+        offset, size = (len(basis(skeleton[1], d)) for d in (m - 1, m))
+        for row in rows:
             vec = np.zeros(size, dtype=complex)
             for col, v in row:
                 vec[offset + col] = v

@@ -241,6 +241,11 @@ def test_dims_circles(capsys):
     assert out.strip() == "0:1 1:0 2:1"
 
 
+def test_dims_refuses_too_few_strands_or_circles(capsys):
+    assert run(capsys, "dims", "--strands", "1", "-m", "2") == (1, "", "error: need at least 2 strands\n")
+    assert run(capsys, "dims", "--circles", "0", "-m", "2") == (1, "", "error: need at least 1 circle\n")
+
+
 def test_dims_strands(capsys):
     code, out, _ = run(capsys, "dims", "--strands", "2", "-m", "3")
     assert code == 0
@@ -712,12 +717,27 @@ def test_package_names_its_submodules_in_fresh_interpreter():
 
 def test_drawing_table_builds_no_table_of_fewer_circles():
     # a fresh interpreter, so that no table cache the other tests share is cleared;
-    # the splits of _orbit_table(4, 3) with empty circles walk their non-empty circles
+    # the splits of _orbit_table(4, 3) with empty circles take the block tables of
+    # their non-empty circles, not the drawing tables of fewer circles
     script = "from kzbraid.circles import _orbit_table as t; t(4, 3); print(t.cache_info().currsize)"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr[-500:]
     assert done.stdout == "1\n"
+
+
+def test_dims_circles_builds_no_circle_table():
+    # a fresh interpreter, so that no table cache the other tests share is cleared;
+    # dims sums the blocks of 1 to 3 circles and builds no 3-circle drawing table
+    script = (
+        "from kzbraid import circles; from kzbraid.cli import main;"
+        " assert main(['dims', '--circles', '3', '-m', '4']) == 0;"
+        " print(circles._orbit_table.cache_info().currsize)"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "0:1 1:3 2:9 3:25 4:67\n0\n"
 
 
 def _cap_address_space():

@@ -3,13 +3,14 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from kzbraid.circles import (
+    _block_table,
     _circle_counts,
     _matchings,
     _orbit_table,
@@ -36,8 +37,10 @@ from reference_orders import (
     diagram_sort_key,
     drawing_of,
     first_appearance,
+    on_circles,
     position,
     rotations,
+    support_of,
     word,
 )
 
@@ -60,8 +63,43 @@ def graded_size(skeleton, max_degree):
 
 def relation_sets(skeleton, max_degree):
     kind, size = skeleton
-    build = horizontal_relations if kind == "strands" else circle_relations
+    build = horizontal_relations if kind == "strands" else whole_circle_relations
     return [build(size, m) for m in range(max_degree + 1)]
+
+
+@lru_cache(maxsize=None)
+def whole_circle_relations(q, m):
+    """The relation set of degree m on q circles, its 4T rows seeded over the whole q-circle basis.
+
+    The reference for the blocks that circle_relations builds and
+    _pivot_rows places: the library's row builder run on the q-circle
+    drawing table instead of a block's.
+    """
+    basis, drawings = _orbit_table(q, m)
+    isolated = list(map(isolated_chords, basis))
+    rows = _circle_four_term_rows(m, basis, drawings, isolated) if m >= 2 else []
+    return RelationSet(m, basis, rows, (k for k, chords in enumerate(isolated) if chords))
+
+
+def float_rows(relation_set):
+    """_pivot_rows' form of a relation set: killed positions with empty rows, echelon rows divided by their pivot."""
+    rows = dict.fromkeys(relation_set.killed, ())
+    for p, row in relation_set.echelon().items():
+        rows[p] = tuple((c, v / row[p]) for c, v in row.items() if c != p)
+    return len(relation_set.basis), tuple(sorted(rows.items()))
+
+
+def restricted(q, m, support, rows, killed):
+    """(rows, killed) of degree m on q circles restricted to the diagrams with support, renumbered in order.
+
+    Each 4T row lies within one support; a row is kept when its first
+    position has support, and a position is renumbered by its rank among
+    the basis positions with support.
+    """
+    basis = enumerate_circle_diagrams(q, m)
+    block = {k: j for j, k in enumerate(k for k, drawing in enumerate(basis) if support_of(drawing) == support)}
+    rows = [{block[k]: v for k, v in row.items()} for row in rows if min(row) in block]
+    return rows, tuple(block[k] for k in killed if k in block)
 
 
 def rank(relation_set):
@@ -351,8 +389,10 @@ _CIRCLE_SHAPES = ((1, 6), (2, 4), (3, 4), (4, 3), (2, 5))
 
 
 def test_circle_rows_equal_canonical_reference():
-    # the built rows against every seed's brute-force rows with the killed
-    # terms dropped, deduplicated: no row holds a killed position, and each
+    # each support's block against every seed's brute-force rows with the
+    # killed terms dropped, deduplicated, restricted to the diagrams with
+    # that support in basis order: the block's drawings are theirs with -1
+    # at the empty circles, no row holds a killed position, and each
     # relation is built from one of its two seeds, the first met, so at most
     # half as many rows are built as the reference's
     for q, top in _CIRCLE_SHAPES:
@@ -360,11 +400,22 @@ def test_circle_rows_equal_canonical_reference():
             rows, killed = _reference_circle_rows(q, m)
             dropped = [row for row in ({k: v for k, v in r.items() if k not in killed} for r in rows) if row]
             basis = enumerate_circle_diagrams(q, m)
-            built = circle_relations(q, m)
-            assert built.killed == killed, (q, m)
-            assert built.rows == RelationSet(m, basis, dropped).rows, (q, m)
-            seeded = _circle_four_term_rows(basis, list(map(isolated_chords, basis))) if m > 1 else []
-            assert 2 * len(seeded) <= len(dropped), (q, m)
+            # the blocks of the supports that can carry 2m feet cover the basis
+            supports = [s for k in range(1, min(q, 2 * m) + 1) for s in combinations(range(q), k)]
+            assert set(map(support_of, basis)) == (set(supports) if m else {()}), (q, m)
+            seeded = 0
+            for support in supports:
+                block_rows, block_killed = restricted(q, m, support, dropped, killed)
+                built = circle_relations(len(support), m)
+                placed = [on_circles(drawing, support, q) for drawing in built.basis]
+                assert placed == [drawing for drawing in basis if support_of(drawing) == support], (q, m, support)
+                assert built.killed == block_killed, (q, m, support)
+                assert built.rows == RelationSet(m, built.basis, block_rows).rows, (q, m, support)
+                block_basis, drawings, _ = _block_table(len(support), m)
+                if m > 1:
+                    isolated = list(map(isolated_chords, block_basis))
+                    seeded += len(_circle_four_term_rows(m, block_basis, drawings, isolated))
+            assert 2 * seeded <= len(dropped), (q, m)
 
 
 def test_circle_quotient_equals_full_reference():
@@ -375,11 +426,11 @@ def test_circle_quotient_equals_full_reference():
     for q, top in _CIRCLE_SHAPES:
         for m in range(top + 1):
             full = _reference_echelon("circles", q, m)
-            built = circle_relations(q, m)
-            assert len(built.basis) - rank(built) == len(built.basis) - len(full) == quotient_dimension(m, ("circles", q))
+            basis = enumerate_circle_diagrams(q, m)
+            assert len(basis) - len(full) == quotient_dimension(m, ("circles", q)), (q, m)
             size, rows = _pivot_rows(q, m)
-            assert size == len(built.basis) and [p for p, _ in rows] == sorted(full), (q, m)
-            killed = set(built.killed)
+            assert size == len(basis) and [p for p, _ in rows] == sorted(full), (q, m)
+            killed = set(_reference_circle_rows(q, m)[1])
             for p, row in rows:
                 expected = {c: float(v) for c, v in full[p].items() if c != p and c not in killed}
                 assert dict(row) == expected, (q, m, p)
@@ -390,6 +441,14 @@ def test_circle_quotient_equals_full_reference():
             free = free_positions(("circles", q), top)
             assert [dense[k] for k in free] == [reference.get(k, 0j) for k in free], (q, top, threshold)
             assert not np.delete(dense, free).any()
+
+
+def test_block_placed_pivot_rows_equal_whole_basis_builder():
+    # each support's block echelon, placed in the q-circle basis, against
+    # the echelon of the rows seeded over the whole basis
+    for q, top in _CIRCLE_SHAPES + ((5, 3),):
+        for m in range(top + 1):
+            assert _pivot_rows(q, m) == float_rows(whole_circle_relations(q, m)), (q, m)
 
 
 def test_circle_dimensions():
@@ -487,8 +546,9 @@ def test_circle_diagram_normalizes_validates_and_stays_frozen():
 
 
 def test_quotient_dimension_argument_check():
-    # an unknown skeleton kind is refused in one line where reduce,
-    # free_positions and quotient_dimension all read the skeleton
+    # an unknown skeleton kind, fewer than 2 strands and no circle are
+    # refused in one line where reduce, free_positions and
+    # quotient_dimension all read the skeleton
     for refusal, kind in (
         (lambda: free_positions(("foo", 3), 1), "foo"),
         (lambda: free_positions(("Strands", 3), 1), "Strands"),
@@ -498,6 +558,20 @@ def test_quotient_dimension_argument_check():
         with pytest.raises(ValueError) as info:
             refusal()
         assert str(info.value) == f"unknown skeleton kind {kind!r}, expected 'strands' or 'circles'"
+    for refusal, message in (
+        (lambda: free_positions(("strands", 1), 2), "need at least 2 strands"),
+        (lambda: reduce(np.ones(1), ("strands", 1), 0), "need at least 2 strands"),
+        (lambda: quotient_dimension(2, ("strands", 0)), "need at least 2 strands"),
+        (lambda: free_positions(("circles", 0), 1), "need at least 1 circle"),
+        (lambda: reduce(np.ones(1), ("circles", 0), 0), "need at least 1 circle"),
+        (lambda: quotient_dimension(2, ("circles", -1)), "need at least 1 circle"),
+        (lambda: quotient_dimension(-1, ("circles", 2)), "need degree >= 0"),
+        (lambda: circle_relations(0, 2), "need at least 1 circle"),
+        (lambda: enumerate_circle_diagrams(0, 0), "need at least 1 circle"),
+    ):
+        with pytest.raises(ValueError) as info:
+            refusal()
+        assert str(info.value) == message
 
 
 def _fraction_echelon(relation_set):
@@ -717,10 +791,11 @@ def _four_term_rows_reference(drawing, parent, killed):
 
 def test_circle_build_equals_renumbering_reference_beyond_brute_force():
     # shapes past _CIRCLE_SHAPES: the drawing tables (basis, and entries in
-    # insertion order), the 4T rows with the seeds that have an isolated
-    # chord skipped and the terms placed from the parent's drawing, the
-    # killed positions and the float pivot rows, against the walk that
-    # renumbered every rotation and the rows built from every seed
+    # insertion order), each support's block of 4T rows with the seeds that
+    # have an isolated chord skipped and the terms placed from the parent's
+    # drawing, the killed positions and the placed float pivot rows, against
+    # the walk that renumbered every rotation and the rows built from every
+    # seed
     for q, top in ((1, 7), (4, 4), (5, 3), (6, 3)):
         for m in range(top + 1):
             basis, drawings = _orbit_table(q, m)
@@ -731,13 +806,16 @@ def test_circle_build_equals_renumbering_reference_beyond_brute_force():
             flags = [diagram_of(drawing).has_isolated_chord() for drawing in basis]
             rows = [row for k, d in enumerate(basis) for row in _four_term_rows_reference(d, k, flags)] if m > 1 else []
             reference = RelationSet(m, basis, rows, (k for k, flag in enumerate(flags) if flag))
-            built = circle_relations(q, m)
-            assert (built.rows, built.killed) == (reference.rows, reference.killed), (q, m)
-            # equal rows give equal echelons, so the built set's (cached) echelon stands in for the reference's
-            pivots = dict.fromkeys(reference.killed, ())
-            for p, row in built.echelon().items():
-                pivots[p] = tuple((c, v / row[p]) for c, v in row.items() if c != p)
-            assert _pivot_rows(q, m) == (len(basis), tuple(sorted(pivots.items()))), (q, m)
+            reference_rows = list(map(dict, reference.rows))
+            for support in {support_of(drawing) for drawing in basis} - {()}:
+                block_rows, block_killed = restricted(q, m, support, reference_rows, reference.killed)
+                built = circle_relations(len(support), m)
+                expected = (RelationSet(m, built.basis, block_rows).rows, block_killed)
+                assert (built.rows, built.killed) == expected, (q, m, support)
+            # on one circle the block is the whole set: equal rows give equal
+            # echelons, so its (cached) echelon stands in for the reference's
+            expected = float_rows(circle_relations(1, m) if q == 1 and m else reference)
+            assert _pivot_rows(q, m) == expected, (q, m)
 
 
 def test_reduce_threshold_is_reached_at_equality():
