@@ -7,52 +7,42 @@ by -1, with labels numbered by first appearance.  A basis entry is the
 drawing of its diagram that the enumeration meets first, the one with the
 least chord tuple; its slot counts and chords (for the JSON form) and its
 isolated chords are read off it.  The block of k circles at a degree
-holds the diagrams in which every circle carries a foot, with one table
-from every drawing to its basis position: each of its slot splits is a
-walk over the raw matchings.  The table of q circles takes each slot
-split from the block of its non-empty circles, with a -1 for each empty
-circle, so no split is walked twice.  Moving one foot of a chord changes
-only that chord's rank among first appearances, so the walk turns
-circles and the 4T rows move feet by relabelling that one chord
-(_rerank), and look each layout up in the block's table once; the
-closure's index labels its layouts in bulk before the lookup in the
-q-circle table.  A series on q circles is a dense vector over circle_basis(q, M),
-the diagrams of each degree in turn.
+holds the diagrams in which every circle carries a foot, with the one
+table from every drawing to its basis position: each of its slot splits
+is a walk over the raw matchings.  The basis of q circles takes each slot
+split from the block of its non-empty circles, with a -1 at each empty
+circle, so a q-circle position is a block position plus its split's
+shift.  Moving one foot of a chord changes only that chord's rank among
+first appearances, so the walk turns circles and the 4T rows move feet
+by relabelling that one chord (_rerank), and look each layout up in the
+block's table once, as the closure's index does after labelling its
+layouts in bulk.  A series on q circles is a dense vector over
+circle_basis(q, M), the diagrams of each degree in turn.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
-from math import comb
+from itertools import accumulate, combinations, combinations_with_replacement
+from math import comb, prod
 from operator import itemgetter
 
 from .words import ZERO_THRESHOLD
 
-# The circle budget, counted before anything is built, on the q-circle table
-# that compute --close builds.  Most chord matchings (all slot splits, all
-# degrees m <= M) a circle basis may cover: _orbit_table(4, 4) covers 17,325
-# in its top degree, and the 4T rows and the echelon grow with the blocks.
-# Most drawing-table cells, q + 2m per matching of degree m: a table holds
-# one drawing per matching, the blocks of fewer circles at most as many
-# again, and with many circles a matching is cheap to count but costs its
-# q + 2m labels and -1s to build and hold.  dims builds the blocks alone.
-# One circle to degree 7 has 2,173,624 cells.  Fresh-process peak RSS
-# (2-vCPU host) of the tables and clearing rows (_pivot_rows) --close builds:
-# 4 circles to degree 4, 19.4 MB; 6 circles to degree 4 (1,979,004 cells),
-# 54.4 MB; 200 circles to degree 1 (4,060,400 cells), 96 MB.
+# The circle budget, counted before anything is built on the slot splits a
+# command builds: of q circles for compute --close, of the blocks of
+# k <= min(q, 2m) circles for dims.  Most chord matchings (all splits, all
+# degrees m <= M): 4 circles cover 17,325 at degree 4, a block table files
+# each matching, and the 4T rows and the echelon grow with the blocks.
+# Most cells, a drawing's labels and -1s per matching: the basis holds at
+# most one drawing per matching, and with many circles a matching is cheap
+# to count but costs its q + 2m cells to hold.  One circle to degree 7 has
+# 2,173,624 cells.  Fresh-process peak RSS (2-vCPU host) of the basis and
+# clearing rows (_pivot_rows) --close builds: 4 circles to degree 4,
+# 16.8 MB; 6 circles to degree 4 (1,979,004 cells), 25.2 MB; 200 circles to
+# degree 1 (4,060,400 cells), 50 MB.
 MAX_CIRCLE_MATCHINGS = 2**18
 MAX_CIRCLE_CELLS = 2**22
-
-
-def _compositions(total, parts):
-    """Every tuple of parts non-negative ints summing to total, in increasing order.
-
-    Stars and bars: the parts are the gaps around parts - 1 bars among
-    total + parts - 1 places, taken in lexicographic order.
-    """
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
 
 
 def _matchings(degree):
@@ -120,41 +110,47 @@ def isolated_chords(drawing):
 
 
 @lru_cache(maxsize=64)
-def _circle_counts(n_circles, max_degree):
-    """(raw matchings, drawing-table cells) to degree M, in one pass: degree m has
-    C(2m+q-1, q-1) slot splits of (2m-1)!! matchings, each of q + 2m cells."""
+def _circle_counts(n_circles, max_degree, blocks=False):
+    """(raw matchings, drawing-table cells) to degree M, in one pass.
+
+    Degree m has (2m-1)!! matchings per slot split, each drawn in its 2m
+    labels and a -1 per circle: C(2m+q-1, q-1) splits of q + 2m cells on q
+    circles, or with blocks, C(2m-1, k-1) splits of 2m + k cells on each
+    k <= min(q, 2m) circles.
+    """
     matchings = cells = 0
-    pairings = 1
     for m in range(max_degree + 1):
-        if m:
-            pairings *= 2 * m - 1
-        count = comb(2 * m + n_circles - 1, n_circles - 1) * pairings
-        matchings += count
-        cells += (n_circles + 2 * m) * count
+        pairings = prod(range(1, 2 * m, 2))
+        splits = ([(comb(2 * m - 1, k - 1), 2 * m + k) for k in range(1, min(n_circles, 2 * m) + 1)] if blocks
+                  else [(comb(2 * m + n_circles - 1, n_circles - 1), n_circles + 2 * m)])
+        matchings += pairings * sum(count for count, _ in splits)
+        cells += pairings * sum(count * width for count, width in splits)
     return matchings, cells
 
 
-def check_circle_budget(n_circles: int, max_degree: int):
-    """Raise ValueError when the circle bases to max_degree exceed MAX_CIRCLE_MATCHINGS or MAX_CIRCLE_CELLS.
+def check_circle_budget(n_circles: int, max_degree: int, blocks=False):
+    """Raise ValueError when the circle tables to max_degree exceed MAX_CIRCLE_MATCHINGS or MAX_CIRCLE_CELLS.
 
-    Counts without building anything, once per (q, M) a process asks for.
-    Circle counts below 1 pass: building their basis reports the error.
+    Counts without building anything, once per (q, M) a process asks for:
+    the q-circle splits --close builds, or with blocks the blocks of
+    k <= min(q, 2m) circles that dims builds alone.  Circle counts below 1
+    pass: building their basis reports the error.
     """
     if n_circles < 1:
         return
     degree = min(max_degree, 8)  # 15!! > MAX_CIRCLE_MATCHINGS, so no degree past 8 needs counting
-    matchings, cells = _circle_counts(n_circles, degree)
+    matchings, cells = _circle_counts(n_circles, degree, blocks)
+    width, terms = ("2m+k", f"C(2m-1, k-1) (2m-1)!! for k <= min({n_circles}, 2m),") if blocks else (
+        f"{n_circles}+2m", f"C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for")
     if matchings > MAX_CIRCLE_MATCHINGS:
         raise ValueError(
             f"{n_circles} circles to degree {max_degree} need more than"
-            f" {MAX_CIRCLE_MATCHINGS} chord matchings"
-            f" (sum of C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
+            f" {MAX_CIRCLE_MATCHINGS} chord matchings (sum of {terms} m <= {max_degree})"
         )
     if cells > MAX_CIRCLE_CELLS:
         raise ValueError(
             f"{n_circles} circles to degree {max_degree} need more than"
-            f" {MAX_CIRCLE_CELLS} drawing-table cells"
-            f" (sum of ({n_circles}+2m) C(2m+{n_circles - 1}, {n_circles - 1}) (2m-1)!! for m <= {max_degree})"
+            f" {MAX_CIRCLE_CELLS} drawing-table cells (sum of ({width}) {terms} m <= {max_degree})"
         )
 
 
@@ -227,94 +223,76 @@ def _block_table(n_circles: int, degree: int):
     """(basis drawings, drawing -> basis position, slots -> split) of the degree-m block on k circles.
 
     The block holds the diagrams in which every circle carries a foot: the
-    slot splits with no empty circle, walked in increasing order
-    (_split_table), the degree's matchings generated once.  A split is
-    (its first basis position, its basis count); its (2m-1)!! drawings
-    follow the previous split's in the table.
+    slot splits with no empty circle, the gaps between k - 1 bars among the
+    2m - 1 places between slots, walked in increasing order (_split_table),
+    the degree's matchings generated once.  A split is (its first basis
+    position, its basis count); its (2m-1)!! drawings follow the previous
+    split's in the table.
     """
     _check_shape(n_circles, degree)
     # one circle has one slot split, which walks the matchings as generated
     matchings = _matchings(degree) if n_circles == 1 else tuple(_matchings(degree))
     basis, drawings, splits = [], {}, {}
-    for slots in _compositions(2 * degree, n_circles):
-        if 0 not in slots:
-            start = len(basis)
-            _split_table(slots, degree, matchings, basis, drawings)
-            splits[slots] = start, len(basis) - start
+    for bars in combinations(range(1, 2 * degree), n_circles - 1) if degree else ():  # degree 0 puts no foot
+        slots, start = tuple(b - a for a, b in zip((0, *bars), (*bars, 2 * degree))), len(basis)
+        _split_table(slots, degree, matchings, basis, drawings)
+        splits[slots] = start, len(basis) - start
     return tuple(basis), drawings, splits
 
 
 def _inserter(slots):
-    """The map from a drawing of the circles of slots that carry feet to its drawing on all of them.
-
-    It inserts a -1, the drawing's last entry, at each empty circle's flat index.
-    """
+    """The map from a drawing of the circles of slots that carry feet to its drawing on all of them."""
     picks, read = [], 0
-    for n in slots:
-        if n:
-            picks += range(read, read + n + 1)  # a circle's labels and its -1
-            read += n + 1
-        else:
-            picks.append(-1)
+    for n in slots:  # a circle's labels and its -1, or for an empty circle the drawing's last -1
+        picks += range(read, read + n + 1) if n else (-1,)
+        read += n + (n > 0)
     return itemgetter(*picks)
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(n_circles: int, degree: int):
-    """(basis drawings, drawing -> basis position) of the degree-m diagrams on q circles.
+def _slot_splits(n_circles: int, degree: int):
+    """(basis drawings, split key -> shift) of the degree-m diagrams on q circles.
 
-    Slot splits are filled in increasing order, each adding its (2m-1)!!
-    entries consecutively.  A split takes the same split of its block, the
-    block of its circles that carry feet (_block_table), with a -1 inserted
-    at each empty circle and positions shifted past the splits before it.
-    No split is walked again, and a split with no empty circle shares the
-    block's drawings.
+    The slot splits come in increasing order, each holding the same split
+    of the block of its circles that carry feet, in order, with a -1
+    inserted at each empty circle: a diagram's position is its block
+    position plus its split's shift.  A split is keyed by its feet, the
+    circle of each of its 2m slots in order; increasing splits have
+    decreasing keys.
     """
     _check_shape(n_circles, degree)
-    if degree == 0:  # one drawing, all -1, and no slot for a walk
-        drawing = (-1,) * n_circles
-        return (drawing,), {drawing: 0}
-    if n_circles == 1:  # no empty circle: the table is the block's
-        return _block_table(1, degree)[:2]
-    basis, drawings, walks = [], {}, {}
-    for slots in _compositions(2 * degree, n_circles):
+    if degree == 0:  # one diagram, all -1
+        return ((-1,) * n_circles,), {(): 0}
+    basis, shifts = [], {}
+    for feet in reversed(list(combinations_with_replacement(range(n_circles), 2 * degree))):
+        slots = [0] * n_circles
+        for c in feet:
+            slots[c] += 1
         shown = tuple(n for n in slots if n)
-        block_basis, block_drawings, splits = _block_table(len(shown), degree)
-        if shown not in walks:  # cut the block's entries into its splits', in split order
-            entries = iter(block_drawings.items())
-            walks.update((split, tuple(islice(entries, len(block_drawings) // len(splits)))) for split in splits)
+        block_basis, _, splits = _block_table(len(shown), degree)
         start, count = splits[shown]
-        walk, positions = zip(*walks[shown])
-        split_basis = block_basis[start:start + count]
-        if len(shown) < n_circles:
-            insert = _inserter(slots)
-            split_basis, walk = map(insert, split_basis), map(insert, walk)
-        drawings.update(zip(walk, map((len(basis) - start).__add__, positions)))
-        basis.extend(split_basis)
-    return tuple(basis), drawings
+        shifts[feet] = len(basis) - start
+        split = block_basis[start:start + count]
+        basis += split if len(shown) == n_circles else map(_inserter(slots), split)
+    return tuple(basis), shifts
 
 
 def _block_positions(n_circles, degree, support):
-    """Position in _orbit_table(q, m) of each basis drawing of the block on the circles in support.
+    """Position in enumerate_circle_diagrams(q, m) of each basis drawing of the block on the circles in support.
 
-    A block drawing is placed by a -1 at each circle not in support, and
-    looked up.  The positions increase: dropping the zeros of the slot
-    splits with the same empty circles keeps their order.
+    A block split drawn on support is one slot split of the q circles.
     """
-    basis, _, splits = _block_table(len(support), degree)
-    drawings = _orbit_table(n_circles, degree)[1]
+    shifts = _slot_splits(n_circles, degree)[1]
     out = []
-    for shown, (start, count) in splits.items():
-        slots = [0] * n_circles
-        for c, n in zip(support, shown):
-            slots[c] = n
-        out += map(drawings.__getitem__, map(_inserter(slots), basis[start:start + count]))
+    for shown, (start, count) in _block_table(len(support), degree)[2].items():
+        shift = shifts[tuple(c for c, n in zip(support, shown) for _ in range(n))]
+        out += range(shift + start, shift + start + count)
     return out
 
 
 def enumerate_circle_diagrams(n_circles: int, degree: int):
     """All degree-m diagrams on q numbered circles, sorted, as their least drawings."""
-    return _orbit_table(n_circles, degree)[0]
+    return _slot_splits(n_circles, degree)[0]
 
 
 @lru_cache(maxsize=None)

@@ -238,9 +238,13 @@ def _cmd_dims(args):
         _check_count_steps(args.strands, args.max_degree)
         dims = _relations._normal_word_counts(args.strands, args.max_degree)
     else:
-        _circles.check_circle_budget(args.circles, args.max_degree)
+        _circles.check_circle_budget(args.circles, args.max_degree, blocks=True)
         dims = [_relations.quotient_dimension(m, ("circles", args.circles)) for m in range(args.max_degree + 1)]
-    print(" ".join(f"{degree}:{dim}" for degree, dim in enumerate(dims)))
+    try:
+        text = " ".join(f"{degree}:{dim}" for degree, dim in enumerate(dims))
+    except ValueError:  # past sys.get_int_max_str_digits(); strand counts stay short
+        raise ValueError(f"{args.circles} circles to degree {args.max_degree} have dimensions too long to print") from None
+    print(text)
     return EXIT_OK
 
 

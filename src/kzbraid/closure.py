@@ -8,9 +8,10 @@ component from its lowest strand, reading the feet on every strand bottom
 to top, then cross the closure arc to the next strand.  Chords among
 closure arcs and long chords contribute nothing and are never produced.
 The word-to-diagram index is built in numpy for all words of a degree at
-once: their feet are sorted into circle layouts, the labels numbered by
-first appearance, and every drawing is looked up in the degree's drawing
-table, the table the circle 4T rows use.  kontsevich_link projects a
+once: their feet are sorted into layouts of the circles with feet, the
+labels numbered by first appearance, and every drawing is looked up in
+the table of its block, the table the circle 4T rows use, then shifted
+by its slot split's place in the q-circle basis.  kontsevich_link projects a
 thresholded braid series and returns the reduced link.
 """
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .braids import BraidWord, permutation_of
-from .circles import _orbit_table, circle_basis
+from .circles import _block_table, _slot_splits, circle_basis
 from .relations import reduce
 from .words import basis_size, pair_ends
 
@@ -44,13 +45,14 @@ def _tau_index(max_degree, cycles):
     """Graded circle-basis position of tau of each word of basis_words(N, max_degree), read-only.
 
     N counts the strands in the cycles.  A degree's words are handled at
-    once: every foot, and a -1 closing each circle, gets the key (place of
-    its strand along the circles, height), so sorting a word's keys lays its
-    feet out circle by circle; each chord is labelled by the rank of its
-    lower foot, which numbers the labels by first appearance, and the
-    drawing is looked up in the degree's table.
+    once: every foot, and a -1 closing each circle with feet, gets the key
+    (place of its strand along the circles, height), so sorting a word's
+    keys lays its feet out circle by circle; each chord is labelled by the
+    rank of its lower foot, which numbers the labels by first appearance.
+    The drawing is looked up in its block's table, and the sorted circles
+    of the word's feet key its slot split's shift.
     """
-    n_strands = sum(map(len, cycles))
+    n_strands, n_circles = sum(map(len, cycles)), len(cycles)
     pairs = pair_ends(n_strands if max_degree else 2).T  # degree 0 reads no pair
     place = np.empty(n_strands, dtype=np.intp)
     place[np.concatenate(cycles) - 1] = np.arange(n_strands)
@@ -58,22 +60,32 @@ def _tau_index(max_degree, cycles):
     chords = np.zeros((1, 0), dtype=np.intp)  # pair index of each word's chords, bottom first
     index, offset = [], 0
     for height in range(max_degree + 1):
-        basis, drawings = _orbit_table(len(cycles), height)
+        basis, shifts = _slot_splits(n_circles, height)
         if height:
             top = np.tile(np.arange(len(pairs)), len(chords))
             chords = np.column_stack([np.repeat(chords, len(pairs), axis=0), top])
         # the feet of chord h are columns 2h and 2h + 1; a circle's -1 sorts
-        # after the feet of its last strand
+        # after the feet of its last strand, and the -1s repeated for the
+        # circle's other feet after everything
         feet = place[pairs[chords]] * (height + 1) + np.arange(height)[:, None]
-        closing = np.broadcast_to(ends * (height + 1) - 1, (len(chords), len(cycles)))
+        on = np.sort(ends.searchsorted(place[pairs[chords]], "right").reshape(len(chords), -1), axis=1)
+        repeated = on[:, 1:] == on[:, :-1]
+        closing = ends[on] * (height + 1) - 1
+        closing[:, 1:][repeated] = n_strands * (height + 1)
         keys = np.hstack([feet.reshape(len(chords), -1), closing])
         # by first appearance along the circles, chord h is labelled by the rank of its lower foot
         rank = feet.min(axis=2).argsort(axis=1).argsort(axis=1)
-        labels = np.hstack([np.repeat(rank, 2, axis=1), np.full((len(chords), len(cycles)), -1)])
-        layouts = np.take_along_axis(labels, keys.argsort(axis=1), axis=1).tolist()
-        index += map(offset.__add__, map(drawings.__getitem__, map(tuple, layouts)))
+        labels = np.hstack([np.repeat(rank, 2, axis=1), np.full((len(chords), 2 * height), -1)])
+        layouts = np.take_along_axis(labels, keys.argsort(axis=1), axis=1)
+        shown = 2 * height - repeated.sum(axis=1)  # circles with feet
+        positions = np.fromiter(map(shifts.__getitem__, map(tuple, on.tolist())), np.intp, len(chords)) + offset
+        for k in range(1, min(n_circles, 2 * height) + 1):
+            words = np.flatnonzero(shown == k)
+            drawn = map(tuple, layouts[words, :2 * height + k].tolist())
+            positions[words] += np.fromiter(map(_block_table(k, height)[1].__getitem__, drawn), np.intp, len(words))
+        index.append(positions)
         offset += len(basis)
-    out = np.array(index, dtype=np.intp)
+    out = np.concatenate(index)
     out.flags.writeable = False
     return out
 

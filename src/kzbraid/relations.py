@@ -21,8 +21,9 @@ q circles split into blocks, one per support, the set of circles that
 carry feet, and the block of a support S is the block of |S| circles that
 all carry feet, with a -1 at each empty circle.  circle_relations(k, m)
 builds that block once per (k, m).  quotient_dimension sums C(q, k) times
-each block's dimension, building no q-circle table, and _pivot_rows places
-each block's echelon rows on every support in the q-circle basis.
+each block's dimension, building nothing on q circles, and _pivot_rows
+places each block's echelon rows on every support in the q-circle basis,
+each position a block position plus its slot split's shift.
 
 Framing independence sets every diagram with an isolated chord to zero
 outright: those positions are the relation set's killed columns, dropped
@@ -298,7 +299,7 @@ def _pivot_rows(n_circles, degree):
             for p, row in relations.echelon().items():
                 pivot = row[p]
                 rows[place[p]] = tuple((place[c], v / pivot) for c, v in row.items() if c != p)
-    return len(_circles._orbit_table(n_circles, degree)[0]), tuple(sorted(rows.items()))
+    return len(_circles._slot_splits(n_circles, degree)[0]), tuple(sorted(rows.items()))
 
 
 @lru_cache(maxsize=None)

@@ -1,17 +1,21 @@
 """Reference diagrams, canonical forms and basis orders, written independently of kzbraid.
 
-kzbraid keeps a circle diagram as a flat drawing and files every drawing
-under the basis position of the first drawing its enumeration meets; these
-helpers restate what that must equal: CircleDiagram is the validating
-(slots, chords) record, the canonical drawing has the least chord tuple
-over independent circle rotations, bases sort by (degree, slots, chords),
-words, tuples of strand pairs (i, j) with i < j, by (degree, chords).
+kzbraid keeps a circle diagram as a flat drawing, the basis drawing being
+the first drawing of it that its enumeration meets; these helpers restate
+what that must equal: CircleDiagram is the validating (slots, chords)
+record, the canonical drawing has the least chord tuple over independent
+circle rotations, bases sort by (degree, slots, chords), words, tuples of
+strand pairs (i, j) with i < j, by (degree, chords).  orbit_table_reference
+files every drawing of q circles under its diagram's basis position, and
+tau_index_reference reads the closure's index off it word by word.
 link_of and projection_of are the calls into kzbraid: the tests' route to
 its closure pipeline, composed as compute --close composes it.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -129,6 +133,107 @@ def first_appearance(layout):
 def position(drawings, layout):
     """Basis position of a flat layout in a drawing table (drawing -> position), renumbered first."""
     return drawings[first_appearance(layout)]
+
+
+def _matchings(degree):
+    """Every perfect matching of 2m feet in a row, in increasing chord-tuple order, as labels then -1.
+
+    Chords are labelled in the order of their first feet, which is first
+    appearance.
+    """
+    def pairings(feet):
+        if not feet:
+            yield ()
+            return
+        for k in range(1, len(feet)):
+            for rest in pairings(feet[1:k] + feet[k + 1:]):
+                yield ((feet[0], feet[k]),) + rest
+
+    for pairing in pairings(tuple(range(2 * degree))):
+        labels = [-1] * (2 * degree + 1)
+        for label, chord in enumerate(pairing):
+            for foot in chord:
+                labels[foot] = label
+        yield tuple(labels)
+
+
+def _split_table_reference(slots, degree, matchings):
+    """A slot split's (basis, drawing -> position), every rotation renumbered by first appearance.
+
+    Each rotation of a new basis drawing reads the matching through its own
+    index map, and its labels are then renumbered.
+    """
+    starts = [sum(slots[:c]) for c in range(len(slots))]
+    rotated = [
+        itemgetter(*[
+            k for start, n, r in zip(starts, slots, shift)
+            for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
+        ])
+        for shift in product(*(range(n) for n in slots))
+    ]
+    basis, drawings = [], {}
+    for matching in matchings:
+        drawing = rotated[0](matching)
+        if drawing not in drawings:
+            drawings[drawing] = len(basis)
+            for rotate in rotated[1:]:
+                drawings[first_appearance(rotate(matching))] = len(basis)
+            basis.append(drawing)
+    return basis, drawings
+
+
+@lru_cache(maxsize=None)
+def orbit_table_reference(n_circles, degree):
+    """(basis drawings, drawing -> basis position) of the degree-m diagrams on q circles, every drawing filed.
+
+    Every slot split, in increasing order among all (2m+1)^q tuples, takes
+    the walk of its non-empty circles with a -1 at each empty circle.
+    """
+    matchings = tuple(_matchings(degree))
+    basis, drawings, walks = [], {}, {}
+    for slots in product(range(2 * degree + 1), repeat=n_circles):
+        if sum(slots) != 2 * degree:
+            continue
+        shown = tuple(n for n in slots if n)
+        if shown not in walks:
+            walks[shown] = _split_table_reference(shown, degree, matchings) if degree else ([(-1,)], {(-1,): 0})
+        walk_basis, walk = walks[shown]
+        support, shift = tuple(c for c, n in enumerate(slots) if n), len(basis)
+        basis += (on_circles(drawing, support, n_circles) for drawing in walk_basis)
+        drawings.update((on_circles(drawing, support, n_circles), shift + k) for drawing, k in walk.items())
+    return tuple(basis), drawings
+
+
+def tau_index_reference(n_strands, max_degree, cycles):
+    """closure._tau_index word by word, as a reference.
+
+    Words are grown one top chord at a time in basis order; feet[s] lists
+    the heights of the chords with a foot on strand s + 1, bottom first,
+    and each layout is renumbered by first appearance and looked up.
+    """
+    pairs = [(i, j) for i in range(n_strands) for j in range(i + 1, n_strands)]  # 0-based, lexicographic
+    level = [((),) * n_strands]
+    index = []
+    offset = 0
+    for height in range(max_degree + 1):
+        basis, drawings = orbit_table_reference(len(cycles), height)
+        if height:
+            grown = []
+            for feet in level:
+                for i, j in pairs:
+                    feet_up = list(feet)
+                    feet_up[i] += (height - 1,)
+                    feet_up[j] += (height - 1,)
+                    grown.append(feet_up)
+            level = grown
+        for feet in level:
+            layout = []
+            for cycle in cycles:
+                layout.extend(h for s in cycle for h in feet[s - 1])
+                layout.append(-1)
+            index.append(offset + position(drawings, layout))
+        offset += len(basis)
+    return np.array(index, dtype=np.intp)
 
 
 def canonical(diagram):

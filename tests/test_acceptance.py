@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, _warped, parse_braid_word, permutation_of, realize
-from kzbraid.circles import _orbit_table, circle_basis
+from kzbraid.circles import circle_basis
 from kzbraid.relations import (
     circle_relations,
     free_positions,
@@ -28,7 +28,7 @@ from kzbraid.words import (
     relabel_strands,
     series_product,
 )
-from reference_orders import link_of, on_circles, word
+from reference_orders import link_of, on_circles, orbit_table_reference, word
 from test_braids import cut_loop
 from test_transport import _at_nodes
 
@@ -268,7 +268,7 @@ def test_11_quotient_engine():
     shapes = [(("strands", n), m, horizontal_relations(n, m).rows, basis_words)
               for n, m in ((3, 2), (3, 3), (4, 2), (4, 3))]
     for q, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
-        drawings, rows = _orbit_table(q, m)[1], []
+        drawings, rows = orbit_table_reference(q, m)[1], []
         for k in range(1, q + 1):
             block = circle_relations(k, m)
             for support in combinations(range(q), k):

@@ -226,15 +226,18 @@ def test_combinatorial_integral_closes_to_the_same_link():
     # integral (Drinfeld 1990; Le & Murakami 1996), and the closure drops the
     # conjugation: the closed series agree within 9.1e-16 at degree 4 while
     # the unclosed ones differ by up to 0.22.  With phi = 1 the closed series
-    # miss by 0.33, so the gate can fail.  Below degree 5 zeta(3) is a free
-    # parameter of the associators and a link's integral does not depend on
-    # it: at zeta(3) = 1.2 they still agree within 9.1e-16
+    # miss by 0.33, and with zeta(3,1) and zeta(2,2) swapped, a phi that is
+    # no associator at degree 4, by 4.2e-3, so the gate can fail.  Below
+    # degree 5 zeta(3) is a free parameter of the associators and a link's
+    # integral does not depend on it: at zeta(3) = 1.2 they still agree
+    # within 9.1e-16
     m = 4
     words = basis_words(3, m)
     zeta3_moved = dict(ZETAS, BAA=1.2, BBA=1.2)
+    swapped = dict(ZETAS, BABA=ZETAS["BBAA"], BBAA=ZETAS["BABA"])
     phis = {
         zetas_name: np.array([0 if (1, 3) in w else _expected(w, zetas) for w in words], complex)
-        for zetas_name, zetas in (("mzv", ZETAS), ("zeta3 = 1.2", zeta3_moved))
+        for zetas_name, zetas in (("mzv", ZETAS), ("zeta3 = 1.2", zeta3_moved), ("swapped", swapped))
     }
     phis["phi = 1"] = _exp(0, (), m)
     misses, unclosed = {name: 0.0 for name in phis}, 0.0
@@ -248,4 +251,4 @@ def test_combinatorial_integral_closes_to_the_same_link():
             if name == "mzv":
                 unclosed = max(unclosed, np.abs(combinatorial - holonomy).max())
     assert misses["mzv"] <= 1e-12 and misses["zeta3 = 1.2"] <= 1e-12, misses
-    assert misses["phi = 1"] > 0.1 and unclosed > 0.1, (misses, unclosed)
+    assert misses["phi = 1"] > 0.1 and misses["swapped"] > 1e-3 and unclosed > 0.1, (misses, unclosed)

@@ -715,24 +715,13 @@ def test_package_names_its_submodules_in_fresh_interpreter():
     assert done.stdout == "[]\n"
 
 
-def test_drawing_table_builds_no_table_of_fewer_circles():
-    # a fresh interpreter, so that no table cache the other tests share is cleared;
-    # the splits of _orbit_table(4, 3) with empty circles take the block tables of
-    # their non-empty circles, not the drawing tables of fewer circles
-    script = "from kzbraid.circles import _orbit_table as t; t(4, 3); print(t.cache_info().currsize)"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_child_env(), timeout=120)
-    assert done.returncode == 0, done.stderr[-500:]
-    assert done.stdout == "1\n"
-
-
 def test_dims_circles_builds_no_circle_table():
     # a fresh interpreter, so that no table cache the other tests share is cleared;
-    # dims sums the blocks of 1 to 3 circles and builds no 3-circle drawing table
+    # dims sums the blocks of 1 to 3 circles and builds no 3-circle basis
     script = (
         "from kzbraid import circles; from kzbraid.cli import main;"
         " assert main(['dims', '--circles', '3', '-m', '4']) == 0;"
-        " print(circles._orbit_table.cache_info().currsize)"
+        " print(circles._slot_splits.cache_info().currsize)"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
@@ -818,6 +807,14 @@ def test_distinct_letters_memory_at_n30_m2():
     assert _fresh_peak_kb("compute", "-n", "30", "-m", "2", "-w", word) < 300 * 1024
 
 
+def test_close_memory_at_six_components():
+    # the identity on 6 strands closes into 6 circles: a fresh process peaked
+    # at 114-117 MB while each of the 135,135 drawings of 6 circles at degree 4
+    # was filed in a q-circle table, and at 86 MB once a position is a block
+    # position plus its slot split's shift (2-vCPU host)
+    assert _fresh_peak_kb("compute", "-n", "6", "-m", "4", "--close", "-w", "1 -1") < 100 * 1024
+
+
 def test_degree_zero_memory_at_n1448():
     # degree 0 prints the empty word alone: a fresh process peaked at 253 MB
     # (255 with --close) while the table's row texts, the JSON heads and the
@@ -894,25 +891,42 @@ def test_oversized_steps_refused_before_allocating():
 
 
 def test_over_circle_budget_refused_quickly():
-    # two circles to degree 8 walk 17 * 15!! ~ 3.4e7 matchings in the top degree;
-    # 723 circles to degree 1 have 261,727 matchings, under the matching bound,
-    # but 189,752,073 drawing-table cells, minutes of table building; a
-    # 300-strand identity closes into 300 circles (13,635,600 cells)
-    # (matchings, cells) = _circle_counts(q, M)
+    # two circles to degree 8 walk 17 * 15!! ~ 3.4e7 matchings in the top degree,
+    # or 2^15 * 15!! in the blocks of dims to 10^300 circles; a 300-strand
+    # identity closes into 300 circles (13,635,600 cells)
+    # (matchings, cells) = _circle_counts(q, M), of the q-circle splits --close builds
     assert _circle_counts(4, 4)[0] <= MAX_CIRCLE_MATCHINGS  # four-component closures at M=4
     assert _circle_counts(1, 7)[1] <= MAX_CIRCLE_CELLS and _circle_counts(6, 4)[1] <= MAX_CIRCLE_CELLS
     assert _circle_counts(723, 1)[0] <= MAX_CIRCLE_MATCHINGS < _circle_counts(724, 1)[0]
     assert (_circle_counts(1, 7)[1], _circle_counts(723, 1)[1]) == (2_173_624, 189_752_073)
-    for argv, bound in (
-        (("dims", "--circles", "2", "-m", "8"), "chord matchings"),
-        (("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"), "chord matchings"),
-        (("dims", "--circles", "723", "-m", "1"), "drawing-table cells"),
-        (("compute", "-n", "300", "-m", "1", "--close"), "drawing-table cells"),
+    for argv, request, bound in (
+        (("dims", "--circles", "2", "-m", "8"), "2 circles to degree 8", "chord matchings"),
+        (("compute", "-n", "2", "-m", "8", "--steps", "8", "--close"), "2 circles to degree 8", "chord matchings"),
+        (("dims", "--circles", str(10**300), "-m", "8"), f"{10**300} circles to degree 8", "chord matchings"),
+        (("compute", "-n", "300", "-m", "1", "--close"), "300 circles to degree 1", "drawing-table cells"),
     ):
         start = time.monotonic()
         done = _run_capped(*argv)
         assert time.monotonic() - start < 5, argv
         assert done.returncode == 1, done.stderr[-500:]
         assert done.stdout == ""
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"error: {request} need more than ") and done.stderr.count("\n") == 1
         assert bound in done.stderr, argv
+
+
+def test_dims_circles_counts_only_the_blocks_it_builds(capsys):
+    # dims builds the blocks of k <= min(q, 2m) circles alone: 723 circles to
+    # degree 1 take the one- and two-circle blocks, 7 cells, where the
+    # 723-circle splits would hold 189,752,073
+    assert _circle_counts(723, 1, blocks=True) == (2, 7) == _circle_counts(2, 1, blocks=True)
+    start = time.monotonic()
+    assert run(capsys, "dims", "--circles", "723", "-m", "1") == (0, "0:1 1:261003\n", "")
+    assert time.monotonic() - start < 1
+    # a dimension that no str() may print is refused naming the request,
+    # where the interpreter limits the digits of an int's text
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        q = 10 ** (limit // 5)  # C(q, 6) has about 6/5 of the limit's digits
+        code, out, err = run(capsys, "dims", "--circles", str(q), "-m", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: {q} circles to degree 3 have dimensions too long to print\n"

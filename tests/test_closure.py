@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from kzbraid.braids import BraidWord, parse_braid_word, permutation_of
-from kzbraid.circles import _orbit_table, circle_basis
+from kzbraid.circles import circle_basis, enumerate_circle_diagrams
 from kzbraid.closure import _tau_index, closure_skeleton, kontsevich_link, tau_project
 from kzbraid.relations import free_positions, reduce
 from kzbraid.transport import kontsevich_of_braid
-from kzbraid.words import all_pairs, basis_size, basis_words
-from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, link_of, position, word
+from kzbraid.words import basis_size, basis_words
+from reference_orders import CircleDiagram, canonical, diagram_of, drawing_of, link_of, tau_index_reference, word
 
 
 def series(n, max_degree, terms):
@@ -152,38 +152,6 @@ def test_tau_index_matches_per_word_reference_on_every_permutation():
     assert len(closures) == 24
 
 
-def _tau_index_reference(n_strands, max_degree, cycles):
-    """closure._tau_index word by word, as a reference.
-
-    Words are grown one top chord at a time in basis order; feet[s] lists
-    the heights of the chords with a foot on strand s + 1, bottom first,
-    and each layout is renumbered by first appearance and looked up.
-    """
-    pairs = [(i - 1, j - 1) for i, j in all_pairs(n_strands)]
-    level = [((),) * n_strands]
-    index = []
-    offset = 0
-    for height in range(max_degree + 1):
-        basis, drawings = _orbit_table(len(cycles), height)
-        if height:
-            grown = []
-            for feet in level:
-                for i, j in pairs:
-                    feet_up = list(feet)
-                    feet_up[i] += (height - 1,)
-                    feet_up[j] += (height - 1,)
-                    grown.append(feet_up)
-            level = grown
-        for feet in level:
-            layout = []
-            for cycle in cycles:
-                layout.extend(h for s in cycle for h in feet[s - 1])
-                layout.append(-1)
-            index.append(offset + position(drawings, layout))
-        offset += len(basis)
-    return np.array(index, dtype=np.intp)
-
-
 def test_tau_index_equals_per_word_reference_on_every_closure():
     # every permutation of 4 strands at M = 4 and of 5 strands at M = 3, so
     # every cycle type, the 4- and 5-component closures included
@@ -193,7 +161,7 @@ def test_tau_index_equals_per_word_reference_on_every_closure():
             cycles = closure_skeleton(_braid_sorting(perm))
             components.add(len(cycles))
             index = _tau_index(max_degree, cycles)
-            expected = _tau_index_reference(n, max_degree, cycles)
+            expected = tau_index_reference(n, max_degree, cycles)
             assert index.dtype == expected.dtype and np.array_equal(index, expected), cycles
             assert not index.flags.writeable
     assert components == {1, 2, 3, 4, 5}
@@ -282,7 +250,7 @@ def test_mirror_image_flips_odd_degrees():
         reduced = link_of(braid, 4)
         mirrored = link_of(BraidWord(n, tuple((k, -sign) for k, sign in letters)), 4)
         q = len(closure_skeleton(braid))
-        signs = np.concatenate([np.full(len(_orbit_table(q, m)[0]), (-1.0) ** m) for m in range(5)])
+        signs = np.concatenate([np.full(len(enumerate_circle_diagrams(q, m)), (-1.0) ** m) for m in range(5)])
         assert np.abs(mirrored - signs * reduced).max() < 1e-12, (n, letters)
 
 

@@ -3,17 +3,15 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from operator import itemgetter
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
 
 from kzbraid.circles import (
+    _block_positions,
     _block_table,
     _circle_counts,
-    _matchings,
-    _orbit_table,
     circle_basis,
     enumerate_circle_diagrams,
     isolated_chords,
@@ -29,6 +27,7 @@ from kzbraid.relations import (
     quotient_dimension,
     reduce,
 )
+from kzbraid.closure import _tau_index
 from kzbraid.words import all_pairs, basis_words, enumerate_words
 from reference_orders import (
     CircleDiagram,
@@ -36,11 +35,12 @@ from reference_orders import (
     diagram_of,
     diagram_sort_key,
     drawing_of,
-    first_appearance,
     on_circles,
+    orbit_table_reference,
     position,
     rotations,
     support_of,
+    tau_index_reference,
     word,
 )
 
@@ -72,10 +72,10 @@ def whole_circle_relations(q, m):
     """The relation set of degree m on q circles, its 4T rows seeded over the whole q-circle basis.
 
     The reference for the blocks that circle_relations builds and
-    _pivot_rows places: the library's row builder run on the q-circle
-    drawing table instead of a block's.
+    _pivot_rows places: the library's row builder run on the reference
+    q-circle drawing table instead of a block's.
     """
-    basis, drawings = _orbit_table(q, m)
+    basis, drawings = orbit_table_reference(q, m)
     isolated = list(map(isolated_chords, basis))
     rows = _circle_four_term_rows(m, basis, drawings, isolated) if m >= 2 else []
     return RelationSet(m, basis, rows, (k for k, chords in enumerate(isolated) if chords))
@@ -443,12 +443,37 @@ def test_circle_quotient_equals_full_reference():
             assert not np.delete(dense, free).any()
 
 
-def test_block_placed_pivot_rows_equal_whole_basis_builder():
-    # each support's block echelon, placed in the q-circle basis, against
-    # the echelon of the rows seeded over the whole basis
-    for q, top in _CIRCLE_SHAPES + ((5, 3),):
+def _partitions(n, largest=None):
+    """Every partition of n, parts in decreasing order."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+def test_circle_positions_equal_orbit_table_reference():
+    # against the reference table that files every drawing of q circles:
+    # the basis, the position of each block diagram on each support, each
+    # support's block echelon placed in the q-circle basis against the
+    # echelon of the rows seeded over the whole basis, and the closure's
+    # index on one closure of every cycle type of 4 and 5 strands
+    for q, top in _CIRCLE_SHAPES + ((5, 3), (6, 3)):
         for m in range(top + 1):
+            basis, drawings = orbit_table_reference(q, m)
+            assert enumerate_circle_diagrams(q, m) == basis, (q, m)
+            for k in range(1, min(q, 2 * m) + 1):
+                block = _block_table(k, m)[0]
+                for support in combinations(range(q), k):
+                    placed = [drawings[on_circles(drawing, support, q)] for drawing in block]
+                    assert _block_positions(q, m, support) == placed, (q, m, support)
             assert _pivot_rows(q, m) == float_rows(whole_circle_relations(q, m)), (q, m)
+    for n, max_degree in ((4, 4), (5, 3)):
+        for lengths in _partitions(n):
+            ends = list(accumulate(lengths))
+            cycles = tuple(tuple(range(end - length + 1, end + 1)) for end, length in zip(ends, lengths))
+            index = _tau_index(max_degree, cycles)
+            assert np.array_equal(index, tau_index_reference(n, max_degree, cycles)), cycles
 
 
 def test_circle_dimensions():
@@ -486,7 +511,7 @@ def layout_position(layout):
     the degree's drawing table.
     """
     n_circles = layout.count(-1)
-    return position(_orbit_table(n_circles, (len(layout) - n_circles) // 2)[1], layout)
+    return position(orbit_table_reference(n_circles, (len(layout) - n_circles) // 2)[1], layout)
 
 
 def _check_rotations_share_one_position(diagram, n_drawings):
@@ -671,81 +696,29 @@ def test_drawing_table_basis_matches_brute_force():
 
 
 def test_drawing_table_holds_each_matching_once():
-    # one entry per raw matching of the degree, each filed under the basis
-    # position of its brute-force least rotation: the drawings filed at a
-    # position are the rotations of a diagram that is its own canonical
-    # drawing; at (6, 3) splits with up to five empty circles take the walk
-    # of their non-empty circles
-    for q, top in ((1, 6), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
-        for m in range(top + 1):
-            basis, drawings = _orbit_table(q, m)
-            assert len(drawings) == _circle_counts(q, m)[0] - _circle_counts(q, m - 1)[0]
-            # each slot split adds its walk's (2m-1)!! entries consecutively,
-            # splits in increasing order
-            splits = [slots_and_chords(drawing)[0] for drawing in drawings]
+    # the block of k circles at degree m holds its C(2m-1, k-1) slot splits
+    # with no empty circle, in increasing order, each adding its (2m-1)!!
+    # drawings consecutively, each filed under the basis position of its
+    # brute-force least rotation: the drawings filed at a position are the
+    # rotations of a diagram that is its own canonical drawing
+    for k, top in ((1, 6), (2, 4), (3, 4), (4, 3), (5, 3), (6, 3)):
+        for m in range((k + 1) // 2, top + 1):
+            basis, drawings, splits = _block_table(k, m)
             per_split = math.prod(range(1, 2 * m, 2))
-            runs = [splits[k:k + per_split] for k in range(0, len(splits), per_split)]
-            assert [run[0] for run in runs] == sorted(set(splits)), (q, m)
-            assert all(run == [run[0]] * per_split for run in runs), (q, m)
+            assert len(drawings) == math.comb(2 * m - 1, k - 1) * per_split, (k, m)
+            split_of = [slots_and_chords(drawing)[0] for drawing in drawings]
+            runs = [split_of[j:j + per_split] for j in range(0, len(split_of), per_split)]
+            assert [run[0] for run in runs] == list(splits) == sorted(set(split_of)), (k, m)
+            assert all(run == [run[0]] * per_split and 0 not in run[0] for run in runs), (k, m)
+            counts = [count for _, count in splits.values()]
+            assert [start for start, _ in splits.values()] == list(accumulate(counts[:-1], initial=0)), (k, m)
+            assert sum(counts) == len(basis), (k, m)
             filed = [set() for _ in basis]
             for drawing, position in drawings.items():
                 filed[position].add(diagram_of(drawing))
             for drawing, drawn in zip(basis, filed):
                 diagram = diagram_of(drawing)
-                assert diagram == canonical(diagram) and drawn == rotations(diagram), (q, m, diagram)
-
-
-def _split_table_reference(slots, degree, matchings):
-    """A slot split's (basis, drawing -> position), every rotation renumbered by first appearance.
-
-    The reference for the library's _split_table, which turns one circle a
-    slot at a time instead: each rotation of a new basis drawing reads the
-    matching through its own index map, and its labels are then renumbered.
-    """
-    starts = [sum(slots[:c]) for c in range(len(slots))]
-    rotated = [
-        itemgetter(*[
-            k for start, n, r in zip(starts, slots, shift)
-            for k in [start + (s + r) % n for s in range(n)] + [2 * degree]
-        ])
-        for shift in product(*(range(n) for n in slots))
-    ]
-    basis, drawings = [], {}
-    for matching in matchings:
-        drawing = rotated[0](matching)
-        if drawing not in drawings:
-            drawings[drawing] = len(basis)
-            for rotate in rotated[1:]:
-                drawings[first_appearance(rotate(matching))] = len(basis)
-            basis.append(drawing)
-    return basis, drawings
-
-
-def _orbit_table_reference(q, m):
-    """The reference for _orbit_table(q, m), built from the reference walks.
-
-    Every slot split, in increasing order among all (2m+1)^q tuples, takes
-    the walk of its non-empty circles with a -1 at each empty circle.
-    """
-    matchings = tuple(_matchings(m))
-    basis, drawings, walks = [], {}, {}
-    for slots in product(range(2 * m + 1), repeat=q):
-        if sum(slots) != 2 * m:
-            continue
-        shown = tuple(n for n in slots if n)
-        if shown not in walks:
-            walks[shown] = _split_table_reference(shown, m, matchings) if m else ([(-1,)], {(-1,): 0})
-
-        def insert(drawing):
-            ends = [k + 1 for k, label in enumerate(drawing) if label < 0]
-            circles = iter([drawing[start:end] for start, end in zip([0] + ends, ends)])
-            return tuple(label for n in slots for label in (next(circles) if n else (-1,)))
-
-        walk_basis, walk = walks[shown]
-        shift = len(basis)
-        basis += map(insert, walk_basis)
-        drawings.update((insert(drawing), shift + k) for drawing, k in walk.items())
-    return tuple(basis), drawings
+                assert diagram == canonical(diagram) and drawn == rotations(diagram), (k, m, diagram)
 
 
 def _four_term_rows_reference(drawing, parent, killed):
@@ -757,7 +730,7 @@ def _four_term_rows_reference(drawing, parent, killed):
     appearance before the lookup.
     """
     n_circles = drawing.count(-1)
-    drawings = _orbit_table(n_circles, (len(drawing) - n_circles) // 2)[1]
+    drawings = orbit_table_reference(n_circles, (len(drawing) - n_circles) // 2)[1]
     rows = []
     start = 0
     for i, b in enumerate(drawing):
@@ -790,19 +763,24 @@ def _four_term_rows_reference(drawing, parent, killed):
 
 
 def test_circle_build_equals_renumbering_reference_beyond_brute_force():
-    # shapes past _CIRCLE_SHAPES: the drawing tables (basis, and entries in
-    # insertion order), each support's block of 4T rows with the seeds that
-    # have an isolated chord skipped and the terms placed from the parent's
-    # drawing, the killed positions and the placed float pivot rows, against
-    # the walk that renumbered every rotation and the rows built from every
-    # seed
+    # shapes past _CIRCLE_SHAPES: the basis and the block drawing table of
+    # the q circles (basis, and entries in insertion order), each support's
+    # block of 4T rows with the seeds that have an isolated chord skipped
+    # and the terms placed from the parent's drawing, the killed positions
+    # and the placed float pivot rows, against the walk that renumbered
+    # every rotation and the rows built from every seed
     for q, top in ((1, 7), (4, 4), (5, 3), (6, 3)):
         for m in range(top + 1):
-            basis, drawings = _orbit_table(q, m)
-            reference_basis, reference_drawings = _orbit_table_reference(q, m)
-            assert basis == reference_basis, (q, m)
-            assert list(drawings.items()) == list(reference_drawings.items()), (q, m)
-            del reference_basis, reference_drawings
+            basis, reference_drawings = orbit_table_reference(q, m)
+            assert enumerate_circle_diagrams(q, m) == basis, (q, m)
+            if m and q <= 2 * m:  # the block: the diagrams in which every circle carries a foot
+                full = [j for j, drawing in enumerate(basis) if 0 not in slots_and_chords(drawing)[0]]
+                block = {j: b for b, j in enumerate(full)}
+                block_basis, drawings, _ = _block_table(q, m)
+                assert block_basis == tuple(basis[j] for j in full), (q, m)
+                expected = [(drawing, block[j]) for drawing, j in reference_drawings.items() if j in block]
+                assert list(drawings.items()) == expected, (q, m)
+            del reference_drawings
             flags = [diagram_of(drawing).has_isolated_chord() for drawing in basis]
             rows = [row for k, d in enumerate(basis) for row in _four_term_rows_reference(d, k, flags)] if m > 1 else []
             reference = RelationSet(m, basis, rows, (k for k, flag in enumerate(flags) if flag))
