@@ -144,49 +144,31 @@ def horizontal_relations(n_strands: int, degree: int) -> RelationSet:
     tests call it, as the reference for _rewrite_rows; it stays here
     because the benchmark tracer wraps it and reads its cache_info().
     """
-    basis = enumerate_words(n_strands, degree)
-    if degree < 2 or n_strands == 2:
-        return RelationSet(degree, basis, ())
-    n_pairs = n_strands * (n_strands - 1) // 2
     pairs = all_pairs(n_strands)
+    n_pairs = len(pairs)
     pair_index = {p: q for q, p in enumerate(pairs)}
+    # each base row holds distinct (low, high) pairs of chords, coefficients +-1
     base_rows = []
-    strands = range(1, n_strands + 1)
-    for i in strands:
-        for j in strands:
-            for k in strands:
-                if not (i < j < k):
-                    continue
-                triple = [pair_index[(i, j)], pair_index[(i, k)], pair_index[(j, k)]]
-                for slide in triple:
-                    others = [p for p in triple if p != slide]
-                    row = {}
-                    for other in others:
-                        row[(slide, other)] = row.get((slide, other), 0) + 1
-                        row[(other, slide)] = row.get((other, slide), 0) - 1
-                    base_rows.append(row)
-    for a_idx, p in enumerate(pairs):
-        for q in pairs[a_idx + 1:]:
-            if set(p) & set(q):
-                continue
-            base_rows.append({(pair_index[p], pair_index[q]): 1, (pair_index[q], pair_index[p]): -1})
+    for i, j, k in combinations(range(1, n_strands + 1), 3):
+        triple = pair_index[(i, j)], pair_index[(i, k)], pair_index[(j, k)]
+        for slide in triple:
+            x, y = (p for p in triple if p != slide)
+            base_rows.append({(slide, x): 1, (x, slide): -1, (slide, y): 1, (y, slide): -1})
+    for (x, p), (y, q) in combinations(enumerate(pairs), 2):
+        if not set(p) & set(q):
+            base_rows.append({(x, y): 1, (y, x): -1})
     rows = []
     # a term's column is its word's index in the degree block, the chords
     # read as base-P digits, lowest chord first: prefix a, the pair
-    # (low, high), then the degree-s suffix b
+    # (low, high), then the degree-s suffix b; distinct pairs land in
+    # distinct columns
     for pos in range(degree - 1):
         suffixes = n_pairs ** (degree - 2 - pos)
-        for a in range(n_pairs**pos):
-            for b in range(suffixes):
-                for base in base_rows:
-                    row = {}
-                    for (low, high), coeff in base.items():
-                        col = ((a * n_pairs + low) * n_pairs + high) * suffixes + b
-                        row[col] = row.get(col, 0) + coeff
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-    return RelationSet(degree, basis, rows)
+        for a, b in product(range(n_pairs**pos), range(suffixes)):
+            for base in base_rows:
+                rows.append({((a * n_pairs + low) * n_pairs + high) * suffixes + b: coeff
+                             for (low, high), coeff in base.items()})
+    return RelationSet(degree, enumerate_words(n_strands, degree), rows)
 
 
 def _circle_four_term_rows(degree, basis, drawings, isolated):

@@ -319,7 +319,7 @@ def _word_index_rows(n_strands, degree):
 
 
 def test_horizontal_rows_equal_word_index_reference():
-    for n, top in ((3, 4), (4, 3), (5, 2)):
+    for n, top in ((2, 3), (3, 4), (4, 3), (5, 2), (6, 3)):
         for m in range(top + 1):
             built, reference = horizontal_relations(n, m), _word_index_rows(n, m)
             assert built.basis == reference.basis
